@@ -12,6 +12,7 @@ certificates behind the Kazhdan property of the ambient groups.
 from .errors import (
     BaseNotAclClosed,
     FreenessViolation,
+    InvalidLimits,
     InvalidPermutation,
     InvariantViolation,
     MalformedStructure,
@@ -65,6 +66,7 @@ __all__ = [
     "Distribution",
     "DoubleCosetProfile",
     "FreenessViolation",
+    "InvalidLimits",
     "InvalidPermutation",
     "InvariantViolation",
     "IrrepLabel",

@@ -178,13 +178,6 @@ class Cyc:
             return self.terms[0][1]
         raise ValueError(f"not a rational integer: {self!r}")
 
-    def to_complex(self) -> complex:
-        import cmath
-
-        return sum(
-            c * cmath.exp(2j * cmath.pi * k / self.e) for k, c in self.terms
-        ) + 0j
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.is_int() and self.as_int() == other
@@ -751,9 +744,6 @@ class SymmetricCharacterTable:
                 raise NotACharacter(f"multiplicity of row {i} is negative: {m}")
             mults.append(m)
         return tuple(mults)
-
-    def regular_decomposition(self) -> tuple:
-        return self.degrees
 
     def export(self) -> dict:
         return {

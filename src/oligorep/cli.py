@@ -186,6 +186,8 @@ def cmd_cosets(args):
 
 
 def cmd_kazhdan(args):
+    if args.trials is not None and args.trials < 1:
+        raise OligorepError("--trials must be at least 1")
     limits = get_limits()
     cls = args.class_id
     report = {"class": cls, "Q": [[1], [2]]}
@@ -227,9 +229,9 @@ def cmd_kazhdan(args):
         report["displacement_trials"] = {
             "count": trials,
             "min_value": minimum,
-            "at_least_half": minimum is None or minimum >= Fraction(1, 2),
+            "at_least_half": minimum >= Fraction(1, 2),
         }
-        if minimum is not None and minimum < Fraction(1, 2):
+        if minimum < Fraction(1, 2):
             raise InvariantViolation("a displacement fell below 1/2")
 
     if cls == "linear_order":

@@ -18,6 +18,10 @@ class SizeLimitExceeded(OligorepError, ValueError):
     """A requested computation exceeds the configured desk-scale limits."""
 
 
+class InvalidLimits(OligorepError, ValueError):
+    """The limits configuration is malformed or holds a non-positive limit."""
+
+
 class InvalidPermutation(OligorepError, ValueError):
     """Not a permutation of the expected domain."""
 

@@ -1018,6 +1018,8 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     the radius r ball.  The almost-sure statement this stands in for is
     asymptotic; the finite rate is reported, not asserted.
     """
+    if t not in (1, 2):
+        raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
     if isinstance(seeds, int):
         seeds = range(seeds)
     inner = list(ball(r - 1))
@@ -1045,7 +1047,7 @@ def cayley_extension_check(r=6, t=2, seeds=20):
             configs.append(((), (i, j)))
             configs.append(((i,), (j,)))
             configs.append(((j,), (i,)))
-        if t < 2:
+        if t == 1:
             configs = [c for c in configs if len(c[0]) + len(c[1]) <= t]
         for link, avoid in configs:
             m = full

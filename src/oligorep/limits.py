@@ -6,7 +6,8 @@ object such as
 
     OLIGOREP_LIMITS='{"max_base": {"graph": 5}, "subgroup_order": 1000}'
 
-Unknown keys are rejected so typos fail loudly.
+Unknown keys, malformed JSON and limits that are not positive integers
+raise InvalidLimits, a usage error, so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import SizeLimitExceeded
+from .errors import InvalidLimits, SizeLimitExceeded
 
 ENV_VAR = "OLIGOREP_LIMITS"
 
@@ -47,6 +48,13 @@ class RunLimits:
             )
 
 
+def _positive(name, value) -> int:
+    if type(value) is not int or value < 1:
+        raise InvalidLimits(
+            f"{ENV_VAR}: {name} must be a positive integer, not {value!r}")
+    return value
+
+
 def get_limits() -> RunLimits:
     limits = RunLimits()
     raw = os.environ.get(ENV_VAR)
@@ -55,16 +63,18 @@ def get_limits() -> RunLimits:
     try:
         overrides = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise SizeLimitExceeded(f"cannot parse {ENV_VAR}: {exc}") from exc
+        raise InvalidLimits(f"cannot parse {ENV_VAR}: {exc}") from exc
     if not isinstance(overrides, dict):
-        raise SizeLimitExceeded(f"{ENV_VAR} must be a JSON object")
+        raise InvalidLimits(f"{ENV_VAR} must be a JSON object")
     for key, value in overrides.items():
         if key == "max_base":
             if not isinstance(value, dict):
-                raise SizeLimitExceeded(f"{ENV_VAR}: max_base must be an object")
-            limits.max_base.update({str(k): int(v) for k, v in value.items()})
+                raise InvalidLimits(f"{ENV_VAR}: max_base must be an object")
+            limits.max_base.update(
+                {str(k): _positive(f"max_base.{k}", v)
+                 for k, v in value.items()})
         elif key in ("subgroup_order", "table_order", "tree_nodes"):
-            setattr(limits, key, int(value))
+            setattr(limits, key, _positive(key, value))
         else:
-            raise SizeLimitExceeded(f"{ENV_VAR}: unknown limit {key!r}")
+            raise InvalidLimits(f"{ENV_VAR}: unknown limit {key!r}")
     return limits

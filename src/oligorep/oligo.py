@@ -371,12 +371,6 @@ class Decomposition:
     def total_degree(self):
         return sum(label.degree * mult for label, mult in self.terms.items())
 
-    def scaled(self, factor):
-        out = Decomposition()
-        for label, mult in self.terms.items():
-            out.add(label, factor * mult)
-        return out
-
     def to_json(self):
         return [
             dict(label.to_json(), multiplicity=mult)

@@ -142,29 +142,17 @@ class PermGroup:
                 rep = trans[x]
                 for g in gens:
                     sg = compose(inverse(trans[g[x]]), compose(g, rep))
-                    residue = self._sift_partial(sg, level + 1, stab)
-                    if residue is not None and residue not in stab_set:
+                    residue = self.sift(sg, level + 1)
+                    if residue not in stab_set:
                         stab.append(residue)
                         stab_set.add(residue)
             gens = stab
             level += 1
 
-    def _sift_partial(self, g: tuple, start: int, extra: list):
-        """Sift g through levels >= start plus the extra generators being
-        accumulated; return the residue if it is a new nontrivial element."""
+    def sift(self, g: tuple, start: int = 0):
+        """Return the residue of g after sifting through the levels >= start
+        built so far; with start 0, the identity iff g in G."""
         for lvl in range(start, len(self._base)):
-            x = g[self._base[lvl]]
-            trans = self._transversals[lvl]
-            if x not in trans:
-                return g
-            g = compose(inverse(trans[x]), g)
-        if g == identity(self.degree):
-            return None
-        return g
-
-    def sift(self, g: tuple):
-        """Return the residue of g after sifting; identity iff g in G."""
-        for lvl in range(len(self._base)):
             x = g[self._base[lvl]]
             trans = self._transversals[lvl]
             if x not in trans:
@@ -296,8 +284,12 @@ class PermGroup:
         BFS: extend each known subgroup by an element of prime power order
         (every subgroup is generated by such elements, since each of its
         elements' prime power parts lie in it), dedup by conjugate orbits of
-        the full element sets.  Complete but exponential; the order guard
-        keeps it honest.
+        the full element sets.  Each subgroup in the frontier keeps the
+        elements it was grown from, so an extension closes under those
+        generators only, in O(|result| * |gens|) products, and is tried for
+        one element per coset of the subgroup.  The number of extensions
+        still grows with the lattice; the order guard bounds it.  The
+        representative of a class is its ``sorted``-least member.
         """
         if self.order > limit:
             raise SizeLimitExceeded(
@@ -328,23 +320,25 @@ class PermGroup:
 
         triv = frozenset({identity(self.degree)})
         seen_sets = {triv}
-        seen_orbits = [frozenset({triv})]
-        frontier = [triv]
+        frontier = [(triv, ())]
         found = [triv]
         while frontier:
             nxt = []
-            for current in frontier:
+            for current, gens in frontier:
+                # <H, g> = <H, hg> for h in H: one g per coset Hg suffices
+                covered = set(current)
                 for g in pp_elems:
-                    if g in current:
+                    if g in covered:
                         continue
-                    grown = _closure(current | {g}, self.degree)
+                    covered.update(compose(h, g) for h in current)
+                    grown_gens = gens + (g,)
+                    grown = _closure(current, grown_gens)
                     if grown in seen_sets:
                         continue
                     orbit = conj_orbit(grown)
                     seen_sets |= orbit
-                    seen_orbits.append(orbit)
                     found.append(min(orbit, key=sorted))
-                    nxt.append(grown)
+                    nxt.append((grown, grown_gens))
             frontier = nxt
         reps = [tuple(sorted(s)) for s in found]
         reps.sort(key=lambda s: (len(s), s))
@@ -353,11 +347,6 @@ class PermGroup:
                       or [identity(self.degree)])
             for rep in reps
         )
-
-    # -- coset actions ----------------------------------------------------------
-
-    def coset_action(self, sub: "PermGroup", limit: int | None = None) -> "CosetAction":
-        return CosetAction(self, sub, limit)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -372,17 +361,20 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
-def _closure(seed: set, degree: int) -> frozenset:
-    elems = set(seed)
-    elems.add(identity(degree))
-    frontier = list(elems)
-    while frontier:
-        g = frontier.pop()
-        for h in list(elems):
-            for prod in (compose(g, h), compose(h, g)):
-                if prod not in elems:
-                    elems.add(prod)
-                    frontier.append(prod)
+def _closure(subgroup: frozenset, gens: tuple) -> frozenset:
+    """The group generated by `gens`, given `subgroup`, a subgroup of it.
+
+    A set holding the identity and closed under right multiplication by
+    the generators is the group they generate: in a finite group every
+    inverse is a positive power."""
+    elems = set(subgroup)
+    queue = list(subgroup)
+    for x in queue:
+        for s in gens:
+            y = compose(x, s)
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
     return frozenset(elems)
 
 
@@ -437,7 +429,3 @@ def symmetric_group(n: int) -> PermGroup:
 
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [])
-
-
-def cyclic_group(degree: int, g: tuple) -> PermGroup:
-    return PermGroup(degree, [g])

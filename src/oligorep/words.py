@@ -201,7 +201,3 @@ def magnus_compare(u: tuple, v: tuple, max_degree: int = 10) -> str:
     raise UndecidedComparison(
         f"words agree through degree {max_degree}: {u!r} vs {v!r}"
     )
-
-
-def is_positive(w: tuple, max_degree: int = 10) -> bool:
-    return magnus_compare(EMPTY, w, max_degree) == "<"

@@ -122,6 +122,25 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cls", ["pure_set", "linear_order", "graph",
+                                 "vector_space"])
+def test_kazhdan_zero_trials_exits_one(capsys, cls):
+    code, out = run(capsys, ["kazhdan", "--class", cls, "--trials", "0"])
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("raw", ['{bad', '[1]', '{"tree_nodes": -5}',
+                                 '{"max_base": {"graph": -1}}',
+                                 '{"subgroup_order": 0}'])
+def test_malformed_limits_exit_one(capsys, monkeypatch, raw):
+    monkeypatch.setenv("OLIGOREP_LIMITS", raw)
+    code, out = run(capsys, ["catalog", "--class", "pure_set",
+                             "--max-base", "1"])
+    assert code == 1
+    assert out == ""
+
+
 def test_size_limit_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 50}')
     code, _ = run(capsys, ["kazhdan", "--class", "pure_set",

@@ -346,6 +346,14 @@ def test_cayley_extension_small_radius():
     assert report["mean_rate"] == 1
 
 
+def test_cayley_extension_rejects_t_outside_one_two():
+    for t in (0, 3):
+        with pytest.raises(MalformedStructure):
+            cayley_extension_check(r=3, t=t, seeds=1)
+    report = cayley_extension_check(r=3, t=1, seeds=1)
+    assert report["per_seed"][0]["configs"] == 2 * 17
+
+
 def test_embedding_factory():
     assert f2_embedding("pure_set").class_id == "pure_set"
     assert f2_embedding("vector_space_q3").q == 3

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oligorep.errors import InvalidPermutation, NotASubgroup, SizeLimitExceeded
+from oligorep.finstruct import get_class
 from oligorep.permgrp import (
     CosetAction,
     PermGroup,
@@ -237,3 +238,82 @@ def test_all_subgroup_reps_are_subgroups():
         elems = set(H.elements())
         for a, b in itertools.product(list(elems)[:6], repeat=2):
             assert compose(a, b) in elems
+
+
+def dihedral_group(n):
+    """Symmetries of the n-gon on its vertices, of order 2n."""
+    rotation = from_cycles(n, [tuple(range(n))])
+    reflection = tuple((-i) % n for i in range(n))
+    return PermGroup(n, [rotation, reflection])
+
+
+SMALL_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "A4": lambda: PermGroup(4, [from_cycles(4, [(0, 1, 2)]),
+                                from_cycles(4, [(1, 2, 3)])]),
+    "D5": lambda: dihedral_group(5),
+}
+
+
+def conjugate_set(x, elems):
+    x_inv = inverse(x)
+    return frozenset(compose(x, compose(g, x_inv)) for g in elems)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroup_reps_match_brute_closure(name):
+    G = SMALL_GROUPS[name]()
+    for H in G.subgroups_up_to_conjugacy():
+        elems = set(H.elements())
+        assert elems == brute_closure(G.degree, H.generators)
+        assert elems <= set(G.elements())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroup_reps_are_least_in_their_class(name):
+    G = SMALL_GROUPS[name]()
+    subs = G.subgroups_up_to_conjugacy()
+    classes = set()
+    for H in subs:
+        elems = frozenset(H.elements())
+        conjugates = frozenset(conjugate_set(x, elems) for x in G.elements())
+        assert min(conjugates, key=sorted) == elems
+        classes.add(conjugates)
+    assert len(classes) == len(subs)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroup_classes_match_brute_force(name):
+    # every subgroup of these groups is generated by two elements
+    G = SMALL_GROUPS[name]()
+    elems = G.elements()
+    subgroups = {frozenset(brute_closure(G.degree, pair))
+                 for pair in itertools.combinations_with_replacement(elems, 2)}
+    reps = {min((conjugate_set(x, H) for x in elems), key=sorted)
+            for H in subgroups}
+    expected = sorted((tuple(sorted(r)) for r in reps),
+                      key=lambda rep: (len(rep), rep))
+    assert [H.elements() for H in G.subgroups_up_to_conjugacy()] == expected
+
+
+def test_subgroups_d5():
+    subs = dihedral_group(5).subgroups_up_to_conjugacy()
+    assert [H.order for H in subs] == [1, 2, 5, 10]
+
+
+def test_subgroups_s5():
+    subs = symmetric_group(5).subgroups_up_to_conjugacy()
+    assert len(subs) == 19  # OEIS A000638
+    assert [H.order for H in subs] == [
+        1, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 8, 10, 12, 12, 20, 24, 60, 120]
+
+
+def test_subgroups_gl32():
+    cls = get_class("vector_space")
+    base = next(b for b in cls.enumerate_class(3) if cls.size(b) == 3)
+    G = cls.automorphisms(base)
+    assert G.order == 168
+    subs = G.subgroups_up_to_conjugacy()
+    assert len(subs) == 15
+    assert [H.order for H in subs] == [
+        1, 2, 3, 4, 4, 4, 6, 7, 8, 12, 12, 21, 24, 24, 168]
