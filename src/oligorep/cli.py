@@ -186,8 +186,10 @@ def cmd_cosets(args):
 
 
 def cmd_kazhdan(args):
-    if args.trials is not None and args.trials < 1:
-        raise OligorepError("--trials must be at least 1")
+    for name in ("depth", "trials", "words", "degree"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise OligorepError(f"--{name} must be at least 1")
     limits = get_limits()
     cls = args.class_id
     report = {"class": cls, "Q": [[1], [2]]}

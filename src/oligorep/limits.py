@@ -6,8 +6,8 @@ object such as
 
     OLIGOREP_LIMITS='{"max_base": {"graph": 5}, "subgroup_order": 1000}'
 
-Unknown keys, malformed JSON and limits that are not positive integers
-raise InvalidLimits, a usage error, so typos fail loudly.
+Unknown keys or classes, malformed JSON and limits that are not positive
+integers raise InvalidLimits, a usage error, so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -70,9 +70,11 @@ def get_limits() -> RunLimits:
         if key == "max_base":
             if not isinstance(value, dict):
                 raise InvalidLimits(f"{ENV_VAR}: max_base must be an object")
-            limits.max_base.update(
-                {str(k): _positive(f"max_base.{k}", v)
-                 for k, v in value.items()})
+            for cls_id, v in value.items():
+                if cls_id not in DEFAULT_MAX_BASE:
+                    raise InvalidLimits(
+                        f"{ENV_VAR}: unknown class {cls_id!r} in max_base")
+                limits.max_base[cls_id] = _positive(f"max_base.{cls_id}", v)
         elif key in ("subgroup_order", "table_order", "tree_nodes"):
             setattr(limits, key, _positive(key, value))
         else:

@@ -124,14 +124,17 @@ def test_usage_errors_exit_one(capsys):
 
 @pytest.mark.parametrize("cls", ["pure_set", "linear_order", "graph",
                                  "vector_space"])
-def test_kazhdan_zero_trials_exits_one(capsys, cls):
-    code, out = run(capsys, ["kazhdan", "--class", cls, "--trials", "0"])
+@pytest.mark.parametrize("flag", ["--depth", "--trials", "--words",
+                                  "--degree"])
+def test_kazhdan_counts_below_one_exit_one(capsys, cls, flag):
+    code, out = run(capsys, ["kazhdan", "--class", cls, flag, "0"])
     assert code == 1
     assert out == ""
 
 
 @pytest.mark.parametrize("raw", ['{bad', '[1]', '{"tree_nodes": -5}',
                                  '{"max_base": {"graph": -1}}',
+                                 '{"max_base": {"grph": 3}}',
                                  '{"subgroup_order": 0}'])
 def test_malformed_limits_exit_one(capsys, monkeypatch, raw):
     monkeypatch.setenv("OLIGOREP_LIMITS", raw)
