@@ -29,8 +29,6 @@ from .errors import (
 from .finstruct import get_class
 from .limits import DEFAULT_MAX_BASE, get_limits
 
-_RELATIONAL = ("pure_set", "linear_order", "graph")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -192,12 +190,13 @@ def cmd_kazhdan(args):
             raise OligorepError(f"--{name} must be at least 1")
     limits = get_limits()
     cls = args.class_id
+    relational = get_class(cls).relational
     report = {"class": cls, "Q": [[1], [2]]}
 
     if args.words is not None:
         word_len = args.words
     else:
-        word_len = 6 if cls in _RELATIONAL else 4
+        word_len = 6 if relational else 4
     free = kazhdan.freeness_check(cls, word_len=word_len, seed=args.seed)
     report["freeness"] = {
         "word_len": free["word_len"],
@@ -206,7 +205,7 @@ def cmd_kazhdan(args):
         "pass": free["ok"],
     }
 
-    if cls in _RELATIONAL:
+    if relational:
         depth = args.depth if args.depth is not None else 5
         tree = kazhdan.build_tree(cls, depth, limits=limits)
         verdict = tree.verify()

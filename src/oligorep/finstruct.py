@@ -17,7 +17,24 @@ class:
 
 Each class plugs in validation, membership, closure (``acl``), canonical
 forms with relabeling maps, automorphism groups, and enumeration of both
-structures and tuple types.  Canonical codes are short lowercase hex
+structures and tuple types.  It also owns everything else that reads its
+payload:
+
+* ``joint_configs(base_b, base_c)``: the raw joint configurations of two
+  bases, one tagged tuple each (``"match"``, ``"ranks"``, ``"cross"``,
+  ``"space"`` or ``"cells"``);
+* ``config_action(base_b, base_c)``: a function ``act(config, g1, g2)``
+  remarking one configuration by automorphisms of the two bases (``None``
+  for the identity);
+* ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
+  of whether the second copy lies in the hull of the first and back;
+* ``stabilizer_is_trivial(base, marked)``: whether only the identity of
+  ``Aut(base)`` fixes every marked position;
+* ``_data_to_json`` / ``_data_from_json``: the ``data`` object of a
+  structure document.
+
+Boolean algebras set ``atomic``: the automorphism group of a base is the
+symmetric group on its atoms.  Canonical codes are short lowercase hex
 strings; two structures get the same code exactly when they are
 isomorphic.  The empty structure is a member of every class and is its
 own closure; for the linear-algebraic classes the closure of any nonempty
@@ -31,7 +48,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .errors import MalformedStructure, SizeLimitExceeded
+from .errors import InvariantViolation, MalformedStructure, SizeLimitExceeded
 from .permgrp import PermGroup, compose, inverse
 
 __all__ = [
@@ -83,6 +100,12 @@ def _digest(*parts):
 
 def _identity_relabel(n):
     return tuple(range(n))
+
+
+def _relabel(pairs, g1, g2):
+    """Sorted pairs (i, j) moved to (g1[i], g2[j]); ``None`` is the identity."""
+    return tuple(sorted(
+        (g1[i] if g1 else i, g2[j] if g2 else j) for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +195,16 @@ def set_partitions(n):
             rgs[j] = 0
 
 
+_MAX_CONFIGS = 2_000_000
+
+
 class FraisseClass:
     """Shared behavior for one amalgamation class; subclasses fill in payloads."""
 
     id = ""
     relational = True
     no_algebraicity = True
+    atomic = False
     max_tuple_len = 8
     num_fixed_elements = 0
 
@@ -325,20 +352,76 @@ class FraisseClass:
     def _touches_fixed(self, t):
         return False
 
+    def _data_to_json(self, data):
+        raise NotImplementedError
+
+    def _data_from_json(self, payload):
+        raise NotImplementedError
+
+    # -- double cosets and tuple hulls
+
+    def joint_configs(self, base_b, base_c):
+        """Every way a copy of ``base_c`` can sit relative to ``base_b``."""
+        raise NotImplementedError
+
+    def config_action(self, base_b, base_c):
+        """``act(config, g1, g2)``: remark by g1 on ``base_b``, g2 on ``base_c``."""
+        raise NotImplementedError
+
+    def config_finiteness(self, payload, base_b, base_c):
+        """(left, right): the ``base_c`` copy lies in the hull of the other, and back."""
+        raise NotImplementedError
+
+    def stabilizer_is_trivial(self, base, marked):
+        """Whether only the identity of Aut(base) fixes every marked position."""
+        raise NotImplementedError
+
 
 # ---------------------------------------------------------------------------
 # relational classes
 
 
+def _move_ranks(ranks, g):
+    if not g:
+        return ranks
+    moved = [0] * len(ranks)
+    for i, r in enumerate(ranks):
+        moved[g[i]] = r
+    return tuple(moved)
+
+
 class _RelationalClass(FraisseClass):
-    relational = True
-    no_algebraicity = True
+    """Relational classes: bases are glued along a partial matching.
 
-    def _is_closed(self, s):
-        return True
+    The configuration hooks here are the pure-set ones, a bare matching;
+    graphs extend them with the cross edges between unmatched points.
+    """
 
-    def _close(self, s, positions):
-        return positions
+    @staticmethod
+    def _matchings(nB, nC):
+        for t in range(min(nB, nC) + 1):
+            for bsub in itertools.combinations(range(nB), t):
+                for cimg in itertools.permutations(range(nC), t):
+                    yield tuple(sorted(zip(bsub, cimg)))
+
+    def joint_configs(self, base_b, base_c):
+        return [("match", m) for m in self._matchings(len(base_b), len(base_c))]
+
+    def config_action(self, base_b, base_c):
+        return self._act_on_match
+
+    @staticmethod
+    def _act_on_match(config, g1, g2):
+        return ("match", _relabel(config[1], g1, g2))
+
+    def config_finiteness(self, payload, base_b, base_c):
+        matching = payload[1]
+        return (len({j for _, j in matching}) == len(base_c),
+                len({i for i, _ in matching}) == len(base_b))
+
+    def stabilizer_is_trivial(self, base, marked):
+        # relational bases are exactly the marked points
+        return set(marked) == set(range(len(base)))
 
     def _tuple_types(self, n):
         types = []
@@ -395,6 +478,12 @@ class PureSetClass(_RelationalClass):
     def _block_cores(self, k):
         return [None]
 
+    def _data_to_json(self, data):
+        return {}
+
+    def _data_from_json(self, payload):
+        return None
+
 
 class LinearOrderClass(_RelationalClass):
     id = "linear_order"
@@ -433,6 +522,48 @@ class LinearOrderClass(_RelationalClass):
 
     def _block_cores(self, k):
         return [tuple(p) for p in itertools.permutations(range(k))]
+
+    def _data_to_json(self, data):
+        return {"ranks": list(data)}
+
+    def _data_from_json(self, payload):
+        return tuple(payload.get("ranks", ()))
+
+    def joint_configs(self, base_b, base_c):
+        nB, nC = len(base_b), len(base_c)
+        configs = []
+        for t in range(min(nB, nC) + 1):
+            for bsub in itertools.combinations(range(nB), t):
+                for csub in itertools.combinations(range(nC), t):
+                    matching = dict(zip(bsub, csub))
+                    partner = {c: b for b, c in matching.items()}
+                    out = []
+
+                    def rec(i, j, rank, rb, rc):
+                        if i == nB and j == nC:
+                            out.append(("ranks", tuple(rb), tuple(rc)))
+                            return
+                        if i < nB and i not in matching:
+                            rec(i + 1, j, rank + 1, rb + [rank], rc)
+                        if j < nC and j not in partner:
+                            rec(i, j + 1, rank + 1, rb, rc + [rank])
+                        if i < nB and matching.get(i) == j:
+                            rec(i + 1, j + 1, rank + 1, rb + [rank], rc + [rank])
+
+                    rec(0, 0, 0, [], [])
+                    configs.extend(out)
+        return configs
+
+    def config_action(self, base_b, base_c):
+        return self._act_on_ranks
+
+    @staticmethod
+    def _act_on_ranks(config, g1, g2):
+        return ("ranks", _move_ranks(config[1], g1), _move_ranks(config[2], g2))
+
+    def config_finiteness(self, payload, base_b, base_c):
+        rb, rc = set(payload[1]), set(payload[2])
+        return rc <= rb, rb <= rc
 
 
 class GraphClass(_RelationalClass):
@@ -574,6 +705,44 @@ class GraphClass(_RelationalClass):
             cores.append(frozenset(
                 frozenset(pairs[i]) for i in range(len(pairs)) if mask >> i & 1))
         return cores
+
+    def _data_to_json(self, data):
+        return {"edges": sorted(sorted(e) for e in data)}
+
+    def _data_from_json(self, payload):
+        return frozenset(frozenset(e) for e in payload.get("edges", ()))
+
+    def joint_configs(self, base_b, base_c):
+        eb, ec = base_b.data, base_c.data
+        nB, nC = len(base_b), len(base_c)
+        configs = []
+        for matching in self._matchings(nB, nC):
+            ok = True
+            for (i1, j1), (i2, j2) in itertools.combinations(matching, 2):
+                if (frozenset((i1, i2)) in eb) != (frozenset((j1, j2)) in ec):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            free_b = [i for i in range(nB) if i not in {m[0] for m in matching}]
+            free_c = [j for j in range(nC) if j not in {m[1] for m in matching}]
+            cross_pairs = [(b, c) for b in free_b for c in free_c]
+            if 1 << len(cross_pairs) > _MAX_CONFIGS:
+                raise SizeLimitExceeded(
+                    "too many joint configurations; shrink the bases")
+            for mask in range(1 << len(cross_pairs)):
+                cross = tuple(cross_pairs[i] for i in range(len(cross_pairs))
+                              if mask >> i & 1)
+                configs.append(("cross", matching, cross))
+        return configs
+
+    def config_action(self, base_b, base_c):
+        return self._act_on_cross
+
+    @staticmethod
+    def _act_on_cross(config, g1, g2):
+        return ("cross", _relabel(config[1], g1, g2),
+                _relabel(config[2], g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +886,6 @@ class VectorSpaceClass(FraisseClass):
             return self.empty(), ()
         _, coords = self._basis_coords(s)
         dim = len(coords[0]) if coords[0] != () else 0
-        dim = max(dim, 0)
         canon = self.canonical_space(dim)
         rel = tuple(_lex_index(c, self.q) for c in coords)
         return canon, rel
@@ -791,6 +959,75 @@ class VectorSpaceClass(FraisseClass):
             marked.append(_lex_index(coords, self.q))
         return base, tuple(marked)
 
+    def _data_to_json(self, data):
+        q, vectors = data
+        return {"q": q, "vectors": [list(v) for v in vectors]}
+
+    def _data_from_json(self, payload):
+        return (payload.get("q"),
+                tuple(tuple(v) for v in payload.get("vectors", ())))
+
+    def joint_configs(self, base_b, base_c):
+        dB = self.size(base_b)
+        q = self.q
+        configs = []
+        for rows in _relation_spaces(dB + self.size(base_c), q):
+            if not rows:
+                configs.append(("space", rows))
+                continue
+            left = [r[:dB] for r in rows]
+            right = [r[dB:] for r in rows]
+            if len(_rref(left, q)[0]) != len(rows):
+                continue
+            if len(_rref(right, q)[0]) != len(rows):
+                continue
+            configs.append(("space", rows))
+        return configs
+
+    def config_action(self, base_b, base_c):
+        q = self.q
+        dB = self.size(base_b)
+        dC = self.size(base_c)
+
+        def act(config, g1, g2):
+            rows = config[1]
+            m1 = self._perm_matrix(inverse(g1), dB) if g1 else None
+            m2 = self._perm_matrix(inverse(g2), dC) if g2 else None
+            moved = []
+            for r in rows:
+                c, d = list(r[:dB]), list(r[dB:])
+                if m1:
+                    c = [sum(m1[a][b] * c[b] for b in range(dB)) % q
+                         for a in range(dB)]
+                if m2:
+                    d = [sum(m2[a][b] * d[b] for b in range(dC)) % q
+                         for a in range(dC)]
+                moved.append(tuple(c) + tuple(d))
+            return ("space", _rref(moved, q)[0])
+
+        return act
+
+    def _perm_matrix(self, perm, dim):
+        """Matrix of a point permutation of the canonical space, column per basis."""
+        cols = []
+        for i in range(dim):
+            e = tuple(1 if j == i else 0 for j in range(dim))
+            image = perm[_lex_index(e, self.q)]
+            cols.append(_lex_vector(image, self.q, dim))
+        return [[cols[j][r] for j in range(dim)] for r in range(dim)]
+
+    def config_finiteness(self, payload, base_b, base_c):
+        rows = payload[1]
+        dB = self.size(base_b)
+        rank_left = len(_rref([r[:dB] for r in rows], self.q)[0])
+        rank_right = len(_rref([r[dB:] for r in rows], self.q)[0])
+        return rank_right == self.size(base_c), rank_left == dB
+
+    def stabilizer_is_trivial(self, base, marked):
+        # marked vectors pin every automorphism exactly when they span
+        vectors = [base.data[1][p] for p in marked]
+        return len(_rref(vectors, self.q)[0]) == self.size(base)
+
 
 def _relation_spaces(n, q):
     """All subspaces of GF(q)^n in reduced row echelon form."""
@@ -818,6 +1055,7 @@ class BooleanAlgebraClass(FraisseClass):
     id = "boolean_algebra"
     relational = False
     no_algebraicity = False
+    atomic = True
     max_tuple_len = 4
     num_fixed_elements = 2
 
@@ -978,6 +1216,63 @@ class BooleanAlgebraClass(FraisseClass):
             marked.append(mask)
         return base, tuple(marked)
 
+    def _data_to_json(self, data):
+        n_atoms, masks = data
+        return {"atoms": n_atoms, "masks": list(masks)}
+
+    def _data_from_json(self, payload):
+        return (payload.get("atoms", 0), tuple(payload.get("masks", ())))
+
+    @staticmethod
+    def atom_perm(point_perm, m):
+        """Convert an automorphism on the 2**m element masks to an atom permutation."""
+        sigma = []
+        for k in range(m):
+            img = point_perm[1 << k]
+            if img & (img - 1):
+                raise InvariantViolation("automorphism does not permute atoms")
+            sigma.append(img.bit_length() - 1)
+        return tuple(sigma)
+
+    def joint_configs(self, base_b, base_c):
+        m1 = self.size(base_b)
+        m2 = self.size(base_c)
+        if 1 << (m1 * m2) > _MAX_CONFIGS:
+            raise SizeLimitExceeded(
+                "too many joint configurations; shrink the bases")
+        pairs = [(i, j) for i in range(m1) for j in range(m2)]
+        configs = []
+        for mask in range(1 << len(pairs)):
+            chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            rows = {i for i, _ in chosen}
+            cols = {j for _, j in chosen}
+            if len(rows) == m1 and len(cols) == m2:
+                configs.append(("cells", tuple(sorted(chosen))))
+        return configs
+
+    def config_action(self, base_b, base_c):
+        m1 = self.size(base_b)
+        m2 = self.size(base_c)
+
+        def act(config, g1, g2):
+            s1 = self.atom_perm(g1, m1) if g1 else None
+            s2 = self.atom_perm(g2, m2) if g2 else None
+            return ("cells", _relabel(config[1], s1, s2))
+
+        return act
+
+    def config_finiteness(self, payload, base_b, base_c):
+        # left: every atom of the first copy meets one atom of the second
+        cells = payload[1]
+        return (len({i for i, _ in cells}) == len(cells),
+                len({j for _, j in cells}) == len(cells))
+
+    def stabilizer_is_trivial(self, base, marked):
+        # marked masks pin every atom permutation exactly when they separate atoms
+        m = self.size(base)
+        columns = {tuple((mask >> k) & 1 for mask in marked) for k in range(m)}
+        return len(columns) == m
+
 
 # ---------------------------------------------------------------------------
 # registry and serialization
@@ -1015,20 +1310,8 @@ def empty_structure(class_id):
 def structure_to_json(s):
     cls = get_class(s.cls)
     cls.validate(s)
-    doc = {"class": s.cls, "points": list(s.points)}
-    if s.cls == "pure_set":
-        doc["data"] = {}
-    elif s.cls == "linear_order":
-        doc["data"] = {"ranks": list(s.data)}
-    elif s.cls == "graph":
-        doc["data"] = {"edges": sorted(sorted(e) for e in s.data)}
-    elif s.cls in ("vector_space", "vector_space_q3"):
-        q, vectors = s.data
-        doc["data"] = {"q": q, "vectors": [list(v) for v in vectors]}
-    else:
-        n_atoms, masks = s.data
-        doc["data"] = {"atoms": n_atoms, "masks": list(masks)}
-    return doc
+    return {"class": s.cls, "points": list(s.points),
+            "data": cls._data_to_json(s.data)}
 
 
 def structure_from_json(doc):
@@ -1039,14 +1322,4 @@ def structure_from_json(doc):
     except (KeyError, TypeError) as exc:
         raise MalformedStructure(f"bad structure document: {exc}")
     cls = get_class(class_id)
-    if class_id == "pure_set":
-        data = None
-    elif class_id == "linear_order":
-        data = tuple(payload.get("ranks", ()))
-    elif class_id == "graph":
-        data = frozenset(frozenset(e) for e in payload.get("edges", ()))
-    elif class_id in ("vector_space", "vector_space_q3"):
-        data = (payload.get("q"), tuple(tuple(v) for v in payload.get("vectors", ())))
-    else:
-        data = (payload.get("atoms", 0), tuple(payload.get("masks", ())))
-    return cls.make(points, data)
+    return cls.make(points, cls._data_from_json(payload))

@@ -18,7 +18,6 @@ lazily, so bases far beyond the generic table limit stay cheap.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,9 +31,8 @@ from .errors import (
     InvariantViolation,
     MalformedStructure,
     NotASubgroup,
-    SizeLimitExceeded,
 )
-from .finstruct import _rref, get_class
+from .finstruct import get_class, structure_to_json
 from .limits import get_limits
 from .permgrp import (
     CosetAction,
@@ -64,9 +62,6 @@ __all__ = [
     "double_coset_profile",
     "finitely_many_left_cosets",
 ]
-
-_MAX_CONFIGS = 2_000_000
-
 
 # ---------------------------------------------------------------------------
 # open subgroups
@@ -120,8 +115,6 @@ class OpenSubgroup:
                 f"k_order={self.group.order})")
 
     def to_json(self):
-        from .finstruct import structure_to_json
-
         return {
             "class": self.cls,
             "base": structure_to_json(self.base),
@@ -212,13 +205,18 @@ def enumerate_open_subgroups(class_id, max_base=None, limits=None):
 
 @dataclass(frozen=True)
 class IrrepLabel:
-    """Induced representation label: canonical base plus a table row index."""
+    """Induced representation label: canonical base plus a table row index.
+
+    ``table`` is the character table the row index points into; it takes no
+    part in equality, hashing or JSON.
+    """
 
     cls: str
     base_code: str
     base_size: int
     sigma_index: int
     degree: int = field(compare=False)
+    table: object = field(default=None, compare=False, repr=False)
 
     def is_trivial(self):
         return self.base_size == 0 and self.sigma_index == 0
@@ -238,14 +236,6 @@ def trivial_label(class_id):
 
 
 _TABLES = {}
-_BASES = {}
-
-
-def _register_base(class_id, base):
-    cls = get_class(class_id)
-    code = cls.canonical_code(base)
-    _BASES.setdefault((class_id, code), base)
-    return code
 
 
 def base_table(class_id, base, limits=None):
@@ -256,14 +246,9 @@ def base_table(class_id, base, limits=None):
     """
     limits = limits or get_limits()
     cls = get_class(class_id)
-    if class_id == "boolean_algebra":
-        m = cls.size(base)
-        key = (class_id, m)
-        if key not in _TABLES:
-            _TABLES[key] = symmetric_character_table(m)
-        return _TABLES[key]
-    code = _register_base(class_id, base)
-    key = (class_id, code)
+    if cls.atomic:
+        return _atom_table(cls.size(base))
+    key = (class_id, cls.canonical_code(base))
     if key not in _TABLES:
         aut = cls.automorphisms(base)
         _TABLES[key] = character_table(aut, limits.table_order)
@@ -277,24 +262,13 @@ def _atom_table(m):
     return _TABLES[key]
 
 
-def _atom_perm(point_perm, m):
-    """Convert an automorphism on the 2**m element masks to an atom permutation."""
-    sigma = []
-    for k in range(m):
-        img = point_perm[1 << k]
-        if img & (img - 1):
-            raise InvariantViolation("automorphism does not permute atoms")
-        sigma.append(img.bit_length() - 1)
-    return tuple(sigma)
-
-
 def _labels_for_base(class_id, base, limits):
     """Labels over one nonempty normalized base, in table row order."""
     cls = get_class(class_id)
     table = base_table(class_id, base, limits)
-    code = _register_base(class_id, base)
+    code = cls.canonical_code(base)
     size = cls.size(base)
-    return [IrrepLabel(class_id, code, size, i, table.degrees[i])
+    return [IrrepLabel(class_id, code, size, i, table.degrees[i], table)
             for i in range(table.num_classes)]
 
 
@@ -315,19 +289,11 @@ def irrep_catalog(class_id, max_base=None, limits=None):
     return labels
 
 
-def label_values(label, limits=None):
+def label_values(label):
     """Character value vector of the finite part, JSON-ready."""
-    limits = limits or get_limits()
     if label.base_size == 0:
         return [1]
-    if label.cls == "boolean_algebra":
-        table = _atom_table(label.base_size)
-    else:
-        base = _BASES.get((label.cls, label.base_code))
-        if base is None:
-            raise MalformedStructure(
-                f"no registered base with code {label.base_code}")
-        table = base_table(label.cls, base, limits)
+    table = label.table
     return [_serialize_value(table.value(label.sigma_index, t))
             for t in range(table.num_classes)]
 
@@ -397,11 +363,11 @@ def decompose_quasiregular(v, limits=None):
         dec.add(trivial_label(v.cls), 1)
         return dec
     cls = get_class(v.cls)
-    if v.cls == "boolean_algebra":
+    if cls.atomic:
         m = cls.size(v.base)
         table = _atom_table(m)
         parent = symmetric_group(m)
-        sub = PermGroup(m, [_atom_perm(g, m) for g in v.group.generators])
+        sub = PermGroup(m, [cls.atom_perm(g, m) for g in v.group.generators])
         if v.group.order != sub.order:
             raise InvariantViolation("atom action lost part of the subgroup")
         index = parent.order // sub.order
@@ -446,28 +412,6 @@ def _regular_character(table):
     return tuple(values)
 
 
-def _stabilizer_in_base_is_trivial(cls, t, base, marked):
-    """Check that only the identity of Aut(B) fixes every marked point.
-
-    The marked points generate the base by construction, which pins every
-    automorphism: relational bases are exactly the marked points, marked
-    vectors span, and marked masks separate atoms.  The premises are cheap
-    to verify, so verify them rather than trust the construction.
-    """
-    if cls.relational:
-        return set(marked) == set(range(len(base.points)))
-    if cls.id in ("vector_space", "vector_space_q3"):
-        dim = cls.size(base)
-        vectors = [base.data[1][p] for p in marked]
-        rank = len(_rref(vectors, cls.q)[0]) if vectors else 0
-        return rank == dim
-    m = cls.size(base)
-    columns = set()
-    for k in range(m):
-        columns.add(tuple((mask >> k) & 1 for mask in marked))
-    return len(columns) == m
-
-
 def decompose_power(class_id, n, x0_only=False, limits=None):
     """Decompose the n-th power of the natural (or punctured) action.
 
@@ -481,7 +425,7 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
     cls = get_class(class_id)
     types = cls.enumerate_tuple_types(n, x0_only=x0_only)
     dec = Decomposition()
-    if class_id == "boolean_algebra":
+    if cls.atomic:
         counts = {}
         for t in types:
             m = bin(t.data).count("1")
@@ -493,7 +437,8 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
             table = _atom_table(m)
             code = cls.code_for_atoms(m)
             for i in range(table.num_classes):
-                dec.add(IrrepLabel(class_id, code, m, i, table.degrees[i]),
+                dec.add(IrrepLabel(class_id, code, m, i, table.degrees[i],
+                                   table),
                         count * table.degrees[i])
         return dec
     counts = {}
@@ -503,10 +448,12 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
         if len(base.points) == 0 or cls.is_fixed_only(base):
             dec.add(trivial_label(class_id), 1)
             continue
-        if not _stabilizer_in_base_is_trivial(cls, t, base, marked):
+        # The marked points generate the base by construction, which pins
+        # every automorphism; the premise is cheap to verify, so verify it.
+        if not cls.stabilizer_is_trivial(base, marked):
             raise InvariantViolation(
                 "tuple entries do not generate their closed hull")
-        code = _register_base(class_id, base)
+        code = cls.canonical_code(base)
         counts[code] = counts.get(code, 0) + 1
         sample[code] = base
     for code in sorted(counts):
@@ -601,7 +548,8 @@ def double_coset_profile(v, w=None, limits=None):
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")
     cls = get_class(v.cls)
-    raw, act = _raw_configs(cls, v, w)
+    raw = cls.joint_configs(v.base, w.base)
+    act = cls.config_action(v.base, w.base)
     gens = ([(g, None) for g in v.group.generators]
             + [(None, g) for g in w.group.generators])
     seen = set()
@@ -624,207 +572,6 @@ def double_coset_profile(v, w=None, limits=None):
         JointConfig(v.cls, payload) for payload in sorted(reps)))
 
 
-def _raw_configs(cls, v, w):
-    nB = len(v.base.points)
-    nC = len(w.base.points)
-    if cls.id == "pure_set":
-        return _pure_configs(nB, nC), _relational_action(cls)
-    if cls.id == "linear_order":
-        return _linear_configs(nB, nC), _relational_action(cls)
-    if cls.id == "graph":
-        return (_graph_configs(v.base, w.base, nB, nC),
-                _relational_action(cls))
-    if cls.id in ("vector_space", "vector_space_q3"):
-        return _vector_configs(cls, v, w), _vector_action(cls, v, w)
-    return _boolean_configs(cls, v, w), _boolean_action(cls, v, w)
-
-
-def _matchings(nB, nC):
-    for t in range(min(nB, nC) + 1):
-        for bsub in itertools.combinations(range(nB), t):
-            for cimg in itertools.permutations(range(nC), t):
-                yield tuple(sorted(zip(bsub, cimg)))
-
-
-def _pure_configs(nB, nC):
-    return [("match", m) for m in _matchings(nB, nC)]
-
-
-def _linear_configs(nB, nC):
-    configs = []
-    for t in range(min(nB, nC) + 1):
-        for bsub in itertools.combinations(range(nB), t):
-            for csub in itertools.combinations(range(nC), t):
-                matching = dict(zip(bsub, csub))
-                partner = {c: b for b, c in matching.items()}
-                out = []
-
-                def rec(i, j, rank, rb, rc):
-                    if i == nB and j == nC:
-                        out.append(("ranks", tuple(rb), tuple(rc)))
-                        return
-                    if i < nB and i not in matching:
-                        rec(i + 1, j, rank + 1, rb + [rank], rc)
-                    if j < nC and j not in partner:
-                        rec(i, j + 1, rank + 1, rb, rc + [rank])
-                    if i < nB and matching.get(i) == j:
-                        rec(i + 1, j + 1, rank + 1, rb + [rank], rc + [rank])
-
-                rec(0, 0, 0, [], [])
-                configs.extend(out)
-    return configs
-
-
-def _graph_configs(base_b, base_c, nB, nC):
-    eb = base_b.data
-    ec = base_c.data
-    configs = []
-    for matching in _matchings(nB, nC):
-        ok = True
-        for (i1, j1), (i2, j2) in itertools.combinations(matching, 2):
-            if (frozenset((i1, i2)) in eb) != (frozenset((j1, j2)) in ec):
-                ok = False
-                break
-        if not ok:
-            continue
-        free_b = [i for i in range(nB) if i not in {m[0] for m in matching}]
-        free_c = [j for j in range(nC) if j not in {m[1] for m in matching}]
-        cross_pairs = [(b, c) for b in free_b for c in free_c]
-        if 1 << len(cross_pairs) > _MAX_CONFIGS:
-            raise SizeLimitExceeded(
-                "too many joint configurations; shrink the bases")
-        for mask in range(1 << len(cross_pairs)):
-            cross = tuple(cross_pairs[i] for i in range(len(cross_pairs))
-                          if mask >> i & 1)
-            configs.append(("cross", matching, cross))
-    return configs
-
-
-def _relational_action(cls):
-    def act(config, g1, g2):
-        kind = config[0]
-        if kind == "match":
-            matching = config[1]
-            moved = tuple(sorted(
-                (g1[i] if g1 else i, g2[j] if g2 else j)
-                for i, j in matching))
-            return ("match", moved)
-        if kind == "ranks":
-            rb, rc = config[1], config[2]
-            if g1:
-                new_rb = [0] * len(rb)
-                for i, r in enumerate(rb):
-                    new_rb[g1[i]] = r
-                rb = tuple(new_rb)
-            if g2:
-                new_rc = [0] * len(rc)
-                for j, r in enumerate(rc):
-                    new_rc[g2[j]] = r
-                rc = tuple(new_rc)
-            return ("ranks", rb, rc)
-        matching, cross = config[1], config[2]
-        moved = tuple(sorted(
-            (g1[i] if g1 else i, g2[j] if g2 else j)
-            for i, j in matching))
-        moved_cross = tuple(sorted(
-            (g1[b] if g1 else b, g2[c] if g2 else c)
-            for b, c in cross))
-        return ("cross", moved, moved_cross)
-
-    return act
-
-
-def _perm_matrix(cls, perm, dim):
-    """Matrix of a point permutation of the canonical space, column per basis."""
-    from .finstruct import _lex_index, _lex_vector
-
-    cols = []
-    for i in range(dim):
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        image = perm[_lex_index(e, cls.q)]
-        cols.append(_lex_vector(image, cls.q, dim))
-    return [[cols[j][r] for j in range(dim)] for r in range(dim)]
-
-
-def _vector_configs(cls, v, w):
-    from .finstruct import _relation_spaces
-
-    dB = cls.size(v.base)
-    dC = cls.size(w.base)
-    q = cls.q
-    configs = []
-    for rows in _relation_spaces(dB + dC, q):
-        if not rows:
-            configs.append(("space", rows))
-            continue
-        left = [r[:dB] for r in rows]
-        right = [r[dB:] for r in rows]
-        if len(_rref(left, q)[0]) != len(rows):
-            continue
-        if len(_rref(right, q)[0]) != len(rows):
-            continue
-        configs.append(("space", rows))
-    return configs
-
-
-def _vector_action(cls, v, w):
-    from .finstruct import _lex_index
-
-    q = cls.q
-    dB = cls.size(v.base)
-    dC = cls.size(w.base)
-
-    def act(config, g1, g2):
-        rows = config[1]
-        m1 = _perm_matrix(cls, inverse(g1), dB) if g1 else None
-        m2 = _perm_matrix(cls, inverse(g2), dC) if g2 else None
-        moved = []
-        for r in rows:
-            c, d = list(r[:dB]), list(r[dB:])
-            if m1:
-                c = [sum(m1[a][b] * c[b] for b in range(dB)) % q
-                     for a in range(dB)]
-            if m2:
-                d = [sum(m2[a][b] * d[b] for b in range(dC)) % q
-                     for a in range(dC)]
-            moved.append(tuple(c) + tuple(d))
-        return ("space", _rref(moved, q)[0])
-
-    return act
-
-
-def _boolean_configs(cls, v, w):
-    m1 = cls.size(v.base)
-    m2 = cls.size(w.base)
-    if 1 << (m1 * m2) > _MAX_CONFIGS:
-        raise SizeLimitExceeded(
-            "too many joint configurations; shrink the bases")
-    pairs = [(i, j) for i in range(m1) for j in range(m2)]
-    configs = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        rows = {i for i, _ in chosen}
-        cols = {j for _, j in chosen}
-        if len(rows) == m1 and len(cols) == m2:
-            configs.append(("cells", tuple(sorted(chosen))))
-    return configs
-
-
-def _boolean_action(cls, v, w):
-    m1 = cls.size(v.base)
-    m2 = cls.size(w.base)
-
-    def act(config, g1, g2):
-        s1 = _atom_perm(g1, m1) if g1 else None
-        s2 = _atom_perm(g2, m2) if g2 else None
-        moved = tuple(sorted(
-            (s1[i] if s1 else i, s2[j] if s2 else j)
-            for i, j in config[1]))
-        return ("cells", moved)
-
-    return act
-
-
 def finitely_many_left_cosets(v, config, w=None):
     """Whether the double coset of this configuration meets finitely many cosets.
 
@@ -833,37 +580,8 @@ def finitely_many_left_cosets(v, config, w=None):
     The left and the right criteria are computed separately and must agree.
     """
     w = w or v
-    cls = get_class(v.cls)
-    nB = len(v.base.points)
-    nC = len(w.base.points)
-    payload = config.payload
-    kind = payload[0]
-    if kind == "match" or kind == "cross":
-        matching = payload[1]
-        left = len({j for _, j in matching}) == nC
-        right = len({i for i, _ in matching}) == nB
-    elif kind == "ranks":
-        rb, rc = payload[1], payload[2]
-        left = set(rc) <= set(rb)
-        right = set(rb) <= set(rc)
-    elif kind == "space":
-        rows = payload[1]
-        dB = cls.size(v.base)
-        dC = cls.size(w.base)
-        q = cls.q
-        rank_right = len(_rref([r[dB:] for r in rows], q)[0]) if rows else 0
-        rank_left = len(_rref([r[:dB] for r in rows], q)[0]) if rows else 0
-        left = rank_right == dC
-        right = rank_left == dB
-    else:
-        cells = payload[1]
-        fibers_i = {}
-        fibers_j = {}
-        for i, j in cells:
-            fibers_i.setdefault(i, []).append(j)
-            fibers_j.setdefault(j, []).append(i)
-        left = all(len(js) == 1 for js in fibers_i.values())
-        right = all(len(bs) == 1 for bs in fibers_j.values())
+    left, right = get_class(v.cls).config_finiteness(
+        config.payload, v.base, w.base)
     if v.base == w.base and left != right:
         raise InvariantViolation(
             "left and right coset finiteness disagree on equal bases")

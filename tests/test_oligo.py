@@ -1,9 +1,15 @@
 """Open subgroups, catalogs, decompositions, and double cosets."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import oligorep
 from oligorep.errors import (
     BaseNotAclClosed,
     MalformedStructure,
@@ -400,6 +406,37 @@ def test_double_coset_profile_boolean():
     assert double_coset_profile(marked).count == 3
 
 
+def test_double_coset_counts_match_burnside():
+    # orbits of K_B x K_C on the raw configurations, counted by Burnside's
+    # lemma from the fixed points of every pair, independently of the
+    # orbit search in double_coset_profile; inversion maps V\G/W onto
+    # W\G/V, so swapping the sides keeps the count
+    cases = [
+        ("pure_set", (3, 3), (2, 2)),
+        ("linear_order", (3, 1), (2, 1)),
+        ("graph", (3, 3), (3, 2)),
+        ("vector_space", (2, 3), (2, 2)),
+        ("vector_space_q3", (1, 2), (1, 1)),
+        ("boolean_algebra", (2, 2), (2, 1)),
+    ]
+    for cls_id, (size_b, order_b), (size_c, order_c) in cases:
+        cls = get_class(cls_id)
+        subs = enumerate_open_subgroups(cls_id, max(size_b, size_c))
+        v, w = (next(u for u in subs if cls.size(u.base) == size
+                     and u.group.order == order)
+                for size, order in ((size_b, order_b), (size_c, order_c)))
+        raw = cls.joint_configs(v.base, w.base)
+        assert len(set(raw)) == len(raw)
+        act = cls.config_action(v.base, w.base)
+        fixed = sum(1 for g1 in v.group.elements()
+                    for g2 in w.group.elements()
+                    for config in raw if act(config, g1, g2) == config)
+        orbits = Fraction(fixed, v.group.order * w.group.order)
+        assert orbits.denominator == 1, cls_id
+        assert double_coset_profile(v, w).count == orbits, cls_id
+        assert double_coset_profile(w, v).count == orbits, cls_id
+
+
 def test_double_coset_profile_rejects_mixed_classes():
     v = make_open_subgroup("pure_set", pure_base(1))
     w = make_open_subgroup("linear_order", chain(1))
@@ -466,6 +503,23 @@ def test_label_values():
     assert len(std) == 1
     assert label_values(std[0]) == [2, -1, 0]
     assert label_values(trivial_label("graph")) == [1]
+
+
+def test_label_values_in_a_fresh_interpreter():
+    # a label carries its table, so no earlier call in the process is needed
+    label = next(lab for lab in irrep_catalog("graph", 3)
+                 if lab.base_size == 3)
+    script = ("import pickle, sys\n"
+              "from oligorep.oligo import label_values\n"
+              "print(label_values(pickle.load(sys.stdin.buffer)))\n")
+    src = os.path.dirname(os.path.dirname(oligorep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script],
+                          input=pickle.dumps(label), capture_output=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().strip() == str(label_values(label))
 
 
 def test_open_subgroup_json():
