@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation, MalformedStructure, SizeLimitExceeded
 from .permgrp import PermGroup, compose, inverse
@@ -770,10 +771,6 @@ class VectorSpaceClass(FraisseClass):
         self.q = q
         self.id = class_id
 
-    def code_for_dim(self, dim):
-        """Canonical code of the dim-dimensional space, no points needed."""
-        return _digest(self.id, dim, self.q ** dim)
-
     def _empty_data(self):
         return (self.q, ())
 
@@ -989,10 +986,14 @@ class VectorSpaceClass(FraisseClass):
         dB = self.size(base_b)
         dC = self.size(base_c)
 
+        @lru_cache(maxsize=None)  # one matrix per generator of this pair
+        def matrix(g, dim):
+            return self._perm_matrix(inverse(g), dim)
+
         def act(config, g1, g2):
             rows = config[1]
-            m1 = self._perm_matrix(inverse(g1), dB) if g1 else None
-            m2 = self._perm_matrix(inverse(g2), dC) if g2 else None
+            m1 = matrix(g1, dB) if g1 else None
+            m2 = matrix(g2, dC) if g2 else None
             moved = []
             for r in rows:
                 c, d = list(r[:dB]), list(r[dB:])

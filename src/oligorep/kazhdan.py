@@ -40,7 +40,9 @@ from .errors import (
 from .limits import get_limits
 from .words import (
     EMPTY,
+    LETTERS,
     ball,
+    code_coin,
     inv,
     magnus_compare,
     mult,
@@ -872,6 +874,47 @@ class RadoF2Action:
     def sample_points(self, rng, count):
         return [random_word(rng, 3) for _ in range(count)]
 
+    def ball_masks(self, r):
+        """Bit k of mask x: is x in ball(r-1) adjacent to word k of ball(r)?
+
+        One pass over ball(r) per x, parents first, keeps u = x^-1 z as a
+        linked stack (word_int(u), word_int(u^-1), length, last letter,
+        shorter u); a letter cancels or extends u and the codes follow.
+        """
+        outer = ball(r)
+        index = {w: k for k, w in enumerate(outer)}
+        steps = [(0, 0)] + [(index[w[:-1]], LETTERS.index(w[-1]))
+                            for w in outer[1:]]
+        n = len(outer)
+        coins = {}
+        heads = {}
+        masks = []
+        for x in ball(r - 1):
+            # x^-1 = x[1:]^-1 x[0]^-1 without cancellation: the walk of x[1:]
+            # met it at the one-letter word x[0]^-1
+            u = (heads[x[1:]][LETTERS.index(-x[0])] if x
+                 else (0, 0, 0, -1, None))
+            states = []
+            bits = bytearray(b"0" * n)
+            for k, (parent, d) in enumerate(steps):
+                if k:
+                    u = states[parent]
+                    if u[3] == d ^ 1:
+                        u = u[4]
+                    else:
+                        u = (u[0] * 4 + d + 1,
+                             u[1] + ((d ^ 1) + 1 << 2 * u[2]), u[2] + 1, d, u)
+                states.append(u)
+                if u[2]:
+                    rep = u[0] if u[0] < u[1] else u[1]
+                    coin = coins.get(rep)
+                    if coin is None:
+                        coin = coins[rep] = 48 + code_coin(self.seed, rep)
+                    bits[n - 1 - k] = coin
+            heads[x] = states[1:5]
+            masks.append(int(bits, 2))
+        return masks
+
 
 def f2_embedding(class_id, seed=0):
     """The built-in free action for one of the five classes."""
@@ -1022,45 +1065,13 @@ def cayley_extension_check(r=6, t=2, seeds=20):
         raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
     if isinstance(seeds, int):
         seeds = range(seeds)
-    inner = list(ball(r - 1))
-    outer = list(ball(r))
-    index_of = {w: i for i, w in enumerate(outer)}
-    full = (1 << len(outer)) - 1
+    n_inner = len(ball(r - 1))
+    n_outer = len(ball(r))
+    total = 2 * n_inner + (2 * n_inner * (n_inner - 1) if t == 2 else 0)
     results = []
     for seed in seeds:
-        action = RadoF2Action(seed)
-        masks = []
-        for x in inner:
-            m = 0
-            for z in outer:
-                if action.adjacent(x, z):
-                    m |= 1 << index_of[z]
-            masks.append(m)
-        total = 0
-        witnessed = 0
-        configs = []
-        for i in range(len(inner)):
-            configs.append(((i,), ()))
-            configs.append(((), (i,)))
-        for i, j in itertools.combinations(range(len(inner)), 2):
-            configs.append(((i, j), ()))
-            configs.append(((), (i, j)))
-            configs.append(((i,), (j,)))
-            configs.append(((j,), (i,)))
-        if t == 1:
-            configs = [c for c in configs if len(c[0]) + len(c[1]) <= t]
-        for link, avoid in configs:
-            m = full
-            for i in link:
-                m &= masks[i]
-            for i in avoid:
-                m &= ~masks[i]
-            for i in link + avoid:
-                m &= ~(1 << index_of[inner[i]])
-            m &= full
-            total += 1
-            if m:
-                witnessed += 1
+        masks = RadoF2Action(seed).ball_masks(r)
+        witnessed = _extension_witnessed(masks, n_outer, t)
         results.append({
             "seed": seed,
             "configs": total,
@@ -1071,10 +1082,35 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     return {
         "r": r,
         "t": t,
-        "ball_inner": len(inner),
-        "ball_outer": len(outer),
+        "ball_inner": n_inner,
+        "ball_outer": n_outer,
         "per_seed": results,
         "mean_rate": mean,
         "all_witnessed": all(
             row["witnessed"] == row["configs"] for row in results),
     }
+
+
+def _extension_witnessed(masks, n_outer, t):
+    """Witnessed prescriptions on at most ``t`` of the first len(masks)
+    vertices of a symmetric irreflexive graph on ``n_outer`` vertices.
+
+    For i < j with neighbourhoods a, b, c = |a & b| and adj = [i ~ j]:
+    link {i, j} has c witnesses, avoid {i, j} n_outer - |a| - |b| + c -
+    2(1 - adj), and link i, avoid j |a| - c - adj.
+    """
+    sizes = [m.bit_count() for m in masks]
+    witnessed = sum(1 for m in masks if m)
+    witnessed += sum(1 for size in sizes if size + 1 < n_outer)
+    if t == 2:
+        for i, a in enumerate(masks):
+            size_a = sizes[i]
+            for j in range(i + 1, len(masks)):
+                common = (a & masks[j]).bit_count()
+                adj = a >> j & 1
+                witnessed += (
+                    (common > 0)
+                    + (size_a + sizes[j] - common + 2 * (1 - adj) < n_outer)
+                    + (size_a - common - adj > 0)
+                    + (sizes[j] - common - adj > 0))
+    return witnessed

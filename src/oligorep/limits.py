@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import InvalidLimits, SizeLimitExceeded
+from .errors import InvalidLimits
 
 ENV_VAR = "OLIGOREP_LIMITS"
 
@@ -39,13 +39,6 @@ class RunLimits:
 
     def base_limit(self, cls_id: str) -> int:
         return self.max_base.get(cls_id, 6)
-
-    def check_base(self, cls_id: str, size: int) -> None:
-        limit = self.base_limit(cls_id)
-        if size > limit:
-            raise SizeLimitExceeded(
-                f"base size {size} exceeds limit {limit} for class {cls_id!r}"
-            )
 
 
 def _positive(name, value) -> int:

@@ -35,11 +35,6 @@ def inv(u: tuple) -> tuple:
     return tuple(-letter for letter in reversed(u))
 
 
-def conj(u: tuple, by: tuple) -> tuple:
-    """by * u * by^-1"""
-    return mult(mult(by, u), inv(by))
-
-
 def is_reduced(u: tuple) -> bool:
     return all(u[i] != -u[i + 1] for i in range(len(u) - 1))
 
@@ -97,15 +92,23 @@ def word_int(u: tuple) -> int:
     return code
 
 
+def code_coin(seed: int, code: int) -> int:
+    """The fair bit (0 or 1) of the inverse pair whose representative has
+    ``word_int`` code ``code``."""
+    return _splitmix64(seed ^ _splitmix64(code)) & 1
+
+
 def pair_coin(seed: int, u: tuple) -> bool:
     """Deterministic Bernoulli(1/2) draw attached to the pair {u, u^-1}.
 
-    Used to sample symmetric generating sets lazily: materializing a
-    radius-12 ball just to flip coins is out of the question.
+    The pair is represented by its ``word_key``-least member.  Two reduced
+    words of the same length compare under ``word_key`` exactly as their
+    ``word_int`` codes do, so the representative is the integer
+    min(word_int(u), word_int(u^-1)).  Used to sample symmetric generating
+    sets lazily: materializing a radius-12 ball just to flip coins is out
+    of the question.
     """
-    rep = min(u, inv(u), key=word_key)
-    h = _splitmix64(seed ^ _splitmix64(word_int(rep)))
-    return bool(h & 1)
+    return bool(code_coin(seed, min(word_int(u), word_int(inv(u)))))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +132,13 @@ def _letter_component(letter: int, degree: int) -> int:
     return (-1) ** degree
 
 
+# A comparison expands both words degree by degree until they differ, and
+# the order checks compare the same short words again and again; a few
+# thousand expansions cover one check's working set.
+MAGNUS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=MAGNUS_CACHE_SIZE)
 def _expand(word: tuple, max_degree: int) -> list:
     comps: list = [{(): 1}]
     comps.extend({} for _ in range(max_degree))
@@ -153,27 +163,9 @@ def _expand(word: tuple, max_degree: int) -> list:
     return comps
 
 
-class _MagnusCache:
-    def __init__(self) -> None:
-        self._store: dict = {}
-
-    def components(self, word: tuple, max_degree: int) -> list:
-        got = self._store.get(word)
-        if got is None or len(got) <= max_degree:
-            got = _expand(word, max_degree)
-            self._store[word] = got
-        return got
-
-    def clear(self) -> None:
-        self._store.clear()
-
-
-_cache = _MagnusCache()
-
-
 def magnus_component(word: tuple, degree: int) -> dict:
     """Homogeneous degree-d part of the Magnus expansion."""
-    return _cache.components(word, degree)[degree]
+    return _expand(word, degree)[degree]
 
 
 def magnus_compare(u: tuple, v: tuple, max_degree: int = 10) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ from oligorep.errors import (
 from oligorep.kazhdan import (
     ClopenF2Action,
     Distribution,
+    RadoF2Action,
     VectorSpaceF2Action,
     build_tree,
     cayley_edge_invariance,
     cayley_extension_check,
+    _extension_witnessed,
     f2_embedding,
     freeness_check,
     greedy_witness,
@@ -29,7 +32,7 @@ from oligorep.kazhdan import (
     random_distribution,
 )
 from oligorep.limits import RunLimits
-from oligorep.words import EMPTY, inv, mult
+from oligorep.words import EMPTY, ball, inv, mult
 
 
 def seeded_distribution(seed, points=range(6), max_support=4):
@@ -344,6 +347,96 @@ def test_cayley_extension_small_radius():
         assert 0 <= row["rate"] <= 1
     assert report["all_witnessed"]
     assert report["mean_rate"] == 1
+
+
+def brute_masks(r, seed):
+    """Adjacency of every ball(r-1) vertex to every ball(r) vertex, pair by
+    pair."""
+    action = RadoF2Action(seed)
+    outer = ball(r)
+    return [sum(1 << k for k, z in enumerate(outer) if action.adjacent(x, z))
+            for x in ball(r - 1)]
+
+
+def brute_witnessed(masks, n_outer, t):
+    """Every prescription materialised and tested by AND/ANDNOT."""
+    full = (1 << n_outer) - 1
+    vertices = range(len(masks))
+    configs = [((i,), ()) for i in vertices] + [((), (i,)) for i in vertices]
+    if t == 2:
+        for i, j in itertools.combinations(vertices, 2):
+            configs += [((i, j), ()), ((), (i, j)), ((i,), (j,)),
+                        ((j,), (i,))]
+    witnessed = 0
+    for link, avoid in configs:
+        m = full
+        for i in link:
+            m &= masks[i]
+        for i in avoid:
+            m &= ~masks[i]
+        for i in link + avoid:
+            m &= ~(1 << i)
+        witnessed += bool(m & full)
+    return len(configs), witnessed
+
+
+def brute_extension(r, t, seeds):
+    n_outer = len(ball(r))
+    results = []
+    for seed in seeds:
+        total, witnessed = brute_witnessed(brute_masks(r, seed), n_outer, t)
+        results.append({"seed": seed, "configs": total,
+                        "witnessed": witnessed,
+                        "rate": Fraction(witnessed, total)})
+    return {
+        "r": r,
+        "t": t,
+        "ball_inner": len(ball(r - 1)),
+        "ball_outer": n_outer,
+        "per_seed": results,
+        "mean_rate": sum(row["rate"] for row in results) / len(results),
+        "all_witnessed": all(
+            row["witnessed"] == row["configs"] for row in results),
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cayley_masks_match_pairwise_adjacency(r):
+    for seed in range(5):
+        assert RadoF2Action(seed).ball_masks(r) == brute_masks(r, seed)
+
+
+@pytest.mark.parametrize("r,t", itertools.product([1, 2, 3], [1, 2]))
+def test_cayley_extension_matches_materialised_configs(r, t):
+    seeds = range(5)
+    assert cayley_extension_check(r=r, t=t, seeds=seeds) == brute_extension(
+        r, t, seeds)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_extension_counts_match_materialised_configs_on_random_graphs(
+        density):
+    # small dense and sparse graphs reach the edge cases of the counting
+    # (a neighbourhood inside another plus the vertex itself, a pair
+    # covering the whole ball) that random Cayley balls rarely do
+    rng = random.Random(density)
+    for _ in range(200):
+        n_outer = rng.randint(1, 7)
+        n_inner = rng.randint(1, n_outer)
+        adjacency = [[False] * n_outer for _ in range(n_outer)]
+        for i, j in itertools.combinations(range(n_outer), 2):
+            adjacency[i][j] = adjacency[j][i] = rng.random() < density
+        masks = [sum(1 << k for k in range(n_outer) if adjacency[i][k])
+                 for i in range(n_inner)]
+        for t in (1, 2):
+            assert _extension_witnessed(masks, n_outer, t) == brute_witnessed(
+                masks, n_outer, t)[1]
+
+
+def test_cayley_extension_rate_can_fall_below_one():
+    row = cayley_extension_check(r=2, t=2, seeds=[2])["per_seed"][0]
+    assert (row["configs"], row["witnessed"]) == (50, 46)
+    assert row["rate"] < 1
 
 
 def test_cayley_extension_rejects_t_outside_one_two():

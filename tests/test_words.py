@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from oligorep.words import (
     mult,
     pair_coin,
     sphere,
+    word_int,
     word_key,
 )
 
@@ -78,6 +80,15 @@ def test_pair_coin_symmetric():
     assert 120 < heads < 280
     w = (X, Y)
     assert pair_coin(1, w) != pair_coin(4, w) or pair_coin(1, w) != pair_coin(9, w)
+
+
+def test_pair_coin_is_the_coin_of_the_least_member_of_the_pair():
+    for seed in (0, 5, 2**40 + 3):
+        for u in ball(5):
+            rep = min(u, inv(u), key=word_key)
+            expected = words._splitmix64(
+                seed ^ words._splitmix64(word_int(rep))) & 1
+            assert pair_coin(seed, u) == bool(expected)
 
 
 def test_magnus_generator_components():
@@ -171,3 +182,24 @@ def test_compare_undecided():
 def test_word_int_injective_on_ball():
     codes = [words.word_int(w) for w in ball(5)]
     assert len(set(codes)) == len(codes)
+
+
+def test_magnus_cache_is_bounded():
+    from oligorep.kazhdan import order_axioms_check
+
+    words._expand.cache_clear()
+    report = order_axioms_check(trials=2000)
+    assert report["ok"]
+    info = words._expand.cache_info()
+    assert info.maxsize == words.MAGNUS_CACHE_SIZE
+    assert 0 < info.currsize <= words.MAGNUS_CACHE_SIZE
+
+
+def test_compare_does_not_depend_on_the_cache():
+    pairs = list(itertools.combinations(ball(2), 2))
+    warm = [magnus_compare(u, v) for u, v in pairs]
+    cold = []
+    for u, v in pairs:
+        words._expand.cache_clear()
+        cold.append(magnus_compare(u, v))
+    assert cold == warm
