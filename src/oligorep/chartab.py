@@ -358,15 +358,8 @@ class CharacterTable:
         return self.class_index[tuple(g)]
 
     def perm_character(self, action) -> tuple:
-        """Fixed-point counts of class representatives under the action."""
-        vals = []
-        for c in self.classes:
-            if hasattr(action, "character_value"):
-                vals.append(action.character_value(c.rep))
-            else:
-                img = action.act(c.rep)
-                vals.append(sum(1 for i, x in enumerate(img) if x == i))
-        return tuple(vals)
+        """Fixed-point counts of class representatives under a CosetAction."""
+        return tuple(action.character_value(c.rep) for c in self.classes)
 
     def decompose(self, values) -> tuple:
         if len(values) != self.num_classes:
@@ -706,15 +699,9 @@ class SymmetricCharacterTable:
         return self._class_idx[tuple(sorted(lam, reverse=True))]
 
     def perm_character(self, action) -> tuple:
-        vals = []
-        for lam in self.class_partitions:
-            rep = _partition_rep(self.m, lam)
-            if hasattr(action, "character_value"):
-                vals.append(action.character_value(rep))
-            else:
-                img = action.act(rep)
-                vals.append(sum(1 for i, x in enumerate(img) if x == i))
-        return tuple(vals)
+        """Fixed-point counts of class representatives under a CosetAction."""
+        return tuple(action.character_value(_partition_rep(self.m, lam))
+                     for lam in self.class_partitions)
 
     def decompose(self, values) -> tuple:
         if len(values) != self.num_classes:
@@ -777,3 +764,29 @@ def _partition_rep(m: int, lam: tuple) -> tuple:
 
 def symmetric_character_table(m: int) -> SymmetricCharacterTable:
     return SymmetricCharacterTable(m)
+
+
+def coset_character(table, sub: PermGroup) -> tuple:
+    """Permutation character of G on the cosets of ``sub``, by class counting.
+
+    ``table`` is either table type of G and ``sub`` a subgroup of G on the
+    points the table's ``class_of_perm`` reads.  Frobenius' formula gives
+    the value on the class C_t as |G| |sub & C_t| / (|sub| |C_t|), so only
+    the elements of ``sub`` are enumerated, never the cosets.
+    """
+    if sub.order == table.group_order:
+        # One coset.  Decided before enumerating: a symmetric table's S_m is
+        # not bounded by the table order limit, so sub could be all of it.
+        return (1,) * table.num_classes
+    counts = [0] * table.num_classes
+    for g in sub.elements():
+        counts[table.class_of_perm(g)] += 1
+    values = []
+    for count, size in zip(counts, table.class_sizes):
+        value, rem = divmod(table.group_order * count, sub.order * size)
+        if rem:
+            raise InvariantViolation(
+                f"coset character value {table.group_order * count}/"
+                f"{sub.order * size} is not an integer")
+        values.append(value)
+    return tuple(values)

@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .finstruct import get_class
-from .limits import DEFAULT_MAX_BASE, get_limits
+from .limits import get_limits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,15 +109,10 @@ def _emit(text, out):
     os.replace(tmp, out)
 
 
-def _effective_max_base(args):
-    if args.max_base is not None:
-        return args.max_base
-    return DEFAULT_MAX_BASE[args.class_id]
-
-
 def cmd_catalog(args):
     limits = get_limits()
-    max_base = _effective_max_base(args)
+    max_base = (args.max_base if args.max_base is not None
+                else limits.base_limit(args.class_id))
     labels = oligo.irrep_catalog(args.class_id, max_base, limits)
     return {
         "class": args.class_id,
@@ -166,7 +161,7 @@ def cmd_cosets(args):
     max_base = args.max_base if args.max_base is not None else 2
     rows = []
     for v in oligo.enumerate_open_subgroups(args.class_id, max_base, limits):
-        profile = oligo.double_coset_profile(v, limits=limits)
+        profile = oligo.double_coset_profile(v)
         finite = sum(
             1 for config in profile.configs
             if oligo.finitely_many_left_cosets(v, config))
@@ -191,7 +186,7 @@ def cmd_kazhdan(args):
     limits = get_limits()
     cls = args.class_id
     relational = get_class(cls).relational
-    report = {"class": cls, "Q": [[1], [2]]}
+    report = {"class": cls, "seed": args.seed, "Q": [[1], [2]]}
 
     if args.words is not None:
         word_len = args.words

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .chartab import (
     _serialize_value,
     character_table,
+    coset_character,
     symmetric_character_table,
 )
 from .errors import (
@@ -34,14 +35,7 @@ from .errors import (
 )
 from .finstruct import get_class, structure_to_json
 from .limits import get_limits
-from .permgrp import (
-    CosetAction,
-    PermGroup,
-    compose,
-    inverse,
-    symmetric_group,
-    validate_perm,
-)
+from .permgrp import PermGroup, compose, inverse, validate_perm
 
 __all__ = [
     "OpenSubgroup",
@@ -355,7 +349,8 @@ def decompose_quasiregular(v, limits=None):
 
     The multiplicity of (B, sigma) is the multiplicity of sigma in the
     permutation character of Aut(B) acting on the cosets of K; nothing with
-    a different base occurs.
+    a different base occurs.  Boolean algebras read K through its action
+    on the atoms, where their symmetric table lives.
     """
     limits = limits or get_limits()
     dec = Decomposition()
@@ -365,51 +360,20 @@ def decompose_quasiregular(v, limits=None):
     cls = get_class(v.cls)
     if cls.atomic:
         m = cls.size(v.base)
-        table = _atom_table(m)
-        parent = symmetric_group(m)
         sub = PermGroup(m, [cls.atom_perm(g, m) for g in v.group.generators])
         if v.group.order != sub.order:
             raise InvariantViolation("atom action lost part of the subgroup")
-        index = parent.order // sub.order
-        if sub.order == parent.order:
-            char = table.perm_character(_TrivialAction(parent))
-        elif sub.order == 1:
-            char = _regular_character(table)
-        else:
-            char = table.perm_character(CosetAction(parent, sub))
     else:
-        table = base_table(v.cls, v.base, limits)
-        index = v.index
-        if v.group.order == v.aut.order:
-            char = table.perm_character(_TrivialAction(v.aut))
-        elif v.group.order == 1:
-            char = _regular_character(table)
-        else:
-            char = table.perm_character(CosetAction(v.aut, v.group))
-    mults = table.decompose(char)
+        sub = v.group
     labels = _labels_for_base(v.cls, v.base, limits)
-    for label, mult in zip(labels, mults):
+    table = labels[0].table
+    char = coset_character(table, sub)
+    for label, mult in zip(labels, table.decompose(char)):
         dec.add(label, mult)
-    if dec.total_degree() != index:
+    if dec.total_degree() != v.index:
         raise InvariantViolation(
-            f"decomposition dimension {dec.total_degree()} != index {index}")
+            f"decomposition dimension {dec.total_degree()} != index {v.index}")
     return dec
-
-
-class _TrivialAction:
-    """Coset action of a group on itself: one point, everything fixed."""
-
-    def __init__(self, group):
-        self.degree = 1
-
-    def character_value(self, g):
-        return 1
-
-
-def _regular_character(table):
-    values = [0] * table.num_classes
-    values[0] = table.group_order
-    return tuple(values)
 
 
 def decompose_power(class_id, n, x0_only=False, limits=None):
@@ -536,14 +500,13 @@ class DoubleCosetProfile:
         }
 
 
-def double_coset_profile(v, w=None, limits=None):
+def double_coset_profile(v, w=None):
     """Enumerate V\\G/W as joint configurations of the two bases.
 
     Raw configurations describe how a copy of W's base can sit relative to
     V's base inside the limit structure; the finite parts act by remarking
     and orbits under that action are exactly the double cosets.
     """
-    limits = limits or get_limits()
     w = w or v
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")

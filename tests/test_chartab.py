@@ -8,12 +8,14 @@ from oligorep.chartab import (
     CharacterTable,
     SymmetricCharacterTable,
     character_table,
+    coset_character,
     hook_degree,
     mn_value,
     partitions_of,
     symmetric_character_table,
 )
-from oligorep.errors import NotACharacter
+from oligorep.errors import InvariantViolation, NotACharacter
+from oligorep.finstruct import get_class
 from oligorep.permgrp import (
     CosetAction,
     PermGroup,
@@ -183,6 +185,46 @@ def test_frobenius_reciprocity_small_groups():
                 for x in K.elements():
                     acc = acc + t.rows[i][t.class_of_perm(x)]
                 assert acc == mults[i] * K.order
+
+
+def _gl32():
+    cls = get_class("vector_space")
+    base = next(b for b in cls.enumerate_class(3) if cls.size(b) == 3)
+    return cls.automorphisms(base)
+
+
+@pytest.mark.parametrize("make_group", [lambda: symmetric_group(4), _gl32],
+                         ids=["S4", "GL32"])
+def test_coset_character_matches_the_coset_action(make_group):
+    G = make_group()
+    t = character_table(G)
+    for K in G.subgroups_up_to_conjugacy():
+        assert coset_character(t, K) == t.perm_character(CosetAction(G, K))
+
+
+def test_coset_character_on_atoms_matches_the_coset_action():
+    # a Boolean algebra's automorphisms, read on its atoms, against the
+    # partition table of S_4
+    cls = get_class("boolean_algebra")
+    base = next(b for b in cls.enumerate_class(4) if cls.size(b) == 4)
+    sym = symmetric_character_table(4)
+    S4 = symmetric_group(4)
+    subgroups = cls.automorphisms(base).subgroups_up_to_conjugacy()
+    assert len(subgroups) == 11
+    for K in subgroups:
+        atoms = PermGroup(4, [cls.atom_perm(g, 4) for g in K.generators])
+        assert atoms.order == K.order
+        assert coset_character(sym, atoms) == sym.perm_character(
+            CosetAction(S4, atoms))
+
+
+def test_coset_character_rejects_a_fractional_value():
+    t = character_table(symmetric_group(3))
+    C3 = PermGroup(3, [from_cycles(3, [(0, 1, 2)])])
+    assert coset_character(t, C3) == (2, 2, 0)
+    t.class_sizes = (1, 3, 2)   # the 3-cycles miscounted
+    with pytest.raises(InvariantViolation):
+        coset_character(t, C3)
 
 
 def test_export_is_json_ready():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oligorep import cli
+from oligorep import acceptance, cli
 
 
 def run(capsys, argv):
@@ -24,6 +24,13 @@ def test_catalog_linear_order(capsys):
     assert report["count"] == 6
     assert len(report["labels"]) == 6
     assert all(label["sigma_degree"] == 1 for label in report["labels"])
+
+
+def test_catalog_default_max_base_follows_limits(capsys, monkeypatch):
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"max_base": {"linear_order": 2}}')
+    report = run_json(capsys, ["catalog", "--class", "linear_order"])
+    assert report["max_base"] == 2
+    assert report["count"] == 3
 
 
 def test_catalog_empty_base_only(capsys):
@@ -100,6 +107,15 @@ def test_kazhdan_graph_cayley_section(capsys):
     assert 0 <= Fraction(report["cayley"]["extension_rate"]) <= 1
 
 
+def test_kazhdan_report_names_its_seed(capsys):
+    argv = ["kazhdan", "--class", "graph", "--depth", "1", "--trials", "1",
+            "--words", "1"]
+    outs = [run(capsys, argv + ["--seed", seed]) for seed in ("0", "1")]
+    assert [code for code, _ in outs] == [0, 0]
+    assert outs[0][1] != outs[1][1]
+    assert json.loads(outs[1][1])["seed"] == 1
+
+
 def test_output_file_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -169,3 +185,17 @@ def test_selftest_exit_codes(capsys, monkeypatch):
     rows[0]["passed"] = False
     code, _ = run(capsys, ["selftest"])
     assert code == 3
+
+
+def test_selftest_stdout_is_the_json_report(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("1", "stub", 10.0, lambda: (True, {"checked": 1})),))
+    code = cli.main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["ok"] is True
+    assert report["criteria"][0]["details"] == {"checked": 1}
+    assert captured.err.startswith("criterion 1: PASS (")
+    assert "s / budget 10.0s, " in captured.err
+    assert "%) - stub" in captured.err
