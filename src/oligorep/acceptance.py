@@ -27,7 +27,7 @@ from .chartab import Cyc
 from .errors import SizeLimitExceeded
 from .finstruct import get_class
 from .limits import get_limits
-from .permgrp import CosetAction, PermGroup, symmetric_group
+from .permgrp import CosetAction, PermGroup, compose, symmetric_group
 
 CLASS_IDS = ("pure_set", "linear_order", "graph", "vector_space",
              "vector_space_q3", "boolean_algebra")
@@ -152,12 +152,15 @@ def _subgroup_sweep(class_id, max_size, limits):
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
             continue
         degree = len(base.points)
-        table = oligo.base_table(class_id, base, limits)
+        reps = oligo.base_table(class_id, base, limits).class_reps[1:]
+        if cls.atomic:
+            # the table lists atom permutations; the subgroup moves masks
+            reps = [cls.mask_perm(rep, cls.size(base)) for rep in reps]
         yield oligo.OpenSubgroup(
             class_id, base, PermGroup(degree, []), aut), True
-        for cc in table.classes[1:]:
+        for rep in reps:
             yield oligo.OpenSubgroup(
-                class_id, base, PermGroup(degree, [cc.rep]), aut), True
+                class_id, base, PermGroup(degree, [rep]), aut), True
         yield oligo.OpenSubgroup(class_id, base, aut, aut), True
 
 
@@ -202,11 +205,25 @@ def criterion_4():
                 "cross_checked": cross_checked}
 
 
+def _double_coset_count(group, sub):
+    """|K\\G/K| by brute force: mark K g K for each g not yet marked."""
+    elements = sub.elements()
+    marked = set()
+    count = 0
+    for g in group.elements():
+        if g not in marked:
+            count += 1
+            marked.update(compose(compose(k1, g), k2)
+                          for k1 in elements for k2 in elements)
+    return count
+
+
 def criterion_5():
-    """Commensurator laws and two-sided coset-finiteness agreement."""
+    """Commensurator laws, and finite configurations numbering the double
+    cosets K\\Aut(B)/K counted by brute force."""
     limits = get_limits()
     ok = True
-    subgroups = configs = 0
+    subgroups = configs = finite_configs = 0
     for class_id in CLASS_IDS:
         for v in oligo.enumerate_open_subgroups(
                 class_id, PROFILE_BASE[class_id], limits):
@@ -218,11 +235,14 @@ def criterion_5():
             ok = ok and comm.base_code == v.base_code
             profile = oligo.double_coset_profile(v)
             ok = ok and profile.count >= 1
-            for config in profile.configs:
-                oligo.finitely_many_left_cosets(v, config)
-                configs += 1
+            finite = sum(1 for config in profile.configs
+                         if oligo.finitely_many_left_cosets(v, config))
+            ok = ok and finite == _double_coset_count(v.aut, v.group)
+            configs += profile.count
+            finite_configs += finite
             subgroups += 1
-    return ok, {"subgroups": subgroups, "configs_checked": configs}
+    return ok, {"subgroups": subgroups, "configs_checked": configs,
+                "finite_configs": finite_configs}
 
 
 def criterion_6():

@@ -331,7 +331,8 @@ class CharacterTable:
 
     Classes sorted by (size, element order, cycle type, representative);
     rows by (degree, value vector) under value_sort_key.  Values are Cyc
-    over Q(zeta_e), e the group exponent.
+    over Q(zeta_e), e the group exponent.  ``class_reps[t]`` is a member
+    of class t, as both table types list their classes.
     """
 
     def __init__(self, group: PermGroup, classes, class_index, exponent,
@@ -347,6 +348,7 @@ class CharacterTable:
         self.num_classes = len(classes)
         self.class_sizes = tuple(c.size for c in classes)
         self.class_orders = tuple(c.order for c in classes)
+        self.class_reps = tuple(c.rep for c in classes)
         self._tstar = tuple(
             class_index[inverse(c.rep)] for c in classes
         )
@@ -359,7 +361,7 @@ class CharacterTable:
 
     def perm_character(self, action) -> tuple:
         """Fixed-point counts of class representatives under a CosetAction."""
-        return tuple(action.character_value(c.rep) for c in self.classes)
+        return tuple(action.character_value(g) for g in self.class_reps)
 
     def decompose(self, values) -> tuple:
         if len(values) != self.num_classes:
@@ -660,6 +662,8 @@ class SymmetricCharacterTable:
     Same class ordering convention as CharacterTable; rows are ordered by
     (degree, partition descending) instead of full value vectors so that
     a row's identity never forces evaluating the whole table.
+    ``class_reps[t]`` is a permutation of range(m) of cycle type
+    ``class_partitions[t]``.
     """
 
     def __init__(self, m: int):
@@ -681,6 +685,7 @@ class SymmetricCharacterTable:
         self.class_orders = tuple(
             math.lcm(*lam) if lam else 1 for lam in classes
         )
+        self.class_reps = tuple(_partition_rep(m, lam) for lam in classes)
         self._class_idx = {lam: i for i, lam in enumerate(classes)}
         irreps = sorted(
             parts, key=lambda lam: (hook_degree(lam), tuple(-p for p in lam))
@@ -695,13 +700,9 @@ class SymmetricCharacterTable:
     def class_of_perm(self, g: tuple) -> int:
         return self._class_idx[cycle_type(g)]
 
-    def class_of_partition(self, lam: tuple) -> int:
-        return self._class_idx[tuple(sorted(lam, reverse=True))]
-
     def perm_character(self, action) -> tuple:
         """Fixed-point counts of class representatives under a CosetAction."""
-        return tuple(action.character_value(_partition_rep(self.m, lam))
-                     for lam in self.class_partitions)
+        return tuple(action.character_value(g) for g in self.class_reps)
 
     def decompose(self, values) -> tuple:
         if len(values) != self.num_classes:

@@ -26,6 +26,9 @@ payload:
 * ``config_action(base_b, base_c)``: a function ``act(config, g1, g2)``
   remarking one configuration by automorphisms of the two bases (``None``
   for the identity);
+* ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
+  configuration of each orbit of the two groups, by closing orbits under
+  ``config_action``; graphs override it with a two-stage search;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``stabilizer_is_trivial(base, marked)``: whether only the identity of
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,6 +111,35 @@ def _relabel(pairs, g1, g2):
     """Sorted pairs (i, j) moved to (g1[i], g2[j]); ``None`` is the identity."""
     return tuple(sorted(
         (g1[i] if g1 else i, g2[j] if g2 else j) for i, j in pairs))
+
+
+def _byte_tables(values, zero):
+    """Three tables, one per byte of a mask over ``len(values)`` bits, each
+    mapping a byte to ``zero`` plus the values of its set bits in order.
+
+    Values are ints with one bit each (a bit permutation) or 1-tuples
+    (decoding); three bytes cover every mask ``_MAX_CONFIGS`` admits.
+    """
+    tables = []
+    for start in (0, 8, 16):
+        table = [zero]
+        for value in values[start:start + 8]:
+            table += [entry + value for entry in table]
+        tables.append(table)
+    return tables
+
+
+def _lex_masks(n):
+    """Every mask over n bits, ordered as the sorted tuples of their set bits."""
+    order = [0]
+    for bit in reversed(range(n)):
+        order = [0] + [(1 << bit) | mask for mask in order] + order[1:]
+    return array("I", order)
+
+
+def _read_mask(tables, mask):
+    low, mid, high = tables
+    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +405,34 @@ class FraisseClass:
     def config_finiteness(self, payload, base_b, base_c):
         """(left, right): the ``base_c`` copy lies in the hull of the other, and back."""
         raise NotImplementedError
+
+    def double_coset_reps(self, base_b, group_b, base_c, group_c):
+        """The least member of each orbit of ``group_b`` x ``group_c`` on the
+        joint configurations of the two bases, in no particular order.
+
+        Closes each orbit under the generators through ``config_action``.
+        """
+        raw = self.joint_configs(base_b, base_c)
+        act = self.config_action(base_b, base_c)
+        gens = ([(g, None) for g in group_b.generators]
+                + [(None, g) for g in group_c.generators])
+        seen = set()
+        reps = []
+        for config in raw:
+            if config in seen:
+                continue
+            orbit = {config}
+            frontier = [config]
+            while frontier:
+                current = frontier.pop()
+                for g1, g2 in gens:
+                    moved = act(current, g1, g2)
+                    if moved not in orbit:
+                        orbit.add(moved)
+                        frontier.append(moved)
+            seen |= orbit
+            reps.append(min(orbit))
+        return reps
 
     def stabilizer_is_trivial(self, base, marked):
         """Whether only the identity of Aut(base) fixes every marked position."""
@@ -713,29 +774,78 @@ class GraphClass(_RelationalClass):
     def _data_from_json(self, payload):
         return frozenset(frozenset(e) for e in payload.get("edges", ()))
 
-    def joint_configs(self, base_b, base_c):
+    # A configuration is ("cross", matching, cross): an edge-compatible
+    # matching plus the cross edges among the sorted pairs of unmatched
+    # points.  Bit i of a cross mask stands for pair i.
+
+    @staticmethod
+    @lru_cache(maxsize=32)
+    def _layouts(base_b, base_c):
+        """Per edge-compatible matching, in sorted order: (matching, cross
+        pairs, decode tables, every cross mask in the order of the decoded
+        tuples)."""
         eb, ec = base_b.data, base_c.data
         nB, nC = len(base_b), len(base_c)
-        configs = []
-        for matching in self._matchings(nB, nC):
-            ok = True
-            for (i1, j1), (i2, j2) in itertools.combinations(matching, 2):
-                if (frozenset((i1, i2)) in eb) != (frozenset((j1, j2)) in ec):
-                    ok = False
-                    break
-            if not ok:
+        layouts = []
+        for matching in sorted(_RelationalClass._matchings(nB, nC)):
+            if any((frozenset((i1, i2)) in eb) != (frozenset((j1, j2)) in ec)
+                   for (i1, j1), (i2, j2)
+                   in itertools.combinations(matching, 2)):
                 continue
             free_b = [i for i in range(nB) if i not in {m[0] for m in matching}]
             free_c = [j for j in range(nC) if j not in {m[1] for m in matching}]
-            cross_pairs = [(b, c) for b in free_b for c in free_c]
-            if 1 << len(cross_pairs) > _MAX_CONFIGS:
+            cross_pairs = tuple((b, c) for b in free_b for c in free_c)
+            n = len(cross_pairs)
+            if 1 << n > _MAX_CONFIGS:
                 raise SizeLimitExceeded(
                     "too many joint configurations; shrink the bases")
-            for mask in range(1 << len(cross_pairs)):
-                cross = tuple(cross_pairs[i] for i in range(len(cross_pairs))
-                              if mask >> i & 1)
-                configs.append(("cross", matching, cross))
-        return configs
+            decode = _byte_tables([(p,) for p in cross_pairs], ())
+            layouts.append((matching, cross_pairs, decode, _lex_masks(n)))
+        return tuple(layouts)
+
+    def joint_configs(self, base_b, base_c):
+        return [("cross", matching, _read_mask(decode, mask))
+                for matching, cross_pairs, decode, _
+                in self._layouts(base_b, base_c)
+                for mask in range(1 << len(cross_pairs))]
+
+    def double_coset_reps(self, base_b, group_b, base_c, group_c):
+        """Orbit minima in two stages, without acting on whole configurations.
+
+        The least configurations of an orbit carry the least matching m0 of
+        its orbit under K_B x K_C, so stage one visits matchings in sorted
+        order and takes the stabilizer of each new one.  Stage two visits
+        the cross masks over m0's pairs in the order of their decoded
+        tuples, so the first mask met in an orbit of the stabilizer is its
+        witness, and marks its images under the stabilizer, each element
+        acting on masks through byte tables.  The witnesses come out sorted.
+        """
+        kk = [(g1, g2) for g1 in group_b.elements()
+              for g2 in group_c.elements()]
+        seen = set()
+        reps = []
+        for matching, cross_pairs, decode, order in self._layouts(
+                base_b, base_c):
+            if matching in seen:
+                continue
+            index = {pair: i for i, pair in enumerate(cross_pairs)}
+            moves = set()
+            for g1, g2 in kk:
+                image = _relabel(matching, g1, g2)
+                seen.add(image)
+                if image == matching:
+                    moves.add(tuple(1 << index[g1[b], g2[c]]
+                                    for b, c in cross_pairs))
+            moves = [_byte_tables(bits, 0) for bits in moves]
+            done = bytearray(1 << len(cross_pairs))
+            for mask in order:
+                if done[mask]:
+                    continue
+                for low, mid, high in moves:
+                    done[low[mask & 255] + mid[mask >> 8 & 255]
+                         + high[mask >> 16]] = 1
+                reps.append(("cross", matching, _read_mask(decode, mask)))
+        return reps
 
     def config_action(self, base_b, base_c):
         return self._act_on_cross
@@ -1173,17 +1283,7 @@ class BooleanAlgebraClass(FraisseClass):
 
     def _canonical_aut_gens(self, canon):
         m = self.size(canon)
-        gens = []
-        for sigma in _symmetric_gens(m):
-            images = []
-            for mask in range(1 << m):
-                new = 0
-                for k in range(m):
-                    if mask >> k & 1:
-                        new |= 1 << sigma[k]
-                images.append(new)
-            gens.append(tuple(images))
-        return gens
+        return [self.mask_perm(sigma, m) for sigma in _symmetric_gens(m)]
 
     def _enumerate_nonempty(self, k):
         return [self.canonical_algebra(m) for m in range(1, k + 1)]
@@ -1223,6 +1323,19 @@ class BooleanAlgebraClass(FraisseClass):
 
     def _data_from_json(self, payload):
         return (payload.get("atoms", 0), tuple(payload.get("masks", ())))
+
+    @staticmethod
+    def mask_perm(sigma, m):
+        """The automorphism of the canonical algebra on m atoms, as a
+        permutation of its 2**m masks, that permutes the atoms by sigma."""
+        images = []
+        for mask in range(1 << m):
+            new = 0
+            for k in range(m):
+                if mask >> k & 1:
+                    new |= 1 << sigma[k]
+            images.append(new)
+        return tuple(images)
 
     @staticmethod
     def atom_perm(point_perm, m):

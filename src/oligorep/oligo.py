@@ -505,32 +505,14 @@ def double_coset_profile(v, w=None):
 
     Raw configurations describe how a copy of W's base can sit relative to
     V's base inside the limit structure; the finite parts act by remarking
-    and orbits under that action are exactly the double cosets.
+    and orbits under that action are exactly the double cosets.  The class
+    finds the orbits (``double_coset_reps``); each double coset is witnessed
+    by the least configuration of its orbit, and witnesses come sorted.
     """
     w = w or v
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")
-    cls = get_class(v.cls)
-    raw = cls.joint_configs(v.base, w.base)
-    act = cls.config_action(v.base, w.base)
-    gens = ([(g, None) for g in v.group.generators]
-            + [(None, g) for g in w.group.generators])
-    seen = set()
-    reps = []
-    for config in raw:
-        if config in seen:
-            continue
-        orbit = {config}
-        frontier = [config]
-        while frontier:
-            current = frontier.pop()
-            for g1, g2 in gens:
-                moved = act(current, g1, g2)
-                if moved not in orbit:
-                    orbit.add(moved)
-                    frontier.append(moved)
-        seen |= orbit
-        reps.append(min(orbit))
+    reps = get_class(v.cls).double_coset_reps(v.base, v.group, w.base, w.group)
     return DoubleCosetProfile(v.cls, tuple(
         JointConfig(v.cls, payload) for payload in sorted(reps)))
 

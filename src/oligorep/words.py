@@ -35,10 +35,6 @@ def inv(u: tuple) -> tuple:
     return tuple(-letter for letter in reversed(u))
 
 
-def is_reduced(u: tuple) -> bool:
-    return all(u[i] != -u[i + 1] for i in range(len(u) - 1))
-
-
 def word_key(u: tuple) -> tuple:
     """Sort key: by length, then by letter sequence."""
     return (len(u), tuple(LETTERS.index(letter) for letter in u))
@@ -59,10 +55,6 @@ def ball(radius: int) -> tuple:
         words.extend(nxt)
         frontier = nxt
     return tuple(words)
-
-
-def sphere(radius: int) -> tuple:
-    return tuple(w for w in ball(radius) if len(w) == radius)
 
 
 def random_word(rng, max_len: int, nontrivial: bool = False) -> tuple:

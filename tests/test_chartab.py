@@ -329,7 +329,22 @@ def test_symmetric_class_of_perm():
     assert sym.class_of_perm(identity(4)) == 0
     i = sym.class_of_perm(from_cycles(4, [(0, 1)]))
     assert sym.class_partitions[i] == (2, 1, 1)
-    assert sym.class_of_partition((1, 2, 1)) == i
+    # a partition's class index does not depend on the order of its parts
+    assert sym.class_partitions.index(
+        tuple(sorted((1, 2, 1), reverse=True))) == i
+
+
+@pytest.mark.parametrize("make_table", [
+    lambda: character_table(symmetric_group(4)),
+    lambda: character_table(get_class("vector_space").automorphisms(
+        get_class("vector_space").canonical_space(3))),
+    lambda: symmetric_character_table(7),
+], ids=["S4", "GL32", "sym7"])
+def test_class_reps_lie_in_their_classes(make_table):
+    table = make_table()
+    assert len(table.class_reps) == table.num_classes
+    assert ([table.class_of_perm(g) for g in table.class_reps]
+            == list(range(table.num_classes)))
 
 
 def test_symmetric_export():

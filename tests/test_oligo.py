@@ -14,8 +14,9 @@ from oligorep.errors import (
     BaseNotAclClosed,
     MalformedStructure,
     NotASubgroup,
+    SizeLimitExceeded,
 )
-from oligorep.finstruct import get_class
+from oligorep.finstruct import FraisseClass, get_class
 from oligorep.oligo import (
     commensurator,
     decompose_power,
@@ -415,6 +416,8 @@ def test_double_coset_counts_match_burnside():
         ("pure_set", (3, 3), (2, 2)),
         ("linear_order", (3, 1), (2, 1)),
         ("graph", (3, 3), (3, 2)),
+        ("graph", (4, 2), (2, 2)),
+        ("graph", (4, 2), (3, 2)),
         ("vector_space", (2, 3), (2, 2)),
         ("vector_space_q3", (1, 2), (1, 1)),
         ("boolean_algebra", (2, 2), (2, 1)),
@@ -435,6 +438,40 @@ def test_double_coset_counts_match_burnside():
         assert orbits.denominator == 1, cls_id
         assert double_coset_profile(v, w).count == orbits, cls_id
         assert double_coset_profile(w, v).count == orbits, cls_id
+
+
+def _closure_reps(v, w):
+    """The orbit closure every class inherits, as the reference path."""
+    return sorted(FraisseClass.double_coset_reps(
+        get_class(v.cls), v.base, v.group, w.base, w.group))
+
+
+def test_graph_profiles_match_the_orbit_closure():
+    subs = enumerate_open_subgroups("graph", 3)
+    for v, w in itertools.product(subs, repeat=2):
+        got = [c.payload for c in double_coset_profile(v, w).configs]
+        assert got == _closure_reps(v, w), (v, w)
+
+
+@pytest.mark.parametrize("edges", [[], [(0, 3), (1, 2)]],
+                         ids=["empty", "2K2"])
+def test_graph_profiles_match_the_orbit_closure_on_four_points(edges):
+    # the witness is the least configuration of the orbit, so its matching
+    # is the least of its matching orbit, not the first one enumerated;
+    # no subgroup of three points or fewer, against itself, tells them apart
+    v = make_open_subgroup("graph", graph_on(edges, 4), [(1, 0, 3, 2)])
+    assert v.group.order == 2
+    got = [c.payload for c in double_coset_profile(v).configs]
+    assert got == _closure_reps(v, v)
+
+
+def test_graph_profiles_keep_the_size_guard():
+    # 25 cross pairs between two unmatched five-point bases
+    v = make_open_subgroup("graph", graph_on([], 5))
+    with pytest.raises(SizeLimitExceeded):
+        double_coset_profile(v)
+    with pytest.raises(SizeLimitExceeded):
+        get_class("graph").joint_configs(v.base, v.base)
 
 
 def test_double_coset_profile_rejects_mixed_classes():

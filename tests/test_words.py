@@ -9,12 +9,10 @@ from oligorep.words import (
     EMPTY,
     ball,
     inv,
-    is_reduced,
     magnus_compare,
     magnus_component,
     mult,
     pair_coin,
-    sphere,
     word_int,
     word_key,
 )
@@ -37,18 +35,14 @@ def test_inv():
     assert inv(EMPTY) == EMPTY
 
 
-def test_is_reduced():
-    assert is_reduced((X, Y, Xi))
-    assert not is_reduced((X, Xi))
-    assert is_reduced(EMPTY)
-
-
 def test_ball_sizes():
     # 4 * 3^(r-1) words of length exactly r, so |B(r)| = 2*3^r - 1.
     for r in range(5):
         assert len(ball(r)) == 2 * 3**r - 1
-        assert len(sphere(r)) == (1 if r == 0 else 4 * 3 ** (r - 1))
-    assert all(is_reduced(w) for w in ball(4))
+        sphere = [w for w in ball(r) if len(w) == r]
+        assert len(sphere) == (1 if r == 0 else 4 * 3 ** (r - 1))
+    # no letter is followed by its inverse
+    assert all(a != -b for w in ball(4) for a, b in zip(w, w[1:]))
     assert len(set(ball(4))) == len(ball(4))
 
 
@@ -63,7 +57,7 @@ def test_random_word_reduced():
     rng = random.Random(7)
     for _ in range(200):
         w = words.random_word(rng, 8)
-        assert is_reduced(w)
+        assert all(a != -b for a, b in zip(w, w[1:]))
         assert len(w) <= 8
     for _ in range(50):
         assert words.random_word(rng, 5, nontrivial=True) != EMPTY
