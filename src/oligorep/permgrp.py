@@ -22,7 +22,7 @@ def identity(degree: int) -> tuple:
 
 def compose(g: tuple, h: tuple) -> tuple:
     """g after h."""
-    return tuple(g[x] for x in h)
+    return tuple(map(g.__getitem__, h))
 
 
 def inverse(g: tuple) -> tuple:
@@ -103,6 +103,7 @@ class PermGroup:
         self._transversals: list = []  # dicts point -> coset rep
         self._strong_gens: list = []   # per level
         self._build_chain()
+        self._reduced: tuple | None = None
         self._elements: tuple | None = None
         self._classes: tuple | None = None
         self._class_index: dict | None = None
@@ -112,8 +113,7 @@ class PermGroup:
     def _orbit_transversal(self, point: int, gens: list) -> dict:
         trans = {point: identity(self.degree)}
         queue = [point]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             rep = trans[x]
             for g in gens:
                 y = g[x]
@@ -173,6 +173,28 @@ class PermGroup:
             n *= len(trans)
         return n
 
+    @property
+    def reduced_generators(self) -> tuple:
+        """The generators, in order, that lie outside the group generated by
+        those kept before them.  They generate G and each at least doubles
+        the group kept so far, so there are at most log2 |G| of them."""
+        if self._reduced is None:
+            kept: list = []
+            sub = PermGroup(self.degree, [])
+            for g in self.generators:
+                if sub.order == self.order:
+                    break
+                if sub.sift(g) != identity(self.degree):
+                    kept.append(g)
+                    sub = PermGroup(self.degree, kept)
+            self._reduced = tuple(kept)
+        return self._reduced
+
+    def _conjugators(self) -> list:
+        """(s.__getitem__, s^-1) per reduced generator s: the conjugate
+        s g s^-1 is then tuple(map(s_at, map(g.__getitem__, s_inv)))."""
+        return [(s.__getitem__, inverse(s)) for s in self.reduced_generators]
+
     # -- element and class data ----------------------------------------------
 
     def elements(self, limit: int | None = None) -> tuple:
@@ -201,75 +223,44 @@ class PermGroup:
     def orbit(self, point: int) -> tuple:
         seen = {point}
         queue = [point]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             for g in self.generators:
                 if g[x] not in seen:
                     seen.add(g[x])
                     queue.append(g[x])
         return tuple(sorted(seen))
 
-    def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every point in `points`, via chain restriction."""
-        sub = self
-        for point in points:
-            sub = sub._stabilizer_of(point)
-        return sub
-
-    def _stabilizer_of(self, point: int) -> "PermGroup":
-        trans = self._orbit_transversal(point, list(self.generators))
-        gens = []
-        seen = {identity(self.degree)}
-        for x in sorted(trans):
-            rep = trans[x]
-            for g in self.generators:
-                sg = compose(inverse(trans[g[x]]), compose(g, rep))
-                if sg not in seen:
-                    seen.add(sg)
-                    gens.append(sg)
-        return PermGroup(self.degree, gens)
-
     def conjugacy_classes(self, limit: int | None = None) -> tuple:
-        """ConjClass records sorted by (size, order, cycle_type, rep)."""
+        """ConjClass records sorted by (size, order, cycle_type, rep).
+
+        Each class is closed by BFS under conjugation by the reduced
+        generators.  Its rep is its least member: the first element of the
+        sorted element list that no earlier class took."""
         if self._classes is None:
             elems = self.elements(limit)
-            index_of = {g: i for i, g in enumerate(elems)}
-            unassigned = set(range(len(elems)))
+            conjugators = self._conjugators()
+            class_of: dict = {}
             raw = []
-            class_of = [0] * len(elems)
-            while unassigned:
-                start = min(unassigned)
-                members = {start}
-                queue = [start]
-                while queue:
-                    i = queue.pop(0)
-                    g = elems[i]
-                    for s in self.generators:
-                        cg = compose(s, compose(g, inverse(s)))
-                        j = index_of[cg]
-                        if j not in members:
-                            members.add(j)
-                            queue.append(j)
-                unassigned -= members
-                rep = min(elems[i] for i in members)
-                raw.append((members, rep))
-            records = []
-            for members, rep in raw:
-                records.append(
-                    (ConjClass(rep, len(members), perm_order(rep),
-                               cycle_type(rep)), members)
-                )
-            records.sort(
-                key=lambda pair: (pair[0].size, pair[0].order,
-                                  pair[0].cycle_type, pair[0].rep)
-            )
-            for idx, (_, members) in enumerate(records):
-                for i in members:
-                    class_of[i] = idx
-            self._classes = tuple(rec for rec, _ in records)
-            self._class_index = {
-                elems[i]: class_of[i] for i in range(len(elems))
-            }
+            for rep in elems:
+                if rep in class_of:
+                    continue
+                k = len(raw)
+                class_of[rep] = k
+                members = [rep]
+                for g in members:
+                    g_at = g.__getitem__
+                    for s_at, s_inv in conjugators:
+                        c = tuple(map(s_at, map(g_at, s_inv)))
+                        if c not in class_of:
+                            class_of[c] = k
+                            members.append(c)
+                raw.append(ConjClass(rep, len(members), perm_order(rep),
+                                     cycle_type(rep)))
+            ranked = sorted(range(len(raw)), key=lambda k: (
+                raw[k].size, raw[k].order, raw[k].cycle_type, raw[k].rep))
+            position = {k: idx for idx, k in enumerate(ranked)}
+            self._classes = tuple(raw[k] for k in ranked)
+            self._class_index = {g: position[class_of[g]] for g in elems}
         return self._classes
 
     def class_data(self, limit: int | None = None):
@@ -303,15 +294,16 @@ class PermGroup:
             if o > 1 and _is_prime_power(o):
                 pp_elems.append(g)
 
+        conjugators = self._conjugators()
+
         def conj_orbit(elem_set: frozenset) -> frozenset:
             orbit = {elem_set}
             queue = [elem_set]
-            while queue:
-                current = queue.pop(0)
-                for s in self.generators:
-                    s_inv = inverse(s)
+            for current in queue:
+                for s_at, s_inv in conjugators:
                     moved = frozenset(
-                        compose(s, compose(g, s_inv)) for g in current
+                        tuple(map(s_at, map(g.__getitem__, s_inv)))
+                        for g in current
                     )
                     if moved not in orbit:
                         orbit.add(moved)
@@ -425,7 +417,3 @@ def symmetric_group(n: int) -> PermGroup:
         return PermGroup(max(n, 1), [])
     gens = [from_cycles(n, [tuple(range(n))]), from_cycles(n, [(0, 1)])]
     return PermGroup(n, gens)
-
-
-def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree, [])

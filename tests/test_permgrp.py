@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+
+from oligorep.chartab import character_table
 
 from oligorep.errors import InvalidPermutation, NotASubgroup, SizeLimitExceeded
 from oligorep.finstruct import get_class
@@ -15,7 +18,6 @@ from oligorep.permgrp import (
     perm_order,
     power,
     symmetric_group,
-    trivial_group,
     validate_perm,
 )
 
@@ -80,7 +82,7 @@ def test_validate_perm():
 def test_symmetric_group_orders():
     for n in range(1, 7):
         assert symmetric_group(n).order == __import__("math").factorial(n)
-    assert trivial_group(4).order == 1
+    assert PermGroup(4, []).order == 1
 
 
 def test_elements_match_brute_closure():
@@ -116,15 +118,21 @@ def test_orbit():
     assert G.orbit(3) == (3,)
 
 
-def test_pointwise_stabilizer():
-    G = symmetric_group(4)
-    S = G.pointwise_stabilizer([0])
+def stabilizer_of_0(n):
+    """The stabilizer of 0 in S_n, n >= 3, as Sym({1, ..., n-1})."""
+    return PermGroup(n, [from_cycles(n, [tuple(range(1, n))]),
+                         from_cycles(n, [(1, 2)])])
+
+
+def test_point_stabilizers_by_generators():
+    S4 = symmetric_group(4).elements()
+    S = stabilizer_of_0(4)
     assert S.order == 6
-    assert all(g[0] == 0 for g in S.elements())
-    S2 = G.pointwise_stabilizer([0, 1])
-    assert S2.order == 2
-    S3 = G.pointwise_stabilizer([0, 1, 2])
-    assert S3.order == 1
+    assert set(S.elements()) == {g for g in S4 if g[0] == 0}
+    S2 = PermGroup(4, [from_cycles(4, [(2, 3)])])
+    assert set(S2.elements()) == {g for g in S4 if g[:2] == (0, 1)}
+    S3 = PermGroup(4, [])
+    assert set(S3.elements()) == {g for g in S4 if g[:3] == (0, 1, 2)}
 
 
 def test_conjugacy_classes_s3():
@@ -205,7 +213,7 @@ def test_coset_action():
 
 def test_coset_action_character_is_fixed_points():
     G = symmetric_group(4)
-    K = G.pointwise_stabilizer([0])
+    K = stabilizer_of_0(4)
     act = CosetAction(G, K)
     assert act.size == 4
     # G/Stab(0) is the natural action: fixed cosets = fixed points
@@ -317,3 +325,85 @@ def test_subgroups_gl32():
     assert len(subs) == 15
     assert [H.order for H in subs] == [
         1, 2, 3, 4, 4, 4, 6, 7, 8, 12, 12, 21, 24, 24, 168]
+
+
+# -- classes on the reduced generating set -------------------------------------
+
+def vector_space_group(class_id, dim):
+    cls = get_class(class_id)
+    base = next(b for b in cls.enumerate_class(dim) if cls.size(b) == dim)
+    return cls.automorphisms(base)
+
+
+def class_check_groups():
+    """Graph automorphism groups come with every element as a generator."""
+    graph = get_class("graph")
+    groups = {f"graph {b.points} {sorted(b.data)}": graph.automorphisms(b)
+              for b in graph.enumerate_class(5)}
+    groups["S5"] = symmetric_group(5)
+    groups["GL(3,2)"] = vector_space_group("vector_space", 3)
+    groups["GL(2,3)"] = vector_space_group("vector_space_q3", 2)
+    return groups
+
+
+def brute_classes(G):
+    """Conjugacy classes by conjugating with every element of G."""
+    elems = G.elements()
+    pairs = [(x, inverse(x)) for x in elems]
+    taken, classes = set(), []
+    for g in elems:
+        if g not in taken:
+            members = frozenset(compose(x, compose(g, x_inv))
+                                for x, x_inv in pairs)
+            taken |= members
+            classes.append(members)
+    return sorted(classes, key=lambda c: (
+        len(c), perm_order(min(c)), cycle_type(min(c)), min(c)))
+
+
+def test_class_data_matches_brute_force():
+    for name, G in class_check_groups().items():
+        reduced = G.reduced_generators
+        assert set(reduced) <= set(G.generators), name
+        assert PermGroup(G.degree, reduced).order == G.order, name
+        assert len(reduced) <= G.order.bit_length() - 1, name
+        expected = brute_classes(G)
+        classes, index = G.class_data()
+        assert [c.rep for c in classes] == [min(m) for m in expected], name
+        assert [c.size for c in classes] == [len(m) for m in expected], name
+        assert [c.order for c in classes] == [
+            perm_order(c.rep) for c in classes], name
+        assert [c.cycle_type for c in classes] == [
+            cycle_type(c.rep) for c in classes], name
+        assert index == {g: i for i, m in enumerate(expected) for g in m}, name
+
+
+def test_reduced_generators_keep_order_and_drop_redundant():
+    t, c = from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])
+    G = PermGroup(4, [identity(4), t, compose(t, t), c, compose(c, t), t])
+    assert G.reduced_generators == (t, c)
+    assert G.generators[0] == identity(4) and len(G.generators) == 6
+    assert PermGroup(3, [identity(3)]).reduced_generators == ()
+
+
+def two_generators(G):
+    """The least pair of elements, in sorted order, that generates G."""
+    elems = G.elements()
+    return next([a, b] for a, b in itertools.combinations(elems, 2)
+                if PermGroup(G.degree, [a, b]).order == G.order)
+
+
+@pytest.mark.parametrize("name", ["S5", "GL(3,2)"])
+def test_results_do_not_depend_on_generating_set(name):
+    G = (symmetric_group(5) if name == "S5"
+         else vector_space_group("vector_space", 3))
+    every = PermGroup(G.degree, G.elements())
+    pair = PermGroup(G.degree, two_generators(G))
+    assert len(every.generators) == G.order and len(pair.generators) == 2
+
+    def table_json(H):
+        return json.dumps(character_table(H).export(), sort_keys=True)
+
+    assert table_json(every) == table_json(pair)
+    assert ([H.elements() for H in every.subgroups_up_to_conjugacy()]
+            == [H.elements() for H in pair.subgroups_up_to_conjugacy()])
