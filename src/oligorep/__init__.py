@@ -43,7 +43,6 @@ from .oligo import (
     Decomposition,
     DoubleCosetProfile,
     IrrepLabel,
-    JointConfig,
     OpenSubgroup,
     commensurator,
     decompose_power,
@@ -70,7 +69,6 @@ __all__ = [
     "InvalidPermutation",
     "InvariantViolation",
     "IrrepLabel",
-    "JointConfig",
     "KazhdanTree",
     "MalformedStructure",
     "NoAlgebraicityRequired",

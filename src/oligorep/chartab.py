@@ -12,6 +12,11 @@ Symmetric groups additionally get an independent construction from
 partition combinatorics (hook lengths, Murnaghan-Nakahama border strips)
 whose values are computed lazily; it scales far past the point where
 materializing group elements stops being reasonable.
+
+The number theory is exact and small: p is the least prime found by trial
+division on the progression 1 + e*n above the bounds, its least primitive
+root is checked against the prime factors of p - 1, and Phi_e is x^e - 1
+divided exactly by Phi_d for every proper divisor d of e.
 """
 
 from __future__ import annotations
@@ -20,19 +25,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import primitive_root, sqrt_mod
-from sympy.polys.specialpolys import cyclotomic_poly
-from sympy import Poly, Symbol
-
 from .errors import InvariantViolation, NotACharacter
 from .permgrp import (
     PermGroup,
     compose,
     cycle_type,
-    identity,
     inverse,
-    perm_order,
     power,
 )
 
@@ -40,6 +38,50 @@ from .permgrp import (
 # ---------------------------------------------------------------------------
 # Cyclotomic integers
 # ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def _primitive_root(p: int) -> int:
+    """Least generator of the multiplicative group of the prime field F_p."""
+    factors, m, q = [], p - 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(e: int) -> tuple:
+    """Integer coefficients of Phi_e, constant term first.
+
+    x^e - 1 is the product of Phi_d over the divisors d of e, so dividing it
+    by Phi_d for each proper divisor d leaves Phi_e.  Each division is by a
+    monic polynomial and must leave no remainder.
+    """
+    num = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d:
+            continue
+        den = _cyclotomic(d)
+        m = len(den) - 1
+        quot = [0] * (len(num) - m)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = num[i + m]
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+        if any(num):
+            raise InvariantViolation(f"Phi_{d} does not divide x^{e} - 1")
+        num = quot
+    return tuple(num)
+
 
 @lru_cache(maxsize=None)
 def _phi_data(e: int):
@@ -49,13 +91,9 @@ def _phi_data(e: int):
     as a sparse {exponent: coeff} dict, for 0 <= j <= 2e - 2 (enough for
     products of reduced elements and for Galois twists).
     """
-    x = Symbol("x")
-    coeffs = Poly(cyclotomic_poly(e, x), x).all_coeffs()
+    coeffs = _cyclotomic(e)
     deg = len(coeffs) - 1
-    top = {}
-    for i, c in enumerate(coeffs[1:]):
-        if c:
-            top[deg - 1 - i] = -int(c)
+    top = {k: -c for k, c in enumerate(coeffs[:-1]) if c}
     rows: list = [{0: 1}]
     for _ in range(1, 2 * e - 1):
         acc: dict = {}
@@ -321,12 +359,49 @@ def _choose_prime(order: int, exponent: int, num_classes: int) -> int:
     # characteristic-polynomial divisions valid.
     floor = max(math.isqrt(4 * order) + 1, num_classes + 1, 3)
     p = exponent + 1
-    while p < floor or not isprime(p):
+    while p < floor or not _is_prime(p):
         p += exponent
     return p
 
 
-class CharacterTable:
+class _Table:
+    """What both table types share: ``num_classes``, ``group_order``,
+    ``class_sizes``, ``class_reps``, ``value(i, t)`` and ``_tstar[t]``, the
+    class of the inverses of class t's members."""
+
+    def perm_character(self, action) -> tuple:
+        """Fixed-point counts of class representatives under a CosetAction."""
+        return tuple(action.character_value(g) for g in self.class_reps)
+
+    def decompose(self, values) -> tuple:
+        """Multiplicity of each row in the class function ``values``."""
+        if len(values) != self.num_classes:
+            raise NotACharacter(
+                f"expected {self.num_classes} class values, got {len(values)}"
+            )
+        order, tstar, sizes = self.group_order, self._tstar, self.class_sizes
+        mults = []
+        for i in range(self.num_classes):
+            acc = 0
+            for t, v in enumerate(values):
+                if v != 0:
+                    acc = acc + self.value(i, tstar[t]) * v * sizes[t]
+            if isinstance(acc, Cyc):
+                if not acc.is_int():
+                    raise NotACharacter(f"inner product with row {i} is irrational")
+                acc = acc.as_int()
+            if acc % order:
+                raise NotACharacter(
+                    f"multiplicity of row {i} is {acc}/{order}, not integral"
+                )
+            m = acc // order
+            if m < 0:
+                raise NotACharacter(f"multiplicity of row {i} is negative: {m}")
+            mults.append(m)
+        return tuple(mults)
+
+
+class CharacterTable(_Table):
     """Exact character table with deterministic class and row order.
 
     Classes sorted by (size, element order, cycle type, representative);
@@ -359,37 +434,6 @@ class CharacterTable:
     def class_of_perm(self, g: tuple) -> int:
         return self.class_index[tuple(g)]
 
-    def perm_character(self, action) -> tuple:
-        """Fixed-point counts of class representatives under a CosetAction."""
-        return tuple(action.character_value(g) for g in self.class_reps)
-
-    def decompose(self, values) -> tuple:
-        if len(values) != self.num_classes:
-            raise NotACharacter(
-                f"expected {self.num_classes} class values, got {len(values)}"
-            )
-        order = self.group_order
-        mults = []
-        for i in range(self.num_classes):
-            acc = Cyc.from_int(self.exponent, 0)
-            for t in range(self.num_classes):
-                v = values[t]
-                if isinstance(v, int) and v == 0:
-                    continue
-                acc = acc + self.rows[i][self._tstar[t]] * v * self.class_sizes[t]
-            if not acc.is_int():
-                raise NotACharacter(f"inner product with row {i} is irrational")
-            num = acc.as_int()
-            if num % order:
-                raise NotACharacter(
-                    f"multiplicity of row {i} is {num}/{order}, not integral"
-                )
-            m = num // order
-            if m < 0:
-                raise NotACharacter(f"multiplicity of row {i} is negative: {m}")
-            mults.append(m)
-        return tuple(mults)
-
     def export(self) -> dict:
         return {
             "group_order": self.group_order,
@@ -420,7 +464,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
         raise InvariantViolation("identity class did not sort first")
     exponent = math.lcm(*(c.order for c in classes))
     p = _choose_prime(order, exponent, k)
-    z = primitive_root(p)
+    z = _primitive_root(p)
 
     reps = [c.rep for c in classes]
     sizes = [c.size for c in classes]
@@ -494,10 +538,9 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
     for w in omegas:
         s = sum(w[t] * w[tstar[t]] % p * inv_sizes[t] for t in range(k)) % p
         dsq = order % p * pow(s, p - 2, p) % p
-        d = sqrt_mod(dsq, p)
+        d = next((x for x in range(p // 2 + 1) if x * x % p == dsq), None)
         if d is None:
             raise InvariantViolation("degree is not a square mod p")
-        d = min(d, p - d)
         degrees.append(d)
         chars_p.append([d * w[t] % p * inv_sizes[t] % p for t in range(k)])
     if sum(d * d for d in degrees) != order:
@@ -656,7 +699,7 @@ def mn_value(lam: tuple, mu: tuple) -> int:
     return total
 
 
-class SymmetricCharacterTable:
+class SymmetricCharacterTable(_Table):
     """Character table of S_m indexed by partitions, values computed lazily.
 
     Same class ordering convention as CharacterTable; rows are ordered by
@@ -693,45 +736,14 @@ class SymmetricCharacterTable:
         self.irrep_partitions = tuple(irreps)
         self.degrees = tuple(hook_degree(lam) for lam in irreps)
         self.num_classes = len(classes)
+        # every class of S_m is closed under inversion
+        self._tstar = tuple(range(self.num_classes))
 
     def value(self, i: int, t: int) -> int:
         return mn_value(self.irrep_partitions[i], self.class_partitions[t])
 
     def class_of_perm(self, g: tuple) -> int:
         return self._class_idx[cycle_type(g)]
-
-    def perm_character(self, action) -> tuple:
-        """Fixed-point counts of class representatives under a CosetAction."""
-        return tuple(action.character_value(g) for g in self.class_reps)
-
-    def decompose(self, values) -> tuple:
-        if len(values) != self.num_classes:
-            raise NotACharacter(
-                f"expected {self.num_classes} class values, got {len(values)}"
-            )
-        vals = []
-        for v in values:
-            if isinstance(v, Cyc):
-                if not v.is_int():
-                    raise NotACharacter("symmetric group characters are rational")
-                v = v.as_int()
-            vals.append(v)
-        mults = []
-        for i in range(self.num_classes):
-            acc = 0
-            for t in range(self.num_classes):
-                if vals[t] == 0:
-                    continue
-                acc += self.class_sizes[t] * vals[t] * self.value(i, t)
-            if acc % self.group_order:
-                raise NotACharacter(
-                    f"multiplicity of row {i} is not integral"
-                )
-            m = acc // self.group_order
-            if m < 0:
-                raise NotACharacter(f"multiplicity of row {i} is negative: {m}")
-            mults.append(m)
-        return tuple(mults)
 
     def export(self) -> dict:
         return {

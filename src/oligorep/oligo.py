@@ -41,7 +41,6 @@ __all__ = [
     "OpenSubgroup",
     "IrrepLabel",
     "Decomposition",
-    "JointConfig",
     "DoubleCosetProfile",
     "make_open_subgroup",
     "commensurator",
@@ -465,26 +464,17 @@ def tensor_recursion_check(class_id, k, limits=None):
 # double cosets
 
 
-@dataclass(frozen=True)
-class JointConfig:
-    """One double coset: the relative position of two marked base copies."""
-
-    cls: str
-    payload: tuple
-
-    def to_json(self):
-        return {"class": self.cls, "payload": _payload_json(self.payload)}
-
-
 def _payload_json(value):
-    if isinstance(value, (tuple, frozenset)):
-        items = sorted(value) if isinstance(value, frozenset) else value
-        return [_payload_json(v) for v in items]
+    if isinstance(value, tuple):
+        return [_payload_json(v) for v in value]
     return value
 
 
 @dataclass(frozen=True)
 class DoubleCosetProfile:
+    """V\\G/W: ``configs`` holds the payload of one joint configuration per
+    double coset, sorted."""
+
     cls: str
     configs: tuple
 
@@ -496,7 +486,8 @@ class DoubleCosetProfile:
         return {
             "class": self.cls,
             "count": self.count,
-            "witnesses": [c.to_json() for c in self.configs],
+            "witnesses": [{"class": self.cls, "payload": _payload_json(c)}
+                          for c in self.configs],
         }
 
 
@@ -513,20 +504,19 @@ def double_coset_profile(v, w=None):
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")
     reps = get_class(v.cls).double_coset_reps(v.base, v.group, w.base, w.group)
-    return DoubleCosetProfile(v.cls, tuple(
-        JointConfig(v.cls, payload) for payload in sorted(reps)))
+    return DoubleCosetProfile(v.cls, tuple(sorted(reps)))
 
 
 def finitely_many_left_cosets(v, config, w=None):
-    """Whether the double coset of this configuration meets finitely many cosets.
+    """Whether the double coset of ``config``, a payload of
+    ``double_coset_profile(v, w).configs``, meets finitely many cosets.
 
     That happens exactly when the second marked copy sits inside the closed
     hull of the first, which for these classes means the copies coincide.
     The left and the right criteria are computed separately and must agree.
     """
     w = w or v
-    left, right = get_class(v.cls).config_finiteness(
-        config.payload, v.base, w.base)
+    left, right = get_class(v.cls).config_finiteness(config, v.base, w.base)
     if v.base == w.base and left != right:
         raise InvariantViolation(
             "left and right coset finiteness disagree on equal bases")

@@ -1,12 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from oligorep import chartab
 from oligorep.chartab import (
     Cyc,
     CharacterTable,
     SymmetricCharacterTable,
+    _cyclotomic,
+    _is_prime,
+    _primitive_root,
     character_table,
     coset_character,
     hook_degree,
@@ -62,6 +70,84 @@ def test_cyc_norm_of_gauss_sum():
     b = Cyc.root(5, 2) + Cyc.root(5, 3)
     assert a * b == -1
     assert a + b == -1
+
+
+# -- number theory ------------------------------------------------------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mult_order(g, p):
+    k, x = 1, g % p
+    while x != 1:
+        k, x = k + 1, x * g % p
+    return k
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [m for m in range(n) if _is_prime(m)] == [
+        m for m in range(n) if sieve[m]]
+
+
+def test_primitive_root_is_the_least_generator():
+    for p in filter(_is_prime, range(2000)):
+        g = _primitive_root(p)
+        assert _mult_order(g, p) == p - 1, p
+        assert all(_mult_order(h, p) < p - 1 for h in range(1, g)), p
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 121):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, _cyclotomic(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_first_cyclotomic_coefficient_outside_plus_minus_one():
+    assert all(set(_cyclotomic(n)) <= {-1, 0, 1} for n in range(1, 105))
+    assert -2 in _cyclotomic(105)
+
+
+def test_number_theory_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import primitive_root
+
+    x = sympy.Symbol("x")
+    for e in range(1, 121):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()
+        assert list(_cyclotomic(e)) == [int(c) for c in reversed(coeffs)], e
+    for n in range(5000):
+        assert _is_prime(n) == sympy.isprime(n), n
+        if _is_prime(n):
+            assert _primitive_root(n) == primitive_root(n), n
+
+
+def test_a_wrong_primitive_root_fails_loudly(monkeypatch):
+    monkeypatch.setattr(chartab, "_primitive_root", lambda p: p - 1)
+    with pytest.raises(InvariantViolation):
+        character_table(symmetric_group(4))
+
+
+def test_package_imports_without_sympy():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "import oligorep.cli, oligorep.acceptance")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- Dixon tables -------------------------------------------------------------
@@ -330,6 +416,12 @@ def test_symmetric_decompose():
     assert mults == (1, 0, 0, 1, 0)
     with pytest.raises(NotACharacter):
         sym.decompose((1, 0, 0, 0, 1))
+    # values are summed as given, so a class function with irrational
+    # inner products is refused rather than rounded
+    z3 = Cyc.root(3, 1)
+    with pytest.raises(NotACharacter):
+        sym.decompose((z3 * 24, 0, 0, 0, 0))
+    assert sym.decompose((Cyc.from_int(3, 24), 0, 0, 0, 0)) == sym.degrees
 
 
 def test_symmetric_class_of_perm():
