@@ -246,7 +246,7 @@ def criterion_5():
 
 
 def criterion_6():
-    """Depth-6 trees check out exhaustively; greedy displacement stays at
+    """Depth-6 trees pass every condition; greedy displacement stays at
     or above 1/2 on 1000 seeded distributions per relational class."""
     ok = True
     details = {}

@@ -142,6 +142,13 @@ def _read_mask(tables, mask):
     return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
 
 
+@lru_cache(maxsize=8)
+def _column_masks(n):
+    """For each coordinate i < n, the cells of the 2**n cube with bit i set."""
+    return tuple(sum(1 << cell for cell in range(1 << n) if cell >> i & 1)
+                 for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # small GF(q) helpers, q prime
 
@@ -1293,16 +1300,8 @@ class BooleanAlgebraClass(FraisseClass):
                 for pmask in range(1, 1 << (1 << n))]
 
     def _touches_fixed(self, t):
-        pmask = t.data
-        for i in range(t.n):
-            column = 0
-            for cell in range(1 << t.n):
-                if pmask >> cell & 1 and cell >> i & 1:
-                    column |= 1 << cell
-            slice_ = pmask & column
-            if slice_ == 0 or slice_ == pmask:
-                return True
-        return False
+        return any((t.data & column) in (0, t.data)
+                   for column in _column_masks(t.n))
 
     def marked_core(self, t):
         pmask = t.data

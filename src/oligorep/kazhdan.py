@@ -6,9 +6,9 @@ Back-and-forth trees: leveled families of finite partial automorphisms of a
 relational limit structure (pure set, dense order, random graph) whose
 branches assemble into automorphisms moving every normalized nonnegative
 weight function by at least 1/2 in the l1 norm.  The tree can be
-materialized and its defining conditions checked exhaustively; the greedy
-branch walk is lazy and certifies its own displacement bound with exact
-rational arithmetic.
+materialized and its defining conditions checked, each node against its
+parent; the greedy branch walk is lazy and certifies its own displacement
+bound with exact rational arithmetic.
 
 Norm inequalities: the marginal contraction for diagonal actions on tuple
 spaces and the l1/l2 transfer that converts displacement bounds into
@@ -24,6 +24,7 @@ rate, which is a finite stand-in for an almost-sure asymptotic statement.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -217,12 +218,22 @@ def l1_l2_transfer(seed, n_points=6, tuple_len=2, support_size=5):
 _SPREAD_BASE = 1 << 20
 
 
-class _PureRealizer:
-    """Countable set with no structure; extensions pick unused points."""
+class _Realizer:
+    """A countable ground structure, enumerated by the small integers.
 
-    class_id = "pure_set"
+    ``images(mapping, a, banned)`` yields, in order of preference,
+    distinct points outside ``banned`` that a partial automorphism
+    ``mapping`` may send ``a`` to; ``preimages`` does the same for points
+    sent to ``a``.  ``extends(mapping, x, y)`` says whether a partial
+    automorphism stays one when the new pair x -> y is added.
+    """
+
+    interleaves = False
 
     def __init__(self, interleave=False):
+        if interleave and not self.interleaves:
+            raise MalformedStructure(
+                "interleaved realization is only available for the pure set")
         self.interleave = interleave
         self._next = _SPREAD_BASE
 
@@ -234,41 +245,40 @@ class _PureRealizer:
             return point + 1
         return None
 
-    def _fresh(self, mapping, banned):
+    def preimages(self, mapping, a, banned):
+        return self.images({y: x for x, y in mapping.items()}, a, banned)
+
+
+class _PureRealizer(_Realizer):
+    """Countable set with no structure; extensions pick unused points."""
+
+    interleaves = True
+
+    def images(self, mapping, a, banned):
         if not self.interleave:
-            while self._next in banned:
+            while True:
+                while self._next in banned:
+                    self._next += 1
                 self._next += 1
-            point = self._next
-            self._next += 1
-            return point
-        point = 0
+                yield self._next - 1
         used = set(mapping) | set(mapping.values()) | banned
-        while point in used:
+        point = 0
+        while True:
+            while point in used:
+                point += 1
+            yield point
             point += 1
-        return point
 
-    def forward_image(self, mapping, a, banned):
-        return self._fresh(mapping, banned)
-
-    def backward_preimage(self, mapping, a, banned):
-        return self._fresh(mapping, banned)
-
-    def is_partial_automorphism(self, mapping):
-        return len(set(mapping.values())) == len(mapping)
+    def extends(self, mapping, x, y):
+        return y not in mapping.values()
 
 
-class _LinearRealizer:
+class _LinearRealizer(_Realizer):
     """The rationals; enumeration on the integers, extensions in gaps."""
 
-    class_id = "linear_order"
-
     def __init__(self, interleave=False):
-        if interleave:
-            raise MalformedStructure(
-                "interleaved realization is only available for the pure set")
-        self.interleave = False
+        super().__init__(interleave)
         self._high = Fraction(_SPREAD_BASE)
-        self._low = -Fraction(_SPREAD_BASE)
 
     def enumeration(self, m):
         return [Fraction(i) for i in range(m)]
@@ -282,52 +292,40 @@ class _LinearRealizer:
             return int(value) + 1
         return None
 
-    def _pick_in_gap(self, lo, hi, banned):
+    def images(self, mapping, a, banned):
+        """Points between the images of ``a``'s neighbours in ``mapping``,
+        outside ``banned``; the gap is found once for the whole stream."""
+        below = [x for x in mapping if x < a]
+        above = [x for x in mapping if x > a]
+        lo = mapping[max(below)] if below else None
+        hi = mapping[min(above)] if above else None
         if lo is None and hi is None:
-            self._high += 1
-            return self._high
+            while True:
+                self._high += 1
+                yield self._high
         if hi is None:
-            candidate = max([lo] + [b for b in banned if b > lo])
-            step = Fraction(1)
-            while candidate + step in banned:
-                step += 1
-            return candidate + step
+            top = max([lo] + [b for b in banned if b > lo])
+            while True:
+                top += 1
+                yield top
         if lo is None:
-            candidate = min([hi] + [b for b in banned if b < hi])
-            step = Fraction(1)
-            while candidate - step in banned:
-                step += 1
-            return candidate - step
+            bottom = min([hi] + [b for b in banned if b < hi])
+            while True:
+                bottom -= 1
+                yield bottom
         denom = 2
         while True:
             for j in range(1, denom, 2):
                 candidate = lo + (hi - lo) * Fraction(j, denom)
                 if candidate not in banned:
-                    return candidate
+                    yield candidate
             denom *= 2
 
-    def forward_image(self, mapping, a, banned):
-        below = [x for x in mapping if x < a]
-        above = [x for x in mapping if x > a]
-        lo = mapping[max(below)] if below else None
-        hi = mapping[min(above)] if above else None
-        return self._pick_in_gap(lo, hi, set(banned))
-
-    def backward_preimage(self, mapping, a, banned):
-        below = [x for x in mapping if mapping[x] < a]
-        above = [x for x in mapping if mapping[x] > a]
-        lo = max(below) if below else None
-        hi = min(above) if above else None
-        return self._pick_in_gap(lo, hi, set(banned))
-
-    def is_partial_automorphism(self, mapping):
-        if len(set(mapping.values())) != len(mapping):
-            return False
-        items = sorted(mapping.items())
-        return all(items[i][1] < items[i + 1][1] for i in range(len(items) - 1))
+    def extends(self, mapping, x, y):
+        return all(v < y if u < x else v > y for u, v in mapping.items())
 
 
-class _RadoRealizer:
+class _RadoRealizer(_Realizer):
     """The random graph, materialized lazily around a bit-graph core.
 
     Enumeration points are the small nonnegative integers with the bit
@@ -340,14 +338,8 @@ class _RadoRealizer:
     maps built here are partial automorphisms of it.
     """
 
-    class_id = "graph"
-
     def __init__(self, interleave=False):
-        if interleave:
-            raise MalformedStructure(
-                "interleaved realization is only available for the pure set")
-        self.interleave = False
-        self._next = _SPREAD_BASE
+        super().__init__(interleave)
         self._edges = set()
 
     def adjacent(self, i, j):
@@ -358,38 +350,20 @@ class _RadoRealizer:
             return bool(hi >> lo & 1)
         return (lo, hi) in self._edges
 
-    def enumeration(self, m):
-        return list(range(m))
+    def images(self, mapping, a, banned):
+        adjacency_to = [mapping[x] for x in mapping if self.adjacent(a, x)]
+        while True:
+            point = self._next
+            while point in banned:
+                point += 1
+            self._next = point + 1
+            for u in adjacency_to:
+                self._edges.add((u, point) if u < point else (point, u))
+            yield point
 
-    def enumeration_index(self, point):
-        if isinstance(point, int) and 0 <= point < _SPREAD_BASE:
-            return point + 1
-        return None
-
-    def _witness(self, adjacency_to, banned):
-        point = self._next
-        while point in banned:
-            point += 1
-        self._next = point + 1
-        for u in adjacency_to:
-            self._edges.add((u, point) if u < point else (point, u))
-        return point
-
-    def forward_image(self, mapping, a, banned):
-        adj = [mapping[x] for x in mapping if self.adjacent(a, x)]
-        return self._witness(adj, banned)
-
-    def backward_preimage(self, mapping, a, banned):
-        adj = [x for x in mapping if self.adjacent(a, mapping[x])]
-        return self._witness(adj, banned)
-
-    def is_partial_automorphism(self, mapping):
-        if len(set(mapping.values())) != len(mapping):
-            return False
-        for x, y in itertools.combinations(mapping, 2):
-            if self.adjacent(x, y) != self.adjacent(mapping[x], mapping[y]):
-                return False
-        return True
+    def extends(self, mapping, x, y):
+        return all(v != y and self.adjacent(u, x) == self.adjacent(v, y)
+                   for u, v in mapping.items())
 
 
 _REALIZERS = {
@@ -419,8 +393,17 @@ class _TreeNode:
         self.mapping = mapping
         self.parent = parent
 
-    def items(self):
-        return frozenset(self.mapping.items())
+
+def _added(parent, node):
+    """The pairs of ``node`` outside ``parent``, or None if it does not
+    contain ``parent``.  Children are built as copies of their parent's
+    dict, so the first test settles them without hashing a point."""
+    if len(node) >= len(parent) and all(
+            map(operator.eq, parent.items(), node.items())):
+        return list(node.items())[len(parent):]
+    if parent.items() <= node.items():
+        return [item for item in node.items() if item not in parent.items()]
+    return None
 
 
 class KazhdanTree:
@@ -448,98 +431,120 @@ class KazhdanTree:
         return [len(level) for level in self.levels]
 
     def verify(self):
-        """Exhaustively check the six defining conditions and validity."""
+        """Check the six defining conditions and validity on every node,
+        each node against its parent.
+
+        A level is *separated* if no partial injection holds two of its
+        nodes with different pairs.  The root level of one node is, and a
+        node is *sound* if the level above is separated and the node
+        equals its ``parent``, looked up by identity there, or is that
+        parent plus one pair (x, y).  A level is separated if its nodes are
+        sound and each parent above has one child, equal to it, or children
+        adding a pair at a_n whose other ends are new and distinct.  The
+        conditions of a sound node follow from its parent's and (x, y):
+
+        - validity: the node is a partial automorphism iff
+          ``extends(parent, x, y)``;
+        - 3: the grandparent covers the first n - 1 enumeration points on
+          the same side, so only a_n is looked for;
+        - 4: dom & ran gains at most x and y, which must be head points;
+        - 5 and 6: a parent's children are counted and their new points
+          on the split side gathered in one set, where none may repeat;
+        - 2: if a valid node N held its parent P and another node Q of the
+          level above, the partial injection N would hold both, so Q has
+          P's pairs, the level above being separated.
+
+        Any other node is checked from scratch, its parent by the subsets
+        of its pairs, so the report is the one ``exhaustive_verify`` in
+        ``tests/test_kazhdan.py`` gives, on malformed trees too.
+        """
         realizer = self._realizer
-        enum = self.enumeration
-        report = {}
+        enum, levels = self.enumeration, self.levels
+        report = {"1_root": len(levels[0]) == 1 and levels[0][0].mapping == {}}
+        valid = unique = covers = bounded = True
+        splitting = {True: True, False: True}
+        pools = {}
 
-        report["1_root"] = (
-            len(self.levels[0]) == 1 and self.levels[0][0].mapping == {})
+        def from_scratch(node, head, even):
+            nonlocal valid, covers, bounded
+            items = list(node.mapping.items())
+            valid &= all(realizer.extends(dict(items[:k]), *items[k])
+                         for k in range(len(items)))
+            dom, ran = set(node.mapping), set(node.mapping.values())
+            covers &= head <= (dom if even else ran)
+            bounded &= dom & ran <= head
 
-        valid = all(
-            realizer.is_partial_automorphism(node.mapping)
-            for level in self.levels for node in level)
-        report["partial_automorphisms"] = valid
+        def unique_parent(node, i):
+            if i not in pools:
+                pools[i] = {}
+                for q in levels[i - 1]:
+                    pools[i].setdefault(len(q.mapping), set()).add(
+                        frozenset(q.mapping.items()))
+            items = node.mapping.items()
+            if node.parent is not None and node.parent.mapping.items() > items:
+                return False
+            return 1 == sum(
+                frozenset(subset) in pool for size, pool in pools[i].items()
+                for subset in itertools.combinations(items, size))
 
-        unique = True
-        for i in range(1, len(self.levels)):
-            prev_sets = {}
-            for node in self.levels[i - 1]:
-                prev_sets.setdefault(len(node.mapping), set()).add(node.items())
-            for node in self.levels[i]:
-                if node.parent.items() > node.items():
-                    unique = False
-                items = sorted(node.mapping.items())
-                found = 0
-                for size, pool in prev_sets.items():
-                    if size > len(items):
+        for node in levels[0]:
+            from_scratch(node, set(), False)
+        separated = len(levels[0]) == 1
+        for i in range(1, len(levels)):
+            n, even = (i + 1) // 2, i % 2 == 1
+            a, head = enum[n - 1], set(enum[:n])
+            children = {id(node): [] for node in levels[i - 1]}
+            orphans = []
+            for node in levels[i]:
+                children.get(id(node.parent), orphans).append(node)
+            for node in orphans:
+                from_scratch(node, head, even)
+                unique &= unique_parent(node, i)
+            trusted, separated = separated, separated and not orphans
+            for parent in levels[i - 1]:
+                pmap = parent.mapping
+                ran = set(pmap.values())
+                present = a in (pmap if even else ran)
+                core = ran if even else pmap
+                kids = children[id(parent)]
+                split = len(kids) == (1 if present else 2 ** (n + 1))
+                seen = set()
+                for kid in kids:
+                    new = _added(pmap, kid.mapping)
+                    sound = trusted and new is not None and len(new) <= 1
+                    if sound and new:
+                        (x, y), = new
+                        valid &= realizer.extends(pmap, x, y)
+                        covers &= present or (x if even else y) == a
+                        bounded &= ((x not in ran and x != y or x in head)
+                                    and (y not in pmap or y in head))
+                    elif sound:
+                        covers &= present
+                    else:
+                        from_scratch(kid, head, even)
+                    if not (sound and valid):
+                        unique &= unique_parent(kid, i)
+                    if new is None or present and new:
+                        split = separated = False
                         continue
-                    for subset in itertools.combinations(items, size):
-                        if frozenset(subset) in pool:
-                            found += 1
-                if found != 1:
-                    unique = False
-        report["2_unique_parent"] = unique
-
-        covers = True
-        bounded = True
-        for i, level in enumerate(self.levels):
-            number = i + 1
-            n = number // 2
-            head = set(enum[:n])
-            for node in level:
-                dom = set(node.mapping)
-                ran = set(node.mapping.values())
-                if number % 2 == 0 and not head <= dom:
-                    covers = False
-                if number % 2 == 1 and not head <= ran:
-                    covers = False
-                if not dom & ran <= head:
-                    bounded = False
-        report["3_covers_enumeration"] = covers
-        report["4_intersection_bound"] = bounded
-
-        report["5_range_splitting"] = self._splitting_ok(even=True)
-        report["6_domain_splitting"] = self._splitting_ok(even=False)
+                    points = {pair[even] for pair in new}.difference(core)
+                    split &= not points & seen
+                    seen |= points
+                    separated &= sound and (present or len(points) == 1
+                                            and new[0][not even] == a)
+                splitting[even] &= split
+        report.update({
+            "partial_automorphisms": valid,
+            "2_unique_parent": unique,
+            "3_covers_enumeration": covers,
+            "4_intersection_bound": bounded,
+            "5_range_splitting": splitting[True],
+            "6_domain_splitting": splitting[False],
+        })
         report["ok"] = all(report.values())
         report["node_count"] = self.node_count
         report["level_sizes"] = self.level_sizes()
         return report
-
-    def _splitting_ok(self, even):
-        enum = self.enumeration
-        for i in range(1, len(self.levels)):
-            number = i + 1
-            if (number % 2 == 0) != even:
-                continue
-            n = number // 2
-            a = enum[n - 1]
-            children = {}
-            for node in self.levels[i]:
-                children.setdefault(id(node.parent), []).append(node)
-            for parent in self.levels[i - 1]:
-                kids = children.get(id(parent), [])
-                mapping = parent.mapping
-                ran = set(mapping.values())
-                present = a in mapping if even else a in ran
-                if present:
-                    if len(kids) != 1 or kids[0].mapping != mapping:
-                        return False
-                    continue
-                if len(kids) != 2 ** (n + 1):
-                    return False
-                core = ran if even else set(mapping)
-                for kid in kids:
-                    if not kid.items() >= parent.items():
-                        return False
-                for k1, k2 in itertools.combinations(kids, 2):
-                    s1 = (set(k1.mapping.values()) if even
-                          else set(k1.mapping))
-                    s2 = (set(k2.mapping.values()) if even
-                          else set(k2.mapping))
-                    if s1 & s2 != core:
-                        return False
-        return True
 
     def to_json(self):
         return {
@@ -576,16 +581,10 @@ def build_tree(class_id, depth, interleave=False, limits=None):
                 new_level.append(_TreeNode(dict(mapping), parent))
                 continue
             banned = set(mapping) | ran | {a} | enum_set
-            for _ in range(2 ** (n + 1)):
-                if even:
-                    c = realizer.forward_image(mapping, a, banned)
-                    child = dict(mapping)
-                    child[a] = c
-                else:
-                    c = realizer.backward_preimage(mapping, a, banned)
-                    child = dict(mapping)
-                    child[c] = a
-                banned.add(c)
+            stream = (realizer.images if even else realizer.preimages)(
+                mapping, a, banned)
+            for c in itertools.islice(stream, 2 ** (n + 1)):
+                child = {**mapping, a: c} if even else {**mapping, c: a}
                 new_level.append(_TreeNode(child, parent))
         total += len(new_level)
         if total > limits.tree_nodes:
@@ -658,11 +657,10 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
         even_certified = False
         if a not in mapping:
             banned = set(mapping) | ran | {a} | enum_set
-            for _ in range(2 ** (n + 1)):
-                c = realizer.forward_image(mapping, a, banned)
+            for c in itertools.islice(realizer.images(mapping, a, banned),
+                                      2 ** (n + 1)):
                 if f[c] <= bound:
                     break
-                banned.add(c)
             else:
                 raise InvariantViolation(
                     "no small image among the branch candidates; "
@@ -674,7 +672,7 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
         if even_certified:
             if a not in ran:
                 banned = set(mapping) | ran | {a} | enum_set
-                d = realizer.backward_preimage(mapping, a, banned)
+                d = next(realizer.preimages(mapping, a, banned))
                 mapping[d] = a
                 ran.add(a)
         else:
@@ -682,11 +680,10 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
                 raise InvariantViolation(
                     f"{a!r} in both domain and range before its stage")
             banned = set(mapping) | ran | {a} | enum_set
-            for _ in range(2 ** (n + 1)):
-                d = realizer.backward_preimage(mapping, a, banned)
+            for d in itertools.islice(realizer.preimages(mapping, a, banned),
+                                      2 ** (n + 1)):
                 if f[d] <= bound:
                     break
-                banned.add(d)
             else:
                 raise InvariantViolation(
                     "no small preimage among the branch candidates; "

@@ -6,6 +6,7 @@ import pytest
 from oligorep.errors import MalformedStructure, SizeLimitExceeded
 from oligorep.finstruct import (
     FinStructure,
+    TupleType,
     get_class,
     empty_structure,
     set_partitions,
@@ -482,6 +483,25 @@ def test_boolean_tuple_type_counts():
     assert len(boolean.enumerate_tuple_types(2, x0_only=True)) == brute
     with pytest.raises(SizeLimitExceeded):
         boolean.enumerate_tuple_types(5)
+
+
+def test_boolean_touches_fixed_matches_cell_by_cell_columns():
+    boolean = get_class("boolean_algebra")
+
+    def cell_by_cell(pmask, n):
+        for i in range(n):
+            column = 0
+            for cell in range(1 << n):
+                if pmask >> cell & 1 and cell >> i & 1:
+                    column |= 1 << cell
+            if pmask & column in (0, pmask):
+                return True
+        return False
+
+    for n in range(5):
+        for pmask in range(1 << (1 << n)):
+            t = TupleType("boolean_algebra", n, pmask)
+            assert boolean._touches_fixed(t) == cell_by_cell(pmask, n)
 
 
 def test_marked_cores_pure_set():

@@ -109,6 +109,285 @@ def test_tree_input_validation():
         build_tree("pure_set", 6, limits=RunLimits(tree_nodes=100))
 
 
+def _items(node):
+    return frozenset(node.mapping.items())
+
+
+def _is_partial_automorphism(tree, mapping):
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    if tree.class_id == "linear_order":
+        pairs = sorted(mapping.items())
+        return all(p[1] < q[1] for p, q in zip(pairs, pairs[1:]))
+    if tree.class_id == "graph":
+        adjacent = tree._realizer.adjacent
+        return all(adjacent(x, y) == adjacent(mapping[x], mapping[y])
+                   for x, y in itertools.combinations(mapping, 2))
+    return True
+
+
+def _exhaustive_splitting_ok(tree, even):
+    enum = tree.enumeration
+    for i in range(1, len(tree.levels)):
+        number = i + 1
+        if (number % 2 == 0) != even:
+            continue
+        n = number // 2
+        a = enum[n - 1]
+        children = {}
+        for node in tree.levels[i]:
+            children.setdefault(id(node.parent), []).append(node)
+        for parent in tree.levels[i - 1]:
+            kids = children.get(id(parent), [])
+            mapping = parent.mapping
+            ran = set(mapping.values())
+            present = a in mapping if even else a in ran
+            if present:
+                if len(kids) != 1 or kids[0].mapping != mapping:
+                    return False
+                continue
+            if len(kids) != 2 ** (n + 1):
+                return False
+            core = ran if even else set(mapping)
+            for kid in kids:
+                if not _items(kid) >= _items(parent):
+                    return False
+            for k1, k2 in itertools.combinations(kids, 2):
+                s1 = set(k1.mapping.values()) if even else set(k1.mapping)
+                s2 = set(k2.mapping.values()) if even else set(k2.mapping)
+                if s1 & s2 != core:
+                    return False
+    return True
+
+
+def exhaustive_verify(tree):
+    """The six conditions and validity checked pair by pair over whole
+    levels, every subset of every node searched for parents: the reference
+    for the parent-relative ``KazhdanTree.verify``."""
+    enum = tree.enumeration
+    report = {}
+    report["1_root"] = (
+        len(tree.levels[0]) == 1 and tree.levels[0][0].mapping == {})
+    report["partial_automorphisms"] = all(
+        _is_partial_automorphism(tree, node.mapping)
+        for level in tree.levels for node in level)
+
+    unique = True
+    for i in range(1, len(tree.levels)):
+        prev_sets = {}
+        for node in tree.levels[i - 1]:
+            prev_sets.setdefault(len(node.mapping), set()).add(_items(node))
+        for node in tree.levels[i]:
+            if _items(node.parent) > _items(node):
+                unique = False
+            items = sorted(node.mapping.items())
+            found = 0
+            for size, pool in prev_sets.items():
+                if size > len(items):
+                    continue
+                for subset in itertools.combinations(items, size):
+                    if frozenset(subset) in pool:
+                        found += 1
+            if found != 1:
+                unique = False
+    report["2_unique_parent"] = unique
+
+    covers = True
+    bounded = True
+    for i, level in enumerate(tree.levels):
+        number = i + 1
+        head = set(enum[:number // 2])
+        for node in level:
+            dom = set(node.mapping)
+            ran = set(node.mapping.values())
+            if not head <= (dom if number % 2 == 0 else ran):
+                covers = False
+            if not dom & ran <= head:
+                bounded = False
+    report["3_covers_enumeration"] = covers
+    report["4_intersection_bound"] = bounded
+    report["5_range_splitting"] = _exhaustive_splitting_ok(tree, even=True)
+    report["6_domain_splitting"] = _exhaustive_splitting_ok(tree, even=False)
+    report["ok"] = all(report.values())
+    report["node_count"] = tree.node_count
+    report["level_sizes"] = tree.level_sizes()
+    return report
+
+
+@pytest.mark.parametrize("cls,depth,interleave", [
+    (cls, depth, False)
+    for cls in ("pure_set", "linear_order", "graph")
+    for depth in (1, 2, 3, 4)] + [("pure_set", 4, True)])
+def test_tree_verify_matches_exhaustive_reference(cls, depth, interleave):
+    tree = build_tree(cls, depth, interleave=interleave)
+    report = tree.verify()
+    assert report["ok"], report
+    assert report == exhaustive_verify(tree)
+
+
+def test_interleaved_reference_tree_has_persisting_nodes():
+    tree = build_tree("pure_set", 4, interleave=True)
+    assert tree.level_sizes() == [1, 4, 16, 107]
+    persisting = [node for node in tree.levels[-1]
+                  if node.mapping == node.parent.mapping]
+    assert persisting
+
+
+def _last_child(tree, level=-1):
+    """A node of the level and a copy of its parent's dict."""
+    node = tree.levels[level][0]
+    return node, dict(node.parent.mapping)
+
+
+def _second_root(tree):
+    # a second root equal to a node of level 1, which then has two parents
+    node = tree.levels[1][0]
+    tree.levels[0].append(type(node)(dict(node.mapping), None))
+
+
+def _orphan(mapping, stray_mapping):
+    """Append to the last level a node whose parent is outside the tree."""
+    def mutate(tree):
+        node = tree.levels[-1][0]
+        stray = type(node)(stray_mapping(node), None)
+        tree.levels[-1].append(type(node)(mapping(node), stray))
+    return mutate
+
+
+def _orphan_above(tree):
+    # a copy of a level-1 node put in level 2 with a parent outside the
+    # tree: the nodes below its twin then hold two nodes of level 2
+    twin = tree.levels[1][0]
+    stray = type(twin)({}, None)
+    tree.levels[2].append(type(twin)(dict(twin.mapping), stray))
+
+
+def _two_parents(tree):
+    # {0: c, d: 0} plus a sibling's d2 -> 0 holds two nodes of the level above
+    node, mapping = _last_child(tree)
+    sibling = next(q for q in tree.levels[-2] if q is not node.parent
+                   and q.parent is node.parent.parent)
+    mapping.update(sibling.mapping)
+    node.mapping = mapping
+
+
+def _held_with_sibling(sibling_mapping):
+    """Give a level-2 node new pairs compatible with its siblings' and drop
+    its children; a child of a sibling then takes on those pairs too."""
+    def mutate(tree):
+        node = tree.levels[-1][0]
+        parent = node.parent
+        sibling = next(q for q in tree.levels[-2] if q is not parent
+                       and q.parent is parent.parent)
+        sibling.mapping = sibling_mapping(parent.parent.mapping)
+        tree.levels[-1][:] = [
+            q for q in tree.levels[-1] if q.parent is not sibling]
+        node.mapping = {**parent.mapping, **sibling.mapping}
+    return mutate
+
+
+def _second_child_of_persisting(tree):
+    # a node that persists unchanged gains a sibling that extends it; a
+    # child of that sibling then holds both
+    node = next(q for q in tree.levels[3] if q.mapping == q.parent.mapping)
+    sibling = type(node)({**node.mapping, 901: 902}, node.parent)
+    tree.levels[3].append(sibling)
+    tree.levels[4].append(type(node)({**sibling.mapping, 903: 1}, sibling))
+
+
+def _rekeyed_new_pair(tree):
+    # 1 -> e becomes 999 -> e: the level no longer covers enumeration point 1
+    node, mapping = _last_child(tree)
+    mapping[999] = node.mapping[1]
+    node.mapping = mapping
+
+
+def _image_in_domain(tree):
+    # 1 -> d, d the preimage of 0: d lies in domain and range
+    node, mapping = _last_child(tree)
+    mapping[1] = next(x for x, y in mapping.items() if y == 0)
+    node.mapping = mapping
+
+
+def _sibling_image(tree):
+    # two children of one parent send 1 to the same new point
+    node, mapping = _last_child(tree)
+    mapping[1] = tree.levels[-1][1].mapping[1]
+    node.mapping = mapping
+
+
+def _sibling_preimage(tree):
+    # two children of one parent take the same new point to 1
+    node, mapping = _last_child(tree)
+    sibling = tree.levels[-1][1]
+    mapping[next(reversed(sibling.mapping))] = 1
+    node.mapping = mapping
+
+
+def _duplicate_image(tree):
+    node, mapping = _last_child(tree)
+    mapping[1] = mapping[0]
+    node.mapping = mapping
+
+
+def _order_swap(tree):
+    # 0 < 1 but the new image of 1 falls below the image of 0
+    node, mapping = _last_child(tree)
+    mapping[1] = mapping[0] - Fraction(1, 2)
+    node.mapping = mapping
+
+
+def _swapped_images(tree):
+    node = tree.levels[-1][0]
+    node.mapping[0], node.mapping[1] = node.mapping[1], node.mapping[0]
+
+
+def _adjacency_break(tree):
+    # 1 is adjacent to 0, the fresh image of 1 is isolated
+    node, mapping = _last_child(tree)
+    mapping[1] = 1 << 30
+    node.mapping = mapping
+
+
+@pytest.mark.parametrize("flag,shape,mutate", [
+    ("1_root", ("pure_set", 4), _second_root),
+    # a valid, covering node whose pairs hold no node of the level above
+    ("2_unique_parent", ("pure_set", 4),
+     _orphan(lambda node: {0: 999, 998: 0, 1: 997}, lambda node: {})),
+    # a node that holds one node of the level above, inside its parent
+    ("2_unique_parent", ("pure_set", 4),
+     _orphan(lambda node: dict(node.parent.mapping),
+             lambda node: dict(node.mapping))),
+    ("2_unique_parent", ("pure_set", 4), _orphan_above),
+    ("2_unique_parent", ("pure_set", 4), _two_parents),
+    ("2_unique_parent", ("pure_set", 5, True), _second_child_of_persisting),
+    # the sibling adds 777 -> 778, not a point taken to 0
+    ("2_unique_parent", ("pure_set", 4),
+     _held_with_sibling(lambda above: {**above, 777: 778})),
+    # the sibling no longer holds its parent
+    ("2_unique_parent", ("pure_set", 4),
+     _held_with_sibling(lambda above: {777: 778})),
+    ("3_covers_enumeration", ("pure_set", 4), _rekeyed_new_pair),
+    ("4_intersection_bound", ("pure_set", 4), _image_in_domain),
+    ("5_range_splitting", ("pure_set", 4), _sibling_image),
+    ("5_range_splitting", ("pure_set", 4), lambda t: t.levels[-1].pop()),
+    ("6_domain_splitting", ("pure_set", 5), _sibling_preimage),
+    ("partial_automorphisms", ("pure_set", 4), _duplicate_image),
+    ("partial_automorphisms", ("pure_set", 4),
+     _orphan(lambda node: {0: 999, 998: 0, 1: 999}, lambda node: {})),
+    ("partial_automorphisms", ("linear_order", 4), _order_swap),
+    ("partial_automorphisms", ("linear_order", 4), _swapped_images),
+    ("partial_automorphisms", ("graph", 4), _adjacency_break),
+])
+def test_each_tree_condition_can_fail(flag, shape, mutate):
+    tree = build_tree(*shape)
+    mutate(tree)
+    report = tree.verify()
+    assert not report[flag]
+    assert not report["ok"]
+    assert report == exhaustive_verify(tree)
+
+
 def test_tree_checker_catches_tampering():
     tree = build_tree("pure_set", 4)
     tree.levels[-1].pop()
@@ -124,6 +403,50 @@ def test_tree_checker_catches_tampering():
     report = tree.verify()
     assert not report["partial_automorphisms"]
     assert not report["ok"]
+
+
+def _random_mutation(tree, rng):
+    levels = tree.levels
+    i = rng.randrange(1, len(levels))
+    node = rng.choice(levels[i])
+    points = sorted({p for level in levels for q in level
+                     for p in itertools.chain(*q.mapping.items())}) + [999]
+    kind = rng.randrange(8)
+    mapping = dict(node.mapping)
+    if kind == 0:
+        levels[i].remove(node)
+    elif kind == 1:
+        levels[i].append(rng.choice([node, type(node)(mapping, node.parent)]))
+    elif kind == 2 and mapping:
+        mapping[rng.choice(list(mapping))] = rng.choice(points)
+    elif kind == 3 and mapping:
+        del mapping[rng.choice(list(mapping))]
+    elif kind == 4:
+        mapping[rng.choice(points)] = rng.choice(points)
+    elif kind == 5:
+        node.parent = rng.choice(levels[i - 1] + levels[i])
+    elif kind == 6 and len(mapping) > 1:
+        x, y = rng.sample(list(mapping), 2)
+        mapping[x], mapping[y] = mapping[y], mapping[x]
+    elif kind == 7:
+        mapping = dict(reversed(mapping.items()))
+    node.mapping = mapping
+
+
+@pytest.mark.parametrize("cls,interleave", [
+    ("pure_set", False), ("pure_set", True), ("linear_order", False),
+    ("graph", False)])
+def test_tree_verify_matches_reference_on_random_mutations(cls, interleave):
+    rng = random.Random(cls)
+    failed = set()
+    for trial in range(150):
+        tree = build_tree(cls, 3 + trial % 2, interleave=interleave)
+        for _ in range(1 + trial % 3):
+            _random_mutation(tree, rng)
+        report = tree.verify()
+        assert report == exhaustive_verify(tree), trial
+        failed |= {flag for flag, value in report.items() if value is False}
+    assert len(failed) >= 5, failed
 
 
 def test_tree_json_shape():
