@@ -1,15 +1,20 @@
 """Exact character tables of finite groups.
 
-Dixon's modular method: compute the table of a permutation group over a
-prime field F_p with p = 1 (mod group exponent), split the class algebra
-into common eigenvectors, read off degrees and character values mod p,
-then lift to exact cyclotomic integers through eigenvalue multiplicities.
+Dixon's modular method (Dixon 1967): compute the table of a permutation
+group over a prime field F_p with p = 1 (mod group exponent), split the
+class algebra into common eigenvectors, read off degrees and character
+values mod p, then lift to exact cyclotomic integers through eigenvalue
+multiplicities.  The split reads class matrix r only in the rows at the
+pivots of the spaces it has not yet cut into lines, so only those rows are
+built (Schneider 1990, "Dixon's character table algorithm revisited"):
+row s costs |C_r| products, since counting the triples xy = z two ways
+gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.
 Both orthogonality relations are verified exactly before a table is
 handed out; a table that fails them is a bug, not a result, hence
 InvariantViolation rather than a value error.
 
 Symmetric groups additionally get an independent construction from
-partition combinatorics (hook lengths, Murnaghan-Nakahama border strips)
+partition combinatorics (hook lengths, Murnaghan-Nakayama border strips)
 whose values are computed lazily; it scales far past the point where
 materializing group elements stops being reasonable.
 
@@ -274,10 +279,6 @@ def _mat_mul(a, b, p):
     return out
 
 
-def _mat_vec(a, v, p):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) % p for i in range(len(a))]
-
-
 def _charpoly_modp(b, p):
     """Monic characteristic polynomial of b over F_p (Faddeev-LeVerrier).
 
@@ -455,6 +456,23 @@ class CharacterTable(_Table):
         }
 
 
+def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
+    """Row s of class matrix r: a[r][s][t] = #{(x, y) in C_r x C_s : xy =
+    rep_t} for every t, as |C_s| #{x in C_r : x rep_s in C_t} / |C_t|."""
+    counts = [0] * len(sizes)
+    for x in members_r:
+        counts[class_index[compose(x, rep_s)]] += 1
+    row = []
+    for count, size in zip(counts, sizes):
+        a, rem = divmod(count * size_s, size)
+        if rem:
+            raise InvariantViolation(
+                f"class multiplication count {count * size_s}/{size} "
+                "is not an integer")
+        row.append(a)
+    return row
+
+
 def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTable:
     """Exact character table by Dixon's modular method."""
     classes, class_index = group.class_data(limit)
@@ -468,56 +486,44 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
 
     reps = [c.rep for c in classes]
     sizes = [c.size for c in classes]
+    members = [[] for _ in range(k)]
+    for g in group.elements(limit):
+        members[class_index[g]].append(g)
 
-    # class multiplication coefficients a[r][s][t] = #{(x,y) in C_r x C_s :
-    # xy = rep_t}; for each x the partner y = x^-1 rep_t is forced
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for x in group.elements(limit):
-        r = class_index[x]
-        xi = inverse(x)
-        row = mats[r]
-        for t in range(k):
-            s = class_index[compose(xi, reps[t])]
-            row[s][t] += 1
-
-    # split F_p^k into common eigenvectors of the class matrices
+    # split F_p^k into common eigenvectors of class matrices r = 0, 1, ...;
+    # a space's restriction is read off the rows of r at its pivots, which
+    # are the only rows built (Schneider 1990), each once per r
     spaces = [_rref_modp([[int(i == j) for j in range(k)] for i in range(k)], p)]
     for r in range(k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        a = [[mats[r][s][t] % p for t in range(k)] for s in range(k)]
+        a_rows: dict = {}
         nxt = []
         for rows, pivots in spaces:
             d = len(rows)
             if d == 1:
                 nxt.append((rows, pivots))
                 continue
-            images = [_mat_vec(a, w, p) for w in rows]
-            # invariance lets us read restricted coordinates off pivots
-            b = [[images[j][pivots[i]] for j in range(d)] for i in range(d)]
+            for s in pivots:
+                if s not in a_rows:
+                    a_rows[s] = [x % p for x in _class_matrix_row(
+                        members[r], reps[s], sizes[s], class_index, sizes)]
+            b = [[sum(map(int.__mul__, a_rows[s], w)) % p for w in rows]
+                 for s in pivots]
             split_dim = 0
             for lam in _poly_roots_modp(_charpoly_modp(b, p), p):
-                shifted = [
-                    [(b[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                    for i in range(d)
-                ]
+                shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(bi)]
+                           for i, bi in enumerate(b)]
                 block = _nullspace_modp(shifted, p)
                 if not block:
                     continue
-                lifted = [
-                    [
-                        sum(cv * rows[j][c] for j, cv in enumerate(coords))
-                        % p
-                        for c in range(k)
-                    ]
-                    for coords in block
-                ]
+                lifted = [[sum(cv * w[c] for cv, w in zip(coords, rows)) % p
+                           for c in range(k)] for coords in block]
                 nxt.append(_rref_modp(lifted, p))
                 split_dim += len(block)
             if split_dim != d:
                 raise InvariantViolation(
-                    "class matrix restriction is not diagonalizable"
-                )
+                    "class matrix restriction is not diagonalizable")
         spaces = nxt
     if any(len(rows) != 1 for rows, _ in spaces):
         raise InvariantViolation("class algebra did not split into lines")
@@ -553,6 +559,9 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
         o = classes[t].order
         pow_classes.append([class_index[power(reps[t], l)] for l in range(o)])
     z_e = pow(z, (p - 1) // exponent, p)
+    # zeta_o^m mod p for 0 <= m < o, one list per element order o
+    z_pows = {o: [pow(z, (p - 1) // o * m, p) for m in range(o)]
+              for o in {c.order for c in classes}}
 
     rows_exact = []
     for i in range(k):
@@ -560,7 +569,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
         row = []
         for t in range(k):
             o = classes[t].order
-            z_o = pow(z, (p - 1) // o, p)
+            zo_pow = z_pows[o]
             inv_o = pow(o, p - 2, p)
             val = Cyc.from_int(exponent, 0)
             msum = 0
@@ -568,7 +577,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
                 acc = 0
                 for l in range(o):
                     acc = (acc + chi[pow_classes[t][l]]
-                           * pow(z_o, (-j * l) % (p - 1), p)) % p
+                           * zo_pow[(-j * l) % o]) % p
                 m = acc * inv_o % p
                 msum += m
                 if m:

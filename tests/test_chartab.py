@@ -27,8 +27,10 @@ from oligorep.finstruct import get_class
 from oligorep.permgrp import (
     CosetAction,
     PermGroup,
+    compose,
     from_cycles,
     identity,
+    inverse,
     symmetric_group,
 )
 
@@ -335,6 +337,101 @@ def test_export_is_json_ready():
     assert nonint and all(set(v) == {"order", "coeffs"} for v in nonint)
 
 
+# -- class matrices -----------------------------------------------------------
+
+def _class_members(G):
+    classes, class_index = G.class_data()
+    members = [[] for _ in classes]
+    for g, t in class_index.items():
+        members[t].append(g)
+    return classes, class_index, members
+
+
+def _reference_class_matrices(G):
+    """a[r][s][t] = #{(x, y) in C_r x C_s : xy = rep_t} by one pass over G,
+    the partner y = x^-1 rep_t of each x forced: |G| k products."""
+    classes, class_index = G.class_data()
+    k = len(classes)
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for x in G.elements():
+        xi = inverse(x)
+        for t, c in enumerate(classes):
+            a[class_index[x]][class_index[compose(xi, c.rep)]][t] += 1
+    return a
+
+
+def _gl23():
+    cls = get_class("vector_space_q3")
+    return cls.automorphisms(cls.canonical_space(2))
+
+
+def _graph_groups():
+    cls = get_class("graph")
+    return [cls.automorphisms(b) for b in cls.enumerate_class(5)]
+
+
+@pytest.mark.parametrize("make_groups", [
+    lambda: [symmetric_group(4)], lambda: [symmetric_group(5)],
+    lambda: [_gl32()], lambda: [_gl23()], _graph_groups,
+], ids=["S4", "S5", "GL32", "GL23", "graphs<=5"])
+def test_class_matrix_rows_match_the_full_count(make_groups):
+    for G in make_groups():
+        classes, class_index, members = _class_members(G)
+        sizes = [c.size for c in classes]
+        ref = _reference_class_matrices(G)
+        for r in range(len(classes)):
+            for s, c in enumerate(classes):
+                assert chartab._class_matrix_row(
+                    members[r], c.rep, c.size, class_index, sizes) == ref[r][s]
+
+
+@pytest.mark.parametrize("make_group", [lambda: symmetric_group(4), _gl32],
+                         ids=["S4", "GL32"])
+def test_a_wrong_structure_constant_fails_loudly(make_group, monkeypatch):
+    # the first row built of class matrix 1 is read against the whole
+    # space F_p^k, so each of its constants reaches the split
+    G = make_group()
+    real = chartab._class_matrix_row
+    for t in range(len(G.class_data()[0])):
+        built = []
+
+        def off_by_one(members, rep, size, class_index, sizes):
+            row = real(members, rep, size, class_index, sizes)
+            if len(members) > 1 and not built:
+                row[t] += 1
+                built.append(row)
+            return row
+
+        monkeypatch.setattr(chartab, "_class_matrix_row", off_by_one)
+        with pytest.raises(InvariantViolation):
+            character_table(G)
+        assert built
+
+
+def test_a_partial_class_fails_the_divisibility_check():
+    # S3: the transposition rep and one other, times rep, give the identity
+    # once and a 3-cycle once, and 1 * 3 is not divisible by the two 3-cycles
+    classes, class_index, members = _class_members(symmetric_group(3))
+    sizes = [c.size for c in classes]
+    assert sizes == [1, 2, 3]
+    rep = classes[2].rep
+    part = [rep, next(x for x in members[2] if x != rep)]
+    with pytest.raises(InvariantViolation):
+        chartab._class_matrix_row(part, rep, 3, class_index, sizes)
+
+
+def test_catalog_gl_tables_have_the_known_degrees():
+    # GL(4,2) is A8; GL(3,3) = SL(3,3) x C2 lists each SL(3,3) degree twice
+    cls = get_class("vector_space")
+    gl42 = character_table(cls.automorphisms(cls.canonical_space(4)))
+    assert gl42.degrees == (1, 7, 14, 20, 21, 21, 21, 28, 35, 45, 45, 56, 64,
+                            70)
+    cls = get_class("vector_space_q3")
+    gl33 = character_table(cls.automorphisms(cls.canonical_space(3)))
+    sl33 = (1, 12, 13, 16, 16, 16, 16, 26, 26, 26, 27, 39)
+    assert gl33.degrees == tuple(sorted(sl33 * 2))
+
+
 # -- symmetric group tables ---------------------------------------------------
 
 def test_partitions():
@@ -373,7 +470,7 @@ def test_mn_degrees_match_hooks():
 
 
 def test_symmetric_table_matches_dixon():
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 6, 7):
         sym = symmetric_character_table(m)
         dix = character_table(symmetric_group(m))
         assert sym.degrees == dix.degrees
