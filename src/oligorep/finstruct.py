@@ -23,12 +23,17 @@ payload:
 * ``joint_configs(base_b, base_c)``: the raw joint configurations of two
   bases, one tagged tuple each (``"match"``, ``"ranks"``, ``"cross"``,
   ``"space"`` or ``"cells"``);
-* ``config_action(base_b, base_c)``: a function ``act(config, g1, g2)``
-  remarking one configuration by automorphisms of the two bases (``None``
-  for the identity);
+* ``config_cells(base_b, base_c)``: the cells ``(tag, x, y)`` a joint
+  configuration can occupy, and a function from a configuration to its
+  cell mask; sets of pairs by default, a subspace's vectors for vector
+  spaces;
+* ``cell_perm(g, base)``: how an automorphism of a base moves the cell
+  coordinates: ``g`` itself by default, the atom permutation for Boolean
+  algebras;
 * ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
-  configuration of each orbit of the two groups, by closing orbits under
-  ``config_action``; graphs override it with a two-stage search;
+  configuration of each orbit of the two groups, sorted, by closing orbits
+  of cell masks under the generators; graphs override it with a two-stage
+  search;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``stabilizer_is_trivial(base, marked)``: whether only the identity of
@@ -108,20 +113,19 @@ def _identity_relabel(n):
 
 
 def _relabel(pairs, g1, g2):
-    """Sorted pairs (i, j) moved to (g1[i], g2[j]); ``None`` is the identity."""
-    return tuple(sorted(
-        (g1[i] if g1 else i, g2[j] if g2 else j) for i, j in pairs))
+    """Sorted pairs (i, j) moved to (g1[i], g2[j])."""
+    return tuple(sorted((g1[i], g2[j]) for i, j in pairs))
 
 
 def _byte_tables(values, zero):
-    """Three tables, one per byte of a mask over ``len(values)`` bits, each
-    mapping a byte to ``zero`` plus the values of its set bits in order.
+    """One table per byte of a mask over ``len(values)`` bits, each mapping
+    a byte to ``zero`` plus the values of its set bits in order.
 
     Values are ints with one bit each (a bit permutation) or 1-tuples
-    (decoding); three bytes cover every mask ``_MAX_CONFIGS`` admits.
+    (decoding); ``_read_mask`` adds up one entry per byte.
     """
     tables = []
-    for start in (0, 8, 16):
+    for start in range(0, max(len(values), 1), 8):
         table = [zero]
         for value in values[start:start + 8]:
             table += [entry + value for entry in table]
@@ -138,8 +142,11 @@ def _lex_masks(n):
 
 
 def _read_mask(tables, mask):
-    low, mid, high = tables
-    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+    value = tables[0][mask & 255]
+    for table in tables[1:]:
+        mask >>= 8
+        value += table[mask & 255]
+    return value
 
 
 @lru_cache(maxsize=8)
@@ -405,9 +412,36 @@ class FraisseClass:
         """Every way a copy of ``base_c`` can sit relative to ``base_b``."""
         raise NotImplementedError
 
-    def config_action(self, base_b, base_c):
-        """``act(config, g1, g2)``: remark by g1 on ``base_b``, g2 on ``base_c``."""
-        raise NotImplementedError
+    cell_tags = 1
+
+    def config_cells(self, base_b, base_c):
+        """``(cells, mask_of)``: the cells ``(tag, x, y)`` a joint
+        configuration can occupy, and a function from a configuration to its
+        cell mask, bit k standing for ``cells[k]``.
+
+        The masks are injective on ``joint_configs`` and their set is closed
+        under the cell permutations of every pair of automorphisms.  By
+        default a configuration is ``(kind, pairs_0, pairs_1, ...)``: one set
+        of pairs (x, y) per tag, x counting ``size(base_b)`` and y
+        ``size(base_c)``.
+        """
+        nb, nc = self.size(base_b), self.size(base_c)
+        cells = [(t, x, y) for t in range(self.cell_tags)
+                 for x in range(nb) for y in range(nc)]
+
+        def mask_of(config):
+            mask = 0
+            for t, pairs in enumerate(config[1:]):
+                for x, y in pairs:
+                    mask |= 1 << ((t * nb + x) * nc + y)
+            return mask
+
+        return cells, mask_of
+
+    def cell_perm(self, g, base):
+        """The permutation of cell coordinates by which ``g`` in Aut(base)
+        moves the cells (tag, x, y), on x for the first base, y the second."""
+        return g
 
     def config_finiteness(self, payload, base_b, base_c):
         """(left, right): the ``base_c`` copy lies in the hull of the other, and back."""
@@ -415,30 +449,37 @@ class FraisseClass:
 
     def double_coset_reps(self, base_b, group_b, base_c, group_c):
         """The least member of each orbit of ``group_b`` x ``group_c`` on the
-        joint configurations of the two bases, in no particular order.
+        joint configurations of the two bases, sorted.
 
-        Closes each orbit under the generators through ``config_action``.
+        Each generator permutes the cells of ``config_cells`` and so acts on
+        cell masks through byte tables.  The configurations are visited in
+        sorted order and the orbit of each new one's mask is closed and
+        marked, so the first configuration met in an orbit is its least.
         """
-        raw = self.joint_configs(base_b, base_c)
-        act = self.config_action(base_b, base_c)
-        gens = ([(g, None) for g in group_b.generators]
-                + [(None, g) for g in group_c.generators])
+        cells, mask_of = self.config_cells(base_b, base_c)
+        index = {cell: k for k, cell in enumerate(cells)}
+        moves = [_byte_tables([1 << index[t, p[x], y] for t, x, y in cells], 0)
+                 for p in (self.cell_perm(g, base_b)
+                           for g in group_b.generators)]
+        moves += [_byte_tables([1 << index[t, x, p[y]] for t, x, y in cells], 0)
+                  for p in (self.cell_perm(g, base_c)
+                            for g in group_c.generators)]
         seen = set()
         reps = []
-        for config in raw:
-            if config in seen:
+        for config in sorted(self.joint_configs(base_b, base_c)):
+            mask = mask_of(config)
+            if mask in seen:
                 continue
-            orbit = {config}
-            frontier = [config]
+            seen.add(mask)
+            frontier = [mask]
             while frontier:
                 current = frontier.pop()
-                for g1, g2 in gens:
-                    moved = act(current, g1, g2)
-                    if moved not in orbit:
-                        orbit.add(moved)
+                for tables in moves:
+                    moved = _read_mask(tables, current)
+                    if moved not in seen:
+                        seen.add(moved)
                         frontier.append(moved)
-            seen |= orbit
-            reps.append(min(orbit))
+            reps.append(config)
         return reps
 
     def stabilizer_is_trivial(self, base, marked):
@@ -448,15 +489,6 @@ class FraisseClass:
 
 # ---------------------------------------------------------------------------
 # relational classes
-
-
-def _move_ranks(ranks, g):
-    if not g:
-        return ranks
-    moved = [0] * len(ranks)
-    for i, r in enumerate(ranks):
-        moved[g[i]] = r
-    return tuple(moved)
 
 
 class _RelationalClass(FraisseClass):
@@ -475,13 +507,6 @@ class _RelationalClass(FraisseClass):
 
     def joint_configs(self, base_b, base_c):
         return [("match", m) for m in self._matchings(len(base_b), len(base_c))]
-
-    def config_action(self, base_b, base_c):
-        return self._act_on_match
-
-    @staticmethod
-    def _act_on_match(config, g1, g2):
-        return ("match", _relabel(config[1], g1, g2))
 
     def config_finiteness(self, payload, base_b, base_c):
         matching = payload[1]
@@ -599,36 +624,30 @@ class LinearOrderClass(_RelationalClass):
         return tuple(payload.get("ranks", ()))
 
     def joint_configs(self, base_b, base_c):
+        # the two chains merged into n ranks, matched points sharing one
         nB, nC = len(base_b), len(base_c)
-        configs = []
-        for t in range(min(nB, nC) + 1):
-            for bsub in itertools.combinations(range(nB), t):
-                for csub in itertools.combinations(range(nC), t):
-                    matching = dict(zip(bsub, csub))
-                    partner = {c: b for b, c in matching.items()}
-                    out = []
+        return [("ranks", rb, rc)
+                for n in range(max(nB, nC), nB + nC + 1)
+                for rb in itertools.combinations(range(n), nB)
+                for rc in itertools.combinations(range(n), nC)
+                if len(set(rb + rc)) == n]
 
-                    def rec(i, j, rank, rb, rc):
-                        if i == nB and j == nC:
-                            out.append(("ranks", tuple(rb), tuple(rc)))
-                            return
-                        if i < nB and i not in matching:
-                            rec(i + 1, j, rank + 1, rb + [rank], rc)
-                        if j < nC and j not in partner:
-                            rec(i, j + 1, rank + 1, rb, rc + [rank])
-                        if i < nB and matching.get(i) == j:
-                            rec(i + 1, j + 1, rank + 1, rb + [rank], rc + [rank])
+    # tag 0: x and y share a rank; tag 1: x ranks below y
+    cell_tags = 2
 
-                    rec(0, 0, 0, [], [])
-                    configs.extend(out)
-        return configs
+    def config_cells(self, base_b, base_c):
+        cells, pair_mask = super().config_cells(base_b, base_c)
 
-    def config_action(self, base_b, base_c):
-        return self._act_on_ranks
+        def mask_of(config):
+            _, rb, rc = config
+            return pair_mask((
+                "ranks",
+                [(x, y) for x, r in enumerate(rb) for y, s in enumerate(rc)
+                 if r == s],
+                [(x, y) for x, r in enumerate(rb) for y, s in enumerate(rc)
+                 if r < s]))
 
-    @staticmethod
-    def _act_on_ranks(config, g1, g2):
-        return ("ranks", _move_ranks(config[1], g1), _move_ranks(config[2], g2))
+        return cells, mask_of
 
     def config_finiteness(self, payload, base_b, base_c):
         rb, rc = set(payload[1]), set(payload[2])
@@ -783,7 +802,10 @@ class GraphClass(_RelationalClass):
 
     # A configuration is ("cross", matching, cross): an edge-compatible
     # matching plus the cross edges among the sorted pairs of unmatched
-    # points.  Bit i of a cross mask stands for pair i.
+    # points.  Bit i of a cross mask stands for pair i; as cells, tag 0 is
+    # the matching and tag 1 the cross edges.
+
+    cell_tags = 2
 
     @staticmethod
     @lru_cache(maxsize=32)
@@ -843,7 +865,9 @@ class GraphClass(_RelationalClass):
                 if image == matching:
                     moves.add(tuple(1 << index[g1[b], g2[c]]
                                     for b, c in cross_pairs))
-            moves = [_byte_tables(bits, 0) for bits in moves]
+            # cross masks fit in three bytes (_MAX_CONFIGS), read inline
+            moves = [[_byte_tables(bits[start:start + 8], 0)[0]
+                      for start in (0, 8, 16)] for bits in moves]
             done = bytearray(1 << len(cross_pairs))
             for mask in order:
                 if done[mask]:
@@ -853,14 +877,6 @@ class GraphClass(_RelationalClass):
                          + high[mask >> 16]] = 1
                 reps.append(("cross", matching, _read_mask(decode, mask)))
         return reps
-
-    def config_action(self, base_b, base_c):
-        return self._act_on_cross
-
-    @staticmethod
-    def _act_on_cross(config, g1, g2):
-        return ("cross", _relabel(config[1], g1, g2),
-                _relabel(config[2], g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -1098,41 +1114,20 @@ class VectorSpaceClass(FraisseClass):
             configs.append(("space", rows))
         return configs
 
-    def config_action(self, base_b, base_c):
-        q = self.q
-        dB = self.size(base_b)
-        dC = self.size(base_c)
+    def config_cells(self, base_b, base_c):
+        # a configuration is the set of its subspace's vectors (x, y) of
+        # V_B + V_C, each half a point of its canonical space
+        q, dB, dC = self.q, self.size(base_b), self.size(base_c)
+        cells = [(0, x, y) for x in range(q ** dB) for y in range(q ** dC)]
 
-        @lru_cache(maxsize=None)  # one matrix per generator of this pair
-        def matrix(g, dim):
-            return self._perm_matrix(inverse(g), dim)
+        def mask_of(config):
+            span = [(0,) * (dB + dC)]
+            for row in config[1]:
+                span = [tuple((a + c * b) % q for a, b in zip(v, row))
+                        for v in span for c in range(q)]
+            return sum(1 << _lex_index(v, q) for v in span)
 
-        def act(config, g1, g2):
-            rows = config[1]
-            m1 = matrix(g1, dB) if g1 else None
-            m2 = matrix(g2, dC) if g2 else None
-            moved = []
-            for r in rows:
-                c, d = list(r[:dB]), list(r[dB:])
-                if m1:
-                    c = [sum(m1[a][b] * c[b] for b in range(dB)) % q
-                         for a in range(dB)]
-                if m2:
-                    d = [sum(m2[a][b] * d[b] for b in range(dC)) % q
-                         for a in range(dC)]
-                moved.append(tuple(c) + tuple(d))
-            return ("space", _rref(moved, q)[0])
-
-        return act
-
-    def _perm_matrix(self, perm, dim):
-        """Matrix of a point permutation of the canonical space, column per basis."""
-        cols = []
-        for i in range(dim):
-            e = tuple(1 if j == i else 0 for j in range(dim))
-            image = perm[_lex_index(e, self.q)]
-            cols.append(_lex_vector(image, self.q, dim))
-        return [[cols[j][r] for j in range(dim)] for r in range(dim)]
+        return cells, mask_of
 
     def config_finiteness(self, payload, base_b, base_c):
         rows = payload[1]
@@ -1363,16 +1358,8 @@ class BooleanAlgebraClass(FraisseClass):
                 configs.append(("cells", tuple(sorted(chosen))))
         return configs
 
-    def config_action(self, base_b, base_c):
-        m1 = self.size(base_b)
-        m2 = self.size(base_c)
-
-        def act(config, g1, g2):
-            s1 = self.atom_perm(g1, m1) if g1 else None
-            s2 = self.atom_perm(g2, m2) if g2 else None
-            return ("cells", _relabel(config[1], s1, s2))
-
-        return act
+    def cell_perm(self, g, base):
+        return self.atom_perm(g, self.size(base))
 
     def config_finiteness(self, payload, base_b, base_c):
         # left: every atom of the first copy meets one atom of the second

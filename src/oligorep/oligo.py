@@ -498,13 +498,14 @@ def double_coset_profile(v, w=None):
     V's base inside the limit structure; the finite parts act by remarking
     and orbits under that action are exactly the double cosets.  The class
     finds the orbits (``double_coset_reps``); each double coset is witnessed
-    by the least configuration of its orbit, and witnesses come sorted.
+    by the least configuration of its orbit, and the class returns the
+    witnesses sorted.
     """
     w = w or v
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")
     reps = get_class(v.cls).double_coset_reps(v.base, v.group, w.base, w.group)
-    return DoubleCosetProfile(v.cls, tuple(sorted(reps)))
+    return DoubleCosetProfile(v.cls, tuple(reps))
 
 
 def finitely_many_left_cosets(v, config, w=None):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -406,6 +407,29 @@ def test_a_wrong_structure_constant_fails_loudly(make_group, monkeypatch):
         with pytest.raises(InvariantViolation):
             character_table(G)
         assert built
+
+
+@pytest.mark.parametrize("make_group", [lambda: symmetric_group(4), _gl32],
+                         ids=["S4", "GL32"])
+def test_a_corrupted_entry_fails_the_row_relations(make_group):
+    # only the row relations are checked; each single corrupted entry
+    # breaks one of them, as the column relations they imply would show
+    t = character_table(make_group())
+    chartab._verify_orthogonality(t)
+    k = t.num_classes
+    for i in range(k):
+        for s in range(k):
+            bad = copy.copy(t)
+            bad.rows = tuple(
+                tuple(value + 1 if (r, c) == (i, s) else value
+                      for c, value in enumerate(row))
+                for r, row in enumerate(t.rows))
+            with pytest.raises(InvariantViolation):
+                chartab._verify_orthogonality(bad)
+    short = copy.copy(t)
+    short.rows = t.rows[:-1]
+    with pytest.raises(InvariantViolation):
+        chartab._verify_orthogonality(short)
 
 
 def test_a_partial_class_fails_the_divisibility_check():

@@ -3,10 +3,18 @@ import random
 
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the property test below is skipped
+    hypothesis = None
+
 from oligorep.errors import MalformedStructure, SizeLimitExceeded
 from oligorep.finstruct import (
     FinStructure,
     TupleType,
+    _byte_tables,
+    _read_mask,
     get_class,
     empty_structure,
     set_partitions,
@@ -189,6 +197,47 @@ def test_canonical_code_invariant_under_relabeling():
             other = relabeled(cls, s, tuple(perm))
             assert cls.canonical_code(other) == base_code
             assert cls.automorphisms(other).order == cls.automorphisms(s).order
+
+
+def _random_structure(cls, data):
+    """A hypothesis-drawn member of ``cls``: any structure on at most six
+    points for the relational classes, a canonical space or algebra for the
+    others."""
+    if cls.id == "vector_space":
+        return cls.canonical_space(data.draw(st.integers(0, 3)))
+    if cls.id == "vector_space_q3":
+        return cls.canonical_space(data.draw(st.integers(0, 2)))
+    if cls.id == "boolean_algebra":
+        return cls.canonical_algebra(data.draw(st.integers(1, 3)))
+    n = data.draw(st.integers(0, 6))
+    if cls.id == "pure_set":
+        return cls.make(tuple(range(n)), None)
+    if cls.id == "linear_order":
+        return cls.make(tuple(range(n)),
+                        tuple(data.draw(st.permutations(range(n)))))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                max_size=len(pairs)))
+    return graph_on(n, [p for p, keep in zip(pairs, chosen) if keep])
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+@pytest.mark.parametrize("cls_id", [
+    "pure_set", "linear_order", "graph",
+    "vector_space", "vector_space_q3", "boolean_algebra",
+])
+def test_canonical_code_invariant_under_random_relabeling(cls_id):
+    cls = get_class(cls_id)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = _random_structure(cls, data)
+        perm = tuple(data.draw(st.permutations(range(len(s.points)))))
+        assert cls.canonical_code(relabeled(cls, s, perm)) == \
+            cls.canonical_code(s)
+
+    check()
 
 
 def test_canonical_relabel_is_an_isomorphism():
@@ -502,6 +551,21 @@ def test_boolean_touches_fixed_matches_cell_by_cell_columns():
         for pmask in range(1 << (1 << n)):
             t = TupleType("boolean_algebra", n, pmask)
             assert boolean._touches_fixed(t) == cell_by_cell(pmask, n)
+
+
+@pytest.mark.parametrize("bits", [0, 8, 9, 24, 81])
+def test_byte_tables_match_a_bit_by_bit_permutation(bits):
+    rng = random.Random(bits)
+    perm = list(range(bits))
+    rng.shuffle(perm)
+    moves = _byte_tables([1 << p for p in perm], 0)
+    decode = _byte_tables([(k,) for k in range(bits)], ())
+    assert len(moves) == max(1, -(-bits // 8))
+    masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(300)]
+    for mask in masks:
+        set_bits = tuple(k for k in range(bits) if mask >> k & 1)
+        assert _read_mask(moves, mask) == sum(1 << perm[k] for k in set_bits)
+        assert _read_mask(decode, mask) == set_bits
 
 
 def test_marked_cores_pure_set():

@@ -6,17 +6,24 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import oligorep
+from oligorep.acceptance import PROFILE_BASE
 from oligorep.errors import (
     BaseNotAclClosed,
     MalformedStructure,
     NotASubgroup,
     SizeLimitExceeded,
 )
-from oligorep.finstruct import FraisseClass, get_class
+from oligorep.finstruct import (
+    FraisseClass,
+    _lex_vector,
+    _rref,
+    get_class,
+)
 from oligorep.oligo import (
     commensurator,
     decompose_power,
@@ -31,6 +38,7 @@ from oligorep.oligo import (
     tensor_recursion_check,
     trivial_label,
 )
+from oligorep.permgrp import identity, inverse
 
 
 def stirling2(n, k):
@@ -406,6 +414,80 @@ def test_double_coset_profile_boolean():
     assert double_coset_profile(marked).count == 3
 
 
+# -- the test-only reference for double cosets: each class's action on
+# configuration payloads, independent of the cell masks the classes use
+
+
+def _relabel_pairs(pairs, g1, g2):
+    return tuple(sorted((g1[i], g2[j]) for i, j in pairs))
+
+
+def _move_ranks(ranks, g):
+    moved = [0] * len(ranks)
+    for i, r in enumerate(ranks):
+        moved[g[i]] = r
+    return tuple(moved)
+
+
+def payload_action(cls, base_b, base_c):
+    """``act(config, g1, g2)``: remark one configuration by g1 in
+    Aut(base_b) and g2 in Aut(base_c), acting on its payload."""
+    if cls.id == "pure_set":
+        return lambda c, g1, g2: ("match", _relabel_pairs(c[1], g1, g2))
+    if cls.id == "linear_order":
+        return lambda c, g1, g2: (
+            "ranks", _move_ranks(c[1], g1), _move_ranks(c[2], g2))
+    if cls.id == "graph":
+        return lambda c, g1, g2: ("cross", _relabel_pairs(c[1], g1, g2),
+                                  _relabel_pairs(c[2], g1, g2))
+    if cls.id == "boolean_algebra":
+        m1, m2 = cls.size(base_b), cls.size(base_c)
+        return lambda c, g1, g2: ("cells", _relabel_pairs(
+            c[1], cls.atom_perm(g1, m1), cls.atom_perm(g2, m2)))
+    q, dB, dC = cls.q, cls.size(base_b), cls.size(base_c)
+
+    @lru_cache(maxsize=None)
+    def linear_map(g, dim):
+        # the point permutation inverse(g), on coordinate vectors
+        g = inverse(g)
+        return {_lex_vector(i, q, dim): _lex_vector(g[i], q, dim)
+                for i in range(q ** dim)}
+
+    def act(config, g1, g2):
+        m1, m2 = linear_map(g1, dB), linear_map(g2, dC)
+        moved = [m1[r[:dB]] + m2[r[dB:]] for r in config[1]]
+        return ("space", _rref(moved, q)[0])
+
+    return act
+
+
+def reference_reps(v, w):
+    """The least configuration of each orbit of K_V x K_W, orbits closed
+    under the payload action, sorted."""
+    cls = get_class(v.cls)
+    act = payload_action(cls, v.base, w.base)
+    one_b, one_c = identity(len(v.base)), identity(len(w.base))
+    gens = ([(g, one_c) for g in v.group.generators]
+            + [(one_b, g) for g in w.group.generators])
+    seen = set()
+    reps = []
+    for config in cls.joint_configs(v.base, w.base):
+        if config in seen:
+            continue
+        orbit = {config}
+        frontier = [config]
+        while frontier:
+            current = frontier.pop()
+            for g1, g2 in gens:
+                moved = act(current, g1, g2)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
+        seen |= orbit
+        reps.append(min(orbit))
+    return sorted(reps)
+
+
 def test_double_coset_counts_match_burnside():
     # orbits of K_B x K_C on the raw configurations, counted by Burnside's
     # lemma from the fixed points of every pair, independently of the
@@ -429,7 +511,7 @@ def test_double_coset_counts_match_burnside():
                 for size, order in ((size_b, order_b), (size_c, order_c)))
         raw = cls.joint_configs(v.base, w.base)
         assert len(set(raw)) == len(raw)
-        act = cls.config_action(v.base, w.base)
+        act = payload_action(cls, v.base, w.base)
         fixed = sum(1 for g1 in v.group.elements()
                     for g2 in w.group.elements()
                     for config in raw if act(config, g1, g2) == config)
@@ -462,6 +544,66 @@ def test_graph_profiles_match_the_orbit_closure_on_four_points(edges):
     assert v.group.order == 2
     got = list(double_coset_profile(v).configs)
     assert got == _closure_reps(v, v)
+
+
+@pytest.mark.parametrize("cls_id", ["vector_space", "vector_space_q3"])
+def test_vector_profiles_match_the_payload_action(cls_id):
+    for v in enumerate_open_subgroups(cls_id, PROFILE_BASE[cls_id]):
+        assert list(double_coset_profile(v).configs) == reference_reps(v, v)
+
+
+@pytest.mark.parametrize("cls_id, dims", [
+    ("vector_space", (1, 2)),
+    ("vector_space", (2, 3)),
+    ("vector_space_q3", (1, 2)),
+])
+def test_vector_profiles_on_unequal_bases(cls_id, dims):
+    cls = get_class(cls_id)
+    subs = enumerate_open_subgroups(cls_id, max(dims))
+    small, large = ([v for v in subs if cls.size(v.base) == d] for d in dims)
+    assert small and large
+    for v, w in itertools.product(small, large):
+        for a, b in ((v, w), (w, v)):
+            got = list(double_coset_profile(a, b).configs)
+            assert got == reference_reps(a, b), (a, b)
+
+
+@pytest.mark.parametrize("cls_id, max_base", [
+    ("pure_set", 3),
+    ("linear_order", 3),
+    ("graph", 3),
+    ("vector_space", 2),
+    ("vector_space_q3", 2),
+    ("boolean_algebra", 3),
+])
+def test_cell_masks_are_injective_and_closed(cls_id, max_base):
+    # the closure is exact when distinct configurations get distinct masks
+    # and every automorphism maps the set of masks onto itself; the images
+    # here are formed bit by bit, not through byte tables
+    cls = get_class(cls_id)
+    subs = enumerate_open_subgroups(cls_id, max_base)
+    for v in subs:
+        reps = cls.double_coset_reps(v.base, v.group, v.base, v.group)
+        assert reps == sorted(reps)
+    commensurators = {v.base_code: commensurator(v) for v in subs}
+    for v, w in itertools.product(commensurators.values(), repeat=2):
+        cells, mask_of = cls.config_cells(v.base, w.base)
+        index = {cell: k for k, cell in enumerate(cells)}
+        raw = cls.joint_configs(v.base, w.base)
+        masks = {mask_of(config) for config in raw}
+        assert len(masks) == len(raw), (v, w)
+        assert all(mask < 1 << len(cells) for mask in masks)
+        for side, base, group in ((1, v.base, v.group), (2, w.base, w.group)):
+            for g in group.generators:
+                p = cls.cell_perm(g, base)
+                for mask in masks:
+                    image = 0
+                    for k, cell in enumerate(cells):
+                        if mask >> k & 1:
+                            cell = list(cell)
+                            cell[side] = p[cell[side]]
+                            image |= 1 << index[tuple(cell)]
+                    assert image in masks, (v, w)
 
 
 def test_graph_profiles_keep_the_size_guard():
