@@ -152,7 +152,8 @@ def _subgroup_sweep(class_id, max_size, limits):
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
             continue
         degree = len(base.points)
-        reps = oligo.base_table(class_id, base, limits).class_reps[1:]
+        reps = oligo.base_table(class_id, base, cls.canonical_code(base),
+                                limits).class_reps[1:]
         if cls.atomic:
             # the table lists atom permutations; the subgroup moves masks
             reps = [cls.mask_perm(rep, cls.size(base)) for rep in reps]
@@ -189,7 +190,7 @@ def criterion_4():
                                            limits):
             decomposition = oligo.decompose_quasiregular(v, limits)
             ok = ok and decomposition.total_degree() == v.index
-            table = oligo.base_table(class_id, v.base, limits)
+            table = oligo.base_table(class_id, v.base, v.base_code, limits)
             if v.group.order == 1:
                 mults = sorted(m for _, m in decomposition.items())
                 ok = ok and mults == sorted(table.degrees)
@@ -327,7 +328,7 @@ def criterion_9():
             if (class_id, code) in seen:
                 continue
             seen.add((class_id, code))
-            tables.append((class_id, oligo.base_table(class_id, base,
+            tables.append((class_id, oligo.base_table(class_id, base, code,
                                                       limits)))
     for class_id, table in tables:
         order = table.group_order

@@ -36,6 +36,9 @@ payload:
   search;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
+* ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
+  number of orbits of n-tuples whose hull it is); only vector spaces read
+  each tuple type through ``marked_core``;
 * ``stabilizer_is_trivial(base, marked)``: whether only the identity of
   ``Aut(base)`` fixes every marked position;
 * ``_data_to_json`` / ``_data_from_json``: the ``data`` object of a
@@ -55,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -212,35 +216,20 @@ def _lex_vector(idx, q, dim):
 
 
 # ---------------------------------------------------------------------------
-# set partitions as restricted growth strings
+# set partitions
 
 
 def set_partitions(n):
-    """Yield partitions of range(n) as block tuples ordered by least element."""
+    """Yield partitions of range(n) as block tuples ordered by least element:
+    each partition of range(n - 1) with n - 1 added to one of its blocks or
+    as a block of its own."""
     if n == 0:
         yield ()
         return
-    rgs = [0] * n
-
-    def blocks_of(code):
-        k = max(code) + 1
-        blocks = [[] for _ in range(k)]
-        for i, b in enumerate(code):
-            blocks[b].append(i)
-        return tuple(tuple(b) for b in blocks)
-
-    while True:
-        yield blocks_of(rgs)
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                break
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        for j in range(i + 1, n):
-            rgs[j] = 0
+    for blocks in set_partitions(n - 1):
+        for i in range(len(blocks)):
+            yield blocks[:i] + (blocks[i] + (n - 1,),) + blocks[i + 1:]
+        yield blocks + ((n - 1,),)
 
 
 _MAX_CONFIGS = 2_000_000
@@ -338,18 +327,44 @@ class FraisseClass:
 
     def enumerate_tuple_types(self, n, x0_only=False):
         """Orbits of n-tuples, optionally dropping tuples touching fixed elements."""
+        self._check_tuple_len(n)
+        types = self._tuple_types(n)
+        if x0_only:
+            types = [t for t in types if not self._touches_fixed(t.data, t.n)]
+        return types
+
+    def _check_tuple_len(self, n):
         if n < 0:
             raise MalformedStructure("tuple length must be nonnegative")
         if n > self.max_tuple_len:
             raise SizeLimitExceeded(
                 f"tuple length {n} beyond desk scale for {self.id}")
-        types = self._tuple_types(n)
-        if x0_only:
-            types = [t for t in types if not self._touches_fixed(t)]
-        return types
+
+    def tuple_hulls(self, n, x0_only=False):
+        """Closed hulls of the orbits of n-tuples, optionally dropping tuples
+        touching fixed elements.
+
+        Returns a dict mapping canonical code to ``(hull, count)``: the
+        canonical hull and the number of orbits whose hull it is.  By
+        default each tuple type is read through ``marked_core``.
+        """
+        hulls = {}
+        for t in self.enumerate_tuple_types(n, x0_only):
+            self._add_hull(hulls, *self.marked_core(t), 1)
+        return hulls
+
+    def _add_hull(self, hulls, hull, marked, count):
+        """Credit ``count`` orbits to the canonical ``hull`` once their
+        entries, at the ``marked`` positions, pin every automorphism."""
+        if not self.stabilizer_is_trivial(hull, marked):
+            raise InvariantViolation(
+                "tuple entries do not generate their closed hull")
+        code = self._code_of_canonical(hull)
+        hulls[code] = (hull, hulls.get(code, (hull, 0))[1] + count)
 
     def marked_core(self, t):
-        """Canonical closed hull of a tuple type plus the marked positions.
+        """Canonical closed hull of a tuple type plus the marked positions,
+        for the default ``tuple_hulls``.
 
         Returns ``(base, marked)`` where ``base`` is the canonical structure
         generated by the tuple entries and ``marked[i]`` is the position of
@@ -397,7 +412,7 @@ class FraisseClass:
     def _tuple_types(self, n):
         raise NotImplementedError
 
-    def _touches_fixed(self, t):
+    def _touches_fixed(self, data, n):
         return False
 
     def _data_to_json(self, data):
@@ -528,17 +543,19 @@ class _RelationalClass(FraisseClass):
         """All payloads the class allows on k labeled points."""
         raise NotImplementedError
 
-    def marked_core(self, t):
-        blocks, core = t.data
-        k = len(blocks)
-        block_structure = FinStructure(self.id, tuple(range(k)), core)
-        canon, rel = self.canonical(block_structure)
-        block_of = {}
-        for b, members in enumerate(blocks):
-            for coord in members:
-                block_of[coord] = b
-        marked = tuple(rel[block_of[c]] for c in range(t.n))
-        return canon, marked
+    def tuple_hulls(self, n, x0_only=False):
+        # The S(n, k) partitions of the coordinates into k blocks share each
+        # core on the blocks, their hull; every block holds an entry, and
+        # no entry is a fixed element.
+        self._check_tuple_len(n)
+        partitions = Counter(len(blocks) for blocks in set_partitions(n))
+        hulls = {}
+        for k, count in partitions.items():
+            for core in self._block_cores(k):
+                hull, rel = self.canonical(
+                    FinStructure(self.id, tuple(range(k)), core))
+                self._add_hull(hulls, hull, rel, count)
+        return hulls
 
 
 class PureSetClass(_RelationalClass):
@@ -1064,13 +1081,12 @@ class VectorSpaceClass(FraisseClass):
             types.append(TupleType(self.id, n, rows))
         return types
 
-    def _touches_fixed(self, t):
-        rows = t.data
+    def _touches_fixed(self, rows, n):
         if not rows:
             return False
         _, pivots = _rref(rows, self.q)
-        for i in range(t.n):
-            e = tuple(1 if j == i else 0 for j in range(t.n))
+        for i in range(n):
+            e = tuple(1 if j == i else 0 for j in range(n))
             if not any(_residue(e, rows, pivots, self.q)):
                 return True
         return False
@@ -1277,7 +1293,7 @@ class BooleanAlgebraClass(FraisseClass):
         return canon, tuple(rel)
 
     def canonical_algebra(self, n_atoms):
-        masks = tuple(range(1 << n_atoms))
+        masks = tuple(range(1 << n_atoms)) if n_atoms else ()
         return FinStructure(self.id, masks, (n_atoms, masks))
 
     def _code_of_canonical(self, canon):
@@ -1294,22 +1310,19 @@ class BooleanAlgebraClass(FraisseClass):
         return [TupleType(self.id, n, pmask)
                 for pmask in range(1, 1 << (1 << n))]
 
-    def _touches_fixed(self, t):
-        return any((t.data & column) in (0, t.data)
-                   for column in _column_masks(t.n))
+    def _touches_fixed(self, pmask, n):
+        # some entry is the same, bottom or top, in every realized cell
+        return any((pmask & column) in (0, pmask)
+                   for column in _column_masks(n))
 
-    def marked_core(self, t):
-        pmask = t.data
-        cells = [c for c in range(1 << t.n) if pmask >> c & 1]
-        base = self.canonical_algebra(len(cells))
-        marked = []
-        for i in range(t.n):
-            mask = 0
-            for k, cell in enumerate(cells):
-                if cell >> i & 1:
-                    mask |= 1 << k
-            marked.append(mask)
-        return base, tuple(marked)
+    def tuple_hulls(self, n, x0_only=False):
+        # An orbit is its set of realized cells, the atoms of its hull, built
+        # canonical: canonicalizing an algebra on 2**16 points would not end.
+        self._check_tuple_len(n)
+        counts = Counter(pmask.bit_count() for pmask in range(1, 1 << (1 << n))
+                         if not (x0_only and self._touches_fixed(pmask, n)))
+        return {self.code_for_atoms(m): (self.canonical_algebra(m), count)
+                for m, count in counts.items()}
 
     def _data_to_json(self, data):
         n_atoms, masks = data
@@ -1345,6 +1358,9 @@ class BooleanAlgebraClass(FraisseClass):
     def joint_configs(self, base_b, base_c):
         m1 = self.size(base_b)
         m2 = self.size(base_c)
+        if not (m1 and m2):
+            # an empty copy has no atoms to cover or to be covered
+            return [("cells", ())]
         if 1 << (m1 * m2) > _MAX_CONFIGS:
             raise SizeLimitExceeded(
                 "too many joint configurations; shrink the bases")
@@ -1362,16 +1378,13 @@ class BooleanAlgebraClass(FraisseClass):
         return self.atom_perm(g, self.size(base))
 
     def config_finiteness(self, payload, base_b, base_c):
-        # left: every atom of the first copy meets one atom of the second
+        # left: every atom of the first copy meets one atom of the second;
+        # with no cells one copy is empty and lies in the hull of the other
         cells = payload[1]
+        if not cells:
+            return not base_c.points, not base_b.points
         return (len({i for i, _ in cells}) == len(cells),
                 len({j for _, j in cells}) == len(cells))
-
-    def stabilizer_is_trivial(self, base, marked):
-        # marked masks pin every atom permutation exactly when they separate atoms
-        m = self.size(base)
-        columns = {tuple((mask >> k) & 1 for mask in marked) for k in range(m)}
-        return len(columns) == m
 
 
 # ---------------------------------------------------------------------------

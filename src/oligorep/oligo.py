@@ -231,8 +231,8 @@ def trivial_label(class_id):
 _TABLES = {}
 
 
-def base_table(class_id, base, limits=None):
-    """Character table used for labels over this base.
+def base_table(class_id, base, code, limits=None):
+    """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, generic exact
     tables for everything else.
@@ -241,7 +241,7 @@ def base_table(class_id, base, limits=None):
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
-    key = (class_id, cls.canonical_code(base))
+    key = (class_id, code)
     if key not in _TABLES:
         aut = cls.automorphisms(base)
         _TABLES[key] = character_table(aut, limits.table_order)
@@ -255,12 +255,10 @@ def _atom_table(m):
     return _TABLES[key]
 
 
-def _labels_for_base(class_id, base, limits):
+def _labels_for_base(class_id, base, code, limits):
     """Labels over one nonempty normalized base, in table row order."""
-    cls = get_class(class_id)
-    table = base_table(class_id, base, limits)
-    code = cls.canonical_code(base)
-    size = cls.size(base)
+    table = base_table(class_id, base, code, limits)
+    size = get_class(class_id).size(base)
     return [IrrepLabel(class_id, code, size, i, table.degrees[i], table)
             for i in range(table.num_classes)]
 
@@ -278,7 +276,8 @@ def irrep_catalog(class_id, max_base=None, limits=None):
         if len(base.points) == 0:
             labels.append(trivial_label(class_id))
             continue
-        labels.extend(_labels_for_base(class_id, base, limits))
+        labels.extend(_labels_for_base(class_id, base,
+                                       cls.canonical_code(base), limits))
     return labels
 
 
@@ -364,7 +363,7 @@ def decompose_quasiregular(v, limits=None):
             raise InvariantViolation("atom action lost part of the subgroup")
     else:
         sub = v.group
-    labels = _labels_for_base(v.cls, v.base, limits)
+    labels = _labels_for_base(v.cls, v.base, v.base_code, limits)
     table = labels[0].table
     char = coset_character(table, sub)
     for label, mult in zip(labels, table.decompose(char)):
@@ -381,49 +380,21 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
     Every orbit of n-tuples contributes the full regular character of the
     automorphism group of its closed hull, because the tuple entries
     generate the hull and therefore have trivial stabilizer inside its
-    automorphism group.  Orbits whose hull consists of fixed elements
-    contribute one copy of the trivial label each.
+    automorphism group.  The class counts the orbits per canonical hull
+    (``tuple_hulls``); in a relational class the S(n, k) partitions of the
+    coordinates into k blocks share each core on the blocks, Cameron's
+    F_n = sum_k S(n, k) F*_k.  Orbits whose hull is empty or consists of
+    fixed elements contribute one copy of the trivial label each.
     """
     limits = limits or get_limits()
     cls = get_class(class_id)
-    types = cls.enumerate_tuple_types(n, x0_only=x0_only)
     dec = Decomposition()
-    if cls.atomic:
-        counts = {}
-        for t in types:
-            m = bin(t.data).count("1")
-            counts[m] = counts.get(m, 0) + 1
-        for m, count in sorted(counts.items()):
-            if m <= 1:
-                dec.add(trivial_label(class_id), count)
-                continue
-            table = _atom_table(m)
-            code = cls.code_for_atoms(m)
-            for i in range(table.num_classes):
-                dec.add(IrrepLabel(class_id, code, m, i, table.degrees[i],
-                                   table),
-                        count * table.degrees[i])
-        return dec
-    counts = {}
-    sample = {}
-    for t in types:
-        base, marked = cls.marked_core(t)
-        if len(base.points) == 0 or cls.is_fixed_only(base):
-            dec.add(trivial_label(class_id), 1)
+    for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
+        if len(hull.points) == 0 or cls.is_fixed_only(hull):
+            dec.add(trivial_label(class_id), count)
             continue
-        # The marked points generate the base by construction, which pins
-        # every automorphism; the premise is cheap to verify, so verify it.
-        if not cls.stabilizer_is_trivial(base, marked):
-            raise InvariantViolation(
-                "tuple entries do not generate their closed hull")
-        code = cls.canonical_code(base)
-        counts[code] = counts.get(code, 0) + 1
-        sample[code] = base
-    for code in sorted(counts):
-        base = sample[code]
-        labels = _labels_for_base(class_id, base, limits)
-        for label in labels:
-            dec.add(label, counts[code] * label.degree)
+        for label in _labels_for_base(class_id, hull, code, limits):
+            dec.add(label, count * label.degree)
     return dec
 
 
@@ -434,6 +405,10 @@ def tensor_recursion_check(class_id, k, limits=None):
     X0, so the (k+1)-st power decomposition must equal the sum over j of
     C(k+1, j) * |Y|**(k+1-j) copies of the j-th punctured power.  Returns a
     report with per-label residuals.
+
+    With Y empty (pure set, linear order, graph) only j = k+1 survives and
+    both sides are the (k+1)-st power, computed twice, so the check can
+    fail only for vector spaces and Boolean algebras.
     """
     limits = limits or get_limits()
     cls = get_class(class_id)

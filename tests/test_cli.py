@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oligorep import acceptance, cli
+from oligorep import acceptance, cli, finstruct
 
 
 def run(capsys, argv):
@@ -165,6 +165,23 @@ def test_size_limit_exits_two(capsys, monkeypatch):
     code, _ = run(capsys, ["kazhdan", "--class", "pure_set",
                            "--depth", "6"])
     assert code == 2
+
+
+@pytest.mark.parametrize("cls, n, code", [("boolean_algebra", "5", 2),
+                                           ("graph", "9", 2),
+                                           ("graph", "-1", 1),
+                                           ("vector_space", "-1", 1)])
+def test_decompose_refuses_a_tuple_length_before_enumerating(
+        capsys, monkeypatch, cls, n, code):
+    # 2**32 cell patterns or 2**36 graphs on nine blocks would never finish
+    def refuse(*args):
+        raise AssertionError("enumerated before checking the length")
+
+    monkeypatch.setattr(finstruct, "set_partitions", refuse)
+    monkeypatch.setattr(finstruct, "_column_masks", refuse)
+    argv = ["decompose", "--class", cls, "--n", n]
+    assert run(capsys, argv) == (code, "")
+    assert run(capsys, argv + ["--x0"]) == (code, "")
 
 
 def test_invariant_failure_exits_three(capsys, monkeypatch):

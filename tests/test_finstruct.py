@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,10 +11,13 @@ try:
 except ImportError:  # the property test below is skipped
     hypothesis = None
 
-from oligorep.errors import MalformedStructure, SizeLimitExceeded
+from oligorep.errors import (
+    InvariantViolation,
+    MalformedStructure,
+    SizeLimitExceeded,
+)
 from oligorep.finstruct import (
     FinStructure,
-    TupleType,
     _byte_tables,
     _read_mask,
     get_class,
@@ -471,6 +476,18 @@ def test_partition_generator_matches_bell():
     bells = bell_numbers(6)
     for n in range(7):
         assert sum(1 for _ in set_partitions(n)) == bells[n]
+    # every block labelling of range(n), blocks sorted, ordered by least
+    # element, each partition once
+    for n in range(6):
+        expected = set()
+        for labels in itertools.product(range(n), repeat=n):
+            blocks = {}
+            for i, b in enumerate(labels):
+                blocks.setdefault(b, []).append(i)
+            expected.add(tuple(sorted(tuple(b) for b in blocks.values())))
+        got = list(set_partitions(n))
+        assert len(got) == len(set(got))
+        assert set(got) == expected
 
 
 def test_pure_set_tuple_type_counts():
@@ -549,8 +566,7 @@ def test_boolean_touches_fixed_matches_cell_by_cell_columns():
 
     for n in range(5):
         for pmask in range(1 << (1 << n)):
-            t = TupleType("boolean_algebra", n, pmask)
-            assert boolean._touches_fixed(t) == cell_by_cell(pmask, n)
+            assert boolean._touches_fixed(pmask, n) == cell_by_cell(pmask, n)
 
 
 @pytest.mark.parametrize("bits", [0, 8, 9, 24, 81])
@@ -568,10 +584,117 @@ def test_byte_tables_match_a_bit_by_bit_permutation(bits):
         assert _read_mask(decode, mask) == set_bits
 
 
+# -- the per-type reference for tuple hulls: every tuple type read through
+# its own marked core, as decompose_power did before classes counted
+# orbits per closed hull
+
+
+def relational_marked_core(cls, t):
+    """Canonical hull of a relational tuple type and each entry's position
+    in it."""
+    blocks, core = t.data
+    canon, rel = cls.canonical(
+        FinStructure(cls.id, tuple(range(len(blocks))), core))
+    block_of = {c: b for b, members in enumerate(blocks) for c in members}
+    return canon, tuple(rel[block_of[c]] for c in range(t.n))
+
+
+def boolean_marked_core(cls, t):
+    """The algebra whose atoms are the realized cells of a Boolean tuple
+    type, and each entry's mask over those atoms."""
+    cells = [c for c in range(1 << t.n) if t.data >> c & 1]
+    marked = tuple(sum(1 << k for k, cell in enumerate(cells) if cell >> i & 1)
+                   for i in range(t.n))
+    return cls.canonical_algebra(len(cells)), marked
+
+
+def reference_tuple_hulls(cls, n, x0_only):
+    """Canonical code -> (hull, orbit count), one tuple type at a time.
+
+    Relational and vector hulls are canonicalized again.  A Boolean type
+    is counted by its number of cells, the atoms of its hull, since
+    canonicalizing an algebra on 2**16 points would not finish.
+    """
+    types = cls.enumerate_tuple_types(n, x0_only)
+    if cls.id == "boolean_algebra":
+        atoms = Counter(bin(t.data).count("1") for t in types)
+        return {cls.code_for_atoms(m): (cls.canonical_algebra(m), count)
+                for m, count in atoms.items()}
+    hulls = {}
+    for t in types:
+        hull, marked = (relational_marked_core(cls, t) if cls.relational
+                        else cls.marked_core(t))
+        assert cls.stabilizer_is_trivial(hull, marked)
+        code = cls.canonical_code(hull)
+        hulls[code] = (hull, hulls.get(code, (hull, 0))[1] + 1)
+    return hulls
+
+
+HULL_RANGES = {"pure_set": 5, "linear_order": 5, "graph": 5,
+               "vector_space": 3, "vector_space_q3": 2, "boolean_algebra": 4}
+
+
+@pytest.mark.parametrize("cls_id", sorted(HULL_RANGES))
+def test_tuple_hulls_match_the_per_type_reference(cls_id):
+    cls = get_class(cls_id)
+    for n in range(HULL_RANGES[cls_id] + 1):
+        for x0_only in (False, True):
+            hulls = cls.tuple_hulls(n, x0_only)
+            assert hulls == reference_tuple_hulls(cls, n, x0_only), (n, x0_only)
+            assert (sum(count for _, count in hulls.values())
+                    == len(cls.enumerate_tuple_types(n, x0_only)))
+            for hull, _ in hulls.values():
+                if cls.relational:
+                    assert cls.canonical(hull)[0] == hull
+
+
+def test_graph_hull_counts_follow_orbit_stabilizer():
+    # the k!/|Aut(B)| labelled cores of a k-point hull B each carry the
+    # S(n, k) partitions of the coordinates into k blocks
+    graph = get_class("graph")
+    stirling = stirling_table(5)
+    for n in range(6):
+        for hull, count in graph.tuple_hulls(n).values():
+            k = len(hull.points)
+            edges = {tuple(sorted(e)) for e in hull.data}
+            aut = sum(1 for p in itertools.permutations(range(k))
+                      if {tuple(sorted((p[a], p[b]))) for a, b in edges}
+                      == edges)
+            assert count * aut == stirling[n][k] * math.factorial(k)
+
+
+@pytest.mark.parametrize("cls_id", sorted(HULL_RANGES))
+def test_tuple_hulls_refuse_bad_lengths(cls_id):
+    cls = get_class(cls_id)
+    with pytest.raises(MalformedStructure):
+        cls.tuple_hulls(-1)
+    with pytest.raises(SizeLimitExceeded):
+        cls.tuple_hulls(cls.max_tuple_len + 1, x0_only=True)
+
+
+@pytest.mark.parametrize("cls_id", ["graph", "vector_space"])
+def test_tuple_hulls_check_that_entries_pin_their_hull(cls_id, monkeypatch):
+    cls = get_class(cls_id)
+    monkeypatch.setattr(cls, "stabilizer_is_trivial",
+                        lambda base, marked: cls.size(base) < 2)
+    with pytest.raises(InvariantViolation):
+        cls.tuple_hulls(2)
+
+
+def test_canonical_algebras_carry_the_code_for_their_atoms():
+    boolean = get_class("boolean_algebra")
+    assert boolean.canonical_algebra(0) == boolean.empty()
+    for m in range(5):
+        algebra = boolean.canonical_algebra(m)
+        assert boolean.canonical_code(algebra) == boolean.code_for_atoms(m)
+    assert (boolean.canonical_code(boolean.canonical_algebra(0))
+            == boolean.canonical_code(boolean.empty()))
+
+
 def test_marked_cores_pure_set():
     pure = get_class("pure_set")
     types = pure.enumerate_tuple_types(2)
-    cores = {pure.marked_core(t)[1] for t in types}
+    cores = {relational_marked_core(pure, t)[1] for t in types}
     assert cores == {(0, 0), (0, 1)}
 
 
@@ -585,7 +708,7 @@ def test_marked_cores_vector_space():
         if dim:
             assert len(span) == 2 ** dim
     zero_type = [t for t in vs.enumerate_tuple_types(1)
-                 if vs._touches_fixed(t)]
+                 if vs._touches_fixed(t.data, t.n)]
     base, marked = vs.marked_core(zero_type[0])
     assert vs.size(base) == 0
     assert marked == (0,)
@@ -594,7 +717,7 @@ def test_marked_cores_vector_space():
 def test_marked_cores_boolean():
     boolean = get_class("boolean_algebra")
     for t in boolean.enumerate_tuple_types(2):
-        base, marked = boolean.marked_core(t)
+        base, marked = boolean_marked_core(boolean, t)
         assert boolean.is_member(base)
         assert boolean.acl(base, marked) == tuple(range(len(base.points)))
         for m in marked:
@@ -604,8 +727,40 @@ def test_marked_cores_boolean():
 def test_marked_cores_generate_relational():
     graph = get_class("graph")
     for t in graph.enumerate_tuple_types(3):
-        base, marked = graph.marked_core(t)
+        base, marked = relational_marked_core(graph, t)
         assert set(marked) == set(range(len(base.points)))
+
+
+def test_marked_cores_pin_every_automorphism_brute_force():
+    # the marked points of a tuple hull pin every automorphism
+    graph = get_class("graph")
+    for t in graph.enumerate_tuple_types(3):
+        base, marked = relational_marked_core(graph, t)
+        n = len(base.points)
+        fixers = []
+        for perm in itertools.permutations(range(n)):
+            if any(perm[p] != p for p in marked):
+                continue
+            moved = frozenset(
+                frozenset({perm[a], perm[b]}) for a, b in
+                (tuple(e) for e in base.data))
+            if moved == base.data:
+                fixers.append(perm)
+        assert fixers == [tuple(range(n))]
+
+    boolean = get_class("boolean_algebra")
+    for t in boolean.enumerate_tuple_types(2):
+        base, marked = boolean_marked_core(boolean, t)
+        m = boolean.size(base)
+        if m <= 1:
+            continue
+        fixers = []
+        for sigma in itertools.permutations(range(m)):
+            def move(mask):
+                return sum(1 << sigma[k] for k in range(m) if mask >> k & 1)
+            if all(move(mk) == mk for mk in marked):
+                fixers.append(sigma)
+        assert fixers == [tuple(range(m))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 import oligorep
+from oligorep import cli
 from oligorep.acceptance import PROFILE_BASE
 from oligorep.errors import (
     BaseNotAclClosed,
@@ -275,6 +276,29 @@ def test_tensor_recursion_all_classes():
             assert report["max_abs_residual"] == 0
 
 
+@pytest.mark.parametrize("cls_id", ["vector_space", "boolean_algebra"])
+def test_tensor_recursion_fails_on_a_dropped_orbit(cls_id, monkeypatch,
+                                                    capsys):
+    # one orbit missing from a punctured power must show as a residual
+    cls = get_class(cls_id)
+    hulls = cls.tuple_hulls
+
+    def dropping(n, x0_only=False):
+        counted = hulls(n, x0_only)
+        if x0_only and counted:
+            code = max(counted, key=lambda c: counted[c][1])
+            hull, count = counted[code]
+            counted[code] = (hull, count - 1)
+        return counted
+
+    monkeypatch.setattr(cls, "tuple_hulls", dropping)
+    report = tensor_recursion_check(cls_id, 2)
+    assert report["max_abs_residual"] > 0
+    assert report["ok"] is False
+    assert cli.main(["decompose", "--class", cls_id, "--n", "2"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_power_labels_appear_in_catalog():
     pairs = [
         ("pure_set", 3, 3),
@@ -289,24 +313,8 @@ def test_power_labels_appear_in_catalog():
 
 
 def test_hull_stabilizers_are_trivial_brute_force():
-    # the marked points of a tuple hull pin every automorphism
-    gcls = get_class("graph")
-    for t in gcls.enumerate_tuple_types(3):
-        base, marked = gcls.marked_core(t)
-        n = len(base.points)
-        if n == 0:
-            continue
-        fixers = []
-        for perm in itertools.permutations(range(n)):
-            if any(perm[p] != p for p in marked):
-                continue
-            moved = frozenset(
-                frozenset({perm[a], perm[b]}) for a, b in
-                (tuple(e) for e in base.data))
-            if moved == base.data:
-                fixers.append(perm)
-        assert fixers == [tuple(range(n))]
-
+    # the marked vectors of a tuple hull pin every automorphism; the
+    # relational and Boolean marked cores are checked in test_finstruct
     for cls_id in ("vector_space", "vector_space_q3"):
         vcls = get_class(cls_id)
         q = vcls.q
@@ -331,24 +339,6 @@ def test_hull_stabilizers_are_trivial_brute_force():
                 if all(image[v] == v for v in vectors):
                     fixing += 1
             assert fixing == 1
-
-    boo = get_class("boolean_algebra")
-    for t in boo.enumerate_tuple_types(2):
-        base, marked = boo.marked_core(t)
-        m = boo.size(base)
-        if m <= 1:
-            continue
-        fixers = []
-        for sigma in itertools.permutations(range(m)):
-            def move(mask):
-                out = 0
-                for k in range(m):
-                    if mask >> k & 1:
-                        out |= 1 << sigma[k]
-                return out
-            if all(move(mk) == mk for mk in marked):
-                fixers.append(sigma)
-        assert fixers == [tuple(range(m))]
 
 
 def test_double_coset_profile_pure():
@@ -644,6 +634,23 @@ def test_finitely_many_left_cosets():
     finite = [c for c in double_coset_profile(free).configs
               if finitely_many_left_cosets(free, c)]
     assert len(finite) == 2
+
+
+@pytest.mark.parametrize("cls_id", sorted(PROFILE_BASE))
+def test_empty_base_against_a_nonempty_one(cls_id):
+    # one double coset in both orders; the nonempty copy lies in the hull
+    # of the empty one only from its own side
+    cls = get_class(cls_id)
+    whole = make_open_subgroup(cls_id, cls.empty())
+    v = enumerate_open_subgroups(cls_id, 2)[-1]
+    assert len(v.base.points) > 0
+    for first, second, left in ((whole, v, False), (v, whole, True)):
+        profile = double_coset_profile(first, second)
+        assert profile.count == 1
+        config = profile.configs[0]
+        assert finitely_many_left_cosets(first, config, second) is left
+        assert (get_class(cls_id).config_finiteness(
+            config, first.base, second.base) == (left, not left))
 
 
 def test_whole_group_as_open_subgroup():
