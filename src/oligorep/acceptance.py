@@ -121,9 +121,12 @@ def criterion_2():
 
 def criterion_3():
     """Graph orbit-type counts against the Stirling formula and a direct
-    enumeration of equality patterns decorated with block adjacency."""
+    enumeration of equality patterns decorated with block adjacency, both
+    as tuple types and as the per-hull orbit counts ``decompose_power``
+    reads."""
     ok = True
     counts = []
+    graph = get_class("graph")
     for n in range(1, 5):
         formula = sum(stirling2(n, k) * 2 ** (k * (k - 1) // 2)
                       for k in range(1, n + 1))
@@ -131,8 +134,9 @@ def criterion_3():
         for pattern in _equality_patterns(n):
             k = len(set(pattern))
             brute += 2 ** (k * (k - 1) // 2)
-        got = len(get_class("graph").enumerate_tuple_types(n))
-        ok = ok and got == formula == brute
+        got = len(graph.enumerate_tuple_types(n))
+        per_hull = sum(count for _, count in graph.tuple_hulls(n).values())
+        ok = ok and got == formula == brute == per_hull
         counts.append(got)
     return ok, {"counts": counts}
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, NotACharacter
+from .finstruct import _rref
 from .permgrp import (
     PermGroup,
     compose,
@@ -311,31 +312,8 @@ def _poly_roots_modp(cs, p):
     return roots
 
 
-def _rref_modp(mat, p):
-    rows = [r[:] for r in mat]
-    n, m = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % p for j in range(m)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows[:r], pivots
-
-
 def _nullspace_modp(mat, p):
-    rows, pivots = _rref_modp(mat, p)
+    rows, pivots = _rref(mat, p)
     m = len(mat[0])
     pivset = set(pivots)
     basis = []
@@ -493,7 +471,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
     # split F_p^k into common eigenvectors of class matrices r = 0, 1, ...;
     # a space's restriction is read off the rows of r at its pivots, which
     # are the only rows built (Schneider 1990), each once per r
-    spaces = [_rref_modp([[int(i == j) for j in range(k)] for i in range(k)], p)]
+    spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], p)]
     for r in range(k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
@@ -519,7 +497,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
                     continue
                 lifted = [[sum(cv * w[c] for cv, w in zip(coords, rows)) % p
                            for c in range(k)] for coords in block]
-                nxt.append(_rref_modp(lifted, p))
+                nxt.append(_rref(lifted, p))
                 split_dim += len(block)
             if split_dim != d:
                 raise InvariantViolation(

@@ -37,10 +37,8 @@ payload:
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
-  number of orbits of n-tuples whose hull it is); only vector spaces read
-  each tuple type through ``marked_core``;
-* ``stabilizer_is_trivial(base, marked)``: whether only the identity of
-  ``Aut(base)`` fixes every marked position;
+  number of orbits of n-tuples whose hull it is), by a closed count per
+  class;
 * ``_data_to_json`` / ``_data_from_json``: the ``data`` object of a
   structure document.
 
@@ -57,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -169,7 +168,8 @@ def _vec_add(u, v, q):
 
 
 def _rref(rows, q):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+    """Reduced row echelon form over GF(q), q prime; returns (rows, pivot
+    columns), both tuples, and stops once every row has a pivot."""
     mat = [list(r) for r in rows]
     pivots = []
     row = 0
@@ -187,6 +187,8 @@ def _rref(rows, q):
                 mat[r] = [(a - c * b) % q for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
+        if row == len(mat):
+            break
     reduced = tuple(tuple(r) for r in mat[:row])
     return reduced, tuple(pivots)
 
@@ -240,7 +242,6 @@ class FraisseClass:
 
     id = ""
     relational = True
-    no_algebraicity = True
     atomic = False
     max_tuple_len = 8
     num_fixed_elements = 0
@@ -345,30 +346,9 @@ class FraisseClass:
         touching fixed elements.
 
         Returns a dict mapping canonical code to ``(hull, count)``: the
-        canonical hull and the number of orbits whose hull it is.  By
-        default each tuple type is read through ``marked_core``.
-        """
-        hulls = {}
-        for t in self.enumerate_tuple_types(n, x0_only):
-            self._add_hull(hulls, *self.marked_core(t), 1)
-        return hulls
-
-    def _add_hull(self, hulls, hull, marked, count):
-        """Credit ``count`` orbits to the canonical ``hull`` once their
-        entries, at the ``marked`` positions, pin every automorphism."""
-        if not self.stabilizer_is_trivial(hull, marked):
-            raise InvariantViolation(
-                "tuple entries do not generate their closed hull")
-        code = self._code_of_canonical(hull)
-        hulls[code] = (hull, hulls.get(code, (hull, 0))[1] + count)
-
-    def marked_core(self, t):
-        """Canonical closed hull of a tuple type plus the marked positions,
-        for the default ``tuple_hulls``.
-
-        Returns ``(base, marked)`` where ``base`` is the canonical structure
-        generated by the tuple entries and ``marked[i]`` is the position of
-        entry ``i`` inside it.
+        canonical hull and the number of orbits whose hull it is.  Raises
+        ``MalformedStructure`` for n < 0 and ``SizeLimitExceeded`` above
+        ``max_tuple_len``.
         """
         raise NotImplementedError
 
@@ -497,10 +477,6 @@ class FraisseClass:
             reps.append(config)
         return reps
 
-    def stabilizer_is_trivial(self, base, marked):
-        """Whether only the identity of Aut(base) fixes every marked position."""
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 # relational classes
@@ -528,10 +504,6 @@ class _RelationalClass(FraisseClass):
         return (len({j for _, j in matching}) == len(base_c),
                 len({i for i, _ in matching}) == len(base_b))
 
-    def stabilizer_is_trivial(self, base, marked):
-        # relational bases are exactly the marked points
-        return set(marked) == set(range(len(base)))
-
     def _tuple_types(self, n):
         types = []
         for blocks in set_partitions(n):
@@ -544,17 +516,19 @@ class _RelationalClass(FraisseClass):
         raise NotImplementedError
 
     def tuple_hulls(self, n, x0_only=False):
-        # The S(n, k) partitions of the coordinates into k blocks share each
-        # core on the blocks, their hull; every block holds an entry, and
-        # no entry is a fixed element.
+        # The hull of a tuple is the structure on its entries, and Aut(B)
+        # acts freely on the S(n, k) k! maps of the coordinates onto the k
+        # points of B, so B is the hull of S(n, k) k! / |Aut(B)| orbits.
+        # No entry is a fixed element.
         self._check_tuple_len(n)
-        partitions = Counter(len(blocks) for blocks in set_partitions(n))
+        stirling = Counter(len(blocks) for blocks in set_partitions(n))
         hulls = {}
-        for k, count in partitions.items():
-            for core in self._block_cores(k):
-                hull, rel = self.canonical(
-                    FinStructure(self.id, tuple(range(k)), core))
-                self._add_hull(hulls, hull, rel, count)
+        for hull in self.enumerate_class(n):
+            k = len(hull)
+            if k in stirling:
+                aut = PermGroup(k, self._canonical_aut_gens(hull)).order
+                hulls[self._code_of_canonical(hull)] = (
+                    hull, stirling[k] * math.factorial(k) // aut)
         return hulls
 
 
@@ -770,8 +744,13 @@ class GraphClass(_RelationalClass):
         return _digest(self.id, len(canon.points), pairs)
 
     def _automorphisms(self, s):
-        n = len(s.points)
-        _, orders = self._search(s)
+        return PermGroup(len(s.points), self._canonical_aut_gens(s))
+
+    def _canonical_aut_gens(self, canon):
+        # each order reaching the least code is the first one moved by an
+        # automorphism, in any graph, canonical or not
+        n = len(canon.points)
+        _, orders = self._search(canon)
         base = orders[0]
         gens = []
         for other in orders:
@@ -779,10 +758,7 @@ class GraphClass(_RelationalClass):
             for k in range(n):
                 g[base[k]] = other[k]
             gens.append(tuple(g))
-        return PermGroup(n, gens)
-
-    def _canonical_aut_gens(self, canon):
-        return self._automorphisms(canon).generators
+        return gens
 
     def _enumerate_nonempty(self, k):
         reps = []
@@ -914,7 +890,6 @@ def _symmetric_gens(n):
 
 class VectorSpaceClass(FraisseClass):
     relational = False
-    no_algebraicity = False
     num_fixed_elements = 1
 
     def __init__(self, q, class_id):
@@ -1091,19 +1066,17 @@ class VectorSpaceClass(FraisseClass):
                 return True
         return False
 
-    def marked_core(self, t):
-        rows = t.data
-        reduced, pivots = _rref(rows, self.q) if rows else ((), ())
-        free = [c for c in range(t.n) if c not in pivots]
-        dim = len(free)
-        base = self.canonical_space(dim)
-        marked = []
-        for i in range(t.n):
-            e = tuple(1 if j == i else 0 for j in range(t.n))
-            residue = _residue(e, reduced, pivots, self.q)
-            coords = tuple(residue[c] for c in free)
-            marked.append(_lex_index(coords, self.q))
-        return base, tuple(marked)
+    def tuple_hulls(self, n, x0_only=False):
+        # the entries of a tuple whose relation space has rank r span a
+        # space of dimension n - r, the zero space when all of them are zero
+        self._check_tuple_len(n)
+        dims = Counter(n - len(rows) for rows in _relation_spaces(n, self.q)
+                       if not (x0_only and self._touches_fixed(rows, n)))
+        hulls = {}
+        for dim, count in dims.items():
+            hull = self.canonical_space(dim)
+            hulls[self._code_of_canonical(hull)] = (hull, count)
+        return hulls
 
     def _data_to_json(self, data):
         q, vectors = data
@@ -1152,11 +1125,6 @@ class VectorSpaceClass(FraisseClass):
         rank_right = len(_rref([r[dB:] for r in rows], self.q)[0])
         return rank_right == self.size(base_c), rank_left == dB
 
-    def stabilizer_is_trivial(self, base, marked):
-        # marked vectors pin every automorphism exactly when they span
-        vectors = [base.data[1][p] for p in marked]
-        return len(_rref(vectors, self.q)[0]) == self.size(base)
-
 
 def _relation_spaces(n, q):
     """All subspaces of GF(q)^n in reduced row echelon form."""
@@ -1183,7 +1151,6 @@ def _relation_spaces(n, q):
 class BooleanAlgebraClass(FraisseClass):
     id = "boolean_algebra"
     relational = False
-    no_algebraicity = False
     atomic = True
     max_tuple_len = 4
     num_fixed_elements = 2
@@ -1390,24 +1357,10 @@ class BooleanAlgebraClass(FraisseClass):
 # ---------------------------------------------------------------------------
 # registry and serialization
 
-REGISTRY = {}
-
-
-def _register(cls_obj):
-    if not cls_obj.relational and cls_obj.no_algebraicity:
-        raise MalformedStructure(
-            f"{cls_obj.id}: algebraic closure must be trivial in relational "
-            "classes only")
-    REGISTRY[cls_obj.id] = cls_obj
-    return cls_obj
-
-
-_register(PureSetClass())
-_register(LinearOrderClass())
-_register(GraphClass())
-_register(VectorSpaceClass(2, "vector_space"))
-_register(VectorSpaceClass(3, "vector_space_q3"))
-_register(BooleanAlgebraClass())
+REGISTRY = {cls_obj.id: cls_obj for cls_obj in (
+    PureSetClass(), LinearOrderClass(), GraphClass(),
+    VectorSpaceClass(2, "vector_space"), VectorSpaceClass(3, "vector_space_q3"),
+    BooleanAlgebraClass())}
 
 
 def get_class(class_id):

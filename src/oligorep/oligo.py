@@ -381,10 +381,13 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
     automorphism group of its closed hull, because the tuple entries
     generate the hull and therefore have trivial stabilizer inside its
     automorphism group.  The class counts the orbits per canonical hull
-    (``tuple_hulls``); in a relational class the S(n, k) partitions of the
-    coordinates into k blocks share each core on the blocks, Cameron's
-    F_n = sum_k S(n, k) F*_k.  Orbits whose hull is empty or consists of
-    fixed elements contribute one copy of the trivial label each.
+    (``tuple_hulls``) by a closed rule.  Aut(B) acts freely on the tuples
+    generating B, so a relational hull B on k points is the hull of
+    S(n, k) k! / |Aut(B)| orbits (Cameron); a vector tuple whose relation
+    space has rank r spans a hull of dimension n - r; a Boolean orbit's
+    hull has its realized cells as atoms.  Orbits whose hull is empty or
+    consists of fixed elements contribute one copy of the trivial label
+    each.
     """
     limits = limits or get_limits()
     cls = get_class(class_id)

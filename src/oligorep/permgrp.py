@@ -125,7 +125,6 @@ class PermGroup:
     def _build_chain(self) -> None:
         gens = [g for g in self.generators if g != identity(self.degree)]
         self._base, self._transversals, self._strong_gens = [], [], []
-        level = 0
         while gens:
             moved = min(
                 i for i in range(self.degree)
@@ -142,19 +141,16 @@ class PermGroup:
                 rep = trans[x]
                 for g in gens:
                     sg = compose(inverse(trans[g[x]]), compose(g, rep))
-                    residue = self.sift(sg, level + 1)
-                    if residue not in stab_set:
-                        stab.append(residue)
-                        stab_set.add(residue)
+                    if sg not in stab_set:
+                        stab.append(sg)
+                        stab_set.add(sg)
             gens = stab
-            level += 1
 
-    def sift(self, g: tuple, start: int = 0):
-        """Return the residue of g after sifting through the levels >= start
-        built so far; with start 0, the identity iff g in G."""
-        for lvl in range(start, len(self._base)):
-            x = g[self._base[lvl]]
-            trans = self._transversals[lvl]
+    def sift(self, g: tuple):
+        """Return the residue of g after sifting through the chain: the
+        identity iff g in G."""
+        for point, trans in zip(self._base, self._transversals):
+            x = g[point]
             if x not in trans:
                 return g
             g = compose(inverse(trans[x]), g)

@@ -36,3 +36,22 @@ def test_sweep_probes_a_seven_atom_boolean_algebra():
     assert [cycle_type(g) for g in cyclic] == list(table.class_partitions[1:])
     for v in probes:
         assert decompose_quasiregular(v, limits).total_degree() == v.index
+
+
+def test_criterion_3_fails_on_a_hull_count_off_by_one(monkeypatch):
+    # one orbit too many on one graph hull must show against the formula
+    graph = get_class("graph")
+    hulls = graph.tuple_hulls
+
+    def off_by_one(n, x0_only=False):
+        counted = hulls(n, x0_only)
+        code = max(counted)
+        hull, count = counted[code]
+        counted[code] = (hull, count + 1)
+        return counted
+
+    assert acceptance.criterion_3()[0]
+    monkeypatch.setattr(graph, "tuple_hulls", off_by_one)
+    ok, details = acceptance.criterion_3()
+    assert ok is False
+    assert details == {"counts": [1, 3, 15, 127]}

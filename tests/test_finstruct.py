@@ -12,14 +12,16 @@ except ImportError:  # the property test below is skipped
     hypothesis = None
 
 from oligorep.errors import (
-    InvariantViolation,
     MalformedStructure,
     SizeLimitExceeded,
 )
 from oligorep.finstruct import (
     FinStructure,
     _byte_tables,
+    _lex_index,
     _read_mask,
+    _residue,
+    _rref,
     get_class,
     empty_structure,
     set_partitions,
@@ -608,6 +610,30 @@ def boolean_marked_core(cls, t):
     return cls.canonical_algebra(len(cells)), marked
 
 
+def vector_marked_core(cls, t):
+    """The canonical span of a vector tuple type's entries, and each
+    entry's position in it: its coordinates over the free columns of the
+    relation space."""
+    reduced, pivots = _rref(t.data, cls.q)
+    free = [c for c in range(t.n) if c not in pivots]
+    marked = []
+    for i in range(t.n):
+        e = tuple(1 if j == i else 0 for j in range(t.n))
+        residue = _residue(e, reduced, pivots, cls.q)
+        marked.append(_lex_index(tuple(residue[c] for c in free), cls.q))
+    return cls.canonical_space(len(free)), tuple(marked)
+
+
+def stabilizer_is_trivial(cls, base, marked):
+    """Whether only the identity of Aut(base) fixes every marked position:
+    a relational base must be exactly the marked points, and marked vectors
+    must span the space."""
+    if cls.relational:
+        return set(marked) == set(range(len(base)))
+    vectors = [base.data[1][p] for p in marked]
+    return len(_rref(vectors, cls.q)[0]) == cls.size(base)
+
+
 def reference_tuple_hulls(cls, n, x0_only):
     """Canonical code -> (hull, orbit count), one tuple type at a time.
 
@@ -623,8 +649,8 @@ def reference_tuple_hulls(cls, n, x0_only):
     hulls = {}
     for t in types:
         hull, marked = (relational_marked_core(cls, t) if cls.relational
-                        else cls.marked_core(t))
-        assert cls.stabilizer_is_trivial(hull, marked)
+                        else vector_marked_core(cls, t))
+        assert stabilizer_is_trivial(cls, hull, marked)
         code = cls.canonical_code(hull)
         hulls[code] = (hull, hulls.get(code, (hull, 0))[1] + 1)
     return hulls
@@ -652,8 +678,8 @@ def test_graph_hull_counts_follow_orbit_stabilizer():
     # the k!/|Aut(B)| labelled cores of a k-point hull B each carry the
     # S(n, k) partitions of the coordinates into k blocks
     graph = get_class("graph")
-    stirling = stirling_table(5)
-    for n in range(6):
+    stirling = stirling_table(6)
+    for n in range(7):
         for hull, count in graph.tuple_hulls(n).values():
             k = len(hull.points)
             edges = {tuple(sorted(e)) for e in hull.data}
@@ -663,6 +689,23 @@ def test_graph_hull_counts_follow_orbit_stabilizer():
             assert count * aut == stirling[n][k] * math.factorial(k)
 
 
+def test_linear_order_hull_counts_sum_to_weak_orders():
+    # a chain has no automorphism but the identity, so a k-point hull is
+    # the hull of all S(n, k) k! orbits of maps onto it; the orbit of n
+    # rationals is the weak order they put on the coordinates
+    order = get_class("linear_order")
+    stirling = stirling_table(6)
+    for n in range(7):
+        hulls = order.tuple_hulls(n)
+        assert ({len(hull): count for hull, count in hulls.values()}
+                == {k: stirling[n][k] * math.factorial(k)
+                    for k in range(n + 1) if stirling[n][k]})
+        weak_orders = {tuple(sorted(set(w)).index(x) for x in w)
+                       for w in itertools.product(range(n), repeat=n)}
+        assert (sum(count for _, count in hulls.values())
+                == len(weak_orders) == [1, 1, 3, 13, 75, 541, 4683][n])
+
+
 @pytest.mark.parametrize("cls_id", sorted(HULL_RANGES))
 def test_tuple_hulls_refuse_bad_lengths(cls_id):
     cls = get_class(cls_id)
@@ -670,15 +713,6 @@ def test_tuple_hulls_refuse_bad_lengths(cls_id):
         cls.tuple_hulls(-1)
     with pytest.raises(SizeLimitExceeded):
         cls.tuple_hulls(cls.max_tuple_len + 1, x0_only=True)
-
-
-@pytest.mark.parametrize("cls_id", ["graph", "vector_space"])
-def test_tuple_hulls_check_that_entries_pin_their_hull(cls_id, monkeypatch):
-    cls = get_class(cls_id)
-    monkeypatch.setattr(cls, "stabilizer_is_trivial",
-                        lambda base, marked: cls.size(base) < 2)
-    with pytest.raises(InvariantViolation):
-        cls.tuple_hulls(2)
 
 
 def test_canonical_algebras_carry_the_code_for_their_atoms():
@@ -701,7 +735,7 @@ def test_marked_cores_pure_set():
 def test_marked_cores_vector_space():
     vs = get_class("vector_space")
     for t in vs.enumerate_tuple_types(2):
-        base, marked = vs.marked_core(t)
+        base, marked = vector_marked_core(vs, t)
         assert vs.is_member(base)
         dim = vs.size(base)
         span = vs.acl(base, marked) if marked else ()
@@ -709,7 +743,7 @@ def test_marked_cores_vector_space():
             assert len(span) == 2 ** dim
     zero_type = [t for t in vs.enumerate_tuple_types(1)
                  if vs._touches_fixed(t.data, t.n)]
-    base, marked = vs.marked_core(zero_type[0])
+    base, marked = vector_marked_core(vs, zero_type[0])
     assert vs.size(base) == 0
     assert marked == (0,)
 
@@ -761,6 +795,33 @@ def test_marked_cores_pin_every_automorphism_brute_force():
             if all(move(mk) == mk for mk in marked):
                 fixers.append(sigma)
         assert fixers == [tuple(range(m))]
+
+
+def test_hull_stabilizers_are_trivial_brute_force():
+    # the marked vectors of a tuple hull pin every automorphism
+    for cls_id in ("vector_space", "vector_space_q3"):
+        vcls = get_class(cls_id)
+        q = vcls.q
+        for t in vcls.enumerate_tuple_types(2):
+            base, marked = vector_marked_core(vcls, t)
+            dim = vcls.size(base)
+            if dim == 0:
+                continue
+            vectors = [base.data[1][p] for p in marked]
+            fixing = 0
+            for cols in itertools.product(
+                    itertools.product(range(q), repeat=dim), repeat=dim):
+                image = {}
+                for v in base.data[1]:
+                    img = tuple(
+                        sum(cols[j][r] * v[j] for j in range(dim)) % q
+                        for r in range(dim))
+                    image[v] = img
+                if len(set(image.values())) != len(image):
+                    continue
+                if all(image[v] == v for v in vectors):
+                    fixing += 1
+            assert fixing == 1
 
 
 # ---------------------------------------------------------------------------

@@ -312,35 +312,6 @@ def test_power_labels_appear_in_catalog():
         assert set(power.terms) <= catalog
 
 
-def test_hull_stabilizers_are_trivial_brute_force():
-    # the marked vectors of a tuple hull pin every automorphism; the
-    # relational and Boolean marked cores are checked in test_finstruct
-    for cls_id in ("vector_space", "vector_space_q3"):
-        vcls = get_class(cls_id)
-        q = vcls.q
-        for t in vcls.enumerate_tuple_types(2):
-            base, marked = vcls.marked_core(t)
-            dim = vcls.size(base)
-            if dim == 0:
-                continue
-            vectors = [base.data[1][p] for p in marked]
-            fixing = 0
-            for cols in itertools.product(
-                    itertools.product(range(q), repeat=dim), repeat=dim):
-                image = {}
-                ok = True
-                for v in base.data[1]:
-                    img = tuple(
-                        sum(cols[j][r] * v[j] for j in range(dim)) % q
-                        for r in range(dim))
-                    image[v] = img
-                if len(set(image.values())) != len(image):
-                    continue
-                if all(image[v] == v for v in vectors):
-                    fixing += 1
-            assert fixing == 1
-
-
 def test_double_coset_profile_pure():
     v1 = make_open_subgroup("pure_set", pure_base(1))
     v2 = make_open_subgroup("pure_set", pure_base(2))
