@@ -500,9 +500,9 @@ class _RelationalClass(FraisseClass):
         return [("match", m) for m in self._matchings(len(base_b), len(base_c))]
 
     def config_finiteness(self, payload, base_b, base_c):
-        matching = payload[1]
-        return (len({j for _, j in matching}) == len(base_c),
-                len({i for i, _ in matching}) == len(base_b))
+        # a matching's pairs have distinct ends on both sides
+        matched = len(payload[1])
+        return matched == len(base_c), matched == len(base_b)
 
     def _tuple_types(self, n):
         types = []

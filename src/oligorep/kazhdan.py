@@ -123,22 +123,25 @@ def partial_displacement(f, mapping):
     return sum((abs(f[x] - f[y]) for x, y in mapping.items()), Fraction(0))
 
 
+def _translate_pairs(f, perm):
+    """(f(g^-1 xs), f(xs)) over every tuple xs where f or its translate
+    g f is nonzero, ``perm`` acting diagonally and fixing missing points."""
+    inverse = {v: k for k, v in perm.items()}
+    moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
+    zero = Fraction(0)
+    for xs in set(f) | moved:
+        pulled = tuple(inverse.get(x, x) for x in xs)
+        yield f.get(pulled, zero), f.get(xs, zero)
+
+
 def l1_displacement(f, perm):
     """l1 distance between f and its translate under a full permutation.
 
     ``f`` maps tuples to rationals; ``perm`` is a point permutation acting
     diagonally.  Points missing from ``perm`` are fixed.
     """
-    inverse = {v: k for k, v in perm.items()}
-
-    def pull(xs):
-        return tuple(inverse.get(x, x) for x in xs)
-
-    moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
-    total = Fraction(0)
-    for xs in set(f) | moved:
-        total += abs(f.get(pull(xs), Fraction(0)) - f.get(xs, Fraction(0)))
-    return total
+    return sum((abs(a - b) for a, b in _translate_pairs(f, perm)),
+               Fraction(0))
 
 
 def _random_signed_function(rng, points, tuple_len, support_size):
@@ -189,13 +192,8 @@ def l1_l2_transfer(seed, n_points=6, tuple_len=2, support_size=5):
     f = _random_signed_function(rng, points, tuple_len, support_size)
     squared = {xs: v * v for xs, v in f.items()}
     lhs = l1_displacement(squared, perm)
-    inverse = {v: k for k, v in perm.items()}
-    moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
-    diff_sq = Fraction(0)
-    for xs in set(f) | moved:
-        pulled = tuple(inverse.get(x, x) for x in xs)
-        d = f.get(pulled, Fraction(0)) - f.get(xs, Fraction(0))
-        diff_sq += d * d
+    diff_sq = sum(((a - b) ** 2 for a, b in _translate_pairs(f, perm)),
+                  Fraction(0))
     norm_sq = sum((v * v for v in f.values()), Fraction(0))
     ok = lhs * lhs <= 4 * diff_sq * norm_sq
     values = sorted(abs(v) for v in f.values())
@@ -913,21 +911,22 @@ class RadoF2Action:
         return masks
 
 
+_F2_ACTIONS = {
+    "pure_set": lambda seed: PureSetF2Action(),
+    "linear_order": lambda seed: LinearOrderF2Action(),
+    "vector_space": lambda seed: VectorSpaceF2Action(2),
+    "vector_space_q3": lambda seed: VectorSpaceF2Action(3),
+    "boolean_algebra": lambda seed: ClopenF2Action(),
+    "graph": RadoF2Action,
+}
+
+
 def f2_embedding(class_id, seed=0):
-    """The built-in free action for one of the five classes."""
-    if class_id == "pure_set":
-        return PureSetF2Action()
-    if class_id == "linear_order":
-        return LinearOrderF2Action()
-    if class_id == "vector_space":
-        return VectorSpaceF2Action(2)
-    if class_id == "vector_space_q3":
-        return VectorSpaceF2Action(3)
-    if class_id == "boolean_algebra":
-        return ClopenF2Action()
-    if class_id == "graph":
-        return RadoF2Action(seed)
-    raise MalformedStructure(f"no free action registered for {class_id!r}")
+    """The built-in free action for one of the six classes."""
+    maker = _F2_ACTIONS.get(class_id)
+    if maker is None:
+        raise MalformedStructure(f"no free action registered for {class_id!r}")
+    return maker(seed)
 
 
 def freeness_check(action, word_len=8, seed=0, points=None):

@@ -1,17 +1,25 @@
 """Deterministic finite permutation groups.
 
 A permutation on n points is a tuple p of length n with p[i] the image of
-i.  Composition is (g * h)(i) = g(h(i)), i.e. h acts first.  Everything
-here is deterministic: the stabilizer chain uses the smallest moved point
-at each level and BFS transversals in point order, so two runs over the
-same generators produce identical data.  That determinism is load-bearing
-for reproducible catalogs, which is why this module exists instead of
-leaning on a library with randomized internals.
+i.  Composition is (g * h)(i) = g(h(i)), i.e. h acts first.
+
+The stabilizer chain comes from one incremental Schreier–Sims pass (Sims
+1970; Seress, *Permutation Group Algorithms*, 2003).  Each generator, in
+order, is sifted through the chain; a residue other than the identity
+becomes a strong generator on every level from the one it was sifted from
+down to the one where it dropped out, past the last level opening a new
+one whose base point is the least point the residue moves.  Those levels'
+orbits grow, and their new Schreier generators are sifted the same way.
+Everything is taken in a fixed order, so two runs over the same generators
+produce identical data.  That determinism is load-bearing for reproducible
+catalogs, which is why this module exists instead of leaning on a library
+with randomized internals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 
 from .errors import InvalidPermutation, NotASubgroup, SizeLimitExceeded
 
@@ -63,8 +71,6 @@ def cycle_type(g: tuple) -> tuple:
 
 
 def perm_order(g: tuple) -> int:
-    from math import lcm
-
     return lcm(*cycle_type(g)) if g else 1
 
 
@@ -92,99 +98,89 @@ class ConjClass:
 
 
 class PermGroup:
-    """Group generated by permutations, with a deterministic BSGS."""
+    """Group generated by permutations, with a deterministic BSGS.
+
+    The chain is complete after each generator, so ``reduced_generators``,
+    those whose sift left a residue, are the generators outside the group
+    of those before them: at most log2 |G| of them, generating G.
+    """
 
     def __init__(self, degree: int, generators) -> None:
         self.degree = degree
         self.generators = tuple(
             validate_perm(g, degree) for g in generators
         )
+        self._identity = identity(degree)
         self._base: list = []
-        self._transversals: list = []  # dicts point -> coset rep
+        self._transversals: list = []  # dicts point -> coset rep^-1
         self._strong_gens: list = []   # per level
-        self._build_chain()
-        self._reduced: tuple | None = None
+        self.reduced_generators = tuple(
+            g for g in self.generators if self._add(g, 0))
         self._elements: tuple | None = None
         self._classes: tuple | None = None
         self._class_index: dict | None = None
 
     # -- stabilizer chain ---------------------------------------------------
 
-    def _orbit_transversal(self, point: int, gens: list) -> dict:
-        trans = {point: identity(self.degree)}
-        queue = [point]
-        for x in queue:
-            rep = trans[x]
-            for g in gens:
-                y = g[x]
-                if y not in trans:
-                    trans[y] = compose(g, rep)
-                    queue.append(y)
-        return trans
+    def _sift(self, g: tuple, level: int = 0) -> tuple:
+        """(residue, level) of g sifted through the chain from ``level``
+        on: the residue is the identity iff g lies in that level's group,
+        else it fixes the base points before the level it stopped at."""
+        for i in range(level, len(self._base)):
+            rep_inv = self._transversals[i].get(g[self._base[i]])
+            if rep_inv is None:
+                return g, i
+            g = compose(rep_inv, g)
+        return g, len(self._base)
 
-    def _build_chain(self) -> None:
-        gens = [g for g in self.generators if g != identity(self.degree)]
-        self._base, self._transversals, self._strong_gens = [], [], []
-        while gens:
-            moved = min(
-                i for i in range(self.degree)
-                if any(g[i] != i for g in gens)
-            )
-            self._base.append(moved)
-            self._strong_gens.append(list(gens))
-            trans = self._orbit_transversal(moved, gens)
-            self._transversals.append(trans)
-            # Schreier generators for the stabilizer of `moved`.
-            stab: list = []
-            stab_set = {identity(self.degree)}
-            for x in sorted(trans):
-                rep = trans[x]
-                for g in gens:
-                    sg = compose(inverse(trans[g[x]]), compose(g, rep))
-                    if sg not in stab_set:
-                        stab.append(sg)
-                        stab_set.add(sg)
-            gens = stab
+    def _add(self, g: tuple, level: int) -> bool:
+        """Extend the chain from ``level`` on by g, which fixes the base
+        points before ``level``; False iff g already lies in the group of
+        that level."""
+        h, stop = self._sift(g, level)
+        if h == self._identity:
+            return False
+        if stop == len(self._base):
+            point = next(i for i, x in enumerate(h) if i != x)
+            self._base.append(point)
+            self._transversals.append({point: self._identity})
+            self._strong_gens.append([])
+        for i in range(stop, level - 1, -1):
+            self._grow(i, h)
+        return True
 
-    def sift(self, g: tuple):
-        """Return the residue of g after sifting through the chain: the
-        identity iff g in G."""
-        for point, trans in zip(self._base, self._transversals):
-            x = g[point]
-            if x not in trans:
-                return g
-            g = compose(inverse(trans[x]), g)
-        return g
+    def _grow(self, i: int, new: tuple) -> None:
+        """Add the strong generator ``new`` on level i, extend its orbit and
+        sift each Schreier generator not met before into level i + 1."""
+        gens = self._strong_gens[i]
+        gens.append(new)
+        trans = self._transversals[i]
+        fresh: list = []  # (point, coset rep) of the points the orbit gains
+
+        def visit(x, u, s):
+            v = compose(s, u)
+            y = s[x]
+            if y in trans:
+                self._add(compose(trans[y], v), i + 1)
+            else:
+                trans[y] = inverse(v)
+                fresh.append((y, v))
+
+        for x in list(trans):
+            visit(x, inverse(trans[x]), new)
+        for x, u in fresh:
+            for s in gens:
+                visit(x, u, s)
 
     def __contains__(self, g) -> bool:
         g = tuple(g)
         if len(g) != self.degree:
             return False
-        return self.sift(g) == identity(self.degree)
+        return self._sift(g)[0] == self._identity
 
     @property
     def order(self) -> int:
-        n = 1
-        for trans in self._transversals:
-            n *= len(trans)
-        return n
-
-    @property
-    def reduced_generators(self) -> tuple:
-        """The generators, in order, that lie outside the group generated by
-        those kept before them.  They generate G and each at least doubles
-        the group kept so far, so there are at most log2 |G| of them."""
-        if self._reduced is None:
-            kept: list = []
-            sub = PermGroup(self.degree, [])
-            for g in self.generators:
-                if sub.order == self.order:
-                    break
-                if sub.sift(g) != identity(self.degree):
-                    kept.append(g)
-                    sub = PermGroup(self.degree, kept)
-            self._reduced = tuple(kept)
-        return self._reduced
+        return prod(len(trans) for trans in self._transversals)
 
     def _conjugators(self) -> list:
         """(s.__getitem__, s^-1) per reduced generator s: the conjugate
@@ -195,25 +191,19 @@ class PermGroup:
 
     def elements(self, limit: int | None = None) -> tuple:
         """All elements, sorted.  Guarded so nobody materializes GL(5,2)."""
-        if self._elements is None:
-            if limit is not None and self.order > limit:
-                raise SizeLimitExceeded(
-                    f"group of order {self.order} exceeds element "
-                    f"materialization limit {limit}"
-                )
-            # every g factors as t_0 t_1 ... t_{k-1} with t_i in level i's
-            # transversal (that is what sift peels off, left to right)
-            elems = [identity(self.degree)]
-            for trans in reversed(self._transversals):
-                reps = sorted(trans.values())
-                elems = [compose(r, e) for r in reps for e in elems]
-            self._elements = tuple(sorted(set(elems)))
-            assert len(self._elements) == self.order
-        elif limit is not None and len(self._elements) > limit:
+        if limit is not None and self.order > limit:
             raise SizeLimitExceeded(
                 f"group of order {self.order} exceeds element "
                 f"materialization limit {limit}"
             )
+        if self._elements is None:
+            # a sift writes g as t_0 t_1 ... t_{k-1}, t_i a coset rep of
+            # level i, so g^-1 runs over the products of their inverses
+            elems = [self._identity]
+            for trans in self._transversals:
+                elems = [compose(v, e) for v in trans.values() for e in elems]
+            self._elements = tuple(sorted(elems))
+            assert len(set(self._elements)) == self.order
         return self._elements
 
     def orbit(self, point: int) -> tuple:

@@ -4,6 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the property test below is skipped
+    hypothesis = None
+
 from oligorep.errors import (
     FreenessViolation,
     MalformedStructure,
@@ -48,6 +54,26 @@ def test_distribution_validation():
         Distribution({0: Fraction(1, 2)})
     with pytest.raises(MalformedStructure):
         Distribution({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_distributions_keep_mass_one():
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=10 ** 6),
+                      st.integers(min_value=1, max_value=8),
+                      st.lists(st.integers(min_value=0, max_value=20),
+                               min_size=1, max_size=6))
+    def check(seed, n_points, raw):
+        d = random_distribution(random.Random(seed), range(n_points))
+        assert sum(d.weights.values()) == 1
+        assert d.support() <= set(range(n_points))
+        total = sum(raw)
+        if total:
+            Distribution({i: Fraction(k, total) for i, k in enumerate(raw)})
+        skewed = {i: Fraction(k, total + 1) for i, k in enumerate(raw)}
+        with pytest.raises(MalformedStructure):
+            Distribution(skewed)
+    check()
 
 
 def test_displacement_helpers():
@@ -771,7 +797,12 @@ def test_cayley_extension_rejects_t_outside_one_two():
 
 
 def test_embedding_factory():
-    assert f2_embedding("pure_set").class_id == "pure_set"
+    for cls_id in ("pure_set", "linear_order", "graph", "vector_space",
+                   "vector_space_q3", "boolean_algebra"):
+        assert f2_embedding(cls_id).class_id == cls_id
+    assert f2_embedding("vector_space").q == 2
     assert f2_embedding("vector_space_q3").q == 3
-    with pytest.raises(MalformedStructure):
+    assert f2_embedding("graph", seed=5).seed == 5
+    with pytest.raises(MalformedStructure,
+                       match="no free action registered for 'no_such_class'"):
         f2_embedding("no_such_class")

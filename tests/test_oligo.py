@@ -607,6 +607,21 @@ def test_finitely_many_left_cosets():
     assert len(finite) == 2
 
 
+@pytest.mark.parametrize("cls_id", ["pure_set", "graph"])
+def test_matching_finiteness_counts_pairs(cls_id):
+    # reference rule: every point of a base is an end of some pair
+    cls = get_class(cls_id)
+    checked = 0
+    for v in enumerate_open_subgroups(cls_id, PROFILE_BASE[cls_id]):
+        for config in double_coset_profile(v).configs:
+            matching = config[1]
+            expected = (len({j for _, j in matching}) == len(v.base.points),
+                        len({i for i, _ in matching}) == len(v.base.points))
+            assert cls.config_finiteness(config, v.base, v.base) == expected
+            checked += 1
+    assert checked > 0
+
+
 @pytest.mark.parametrize("cls_id", sorted(PROFILE_BASE))
 def test_empty_base_against_a_nonempty_one(cls_id):
     # one double coset in both orders; the nonempty copy lies in the hull

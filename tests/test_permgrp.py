@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 
@@ -325,6 +326,17 @@ def test_subgroups_gl32():
     assert len(subs) == 15
     assert [H.order for H in subs] == [
         1, 2, 3, 4, 4, 4, 6, 7, 8, 12, 12, 21, 24, 24, 168]
+
+
+def test_strong_generators_each_double_their_level():
+    # a sifted residue lies outside its level's group, so each strong
+    # generator at least doubles it: at most log2 of its order per level
+    graph = get_class("graph")
+    G = graph.automorphisms(graph.make(range(7), frozenset()))
+    assert G.order == 5040
+    for i, gens in enumerate(G._strong_gens):
+        level_order = math.prod(len(t) for t in G._transversals[i:])
+        assert len(gens) <= level_order.bit_length() - 1, i
 
 
 # -- classes on the reduced generating set -------------------------------------
