@@ -8,10 +8,12 @@ multiplicities.  The split reads class matrix r only in the rows at the
 pivots of the spaces it has not yet cut into lines, so only those rows are
 built (Schneider 1990, "Dixon's character table algorithm revisited"):
 row s costs |C_r| products, since counting the triples xy = z two ways
-gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.
-Both orthogonality relations are verified exactly before a table is
-handed out; a table that fails them is a bug, not a result, hence
-InvariantViolation rather than a value error.
+gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.  Classes,
+rows and coset characters read the group's packed elements (``permgrp``),
+so each product is one ``str.translate``.  Each exact value of the lift
+and each row orthogonality sum (the column relations follow) is added up
+in one exponent dict by ``_mul_acc``, as in ``Cyc.__mul__``, with no Cyc
+per term.  A table failing them is a bug, hence InvariantViolation.
 
 Symmetric groups additionally get an independent construction from
 partition combinatorics (hook lengths, Murnaghan-Nakayama border strips)
@@ -32,13 +34,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, NotACharacter
 from .finstruct import _rref
-from .permgrp import (
-    PermGroup,
-    compose,
-    cycle_type,
-    inverse,
-    power,
-)
+from .permgrp import PermGroup, cycle_type, inverse, pack, power, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +95,31 @@ def _phi_data(e: int):
     """
     coeffs = _cyclotomic(e)
     deg = len(coeffs) - 1
-    top = {k: -c for k, c in enumerate(coeffs[:-1]) if c}
-    rows: list = [{0: 1}]
-    for _ in range(1, 2 * e - 1):
-        acc: dict = {}
-        for exp, c in rows[-1].items():
-            if exp + 1 < deg:
-                acc[exp + 1] = acc.get(exp + 1, 0) + c
-            else:
-                for k, v in top.items():
-                    acc[k] = acc.get(k, 0) + c * v
+    rows = [{j: 1} for j in range(deg)]
+    rows.append({k: -c for k, c in enumerate(coeffs[:-1]) if c})
+    while len(rows) < 2 * e - 1:  # zeta^j = zeta^(j-1) * zeta
+        acc = _mul_acc({}, rows[-1].items(), ((1, 1),), 1, deg, rows)
         rows.append({k: v for k, v in acc.items() if v})
     return deg, tuple(rows)
 
 
 def _make_cyc(e: int, acc: dict) -> "Cyc":
     return Cyc(e, tuple(sorted((k, v) for k, v in acc.items() if v)))
+
+
+def _mul_acc(acc: dict, xs, ys, c: int, deg: int, rows) -> dict:
+    """acc += c * x * y, returning acc, for x and y given by (exponent,
+    coefficient) terms and acc an exponent dict in the power basis of
+    degree deg, with rows = _phi_data(e)[1] reducing every exponent sum."""
+    for e1, c1 in xs:
+        for e2, c2 in ys:
+            s, v = e1 + e2, c * c1 * c2
+            if s < deg:
+                acc[s] = acc.get(s, 0) + v
+            else:
+                for k, r in rows[s].items():
+                    acc[k] = acc.get(k, 0) + v * r
+    return acc
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,7 @@ class Cyc:
     @staticmethod
     def root(e: int, k: int) -> "Cyc":
         """zeta_e^k, reduced."""
-        k %= e
-        deg, rows = _phi_data(e)
-        if k < deg:
-            return Cyc(e, ((k, 1),))
-        return _make_cyc(e, dict(rows[k]))
+        return _make_cyc(e, _phi_data(e)[1][k % e])
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -181,33 +182,16 @@ class Cyc:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        deg, rows = _phi_data(self.e)
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                s = e1 + e2
-                c = c1 * c2
-                if s < deg:
-                    acc[s] = acc.get(s, 0) + c
-                else:
-                    for k, v in rows[s].items():
-                        acc[k] = acc.get(k, 0) + c * v
-        return _make_cyc(self.e, acc)
+        return _make_cyc(self.e, _mul_acc({}, self.terms, other.terms, 1,
+                                          *_phi_data(self.e)))
 
     __rmul__ = __mul__
 
     def galois(self, j: int) -> "Cyc":
         """Apply zeta -> zeta^j; j must be prime to e for an automorphism."""
-        deg, rows = _phi_data(self.e)
-        acc: dict = {}
-        for exp, c in self.terms:
-            k = (exp * j) % self.e
-            if k < deg:
-                acc[k] = acc.get(k, 0) + c
-            else:
-                for k2, v in rows[k].items():
-                    acc[k2] = acc.get(k2, 0) + c * v
-        return _make_cyc(self.e, acc)
+        terms = [(exp * j % self.e, c) for exp, c in self.terms]
+        return _make_cyc(self.e, _mul_acc({}, terms, ((0, 1),), 1,
+                                          *_phi_data(self.e)))
 
     def conj(self) -> "Cyc":
         return self.galois(self.e - 1)
@@ -345,8 +329,11 @@ def _choose_prime(order: int, exponent: int, num_classes: int) -> int:
 
 class _Table:
     """What both table types share: ``num_classes``, ``group_order``,
-    ``class_sizes``, ``class_reps``, ``value(i, t)`` and ``_tstar[t]``, the
-    class of the inverses of class t's members."""
+    ``class_sizes``, ``class_reps``, ``value(i, t)``, ``class_of_packed(g)``
+    and ``_tstar[t]``, the class of the inverses of class t's members."""
+
+    def class_of_perm(self, g: tuple) -> int:
+        return self.class_of_packed(pack(g))
 
     def perm_character(self, action) -> tuple:
         """Fixed-point counts of class representatives under a CosetAction."""
@@ -403,15 +390,13 @@ class CharacterTable(_Table):
         self.class_sizes = tuple(c.size for c in classes)
         self.class_orders = tuple(c.order for c in classes)
         self.class_reps = tuple(c.rep for c in classes)
-        self._tstar = tuple(
-            class_index[inverse(c.rep)] for c in classes
-        )
+        self._tstar = tuple(class_index[pack(inverse(c.rep))] for c in classes)
 
     def value(self, i: int, t: int) -> Cyc:
         return self.rows[i][t]
 
-    def class_of_perm(self, g: tuple) -> int:
-        return self.class_index[tuple(g)]
+    def class_of_packed(self, g: str) -> int:
+        return self.class_index[g]
 
     def export(self) -> dict:
         return {
@@ -436,10 +421,11 @@ class CharacterTable(_Table):
 
 def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
     """Row s of class matrix r: a[r][s][t] = #{(x, y) in C_r x C_s : xy =
-    rep_t} for every t, as |C_s| #{x in C_r : x rep_s in C_t} / |C_t|."""
+    rep_t} for every t, as |C_s| #{x in C_r : x rep_s in C_t} / |C_t|, all
+    packed: x rep_s is rep_s.translate(x)."""
     counts = [0] * len(sizes)
-    for x in members_r:
-        counts[class_index[compose(x, rep_s)]] += 1
+    for t in map(class_index.__getitem__, map(rep_s.translate, members_r)):
+        counts[t] += 1
     row = []
     for count, size in zip(counts, sizes):
         a, rem = divmod(count * size_s, size)
@@ -462,11 +448,11 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
     p = _choose_prime(order, exponent, k)
     z = _primitive_root(p)
 
-    reps = [c.rep for c in classes]
+    reps = [pack(c.rep) for c in classes]
     sizes = [c.size for c in classes]
     members = [[] for _ in range(k)]
-    for g in group.elements(limit):
-        members[class_index[g]].append(g)
+    for g, t in class_index.items():
+        members[t].append(g)
 
     # split F_p^k into common eigenvectors of class matrices r = 0, 1, ...;
     # a space's restriction is read off the rows of r at its pivots, which
@@ -514,7 +500,7 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
         inv0 = pow(v[0], p - 2, p)
         omegas.append([x * inv0 % p for x in v])
 
-    tstar = [class_index[inverse(reps[t])] for t in range(k)]
+    tstar = [class_index[pack(inverse(c.rep))] for c in classes]
     inv_sizes = [pow(n, p - 2, p) for n in sizes]
 
     chars_p = []
@@ -532,10 +518,8 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
 
     # lift to Z[zeta_e]: chi(g) = sum_j m_j zeta_o^j with m_j the eigenvalue
     # multiplicities, recovered by discrete Fourier inversion mod p
-    pow_classes = []
-    for t in range(k):
-        o = classes[t].order
-        pow_classes.append([class_index[power(reps[t], l)] for l in range(o)])
+    pow_classes = [[class_index[pack(power(c.rep, l))] for l in range(c.order)]
+                   for c in classes]
     z_e = pow(z, (p - 1) // exponent, p)
     # zeta_o^m mod p for 0 <= m < o, one list per element order o
     z_pows = {o: [pow(z, (p - 1) // o * m, p) for m in range(o)]
@@ -545,29 +529,19 @@ def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTab
     for i in range(k):
         chi = chars_p[i]
         row = []
-        for t in range(k):
-            o = classes[t].order
-            zo_pow = z_pows[o]
-            inv_o = pow(o, p - 2, p)
-            val = Cyc.from_int(exponent, 0)
-            msum = 0
-            for j in range(o):
-                acc = 0
-                for l in range(o):
-                    acc = (acc + chi[pow_classes[t][l]]
-                           * zo_pow[(-j * l) % o]) % p
-                m = acc * inv_o % p
-                msum += m
-                if m:
-                    val = val + Cyc.root(exponent, j * (exponent // o)) * m
-            if msum != degrees[i]:
+        for t, c in enumerate(classes):
+            o, zo_pow, inv_o = c.order, z_pows[c.order], pow(c.order, p - 2, p)
+            ms = [sum(chi[x] * zo_pow[-j * l % o]
+                      for l, x in enumerate(pow_classes[t])) * inv_o % p
+                  for j in range(o)]
+            if sum(ms) != degrees[i]:
                 raise InvariantViolation(
-                    "eigenvalue multiplicities do not sum to the degree"
-                )
-            back = sum(
-                c * pow(z_e, exp, p) for exp, c in val.terms
-            ) % p
-            if back != chi[t]:
+                    "eigenvalue multiplicities do not sum to the degree")
+            # sum_j m_j zeta_e^(j e/o), added up in one exponent dict
+            terms = [(j * (exponent // o), m) for j, m in enumerate(ms) if m]
+            val = _make_cyc(exponent, _mul_acc({}, terms, ((0, 1),), 1,
+                                               *_phi_data(exponent)))
+            if sum(a * pow(z_e, exp, p) for exp, a in val.terms) % p != chi[t]:
                 raise InvariantViolation("cyclotomic lift disagrees mod p")
             row.append(val)
         rows_exact.append(row)
@@ -603,15 +577,17 @@ def _verify_orthogonality(table: CharacterTable) -> None:
     if len(rows) != k or any(len(row) != k for row in rows):
         raise InvariantViolation(
             f"character table is not square: {len(rows)} rows, {k} classes")
+    phi = _phi_data(table.exponent)
     for i in range(k):
         for j in range(i, k):
-            acc = Cyc.from_int(table.exponent, 0)
+            acc: dict = {}
             for t in range(k):
-                acc = acc + rows[i][t] * rows[j][tstar[t]] * sizes[t]
-            expect = order if i == j else 0
-            if acc != expect:
+                _mul_acc(acc, rows[i][t].terms, rows[j][tstar[t]].terms,
+                         sizes[t], *phi)
+            value = _make_cyc(table.exponent, acc)
+            if value != (order if i == j else 0):
                 raise InvariantViolation(
-                    f"row orthogonality fails at ({i}, {j}): {acc!r}"
+                    f"row orthogonality fails at ({i}, {j}): {value!r}"
                 )
 
 
@@ -731,8 +707,8 @@ class SymmetricCharacterTable(_Table):
     def value(self, i: int, t: int) -> int:
         return mn_value(self.irrep_partitions[i], self.class_partitions[t])
 
-    def class_of_perm(self, g: tuple) -> int:
-        return self._class_idx[cycle_type(g)]
+    def class_of_packed(self, g: str) -> int:
+        return self._class_idx[cycle_type(unpack(g))]
 
     def export(self) -> dict:
         return {
@@ -781,8 +757,8 @@ def coset_character(table, sub: PermGroup) -> tuple:
         # not bounded by the table order limit, so sub could be all of it.
         return (1,) * table.num_classes
     counts = [0] * table.num_classes
-    for g in sub.elements():
-        counts[table.class_of_perm(g)] += 1
+    for g in sub.packed_elements():
+        counts[table.class_of_packed(g)] += 1
     values = []
     for count, size in zip(counts, table.class_sizes):
         value, rem = divmod(table.group_order * count, sub.order * size)

@@ -3,6 +3,12 @@
 A permutation on n points is a tuple p of length n with p[i] the image of
 i.  Composition is (g * h)(i) = g(h(i)), i.e. h acts first.
 
+A group materializes its elements once, packed (``pack``): a sorted list
+of ``str``, code point i the image of i, which sorts as the tuples do.  As
+g * h is ``h.translate(g)``, a conjugate s g s^-1 is two C-level calls at
+any degree.  Classes, their index (keyed by the packed elements) and the
+subgroup lattice work on that list; ``elements()`` and class reps are tuples.
+
 The stabilizer chain comes from one incremental Schreier–Sims pass (Sims
 1970; Seress, *Permutation Group Algorithms*, 2003).  Each generator, in
 order, is sifted through the chain; a residue other than the identity
@@ -21,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .errors import InvalidPermutation, NotASubgroup, SizeLimitExceeded
+from .errors import (InvalidPermutation, InvariantViolation, NotASubgroup,
+                     SizeLimitExceeded)
 
 
 def identity(degree: int) -> tuple:
@@ -31,6 +38,15 @@ def identity(degree: int) -> tuple:
 def compose(g: tuple, h: tuple) -> tuple:
     """g after h."""
     return tuple(map(g.__getitem__, h))
+
+
+def pack(g) -> str:
+    """g with one code point per point; g * h is pack(h).translate(pack(g))."""
+    return "".join(map(chr, g))
+
+
+def unpack(g: str) -> tuple:
+    return tuple(map(ord, g))
 
 
 def inverse(g: tuple) -> tuple:
@@ -116,6 +132,7 @@ class PermGroup:
         self._strong_gens: list = []   # per level
         self.reduced_generators = tuple(
             g for g in self.generators if self._add(g, 0))
+        self._packed: list | None = None
         self._elements: tuple | None = None
         self._classes: tuple | None = None
         self._class_index: dict | None = None
@@ -183,27 +200,38 @@ class PermGroup:
         return prod(len(trans) for trans in self._transversals)
 
     def _conjugators(self) -> list:
-        """(s.__getitem__, s^-1) per reduced generator s: the conjugate
-        s g s^-1 is then tuple(map(s_at, map(g.__getitem__, s_inv)))."""
-        return [(s.__getitem__, inverse(s)) for s in self.reduced_generators]
+        """(s, s^-1) packed per reduced generator s: the packed conjugate
+        s g s^-1 is then s_inv.translate(g).translate(s)."""
+        return [(pack(s), pack(inverse(s))) for s in self.reduced_generators]
 
     # -- element and class data ----------------------------------------------
 
-    def elements(self, limit: int | None = None) -> tuple:
-        """All elements, sorted.  Guarded so nobody materializes GL(5,2)."""
+    def packed_elements(self, limit: int | None = None) -> list:
+        """All elements packed, sorted.  Guarded against GL(5,2)."""
         if limit is not None and self.order > limit:
             raise SizeLimitExceeded(
                 f"group of order {self.order} exceeds element "
                 f"materialization limit {limit}"
             )
-        if self._elements is None:
+        if self._packed is None:
             # a sift writes g as t_0 t_1 ... t_{k-1}, t_i a coset rep of
             # level i, so g^-1 runs over the products of their inverses
-            elems = [self._identity]
+            elems = [pack(self._identity)]
             for trans in self._transversals:
-                elems = [compose(v, e) for v in trans.values() for e in elems]
-            self._elements = tuple(sorted(elems))
-            assert len(set(self._elements)) == self.order
+                elems = [e.translate(v) for v in map(pack, trans.values())
+                         for e in elems]
+            if len(set(elems)) != self.order:
+                raise InvariantViolation(f"{len(set(elems))} distinct "
+                                         f"elements, order {self.order}")
+            elems.sort()
+            self._packed = elems
+        return self._packed
+
+    def elements(self, limit: int | None = None) -> tuple:
+        """All elements as tuples, sorted."""
+        packed = self.packed_elements(limit)
+        if self._elements is None:
+            self._elements = tuple(map(unpack, packed))
         return self._elements
 
     def orbit(self, point: int) -> tuple:
@@ -223,33 +251,34 @@ class PermGroup:
         generators.  Its rep is its least member: the first element of the
         sorted element list that no earlier class took."""
         if self._classes is None:
-            elems = self.elements(limit)
             conjugators = self._conjugators()
-            class_of: dict = {}
+            index: dict = {}  # packed element -> class number
             raw = []
-            for rep in elems:
-                if rep in class_of:
+            for rep in self.packed_elements(limit):
+                if rep in index:
                     continue
-                k = len(raw)
-                class_of[rep] = k
+                k = index[rep] = len(raw)
                 members = [rep]
                 for g in members:
-                    g_at = g.__getitem__
-                    for s_at, s_inv in conjugators:
-                        c = tuple(map(s_at, map(g_at, s_inv)))
-                        if c not in class_of:
-                            class_of[c] = k
+                    for s, s_inv in conjugators:
+                        c = s_inv.translate(g).translate(s)
+                        if c not in index:
+                            index[c] = k
                             members.append(c)
+                rep = unpack(rep)
                 raw.append(ConjClass(rep, len(members), perm_order(rep),
                                      cycle_type(rep)))
             ranked = sorted(range(len(raw)), key=lambda k: (
                 raw[k].size, raw[k].order, raw[k].cycle_type, raw[k].rep))
             position = {k: idx for idx, k in enumerate(ranked)}
+            for g, k in index.items():
+                index[g] = position[k]
             self._classes = tuple(raw[k] for k in ranked)
-            self._class_index = {g: position[class_of[g]] for g in elems}
+            self._class_index = index
         return self._classes
 
     def class_data(self, limit: int | None = None):
+        """(classes, index): index maps each packed element to its class."""
         classes = self.conjugacy_classes(limit)
         return classes, self._class_index
 
@@ -273,12 +302,8 @@ class PermGroup:
                 f"subgroup enumeration limited to order {limit}, "
                 f"group has order {self.order}"
             )
-        elems = self.elements(limit)
-        pp_elems = []
-        for g in elems:
-            o = perm_order(g)
-            if o > 1 and _is_prime_power(o):
-                pp_elems.append(g)
+        pp_elems = [g for g in self.packed_elements(limit)
+                    if _is_prime_power(perm_order(unpack(g)))]
 
         conjugators = self._conjugators()
 
@@ -286,17 +311,16 @@ class PermGroup:
             orbit = {elem_set}
             queue = [elem_set]
             for current in queue:
-                for s_at, s_inv in conjugators:
-                    moved = frozenset(
-                        tuple(map(s_at, map(g.__getitem__, s_inv)))
-                        for g in current
-                    )
+                for s, s_inv in conjugators:
+                    moved = frozenset(s_inv.translate(g).translate(s)
+                                      for g in current)
                     if moved not in orbit:
                         orbit.add(moved)
                         queue.append(moved)
             return frozenset(orbit)
 
-        triv = frozenset({identity(self.degree)})
+        ident = pack(self._identity)
+        triv = frozenset({ident})
         seen_sets = {triv}
         frontier = [(triv, ())]
         found = [triv]
@@ -308,7 +332,7 @@ class PermGroup:
                 for g in pp_elems:
                     if g in covered:
                         continue
-                    covered.update(compose(h, g) for h in current)
+                    covered.update(map(g.translate, current))
                     grown_gens = gens + (g,)
                     grown = _closure(current, grown_gens)
                     if grown in seen_sets:
@@ -318,11 +342,11 @@ class PermGroup:
                     found.append(min(orbit, key=sorted))
                     nxt.append((grown, grown_gens))
             frontier = nxt
-        reps = [tuple(sorted(s)) for s in found]
+        reps = [sorted(s) for s in found]
         reps.sort(key=lambda s: (len(s), s))
         return tuple(
-            PermGroup(self.degree, [g for g in rep if g != identity(self.degree)]
-                      or [identity(self.degree)])
+            PermGroup(self.degree, [unpack(g) for g in rep if g != ident]
+                      or [self._identity])
             for rep in reps
         )
 
@@ -340,7 +364,7 @@ def _is_prime_power(n: int) -> bool:
 
 
 def _closure(subgroup: frozenset, gens: tuple) -> frozenset:
-    """The group generated by `gens`, given `subgroup`, a subgroup of it.
+    """The packed group generated by `gens` over its subgroup `subgroup`.
 
     A set holding the identity and closed under right multiplication by
     the generators is the group they generate: in a finite group every
@@ -349,7 +373,7 @@ def _closure(subgroup: frozenset, gens: tuple) -> frozenset:
     queue = list(subgroup)
     for x in queue:
         for s in gens:
-            y = compose(x, s)
+            y = s.translate(x)
             if y not in elems:
                 elems.add(y)
                 queue.append(y)

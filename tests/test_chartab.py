@@ -32,6 +32,7 @@ from oligorep.permgrp import (
     from_cycles,
     identity,
     inverse,
+    pack,
     symmetric_group,
 )
 
@@ -357,7 +358,7 @@ def _reference_class_matrices(G):
     for x in G.elements():
         xi = inverse(x)
         for t, c in enumerate(classes):
-            a[class_index[x]][class_index[compose(xi, c.rep)]][t] += 1
+            a[class_index[pack(x)]][class_index[pack(compose(xi, c.rep))]][t] += 1
     return a
 
 
@@ -383,7 +384,8 @@ def test_class_matrix_rows_match_the_full_count(make_groups):
         for r in range(len(classes)):
             for s, c in enumerate(classes):
                 assert chartab._class_matrix_row(
-                    members[r], c.rep, c.size, class_index, sizes) == ref[r][s]
+                    members[r], pack(c.rep), c.size, class_index,
+                    sizes) == ref[r][s]
 
 
 @pytest.mark.parametrize("make_group", [lambda: symmetric_group(4), _gl32],
@@ -438,7 +440,7 @@ def test_a_partial_class_fails_the_divisibility_check():
     classes, class_index, members = _class_members(symmetric_group(3))
     sizes = [c.size for c in classes]
     assert sizes == [1, 2, 3]
-    rep = classes[2].rep
+    rep = pack(classes[2].rep)
     part = [rep, next(x for x in members[2] if x != rep)]
     with pytest.raises(InvariantViolation):
         chartab._class_matrix_row(part, rep, 3, class_index, sizes)

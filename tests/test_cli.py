@@ -33,6 +33,15 @@ def test_catalog_default_max_base_follows_limits(capsys, monkeypatch):
     assert report["count"] == 3
 
 
+def test_catalog_linear_order_on_300_points(capsys, monkeypatch):
+    # the bases' packed elements hold code points above 255
+    monkeypatch.setenv("OLIGOREP_LIMITS",
+                       '{"max_base": {"linear_order": 300}}')
+    report = run_json(capsys, ["catalog", "--class", "linear_order"])
+    assert report["max_base"] == 300
+    assert report["count"] == len(report["labels"]) == 301
+
+
 def test_catalog_empty_base_only(capsys):
     report = run_json(capsys, ["catalog", "--class", "graph",
                                "--max-base", "0"])

@@ -8,7 +8,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oligorep.permgrp import PermGroup, compose, identity, inverse  # noqa: E402
+from oligorep.permgrp import (  # noqa: E402
+    PermGroup,
+    compose,
+    cycle_type,
+    identity,
+    inverse,
+    pack,
+    perm_order,
+)
 
 MAX_DEGREE = 9
 
@@ -37,9 +45,9 @@ def test_inverse_is_two_sided(single):
 def test_one_pass_conjugation(pair):
     s, g = pair
     hypothesis.assume(s != identity(len(s)))
-    ((s_at, s_inv),) = PermGroup(len(s), [s])._conjugators()
-    assert (tuple(map(s_at, map(g.__getitem__, s_inv)))
-            == compose(s, compose(g, inverse(s))))
+    ((s_packed, s_inv),) = PermGroup(len(s), [s])._conjugators()
+    assert (s_inv.translate(pack(g)).translate(s_packed)
+            == pack(compose(s, compose(g, inverse(s)))))
 
 
 def closure(degree, gens):
@@ -84,3 +92,48 @@ def test_chain_matches_brute_closure(case):
     for p in itertools.permutations(range(degree)):
         assert (p in G) == (p in elems)
     assert G.reduced_generators == greedy_reduced(degree, gens)
+
+
+def brute_class_index(degree, gens):
+    """Class of each element, by conjugating each class's least member with
+    every element; classes ranked by (size, order, cycle type, least)."""
+    elems = sorted(closure(degree, gens))
+    taken, classes = set(), []
+    for g in elems:
+        if g not in taken:
+            members = {compose(x, compose(g, inverse(x))) for x in elems}
+            taken |= members
+            classes.append(members)
+    classes.sort(key=lambda c: (
+        len(c), perm_order(min(c)), cycle_type(min(c)), min(c)))
+    return classes, {g: i for i, c in enumerate(classes) for g in c}
+
+
+def shift(g, degree):
+    """g moved onto the top len(g) of ``degree`` points, fixing the rest."""
+    low = degree - len(g)
+    return tuple(range(low)) + tuple(low + x for x in g)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(generator_lists())
+def test_classes_match_brute_conjugation(case):
+    degree, gens = case
+    G = PermGroup(degree, gens)
+    expected, where = brute_class_index(degree, gens)
+    classes, index = G.class_data()
+    assert [c.rep for c in classes] == [min(c) for c in expected]
+    assert [c.size for c in classes] == [len(c) for c in expected]
+    assert index == {pack(g): t for g, t in where.items()}
+    # code points above 127 and above 255 take the same path
+    for big in (200, 300):
+        H = PermGroup(big, [shift(g, big) for g in gens])
+        big_classes, big_index = H.class_data()
+        assert [c.rep for c in big_classes] == [
+            shift(c.rep, big) for c in classes]
+        assert [(c.size, c.order) for c in big_classes] == [
+            (c.size, c.order) for c in classes]
+        assert [c.cycle_type for c in big_classes] == [
+            c.cycle_type + (1,) * (big - degree) for c in classes]
+        assert big_index == {pack(shift(g, big)): t
+                             for g, t in where.items()}

@@ -6,7 +6,12 @@ import pytest
 
 from oligorep.chartab import character_table
 
-from oligorep.errors import InvalidPermutation, NotASubgroup, SizeLimitExceeded
+from oligorep.errors import (
+    InvalidPermutation,
+    InvariantViolation,
+    NotASubgroup,
+    SizeLimitExceeded,
+)
 from oligorep.finstruct import get_class
 from oligorep.permgrp import (
     CosetAction,
@@ -16,6 +21,7 @@ from oligorep.permgrp import (
     from_cycles,
     identity,
     inverse,
+    pack,
     perm_order,
     power,
     symmetric_group,
@@ -113,6 +119,18 @@ def test_elements_limit_guard():
         G.elements(limit=100)
 
 
+def test_a_corrupted_transversal_fails_the_element_count():
+    # one coset rep replaced by another's repeats products, so the packed
+    # list has fewer distinct elements than the order says
+    G = symmetric_group(4)
+    trans = G._transversals[0]
+    first, second = list(trans)[1:3]
+    trans[second] = trans[first]
+    assert G.order == 24
+    with pytest.raises(InvariantViolation):
+        G.elements()
+
+
 def test_orbit():
     G = PermGroup(5, [from_cycles(5, [(0, 1, 2)])])
     assert G.orbit(0) == (0, 1, 2)
@@ -163,10 +181,10 @@ def test_class_index_consistent():
     G = symmetric_group(4)
     classes, index = G.class_data()
     for i, c in enumerate(classes):
-        assert index[c.rep] == i
+        assert index[pack(c.rep)] == i
     counts = [0] * len(classes)
     for g in G.elements():
-        counts[index[g]] += 1
+        counts[index[pack(g)]] += 1
     assert counts == [c.size for c in classes]
 
 
@@ -387,7 +405,8 @@ def test_class_data_matches_brute_force():
             perm_order(c.rep) for c in classes], name
         assert [c.cycle_type for c in classes] == [
             cycle_type(c.rep) for c in classes], name
-        assert index == {g: i for i, m in enumerate(expected) for g in m}, name
+        assert index == {pack(g): i for i, m in enumerate(expected)
+                         for g in m}, name
 
 
 def test_reduced_generators_keep_order_and_drop_redundant():
