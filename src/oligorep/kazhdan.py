@@ -26,7 +26,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     FreenessViolation,
@@ -41,14 +44,14 @@ from .errors import (
 from .limits import get_limits
 from .words import (
     EMPTY,
-    LETTERS,
+    _splitmix64,
     ball,
-    code_coin,
     inv,
     magnus_compare,
     mult,
     pair_coin,
     random_word,
+    word_int,
     word_key,
 )
 
@@ -182,7 +185,8 @@ def l1_l2_transfer(seed, n_points=6, tuple_len=2, support_size=5):
     """Squared form of |g f~ - f~|_1 <= 2 |g f - f|_2 |f|_2 with f~ = f^2.
 
     Also checks the scalar inequality |a - b|^2 <= |a^2 - b^2| behind it on
-    the absolute values occurring in the instance.
+    the absolute values occurring in the instance.  That check cannot fail:
+    for a, b >= 0 it reads |a - b| <= a + b, once divided by |a - b|.
     """
     rng = random.Random(seed)
     points = list(range(n_points))
@@ -293,10 +297,7 @@ class _LinearRealizer(_Realizer):
     def images(self, mapping, a, banned):
         """Points between the images of ``a``'s neighbours in ``mapping``,
         outside ``banned``; the gap is found once for the whole stream."""
-        below = [x for x in mapping if x < a]
-        above = [x for x in mapping if x > a]
-        lo = mapping[max(below)] if below else None
-        hi = mapping[min(above)] if above else None
+        lo, hi = self.gap(mapping, a)
         if lo is None and hi is None:
             while True:
                 self._high += 1
@@ -319,8 +320,17 @@ class _LinearRealizer(_Realizer):
                     yield candidate
             denom *= 2
 
+    def gap(self, mapping, a):
+        """Greatest image of a point below ``a``, least of the others."""
+        below, above = [], []
+        for u, v in mapping.items():
+            (below if u < a else above).append(v)
+        return max(below, default=None), min(above, default=None)
+
     def extends(self, mapping, x, y):
-        return all(v < y if u < x else v > y for u, v in mapping.items())
+        """x -> y keeps the order with every pair iff y lies in x's gap."""
+        lo, hi = self.gap(mapping, x)
+        return (lo is None or lo < y) and (hi is None or y < hi)
 
 
 class _RadoRealizer(_Realizer):
@@ -649,46 +659,36 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
             "bound": bound,
         })
 
+    def small(stream, side):
+        """The first candidate of the stage where ``f`` is at most bound."""
+        banned = set(mapping) | ran | {a} | enum_set
+        for c in itertools.islice(stream(mapping, a, banned), 2 ** (n + 1)):
+            if f[c] <= bound:
+                return c
+        raise InvariantViolation(f"no small {side} among the branch "
+                                 "candidates; mass accounting broken")
+
     for n in range(1, stages + 1):
         a = enum[n - 1]
         bound = Fraction(1, 2 ** (n + 1))
-        even_certified = False
         if a not in mapping:
-            banned = set(mapping) | ran | {a} | enum_set
-            for c in itertools.islice(realizer.images(mapping, a, banned),
-                                      2 ** (n + 1)):
-                if f[c] <= bound:
-                    break
-            else:
-                raise InvariantViolation(
-                    "no small image among the branch candidates; "
-                    "mass accounting broken")
+            c = small(realizer.images, "image")
             mapping[a] = c
             ran.add(c)
             certify("image", n, a, f[c], bound)
-            even_certified = True
-        if even_certified:
             if a not in ran:
                 banned = set(mapping) | ran | {a} | enum_set
                 d = next(realizer.preimages(mapping, a, banned))
                 mapping[d] = a
                 ran.add(a)
-        else:
-            if a in ran:
-                raise InvariantViolation(
-                    f"{a!r} in both domain and range before its stage")
-            banned = set(mapping) | ran | {a} | enum_set
-            for d in itertools.islice(realizer.preimages(mapping, a, banned),
-                                      2 ** (n + 1)):
-                if f[d] <= bound:
-                    break
-            else:
-                raise InvariantViolation(
-                    "no small preimage among the branch candidates; "
-                    "mass accounting broken")
-            mapping[d] = a
-            ran.add(a)
-            certify("preimage", n, d, f[d], bound)
+            continue
+        if a in ran:
+            raise InvariantViolation(
+                f"{a!r} in both domain and range before its stage")
+        d = small(realizer.preimages, "preimage")
+        mapping[d] = a
+        ran.add(a)
+        certify("preimage", n, d, f[d], bound)
 
     displacement = partial_displacement(f, mapping)
     required = 1 - sum(
@@ -723,9 +723,6 @@ class PureSetF2Action:
     def act(self, w, point):
         return mult(w, point)
 
-    def sample_points(self, rng, count):
-        return [random_word(rng, 3) for _ in range(count)]
-
 
 class LinearOrderF2Action(PureSetF2Action):
     """Left multiplication, order-preserving for the series ordering.
@@ -736,9 +733,6 @@ class LinearOrderF2Action(PureSetF2Action):
     """
 
     class_id = "linear_order"
-
-    def compare(self, u, v, max_degree=10):
-        return magnus_compare(u, v, max_degree)
 
 
 class VectorSpaceF2Action:
@@ -772,11 +766,10 @@ class VectorSpaceF2Action:
         return frozenset((mult(w, b), c) for b, c in point)
 
     def sample_points(self, rng, count, max_support=3):
-        pool = [x for x in ball(2)]
         out = []
         while len(out) < count:
             size = rng.randint(1, max_support)
-            words = rng.sample(pool, size)
+            words = rng.sample(ball(2), size)
             vec = self.vector({b: rng.randint(1, self.q - 1) for b in words})
             if vec:
                 out.append(vec)
@@ -819,22 +812,15 @@ class ClopenF2Action:
         support, masks = point
         moved = [mult(w, h) for h in support]
         order = sorted(range(len(moved)), key=lambda i: word_key(moved[i]))
-        new_support = tuple(moved[i] for i in order)
-        new_masks = set()
-        for mask in masks:
-            out = 0
-            for pos, i in enumerate(order):
-                if mask >> i & 1:
-                    out |= 1 << pos
-            new_masks.add(out)
-        return (new_support, frozenset(new_masks))
+        return (tuple(moved[i] for i in order), frozenset(
+            sum(1 << pos for pos, i in enumerate(order) if mask >> i & 1)
+            for mask in masks))
 
     def sample_points(self, rng, count, max_support=3):
-        pool = [x for x in ball(2)]
         out = []
         while len(out) < count:
             size = rng.randint(1, max_support)
-            support = rng.sample(pool, size)
+            support = rng.sample(ball(2), size)
             full = 1 << size
             masks = {m for m in range(full) if rng.random() < 0.5}
             if not masks or len(masks) == full:
@@ -845,7 +831,7 @@ class ClopenF2Action:
         return out
 
 
-class RadoF2Action:
+class RadoF2Action(PureSetF2Action):
     """Left multiplication on a random right Cayley graph of the group.
 
     The symmetric connection set is sampled by a deterministic fair coin on
@@ -859,56 +845,62 @@ class RadoF2Action:
         self.seed = seed
 
     def adjacent(self, x, y):
-        if x == y:
-            return False
-        return pair_coin(self.seed, mult(inv(x), y))
-
-    def act(self, w, point):
-        return mult(w, point)
-
-    def sample_points(self, rng, count):
-        return [random_word(rng, 3) for _ in range(count)]
+        return x != y and pair_coin(self.seed, mult(inv(x), y))
 
     def ball_masks(self, r):
-        """Bit k of mask x: is x in ball(r-1) adjacent to word k of ball(r)?
+        """Bit k of mask x: is x in ball(r-1) adjacent to word k of ball(r)?"""
+        return next(_cayley_masks(r, [self.seed]))[1]
 
-        One pass over ball(r) per x, parents first, keeps u = x^-1 z as a
-        linked stack (word_int(u), word_int(u^-1), length, last letter,
-        shorter u); a letter cancels or extends u and the codes follow.
-        """
-        outer = ball(r)
-        index = {w: k for k, w in enumerate(outer)}
-        steps = [(0, 0)] + [(index[w[:-1]], LETTERS.index(w[-1]))
-                            for w in outer[1:]]
-        n = len(outer)
-        coins = {}
-        heads = {}
-        masks = []
-        for x in ball(r - 1):
-            # x^-1 = x[1:]^-1 x[0]^-1 without cancellation: the walk of x[1:]
-            # met it at the one-letter word x[0]^-1
-            u = (heads[x[1:]][LETTERS.index(-x[0])] if x
-                 else (0, 0, 0, -1, None))
-            states = []
-            bits = bytearray(b"0" * n)
-            for k, (parent, d) in enumerate(steps):
-                if k:
-                    u = states[parent]
-                    if u[3] == d ^ 1:
-                        u = u[4]
-                    else:
-                        u = (u[0] * 4 + d + 1,
-                             u[1] + ((d ^ 1) + 1 << 2 * u[2]), u[2] + 1, d, u)
-                states.append(u)
-                if u[2]:
-                    rep = u[0] if u[0] < u[1] else u[1]
-                    coin = coins.get(rep)
-                    if coin is None:
-                        coin = coins[rep] = 48 + code_coin(self.seed, rep)
-                    bits[n - 1 - k] = coin
-            heads[x] = states[1:5]
-            masks.append(int(bits, 2))
-        return masks
+
+def _cayley_masks(r, seeds):
+    """Yield (seed, ``RadoF2Action(seed).ball_masks(r)``) for each seed.
+
+    x ~ z is the coin of min(c, c'), c = word_int(x^-1 z) and c' =
+    word_int(z^-1 x).  If x and z share a prefix of length p exactly,
+    c = (word_int(x[p:]^-1) - word_int(x[:p])) 4^(|z|-p) + word_int(z) and
+    c' = word_int(z[p:]^-1) 4^(|x|-p) + word_int(x[p:]), and ball(r) holds
+    the words of one length that begin with x[:p] in one run.  The codes
+    and the inner ``_splitmix64`` of each distinct min are found once for
+    all seeds; per seed, a bytearray indexed by code holds the coins.
+    """
+    outer = ball(r)
+    codes = [word_int(z) for z in outer]
+    tails = [[word_int(inv(z[p:])) for z in outer] for p in range(r + 1)]
+
+    n = len(outer)
+    rows = array("I")   # the row of each x, last word first
+    for x in ball(r - 1):
+        row = [0] * n
+        for m in range(r + 1):
+            cut = None   # the run of x[:p+1], done before that of x[:p]
+            for p in range(min(len(x), m), -1, -1):
+                # length m, prefix x[:p]: the 4^(m-p) codes from low
+                k = 4 ** (m - p)
+                low = word_int(x[:p]) * k + (k - 1) // 3
+                lo, hi = bisect_left(codes, low), bisect_left(codes, low + k)
+                base = (word_int(inv(x[p:])) - word_int(x[:p])) * k
+                s, rest = 2 * (len(x) - p), word_int(x[p:])
+                parts = [(lo, cut[0]), (cut[1], hi)] if cut else [(lo, hi)]
+                for a, b in parts:
+                    row[a:b] = [
+                        c if (c := base + w) < (d := (v << s) + rest) else d
+                        for w, v in zip(codes[a:b], tails[p][a:b])]
+                cut = lo, hi
+        rows.extend(reversed(row))
+
+    coins = bytearray(4 ** (2 * r) // 3)   # 0: code not met yet
+    coins[0] = 48   # x^-1 x: no loops
+    reps = array("I")
+    for code in rows:
+        if not coins[code]:
+            coins[code] = 1
+            reps.append(code)
+    mixed = array("Q", map(_splitmix64, reps))
+    for seed in seeds:
+        for code, mix in zip(reps, mixed):
+            coins[code] = 48 + (_splitmix64(seed ^ mix) & 1)
+        bits = bytes(map(coins.__getitem__, rows))
+        yield seed, [int(bits[i:i + n], 2) for i in range(0, len(bits), n)]
 
 
 _F2_ACTIONS = {
@@ -933,17 +925,21 @@ def freeness_check(action, word_len=8, seed=0, points=None):
     """Every nonidentity word of length <= word_len moves every test point.
 
     ``action`` is a class id or an action object.  Raises on the first
-    fixed point found; otherwise reports what was checked.
+    fixed point found; otherwise reports what was checked.  Left
+    multiplication is free by the group axioms (w p = p forces w = 1): on
+    the default points the actions that inherit it share one cached sweep,
+    which only a wrong ``mult`` can fail, and fails on every call, as
+    exceptions are not cached.
     """
     if isinstance(action, str):
         action = f2_embedding(action, seed=seed)
-    rng = random.Random(seed)
+    if points is None and type(action).act is PureSetF2Action.act:
+        return {**_translation_sweep(word_len), "class": action.class_id}
     if points is None:
-        if isinstance(action, (VectorSpaceF2Action, ClopenF2Action)):
-            points = action.sample_points(rng, 30)
-        else:
-            points = list(ball(2))
-    words = [w for w in ball(word_len) if w]
+        points = (action.sample_points(random.Random(seed), 30)
+                  if isinstance(action, (VectorSpaceF2Action, ClopenF2Action))
+                  else ball(2))
+    words = ball.__wrapped__(word_len)[1:]   # read once: not kept in cache
     for w in words:
         for point in points:
             if action.act(w, point) == point:
@@ -959,6 +955,12 @@ def freeness_check(action, word_len=8, seed=0, points=None):
     }
 
 
+@lru_cache(maxsize=32)
+def _translation_sweep(word_len):
+    """The report of left multiplication on ball(2)."""
+    return freeness_check(PureSetF2Action(), word_len, points=ball(2))
+
+
 def order_axioms_check(word_len=6, max_degree=10, trials=10000, seed=0):
     """Totality, antisymmetry, transitivity, bi-invariance, and density.
 
@@ -972,9 +974,7 @@ def order_axioms_check(word_len=6, max_degree=10, trials=10000, seed=0):
     undecided = 0
     density_checked = 0
     for _ in range(trials):
-        u = random_word(rng, word_len)
-        v = random_word(rng, word_len)
-        w = random_word(rng, word_len)
+        u, v, w = (random_word(rng, word_len) for _ in range(3))
         try:
             uv = magnus_compare(u, v, max_degree)
             vu = magnus_compare(v, u, max_degree)
@@ -1038,9 +1038,7 @@ def cayley_edge_invariance(seed=0, trials=2000, word_len=5, rng_seed=0):
     action = RadoF2Action(seed)
     rng = random.Random(rng_seed)
     for _ in range(trials):
-        x = random_word(rng, word_len)
-        y = random_word(rng, word_len)
-        w = random_word(rng, word_len)
+        x, y, w = (random_word(rng, word_len) for _ in range(3))
         if x == y:
             continue
         if action.adjacent(x, y) != action.adjacent(mult(w, x), mult(w, y)):
@@ -1055,7 +1053,9 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     For every configuration of at most ``t`` vertices in the radius r-1
     ball split into must-link and must-avoid parts, look for a witness in
     the radius r ball.  The almost-sure statement this stands in for is
-    asymptotic; the finite rate is reported, not asserted.
+    asymptotic; the finite rate is reported, not asserted.  It is 1 from
+    r = 3 on for the seeds tried, so each seed also reports ``witnesses``,
+    the must-link prescriptions' witnesses summed: one flipped bit moves it.
     """
     if t not in (1, 2):
         raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
@@ -1065,13 +1065,13 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     n_outer = len(ball(r))
     total = 2 * n_inner + (2 * n_inner * (n_inner - 1) if t == 2 else 0)
     results = []
-    for seed in seeds:
-        masks = RadoF2Action(seed).ball_masks(r)
-        witnessed = _extension_witnessed(masks, n_outer, t)
+    for seed, masks in _cayley_masks(r, seeds):
+        witnessed, witnesses = _extension_witnessed(masks, n_outer, t)
         results.append({
             "seed": seed,
             "configs": total,
             "witnessed": witnessed,
+            "witnesses": witnesses,
             "rate": Fraction(witnessed, total),
         })
     mean = sum(row["rate"] for row in results) / len(results)
@@ -1089,24 +1089,28 @@ def cayley_extension_check(r=6, t=2, seeds=20):
 
 def _extension_witnessed(masks, n_outer, t):
     """Witnessed prescriptions on at most ``t`` of the first len(masks)
-    vertices of a symmetric irreflexive graph on ``n_outer`` vertices.
+    vertices of a symmetric irreflexive graph on ``n_outer`` vertices, and
+    the number of witnesses summed over the must-link prescriptions.
 
     For i < j with neighbourhoods a, b, c = |a & b| and adj = [i ~ j]:
     link {i, j} has c witnesses, avoid {i, j} n_outer - |a| - |b| + c -
-    2(1 - adj), and link i, avoid j |a| - c - adj.
+    2(1 - adj), and link i, avoid j |a| - c - adj.  The four add up to
+    n_outer - 2 whatever the graph, as link i and avoid i add up to
+    n_outer - 1, so the sum runs over the must-link terms |a| and c only.
     """
     sizes = [m.bit_count() for m in masks]
-    witnessed = sum(1 for m in masks if m)
-    witnessed += sum(1 for size in sizes if size + 1 < n_outer)
+    witnessed = sum((size > 0) + (size + 1 < n_outer) for size in sizes)
+    witnesses = sum(sizes)
     if t == 2:
         for i, a in enumerate(masks):
             size_a = sizes[i]
             for j in range(i + 1, len(masks)):
                 common = (a & masks[j]).bit_count()
                 adj = a >> j & 1
+                witnesses += common
                 witnessed += (
                     (common > 0)
                     + (size_a + sizes[j] - common + 2 * (1 - adj) < n_outer)
                     + (size_a - common - adj > 0)
                     + (sizes[j] - common - adj > 0))
-    return witnessed
+    return witnessed, witnesses

@@ -84,12 +84,6 @@ def word_int(u: tuple) -> int:
     return code
 
 
-def code_coin(seed: int, code: int) -> int:
-    """The fair bit (0 or 1) of the inverse pair whose representative has
-    ``word_int`` code ``code``."""
-    return _splitmix64(seed ^ _splitmix64(code)) & 1
-
-
 def pair_coin(seed: int, u: tuple) -> bool:
     """Deterministic Bernoulli(1/2) draw attached to the pair {u, u^-1}.
 
@@ -100,7 +94,8 @@ def pair_coin(seed: int, u: tuple) -> bool:
     sets lazily: materializing a radius-12 ball just to flip coins is out
     of the question.
     """
-    return bool(code_coin(seed, min(word_int(u), word_int(inv(u)))))
+    code = min(word_int(u), word_int(inv(u)))
+    return bool(_splitmix64(seed ^ _splitmix64(code)) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ try:
 except ImportError:  # the property test below is skipped
     hypothesis = None
 
+from oligorep import kazhdan
 from oligorep.errors import (
     FreenessViolation,
     MalformedStructure,
@@ -20,6 +21,7 @@ from oligorep.errors import (
 )
 from oligorep.kazhdan import (
     ClopenF2Action,
+    _LinearRealizer,
     Distribution,
     RadoF2Action,
     VectorSpaceF2Action,
@@ -133,6 +135,26 @@ def test_tree_input_validation():
         build_tree("linear_order", 4, interleave=True)
     with pytest.raises(SizeLimitExceeded):
         build_tree("pure_set", 6, limits=RunLimits(tree_nodes=100))
+
+
+def test_linear_extends_matches_the_all_pairs_rule():
+    # the gap rule against the rule it replaced, on random mappings whose
+    # pairs may break the order and new pairs that may reuse either end
+    rng = random.Random(7)
+    realizer = _LinearRealizer()
+    points = [Fraction(k, 4) for k in range(-8, 9)]
+    outcomes = set()
+    for _ in range(3000):
+        domain = rng.sample(points, rng.randint(0, 5))
+        mapping = dict(zip(domain, rng.sample(points, len(domain))))
+        if rng.random() < 0.5:
+            images = sorted(mapping.values())
+            mapping = dict(zip(sorted(mapping), images))
+        x, y = rng.choice(points), rng.choice(points)
+        expected = all(v < y if u < x else v > y for u, v in mapping.items())
+        assert realizer.extends(mapping, x, y) == expected, (mapping, x, y)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def _items(node):
@@ -606,6 +628,21 @@ def test_freeness_violation_is_detected():
         freeness_check(Abelianized(), word_len=4, points=[(0, 0)])
 
 
+def test_a_wrong_mult_fails_the_shared_translation_sweep(monkeypatch):
+    commutator = (1, 2, -1, -2)
+
+    def broken(u, v):
+        return v if u == commutator else mult(u, v)
+
+    monkeypatch.setattr(kazhdan, "mult", broken)
+    kazhdan._translation_sweep.cache_clear()
+    for cls in ("pure_set", "linear_order"):
+        with pytest.raises(FreenessViolation, match="fixes point"):
+            freeness_check(cls, word_len=4)
+    # a failed sweep is not cached, so it fails again on the next call
+    assert kazhdan._translation_sweep.cache_info().currsize == 0
+
+
 def test_vector_action_is_linear():
     for q in (2, 3):
         action = VectorSpaceF2Action(q)
@@ -708,7 +745,9 @@ def brute_masks(r, seed):
 
 
 def brute_witnessed(masks, n_outer, t):
-    """Every prescription materialised and tested by AND/ANDNOT."""
+    """Every prescription materialised and tested by AND/ANDNOT: the number
+    of prescriptions, of those witnessed, and of the witnesses of the
+    must-link ones."""
     full = (1 << n_outer) - 1
     vertices = range(len(masks))
     configs = [((i,), ()) for i in vertices] + [((), (i,)) for i in vertices]
@@ -716,7 +755,7 @@ def brute_witnessed(masks, n_outer, t):
         for i, j in itertools.combinations(vertices, 2):
             configs += [((i, j), ()), ((), (i, j)), ((i,), (j,)),
                         ((j,), (i,))]
-    witnessed = 0
+    witnessed = witnesses = 0
     for link, avoid in configs:
         m = full
         for i in link:
@@ -726,16 +765,18 @@ def brute_witnessed(masks, n_outer, t):
         for i in link + avoid:
             m &= ~(1 << i)
         witnessed += bool(m & full)
-    return len(configs), witnessed
+        witnesses += (m & full).bit_count() if not avoid else 0
+    return len(configs), witnessed, witnesses
 
 
 def brute_extension(r, t, seeds):
     n_outer = len(ball(r))
     results = []
     for seed in seeds:
-        total, witnessed = brute_witnessed(brute_masks(r, seed), n_outer, t)
+        total, witnessed, witnesses = brute_witnessed(
+            brute_masks(r, seed), n_outer, t)
         results.append({"seed": seed, "configs": total,
-                        "witnessed": witnessed,
+                        "witnessed": witnessed, "witnesses": witnesses,
                         "rate": Fraction(witnessed, total)})
     return {
         "r": r,
@@ -749,7 +790,7 @@ def brute_extension(r, t, seeds):
     }
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_cayley_masks_match_pairwise_adjacency(r):
     for seed in range(5):
         assert RadoF2Action(seed).ball_masks(r) == brute_masks(r, seed)
@@ -779,13 +820,25 @@ def test_extension_counts_match_materialised_configs_on_random_graphs(
                  for i in range(n_inner)]
         for t in (1, 2):
             assert _extension_witnessed(masks, n_outer, t) == brute_witnessed(
-                masks, n_outer, t)[1]
+                masks, n_outer, t)[1:]
 
 
 def test_cayley_extension_rate_can_fall_below_one():
     row = cayley_extension_check(r=2, t=2, seeds=[2])["per_seed"][0]
     assert (row["configs"], row["witnessed"]) == (50, 46)
     assert row["rate"] < 1
+
+
+def test_cayley_extension_pinned_rates_and_witnesses():
+    report = cayley_extension_check(r=2, t=2, seeds=20)
+    assert [row["rate"] * 50 for row in report["per_seed"]] == [
+        50, 50, 46, 50, 50, 49, 49, 48, 50, 48,
+        49, 49, 50, 49, 50, 49, 50, 50, 50, 50]
+    assert report["mean_rate"] == Fraction(493, 500)
+    # at r = 6 every prescription is witnessed, so the rate cannot show a
+    # wrong mask; the witness total of seed 0 can
+    row, = cayley_extension_check(r=6, t=2, seeds=[0])["per_seed"]
+    assert (row["rate"], row["witnesses"]) == (1, 43808057)
 
 
 def test_cayley_extension_rejects_t_outside_one_two():
