@@ -888,7 +888,7 @@ def _cayley_masks(r, seeds):
                 cut = lo, hi
         rows.extend(reversed(row))
 
-    coins = bytearray(4 ** (2 * r) // 3)   # 0: code not met yet
+    coins = bytearray(max(rows) + 1)   # 0: code not met yet
     coins[0] = 48   # x^-1 x: no loops
     reps = array("I")
     for code in rows:

@@ -790,13 +790,13 @@ def brute_extension(r, t, seeds):
     }
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_cayley_masks_match_pairwise_adjacency(r):
     for seed in range(5):
         assert RadoF2Action(seed).ball_masks(r) == brute_masks(r, seed)
 
 
-@pytest.mark.parametrize("r,t", itertools.product([1, 2, 3], [1, 2]))
+@pytest.mark.parametrize("r,t", itertools.product([0, 1, 2, 3], [1, 2]))
 def test_cayley_extension_matches_materialised_configs(r, t):
     seeds = range(5)
     assert cayley_extension_check(r=r, t=t, seeds=seeds) == brute_extension(
