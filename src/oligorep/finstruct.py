@@ -1283,13 +1283,15 @@ class BooleanAlgebraClass(FraisseClass):
                    for column in _column_masks(n))
 
     def tuple_hulls(self, n, x0_only=False):
-        # An orbit is its set of realized cells, the atoms of its hull, built
-        # canonical: canonicalizing an algebra on 2**16 points would not end.
+        # An orbit is a set of realized cells among the 2**n sign patterns,
+        # the atoms of its hull.  With x0_only, inclusion-exclusion runs over
+        # the s entries that are bottom or top (2 ways) in every such cell.
         self._check_tuple_len(n)
-        counts = Counter(pmask.bit_count() for pmask in range(1, 1 << (1 << n))
-                         if not (x0_only and self._touches_fixed(pmask, n)))
+        counts = {m: sum((-2) ** s * math.comb(n, s) * math.comb(1 << (n - s), m)
+                         for s in range(n + 1 if x0_only else 1))
+                  for m in range(1, (1 << n) + 1)}
         return {self.code_for_atoms(m): (self.canonical_algebra(m), count)
-                for m, count in counts.items()}
+                for m, count in counts.items() if count}
 
     def _data_to_json(self, data):
         n_atoms, masks = data

@@ -1059,8 +1059,9 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     """
     if t not in (1, 2):
         raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
-    if isinstance(seeds, int):
-        seeds = range(seeds)
+    seeds = range(seeds) if isinstance(seeds, int) else list(seeds)
+    if not seeds:
+        raise MalformedStructure("the check needs at least one seed")
     n_inner = len(ball(r - 1))
     n_outer = len(ball(r))
     total = 2 * n_inner + (2 * n_inner * (n_inner - 1) if t == 2 else 0)
@@ -1074,14 +1075,13 @@ def cayley_extension_check(r=6, t=2, seeds=20):
             "witnesses": witnesses,
             "rate": Fraction(witnessed, total),
         })
-    mean = sum(row["rate"] for row in results) / len(results)
     return {
         "r": r,
         "t": t,
         "ball_inner": n_inner,
         "ball_outer": n_outer,
         "per_seed": results,
-        "mean_rate": mean,
+        "mean_rate": sum(row["rate"] for row in results) / len(results),
         "all_witnessed": all(
             row["witnessed"] == row["configs"] for row in results),
     }

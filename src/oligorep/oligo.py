@@ -407,27 +407,25 @@ def tensor_recursion_check(class_id, k, limits=None):
     The natural domain splits into the fixed elements Y and the moving part
     X0, so the (k+1)-st power decomposition must equal the sum over j of
     C(k+1, j) * |Y|**(k+1-j) copies of the j-th punctured power.  Returns a
-    report with per-label residuals.
+    report with the largest residual over all labels.
 
-    With Y empty (pure set, linear order, graph) only j = k+1 survives and
-    both sides are the (k+1)-st power, computed twice, so the check can
-    fail only for vector spaces and Boolean algebras.
+    With Y empty (pure set, linear order, graph) only j = k+1 survives, and
+    the (k+1)-st power, formed once, is both sides: the check is an identity
+    and can fail only for vector spaces and Boolean algebras.
     """
     limits = limits or get_limits()
-    cls = get_class(class_id)
-    y = cls.num_fixed_elements
+    y = get_class(class_id).num_fixed_elements
     lhs = decompose_power(class_id, k + 1, limits=limits)
     rhs = Decomposition()
     for j in range(k + 2):
         coeff = math.comb(k + 1, j) * y ** (k + 1 - j)
-        if coeff == 0:
-            continue
-        part = decompose_power(class_id, j, x0_only=True, limits=limits)
-        for label, mult in part.terms.items():
-            rhs.add(label, coeff * mult)
+        if coeff:
+            part = (lhs if y == 0 else
+                    decompose_power(class_id, j, x0_only=True, limits=limits))
+            for label, mult in part.terms.items():
+                rhs.add(label, coeff * mult)
     labels = set(lhs.terms) | set(rhs.terms)
-    residuals = {label: lhs[label] - rhs[label] for label in labels}
-    max_abs = max((abs(r) for r in residuals.values()), default=0)
+    max_abs = max((abs(lhs[lb] - rhs[lb]) for lb in labels), default=0)
     return {
         "class": class_id,
         "k": k,

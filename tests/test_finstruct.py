@@ -11,6 +11,7 @@ try:
 except ImportError:  # the property test below is skipped
     hypothesis = None
 
+from oligorep import finstruct
 from oligorep.errors import (
     MalformedStructure,
     SizeLimitExceeded,
@@ -672,6 +673,22 @@ def test_tuple_hulls_match_the_per_type_reference(cls_id):
             for hull, _ in hulls.values():
                 if cls.relational:
                     assert cls.canonical(hull)[0] == hull
+
+
+def test_boolean_tuple_hulls_visit_no_cell_masks(monkeypatch):
+    # the counts are closed: no pattern mask is formed or tested
+    boolean = get_class("boolean_algebra")
+
+    def refuse(*args):
+        raise AssertionError("visited the cell masks")
+
+    monkeypatch.setattr(finstruct, "_column_masks", refuse)
+    monkeypatch.setattr(type(boolean), "_touches_fixed", refuse)
+    for n in range(5):
+        full = boolean.tuple_hulls(n)
+        punctured = boolean.tuple_hulls(n, x0_only=True)
+        assert sum(count for _, count in full.values()) == (1 << (1 << n)) - 1
+        assert all(count > 0 for _, count in punctured.values())
 
 
 def test_graph_hull_counts_follow_orbit_stabilizer():

@@ -849,6 +849,18 @@ def test_cayley_extension_rejects_t_outside_one_two():
     assert report["per_seed"][0]["configs"] == 2 * 17
 
 
+@pytest.mark.parametrize("seeds", [0, [], -3])
+def test_cayley_extension_rejects_no_seeds_before_any_work(monkeypatch, seeds):
+    # the mean rate over no seeds would divide by zero
+    def refuse(*args):
+        raise AssertionError("built the ball before checking the seeds")
+
+    monkeypatch.setattr(kazhdan, "ball", refuse)
+    monkeypatch.setattr(kazhdan, "_cayley_masks", refuse)
+    with pytest.raises(MalformedStructure):
+        cayley_extension_check(r=2, t=2, seeds=seeds)
+
+
 def test_embedding_factory():
     for cls_id in ("pure_set", "linear_order", "graph", "vector_space",
                    "vector_space_q3", "boolean_algebra"):

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 import oligorep
-from oligorep import cli
+from oligorep import cli, oligo
 from oligorep.acceptance import PROFILE_BASE
 from oligorep.errors import (
     BaseNotAclClosed,
@@ -274,6 +274,26 @@ def test_tensor_recursion_all_classes():
             report = tensor_recursion_check(cls_id, j)
             assert report["ok"], (cls_id, j, report)
             assert report["max_abs_residual"] == 0
+
+
+@pytest.mark.parametrize("cls_id", ["pure_set", "linear_order", "graph"])
+def test_tensor_recursion_forms_one_power_without_fixed_elements(
+        cls_id, monkeypatch):
+    # with no fixed elements the punctured (k+1)-st power is the (k+1)-st
+    # power, so the check reuses it and is an identity
+    calls = []
+
+    def counting(class_id, n, x0_only=False, limits=None):
+        calls.append((n, x0_only))
+        return decompose_power(class_id, n, x0_only, limits)
+
+    monkeypatch.setattr(oligo, "decompose_power", counting)
+    for k in range(4):
+        calls.clear()
+        report = tensor_recursion_check(cls_id, k)
+        assert calls == [(k + 1, False)]
+        assert (report["fixed_part_size"], report["max_abs_residual"],
+                report["ok"]) == (0, 0, True)
 
 
 @pytest.mark.parametrize("cls_id", ["vector_space", "boolean_algebra"])

@@ -7,6 +7,7 @@ from oligorep.errors import UndecidedComparison
 from oligorep import words
 from oligorep.words import (
     EMPTY,
+    LETTERS,
     ball,
     inv,
     magnus_compare,
@@ -61,6 +62,44 @@ def test_random_word_reduced():
         assert len(w) <= 8
     for _ in range(50):
         assert words.random_word(rng, 5, nontrivial=True) != EMPTY
+
+
+# Sanov's matrices generate a free subgroup of SL(2, Z), so a word's matrix
+# checks its reduction by a route that shares no code with ``mult``
+SANOV = {X: ((1, 2), (0, 1)), Xi: ((1, -2), (0, 1)),
+         Y: ((1, 0), (2, 1)), Yi: ((1, 0), (-2, 1))}
+IDENTITY = ((1, 0), (0, 1))
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+def sanov_matrix(word):
+    m = IDENTITY
+    for letter in word:
+        m = matmul(m, SANOV[letter])
+    return m
+
+
+def test_mult_agrees_with_the_sanov_representation():
+    rng = random.Random(11)
+    for _ in range(500):
+        u = words.random_word(rng, 8)
+        v = words.random_word(rng, 8)
+        if rng.random() < 0.5:  # unreduced inputs are allowed too
+            u = tuple(rng.choice(LETTERS) for _ in range(rng.randrange(9)))
+        if rng.random() < 0.5:  # v starts by undoing a tail of u
+            tail = u[rng.randrange(len(u) + 1):]
+            v = tuple(-letter for letter in reversed(tail)) + v
+        w = mult(u, v)
+        assert all(a != -b for a, b in zip(w, w[1:])), (u, v, w)
+        assert sanov_matrix(w) == matmul(sanov_matrix(u), sanov_matrix(v))
+
+
+def test_sanov_representation_is_faithful_on_the_ball():
+    assert all(sanov_matrix(w) != IDENTITY for w in ball(6) if w)
 
 
 def test_pair_coin_symmetric():
