@@ -296,11 +296,16 @@ class FraisseClass:
 
     def fixed_point_indices(self, s):
         """Positions of points fixed by every automorphism of the ambient limit."""
-        return ()
+        return tuple(filter(self._fixes(s), range(len(s.points))))
 
     def is_fixed_only(self, s):
-        fixed = set(self.fixed_point_indices(s))
-        return len(s.points) > 0 and all(p in fixed for p in range(len(s.points)))
+        """Whether ``s`` has points and all are fixed; stops at the first
+        moving point."""
+        return len(s.points) > 0 and all(map(self._fixes(s), range(len(s.points))))
+
+    def _fixes(self, s):
+        """The test of a position of ``s`` for a fixed point."""
+        return lambda p: False
 
     # -- canonical forms
 
@@ -959,12 +964,9 @@ class VectorSpaceClass(FraisseClass):
                     frontier.append(w)
         return tuple(sorted(lookup[v] for v in closure))
 
-    def fixed_point_indices(self, s):
+    def _fixes(self, s):
         _, vectors = s.data
-        if not vectors:
-            return ()
-        zero = tuple([0] * len(vectors[0]))
-        return tuple(i for i, v in enumerate(vectors) if v == zero)
+        return lambda p: not any(vectors[p])
 
     def _basis_coords(self, s):
         """Greedy basis over lex-sorted vectors, then coordinates per point."""
@@ -1237,10 +1239,10 @@ class BooleanAlgebraClass(FraisseClass):
                         changed = True
         return tuple(sorted(lookup[m] for m in closure))
 
-    def fixed_point_indices(self, s):
+    def _fixes(self, s):
         n_atoms, masks = s.data
-        full = (1 << n_atoms) - 1
-        return tuple(i for i, m in enumerate(masks) if m == 0 or m == full)
+        fixed = (0, (1 << n_atoms) - 1)
+        return lambda p: masks[p] in fixed
 
     def _canonical(self, s):
         if not self._is_closed(s):

@@ -26,10 +26,11 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     FreenessViolation,
@@ -44,7 +45,7 @@ from .errors import (
 from .limits import get_limits
 from .words import (
     EMPTY,
-    _splitmix64,
+    _mix_lanes,
     ball,
     inv,
     magnus_compare,
@@ -250,6 +251,12 @@ class _Realizer:
     def preimages(self, mapping, a, banned):
         return self.images({y: x for x, y in mapping.items()}, a, banned)
 
+    def extends_at(self, mapping, a, even):
+        """``extends(mapping, x, y)`` as a test of the pairs (x, y), x not
+        in ``mapping``, that the children of ``mapping`` add at ``a``:
+        x = a if ``even``, y = a otherwise."""
+        return partial(self.extends, mapping)
+
 
 class _PureRealizer(_Realizer):
     """Countable set with no structure; extensions pick unused points."""
@@ -331,6 +338,23 @@ class _LinearRealizer(_Realizer):
         """x -> y keeps the order with every pair iff y lies in x's gap."""
         lo, hi = self.gap(mapping, x)
         return (lo is None or lo < y) and (hi is None or y < hi)
+
+    def extends_at(self, mapping, a, even):
+        """One gap for all children: a's in ``mapping`` if ``even``, else
+        a's in its inverse, which bounds x when ``mapping`` preserves the
+        order and a is outside its range.  ``verify`` folds every parent's
+        own validity into its verdict, so it needs no more."""
+        side = mapping if even else {v: u for u, v in mapping.items()}
+        if a in side:
+            return super().extends_at(mapping, a, even)
+        lo, hi = self.gap(side, a)
+
+        def test(x, y):
+            at, other = (x, y) if even else (y, x)
+            if at != a:
+                return self.extends(mapping, x, y)
+            return (lo is None or lo < other) and (hi is None or other < hi)
+        return test
 
 
 class _RadoRealizer(_Realizer):
@@ -452,7 +476,8 @@ class KazhdanTree:
         conditions of a sound node follow from its parent's and (x, y):
 
         - validity: the node is a partial automorphism iff
-          ``extends(parent, x, y)``;
+          ``extends(parent, x, y)``, which ``extends_at`` tests for all
+          children of a parent at once;
         - 3: the grandparent covers the first n - 1 enumeration points on
           the same side, so only a_n is looked for;
         - 4: dom & ran gains at most x and y, which must be head points;
@@ -515,6 +540,7 @@ class KazhdanTree:
                 present = a in (pmap if even else ran)
                 core = ran if even else pmap
                 kids = children[id(parent)]
+                fits = realizer.extends_at(pmap, a, even)
                 split = len(kids) == (1 if present else 2 ** (n + 1))
                 seen = set()
                 for kid in kids:
@@ -522,7 +548,7 @@ class KazhdanTree:
                     sound = trusted and new is not None and len(new) <= 1
                     if sound and new:
                         (x, y), = new
-                        valid &= realizer.extends(pmap, x, y)
+                        valid &= fits(x, y)
                         covers &= present or (x if even else y) == a
                         bounded &= ((x not in ran and x != y or x in head)
                                     and (y not in pmap or y in head))
@@ -859,16 +885,20 @@ def _cayley_masks(r, seeds):
     word_int(z^-1 x).  If x and z share a prefix of length p exactly,
     c = (word_int(x[p:]^-1) - word_int(x[:p])) 4^(|z|-p) + word_int(z) and
     c' = word_int(z[p:]^-1) 4^(|x|-p) + word_int(x[p:]), and ball(r) holds
-    the words of one length that begin with x[:p] in one run.  The codes
-    and the inner ``_splitmix64`` of each distinct min are found once for
-    all seeds; per seed, a bytearray indexed by code holds the coins.
+    the words of one length that begin with x[:p] in one run.  A row of
+    codes, last word first, goes into the 128-bit lanes of one int, where
+    ``_mix_lanes`` takes the inner ``_splitmix64`` of all of them at once,
+    for all seeds.  Per seed, each row xors in the seed mod 2**64, mixes
+    again and keeps bit 0 of each lane as the row's mask.  x, the k-th word
+    of both balls, meets itself at code 0 in row k; that bit is cleared.
     """
     outer = ball(r)
     codes = [word_int(z) for z in outer]
     tails = [[word_int(inv(z[p:])) for z in outer] for p in range(r + 1)]
 
     n = len(outer)
-    rows = array("I")   # the row of each x, last word first
+    ones = _lanes([1] * n)
+    mixed = array("Q")   # the inner mix of each row's codes, row by row
     for x in ball(r - 1):
         row = [0] * n
         for m in range(r + 1):
@@ -886,21 +916,37 @@ def _cayley_masks(r, seeds):
                         c if (c := base + w) < (d := (v << s) + rest) else d
                         for w, v in zip(codes[a:b], tails[p][a:b])]
                 cut = lo, hi
-        rows.extend(reversed(row))
+        mixed += _low_halves(_mix_lanes(_lanes(row[::-1]), ones), n)
 
-    coins = bytearray(max(rows) + 1)   # 0: code not met yet
-    coins[0] = 48   # x^-1 x: no loops
-    reps = array("I")
-    for code in rows:
-        if not coins[code]:
-            coins[code] = 1
-            reps.append(code)
-    mixed = array("Q", map(_splitmix64, reps))
     for seed in seeds:
-        for code, mix in zip(reps, mixed):
-            coins[code] = 48 + (_splitmix64(seed ^ mix) & 1)
-        bits = bytes(map(coins.__getitem__, rows))
-        yield seed, [int(bits[i:i + n], 2) for i in range(0, len(bits), n)]
+        key = (seed & 0xFFFF_FFFF_FFFF_FFFF) * ones
+        masks = []
+        for i in range(0, len(mixed), n):
+            z = _mix_lanes(_lanes(mixed[i:i + n]) ^ key, ones)
+            bits = z.to_bytes(16 * n, "little")[::16].translate(_BIT_DIGITS)
+            masks.append(int(bits, 2) & ~(1 << len(masks)))
+        yield seed, masks
+
+
+_BIT_DIGITS = bytes(48 + (byte & 1) for byte in range(256))
+
+
+def _lanes(values):
+    """One int holding ``values``, each below 2**64, in 128-bit lanes, the
+    first lowest."""
+    buf = array("Q", bytes(16 * len(values)))
+    buf[::2] = array("Q", values)
+    if sys.byteorder == "big":
+        buf.byteswap()
+    return int.from_bytes(buf, "little")
+
+
+def _low_halves(z, n):
+    """The low 64 bits of each of the first ``n`` lanes of ``z``."""
+    low = array("Q", z.to_bytes(16 * n, "little"))[::2]
+    if sys.byteorder == "big":
+        low.byteswap()
+    return low
 
 
 _F2_ACTIONS = {

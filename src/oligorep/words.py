@@ -76,6 +76,21 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_lanes(z: int, ones: int) -> int:
+    """``_splitmix64`` of every 128-bit lane of ``z`` at once.
+
+    ``ones`` holds 1 in each lane and every lane of ``z`` is below 2**64.
+    A lane holds a full 64 x 64-bit product, so no carry crosses into the
+    next one; what a right shift brings down from the lane above is masked
+    off before it is multiplied.
+    """
+    mask = ones * 0xFFFF_FFFF_FFFF_FFFF
+    z = (z + ones * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ z >> 31) & mask
+
+
 def word_int(u: tuple) -> int:
     """Injective encoding of a reduced word as a nonnegative int."""
     code = 0

@@ -29,6 +29,7 @@ from oligorep.finstruct import (
     structure_from_json,
     structure_to_json,
 )
+from oligorep.limits import DEFAULT_MAX_BASE
 
 
 def relabeled(cls, s, perm):
@@ -388,6 +389,26 @@ def test_fixed_points():
     assert not vs.is_fixed_only(vs.empty())
     assert vs.is_fixed_only(vs.induced(space, (0,)))
     assert get_class("graph").fixed_point_indices(graph_on(3, [(0, 1)])) == ()
+
+
+@pytest.mark.parametrize("class_id", sorted(DEFAULT_MAX_BASE))
+def test_is_fixed_only_agrees_with_the_full_scan(class_id):
+    # is_fixed_only stops at the first moving point; fixed_point_indices
+    # scans every point
+    cls = get_class(class_id)
+    structures = cls.enumerate_class(DEFAULT_MAX_BASE[class_id])
+    for n in range(4):
+        for x0_only in (False, True):
+            structures += [hull for hull, _ in
+                           cls.tuple_hulls(n, x0_only).values()]
+    verdicts = set()
+    for s in structures:
+        points = range(len(s.points))
+        full_scan = len(points) > 0 and cls.fixed_point_indices(s) == tuple(points)
+        assert cls.is_fixed_only(s) == full_scan, s
+        verdicts.add(full_scan)
+    assert verdicts == ({False, True} if class_id in (
+        "vector_space", "vector_space_q3", "boolean_algebra") else {False})
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,32 @@ def test_linear_extends_matches_the_all_pairs_rule():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("even", [True, False])
+def test_linear_extends_at_matches_extends_on_order_preserving_parents(even):
+    # one gap per parent against extends, for children adding a pair at a
+    # and, through the fallback, at another point; x is never in the parent
+    rng = random.Random(even)
+    realizer = _LinearRealizer()
+    points = [Fraction(k, 4) for k in range(-8, 9)]
+    outcomes = set()
+    for _ in range(3000):
+        domain = sorted(rng.sample(points, rng.randint(0, 5)))
+        mapping = dict(zip(domain, sorted(rng.sample(points, len(domain)))))
+        a = rng.choice(points)
+        fits = realizer.extends_at(mapping, a, even)
+        for _ in range(5):
+            other = rng.choice(points)
+            x, y = (a, other) if even else (other, a)
+            if rng.random() < 0.2:
+                x = rng.choice(points)
+            if x in mapping:
+                continue
+            expected = realizer.extends(mapping, x, y)
+            assert fits(x, y) == expected, (mapping, a, x, y)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def _items(node):
     return frozenset(node.mapping.items())
 
@@ -796,6 +822,14 @@ def test_cayley_masks_match_pairwise_adjacency(r):
         assert RadoF2Action(seed).ball_masks(r) == brute_masks(r, seed)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_cayley_masks_reduce_the_seed_mod_two_to_the_64(r):
+    # pair_coin sees only seed mod 2**64, and so do the lanes
+    for seed, residue in ((-3, 2**64 - 3), (2**64 + 5, 5)):
+        masks = RadoF2Action(seed).ball_masks(r)
+        assert masks == brute_masks(r, seed) == brute_masks(r, residue)
+
+
 @pytest.mark.parametrize("r,t", itertools.product([0, 1, 2, 3], [1, 2]))
 def test_cayley_extension_matches_materialised_configs(r, t):
     seeds = range(5)
@@ -836,9 +870,14 @@ def test_cayley_extension_pinned_rates_and_witnesses():
         49, 49, 50, 49, 50, 49, 50, 50, 50, 50]
     assert report["mean_rate"] == Fraction(493, 500)
     # at r = 6 every prescription is witnessed, so the rate cannot show a
-    # wrong mask; the witness total of seed 0 can
-    row, = cayley_extension_check(r=6, t=2, seeds=[0])["per_seed"]
-    assert (row["rate"], row["witnesses"]) == (1, 43808057)
+    # wrong mask; the witness totals can
+    report = cayley_extension_check(r=6, t=2, seeds=20)
+    assert report["all_witnessed"]
+    assert [row["witnesses"] for row in report["per_seed"]] == [
+        43808057, 43061600, 43669469, 43051831, 43452249,
+        43398841, 43600962, 43387210, 42833069, 42978996,
+        43234652, 43712921, 42382104, 42531084, 42895533,
+        44030609, 42982536, 43056207, 43899859, 42887193]
 
 
 def test_cayley_extension_rejects_t_outside_one_two():

@@ -124,6 +124,17 @@ def test_pair_coin_is_the_coin_of_the_least_member_of_the_pair():
             assert pair_coin(seed, u) == bool(expected)
 
 
+def test_mix_lanes_is_splitmix64_in_every_lane():
+    rng = random.Random(5)
+    values = [0, 1, 2**64 - 1] + [rng.getrandbits(64) for _ in range(500)]
+    ones = sum(1 << 128 * i for i in range(len(values)))
+    lanes = sum(v << 128 * i for i, v in enumerate(values))
+    mixed = words._mix_lanes(lanes, ones)
+    assert [mixed >> 128 * i & (1 << 128) - 1
+            for i in range(len(values))] == list(map(words._splitmix64, values))
+    assert mixed >> 128 * len(values) == 0
+
+
 def test_magnus_generator_components():
     # x -> 1 + X: degree 1 component is {X: 1}, nothing at degree 2
     assert magnus_component((X,), 1) == {(0,): 1}
