@@ -141,7 +141,7 @@ def criterion_3():
     return ok, {"counts": counts}
 
 
-def _subgroup_sweep(class_id, max_size, limits):
+def _subgroup_sweep(class_id, max_size):
     """(subgroup, is_probe) pairs with base size up to ``max_size``.
 
     Base groups within the enumeration bound contribute every subgroup up
@@ -149,15 +149,16 @@ def _subgroup_sweep(class_id, max_size, limits):
     group per conjugacy class, and the full group.
     """
     cls = get_class(class_id)
+    bound = get_limits().subgroup_order
     for base in _nonempty_bases(class_id, max_size):
         aut = cls.automorphisms(base)
-        if aut.order <= limits.subgroup_order:
-            for sub in aut.subgroups_up_to_conjugacy(limits.subgroup_order):
+        if aut.order <= bound:
+            for sub in aut.subgroups_up_to_conjugacy(bound):
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
             continue
         degree = len(base.points)
-        reps = oligo.base_table(class_id, base, cls.canonical_code(base),
-                                limits).class_reps[1:]
+        reps = oligo.base_table(class_id, base,
+                                cls.canonical_code(base)).class_reps[1:]
         if cls.atomic:
             # the table lists atom permutations; the subgroup moves masks
             reps = [cls.mask_perm(rep, cls.size(base)) for rep in reps]
@@ -186,15 +187,13 @@ def _coset_multiplicities(v, table):
 def criterion_4():
     """Quasi-regular degree bookkeeping over every swept subgroup; those
     with 1 < |Aut(B)| <= 200 are recomputed through the coset action."""
-    limits = get_limits()
     ok = True
     swept = probed = regular_cases = cross_checked = 0
     for class_id in CLASS_IDS:
-        for v, is_probe in _subgroup_sweep(class_id, SWEEP_BASE[class_id],
-                                           limits):
-            decomposition = oligo.decompose_quasiregular(v, limits)
+        for v, is_probe in _subgroup_sweep(class_id, SWEEP_BASE[class_id]):
+            decomposition = oligo.decompose_quasiregular(v)
             ok = ok and decomposition.total_degree() == v.index
-            table = oligo.base_table(class_id, v.base, v.base_code, limits)
+            table = oligo.base_table(class_id, v.base, v.base_code)
             if v.group.order == 1:
                 mults = sorted(m for _, m in decomposition.items())
                 ok = ok and mults == sorted(table.degrees)
@@ -226,12 +225,11 @@ def _double_coset_count(group, sub):
 def criterion_5():
     """Commensurator laws, and finite configurations numbering the double
     cosets K\\Aut(B)/K counted by brute force."""
-    limits = get_limits()
     ok = True
     subgroups = configs = finite_configs = 0
     for class_id in CLASS_IDS:
-        for v in oligo.enumerate_open_subgroups(
-                class_id, PROFILE_BASE[class_id], limits):
+        for v in oligo.enumerate_open_subgroups(class_id,
+                                                PROFILE_BASE[class_id]):
             comm = oligo.commensurator(v)
             ok = ok and comm.group is comm.aut
             ok = ok and oligo.commensurator(comm) == comm
@@ -318,7 +316,6 @@ def criterion_8():
 def criterion_9():
     """Orthogonality relations and the degree identity for every base
     group of order at most 500 arising in the sweeps."""
-    limits = get_limits()
     ok = True
     tables = []
     seen = set()
@@ -332,8 +329,7 @@ def criterion_9():
             if (class_id, code) in seen:
                 continue
             seen.add((class_id, code))
-            tables.append((class_id, oligo.base_table(class_id, base, code,
-                                                      limits)))
+            tables.append((class_id, oligo.base_table(class_id, base, code)))
     for class_id, table in tables:
         order = table.group_order
         k = table.num_classes

@@ -110,10 +110,9 @@ def _emit(text, out):
 
 
 def cmd_catalog(args):
-    limits = get_limits()
     max_base = (args.max_base if args.max_base is not None
-                else limits.base_limit(args.class_id))
-    labels = oligo.irrep_catalog(args.class_id, max_base, limits)
+                else get_limits().base_limit(args.class_id))
+    labels = oligo.irrep_catalog(args.class_id, max_base)
     return {
         "class": args.class_id,
         "max_base": max_base,
@@ -123,9 +122,8 @@ def cmd_catalog(args):
 
 
 def cmd_decompose(args):
-    limits = get_limits()
-    decomposition = oligo.decompose_power(
-        args.class_id, args.n, x0_only=args.x0, limits=limits)
+    decomposition = oligo.decompose_power(args.class_id, args.n,
+                                          x0_only=args.x0)
     report = {
         "class": args.class_id,
         "n": args.n,
@@ -134,7 +132,7 @@ def cmd_decompose(args):
         "terms": decomposition.to_json(),
     }
     if args.n >= 1 and not args.x0:
-        recursion = oligo.tensor_recursion_check(args.class_id, args.n, limits)
+        recursion = oligo.tensor_recursion_check(args.class_id, args.n)
         report["recursion"] = recursion
         if not recursion["ok"]:
             raise InvariantViolation(
@@ -143,11 +141,9 @@ def cmd_decompose(args):
 
 
 def cmd_subgroups(args):
-    limits = get_limits()
     max_base = args.max_base if args.max_base is not None else 2
     rows = [v.to_json()
-            for v in oligo.enumerate_open_subgroups(
-                args.class_id, max_base, limits)]
+            for v in oligo.enumerate_open_subgroups(args.class_id, max_base)]
     return {
         "class": args.class_id,
         "max_base": max_base,
@@ -157,10 +153,9 @@ def cmd_subgroups(args):
 
 
 def cmd_cosets(args):
-    limits = get_limits()
     max_base = args.max_base if args.max_base is not None else 2
     rows = []
-    for v in oligo.enumerate_open_subgroups(args.class_id, max_base, limits):
+    for v in oligo.enumerate_open_subgroups(args.class_id, max_base):
         profile = oligo.double_coset_profile(v)
         finite = sum(
             1 for config in profile.configs
@@ -183,7 +178,6 @@ def cmd_kazhdan(args):
         value = getattr(args, name)
         if value is not None and value < 1:
             raise OligorepError(f"--{name} must be at least 1")
-    limits = get_limits()
     cls = args.class_id
     relational = get_class(cls).relational
     report = {"class": cls, "seed": args.seed, "Q": [[1], [2]]}
@@ -202,7 +196,7 @@ def cmd_kazhdan(args):
 
     if relational:
         depth = args.depth if args.depth is not None else 5
-        tree = kazhdan.build_tree(cls, depth, limits=limits)
+        tree = kazhdan.build_tree(cls, depth)
         verdict = tree.verify()
         report["tree"] = {
             "depth": depth,
@@ -219,7 +213,7 @@ def cmd_kazhdan(args):
         minimum = None
         for _ in range(trials):
             f = kazhdan.random_distribution(rng, range(stages))
-            walk = kazhdan.greedy_witness(cls, f, limits=limits)
+            walk = kazhdan.greedy_witness(cls, f)
             if minimum is None or walk["displacement"] < minimum:
                 minimum = walk["displacement"]
         report["displacement_trials"] = {
@@ -307,6 +301,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        get_limits()   # a malformed OLIGOREP_LIMITS exits 1 before any work
         if getattr(args, "class_id", None) is not None:
             get_class(args.class_id)
         report = args.func(args)

@@ -148,29 +148,20 @@ def l1_displacement(f, perm):
                Fraction(0))
 
 
-def _random_signed_function(rng, points, tuple_len, support_size):
-    out = {}
-    while len(out) < support_size:
-        xs = tuple(rng.choice(points) for _ in range(tuple_len))
-        num = rng.randint(-12, 12) or 1
-        out[xs] = Fraction(num, rng.randint(1, 9))
-    return out
-
-
-def marginal_check(seed, n_points=6, tuple_len=3, support_size=5):
+def marginal_check(seed):
     """Marginals contract displacement: |g f~ - f~|_1 <= |g f - f|_1.
 
-    ``f~`` integrates out the last coordinate.  Checked exactly on one
-    seeded random instance; returns the two norms and the verdict.
+    ``f~`` integrates out the last coordinate.  Checked exactly on five
+    seeded random triples of six points; returns the norms and the verdict.
     """
     rng = random.Random(seed)
-    points = list(range(n_points))
+    points = list(range(6))
     images = points[:]
     rng.shuffle(images)
     perm = dict(zip(points, images))
     f = {}
-    while len(f) < support_size:
-        f[tuple(rng.choice(points) for _ in range(tuple_len))] = rng.randint(1, 16)
+    while len(f) < 5:
+        f[tuple(rng.choice(points) for _ in range(3))] = rng.randint(1, 16)
     total = sum(f.values())
     f = {xs: Fraction(v, total) for xs, v in f.items()}
     marginal = {}
@@ -182,19 +173,24 @@ def marginal_check(seed, n_points=6, tuple_len=3, support_size=5):
     return {"seed": seed, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
 
 
-def l1_l2_transfer(seed, n_points=6, tuple_len=2, support_size=5):
+def l1_l2_transfer(seed):
     """Squared form of |g f~ - f~|_1 <= 2 |g f - f|_2 |f|_2 with f~ = f^2.
 
-    Also checks the scalar inequality |a - b|^2 <= |a^2 - b^2| behind it on
+    ``f`` takes signed rational values on five pairs of six points.  Also
+    checks the scalar inequality |a - b|^2 <= |a^2 - b^2| behind it on
     the absolute values occurring in the instance.  That check cannot fail:
     for a, b >= 0 it reads |a - b| <= a + b, once divided by |a - b|.
     """
     rng = random.Random(seed)
-    points = list(range(n_points))
+    points = list(range(6))
     images = points[:]
     rng.shuffle(images)
     perm = dict(zip(points, images))
-    f = _random_signed_function(rng, points, tuple_len, support_size)
+    f = {}
+    while len(f) < 5:
+        xs = tuple(rng.choice(points) for _ in range(2))
+        num = rng.randint(-12, 12) or 1
+        f[xs] = Fraction(num, rng.randint(1, 9))
     squared = {xs: v * v for xs, v in f.items()}
     lhs = l1_displacement(squared, perm)
     diff_sq = sum(((a - b) ** 2 for a, b in _translate_pairs(f, perm)),
@@ -591,9 +587,8 @@ class KazhdanTree:
         }
 
 
-def build_tree(class_id, depth, interleave=False, limits=None):
+def build_tree(class_id, depth, interleave=False):
     """Materialize levels 1..depth of the back-and-forth tree."""
-    limits = limits or get_limits()
     if depth < 1:
         raise MalformedStructure("depth must be at least 1")
     realizer = _realizer_for(class_id, interleave)
@@ -602,6 +597,7 @@ def build_tree(class_id, depth, interleave=False, limits=None):
     enum_set = set(enum) if not interleave else set()
     levels = [[_TreeNode({}, None)]]
     total = 1
+    budget = get_limits().tree_nodes
     for number in range(2, depth + 1):
         n = number // 2
         a = enum[n - 1]
@@ -621,9 +617,9 @@ def build_tree(class_id, depth, interleave=False, limits=None):
                 child = {**mapping, a: c} if even else {**mapping, c: a}
                 new_level.append(_TreeNode(child, parent))
         total += len(new_level)
-        if total > limits.tree_nodes:
+        if total > budget:
             raise SizeLimitExceeded(
-                f"tree would exceed {limits.tree_nodes} nodes at level "
+                f"tree would exceed {budget} nodes at level "
                 f"{number}; lower the depth")
         levels.append(new_level)
     return KazhdanTree(class_id, depth, enum, levels, interleave, realizer)
@@ -633,7 +629,7 @@ def build_tree(class_id, depth, interleave=False, limits=None):
 # the greedy walk
 
 
-def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
+def greedy_witness(class_id, f, max_depth=None, interleave=False):
     """Walk one branch and certify displacement at least 1/2 for ``f``.
 
     At each stage the walk either pins the image of the next enumeration
@@ -642,7 +638,6 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
     resulting partial automorphism is a lower bound for the displacement of
     every automorphism extending it.
     """
-    limits = limits or get_limits()
     realizer = _realizer_for(class_id, interleave)
     if not isinstance(f, Distribution):
         f = Distribution(f)
@@ -660,10 +655,11 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False, limits=None):
         raise TruncationTooSmall(
             f"support reaches enumeration point {stages}, needing walk "
             f"depth {2 * stages + 1} > {max_depth}")
-    if 2 ** (stages + 1) > limits.tree_nodes:
+    budget = get_limits().tree_nodes
+    if 2 ** (stages + 1) > budget:
         raise SizeLimitExceeded(
             f"stage {stages} could branch {2 ** (stages + 1)} ways, beyond "
-            f"the {limits.tree_nodes} node budget")
+            f"the {budget} node budget")
 
     enum = realizer.enumeration(stages)
     enum_set = set(enum) if not interleave else set()
@@ -791,10 +787,10 @@ class VectorSpaceF2Action:
     def act(self, w, point):
         return frozenset((mult(w, b), c) for b, c in point)
 
-    def sample_points(self, rng, count, max_support=3):
+    def sample_points(self, rng, count):
         out = []
         while len(out) < count:
-            size = rng.randint(1, max_support)
+            size = rng.randint(1, 3)
             words = rng.sample(ball(2), size)
             vec = self.vector({b: rng.randint(1, self.q - 1) for b in words})
             if vec:
@@ -842,10 +838,10 @@ class ClopenF2Action:
             sum(1 << pos for pos, i in enumerate(order) if mask >> i & 1)
             for mask in masks))
 
-    def sample_points(self, rng, count, max_support=3):
+    def sample_points(self, rng, count):
         out = []
         while len(out) < count:
-            size = rng.randint(1, max_support)
+            size = rng.randint(1, 3)
             support = rng.sample(ball(2), size)
             full = 1 << size
             masks = {m for m in range(full) if rng.random() < 0.5}
@@ -1075,16 +1071,16 @@ def _density_witness(u, max_degree):
     return None
 
 
-def cayley_edge_invariance(seed=0, trials=2000, word_len=5, rng_seed=0):
+def cayley_edge_invariance(seed=0, trials=2000, rng_seed=0):
     """Left translations preserve adjacency in the random Cayley graph.
 
     This is an exact identity (adjacency depends on x^-1 y only); the check
-    exercises the implementation on random triples.
+    exercises the implementation on triples of random words of length <= 5.
     """
     action = RadoF2Action(seed)
     rng = random.Random(rng_seed)
     for _ in range(trials):
-        x, y, w = (random_word(rng, word_len) for _ in range(3))
+        x, y, w = (random_word(rng, 5) for _ in range(3))
         if x == y:
             continue
         if action.adjacent(x, y) != action.adjacent(mult(w, x), mult(w, y)):

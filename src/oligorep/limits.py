@@ -8,6 +8,9 @@ object such as
 
 Unknown keys or classes, malformed JSON and limits that are not positive
 integers raise InvalidLimits, a usage error, so typos fail loudly.
+
+``get_limits`` is the one source of limits: no function takes them as an
+argument, and each reads the limit it needs where that limit binds.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class RunLimits:
     tree_nodes: int = 400000
 
     def base_limit(self, cls_id: str) -> int:
-        return self.max_base.get(cls_id, 6)
+        return self.max_base[cls_id]
 
 
 def _positive(name, value) -> int:

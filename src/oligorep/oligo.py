@@ -173,10 +173,10 @@ def induced_equivalent(v, w):
     return False
 
 
-def enumerate_open_subgroups(class_id, max_base=None, limits=None):
+def enumerate_open_subgroups(class_id, max_base=None):
     """All open subgroups with base size at most ``max_base``, up to conjugacy."""
-    limits = limits or get_limits()
     cls = get_class(class_id)
+    limits = get_limits()
     if max_base is None:
         max_base = limits.base_limit(class_id)
     out = []
@@ -231,20 +231,19 @@ def trivial_label(class_id):
 _TABLES = {}
 
 
-def base_table(class_id, base, code, limits=None):
+def base_table(class_id, base, code):
     """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, generic exact
     tables for everything else.
     """
-    limits = limits or get_limits()
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
     key = (class_id, code)
     if key not in _TABLES:
         aut = cls.automorphisms(base)
-        _TABLES[key] = character_table(aut, limits.table_order)
+        _TABLES[key] = character_table(aut, get_limits().table_order)
     return _TABLES[key]
 
 
@@ -255,20 +254,19 @@ def _atom_table(m):
     return _TABLES[key]
 
 
-def _labels_for_base(class_id, base, code, limits):
+def _labels_for_base(class_id, base, code):
     """Labels over one nonempty normalized base, in table row order."""
-    table = base_table(class_id, base, code, limits)
+    table = base_table(class_id, base, code)
     size = get_class(class_id).size(base)
     return [IrrepLabel(class_id, code, size, i, table.degrees[i], table)
             for i in range(table.num_classes)]
 
 
-def irrep_catalog(class_id, max_base=None, limits=None):
+def irrep_catalog(class_id, max_base=None):
     """All irreducible-representation labels with base size at most max_base."""
-    limits = limits or get_limits()
     cls = get_class(class_id)
     if max_base is None:
-        max_base = limits.base_limit(class_id)
+        max_base = get_limits().base_limit(class_id)
     labels = []
     for base in cls.enumerate_class(max_base):
         if cls.is_fixed_only(base):
@@ -277,7 +275,7 @@ def irrep_catalog(class_id, max_base=None, limits=None):
             labels.append(trivial_label(class_id))
             continue
         labels.extend(_labels_for_base(class_id, base,
-                                       cls.canonical_code(base), limits))
+                                       cls.canonical_code(base)))
     return labels
 
 
@@ -342,7 +340,7 @@ class Decomposition:
         return f"Decomposition({inner})"
 
 
-def decompose_quasiregular(v, limits=None):
+def decompose_quasiregular(v):
     """Decompose the quasi-regular representation attached to (B, K).
 
     The multiplicity of (B, sigma) is the multiplicity of sigma in the
@@ -350,7 +348,6 @@ def decompose_quasiregular(v, limits=None):
     a different base occurs.  Boolean algebras read K through its action
     on the atoms, where their symmetric table lives.
     """
-    limits = limits or get_limits()
     dec = Decomposition()
     if len(v.base.points) == 0:
         dec.add(trivial_label(v.cls), 1)
@@ -363,7 +360,7 @@ def decompose_quasiregular(v, limits=None):
             raise InvariantViolation("atom action lost part of the subgroup")
     else:
         sub = v.group
-    labels = _labels_for_base(v.cls, v.base, v.base_code, limits)
+    labels = _labels_for_base(v.cls, v.base, v.base_code)
     table = labels[0].table
     char = coset_character(table, sub)
     for label, mult in zip(labels, table.decompose(char)):
@@ -374,7 +371,7 @@ def decompose_quasiregular(v, limits=None):
     return dec
 
 
-def decompose_power(class_id, n, x0_only=False, limits=None):
+def decompose_power(class_id, n, x0_only=False):
     """Decompose the n-th power of the natural (or punctured) action.
 
     Every orbit of n-tuples contributes the full regular character of the
@@ -389,19 +386,18 @@ def decompose_power(class_id, n, x0_only=False, limits=None):
     consists of fixed elements contribute one copy of the trivial label
     each.
     """
-    limits = limits or get_limits()
     cls = get_class(class_id)
     dec = Decomposition()
     for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
         if len(hull.points) == 0 or cls.is_fixed_only(hull):
             dec.add(trivial_label(class_id), count)
             continue
-        for label in _labels_for_base(class_id, hull, code, limits):
+        for label in _labels_for_base(class_id, hull, code):
             dec.add(label, count * label.degree)
     return dec
 
 
-def tensor_recursion_check(class_id, k, limits=None):
+def tensor_recursion_check(class_id, k):
     """Compare the (k+1)-st power against the binomial expansion over X0.
 
     The natural domain splits into the fixed elements Y and the moving part
@@ -413,15 +409,14 @@ def tensor_recursion_check(class_id, k, limits=None):
     the (k+1)-st power, formed once, is both sides: the check is an identity
     and can fail only for vector spaces and Boolean algebras.
     """
-    limits = limits or get_limits()
     y = get_class(class_id).num_fixed_elements
-    lhs = decompose_power(class_id, k + 1, limits=limits)
+    lhs = decompose_power(class_id, k + 1)
     rhs = Decomposition()
     for j in range(k + 2):
         coeff = math.comb(k + 1, j) * y ** (k + 1 - j)
         if coeff:
             part = (lhs if y == 0 else
-                    decompose_power(class_id, j, x0_only=True, limits=limits))
+                    decompose_power(class_id, j, x0_only=True))
             for label, mult in part.terms.items():
                 rhs.add(label, coeff * mult)
     labels = set(lhs.terms) | set(rhs.terms)

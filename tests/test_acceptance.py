@@ -6,7 +6,6 @@ import pytest
 from oligorep import acceptance
 from oligorep.chartab import symmetric_character_table
 from oligorep.finstruct import get_class
-from oligorep.limits import RunLimits
 from oligorep.oligo import decompose_quasiregular
 from oligorep.permgrp import cycle_type
 
@@ -21,21 +20,21 @@ def test_criterion(cid):
     assert report["passed"], report
 
 
-def test_sweep_probes_a_seven_atom_boolean_algebra():
+def test_sweep_probes_a_seven_atom_boolean_algebra(monkeypatch):
     # |Aut| = 7! is above the subgroup bound, so the sweep probes the base
     # with the trivial group, one cyclic group per class of S7 and S7 itself;
     # the small bound only keeps the smaller bases cheap
-    limits = RunLimits(subgroup_order=24)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"subgroup_order": 24}')
     boo = get_class("boolean_algebra")
     probes = [v for v, is_probe in acceptance._subgroup_sweep(
-        "boolean_algebra", 7, limits) if is_probe and boo.size(v.base) == 7]
+        "boolean_algebra", 7) if is_probe and boo.size(v.base) == 7]
     table = symmetric_character_table(7)
     assert [v.group.order for v in probes] == [1, *table.class_orders[1:],
                                                5040]
     cyclic = [boo.atom_perm(v.group.generators[0], 7) for v in probes[1:-1]]
     assert [cycle_type(g) for g in cyclic] == list(table.class_partitions[1:])
     for v in probes:
-        assert decompose_quasiregular(v, limits).total_degree() == v.index
+        assert decompose_quasiregular(v).total_degree() == v.index
 
 
 def test_criterion_3_fails_on_a_hull_count_off_by_one(monkeypatch):

@@ -39,7 +39,6 @@ from oligorep.kazhdan import (
     partial_displacement,
     random_distribution,
 )
-from oligorep.limits import RunLimits
 from oligorep.words import EMPTY, ball, inv, mult
 
 
@@ -128,13 +127,14 @@ def test_tree_needs_no_algebraicity():
             build_tree(cls, 4)
 
 
-def test_tree_input_validation():
+def test_tree_input_validation(monkeypatch):
     with pytest.raises(MalformedStructure):
         build_tree("pure_set", 0)
     with pytest.raises(MalformedStructure):
         build_tree("linear_order", 4, interleave=True)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 100}')
     with pytest.raises(SizeLimitExceeded):
-        build_tree("pure_set", 6, limits=RunLimits(tree_nodes=100))
+        build_tree("pure_set", 6)
 
 
 def test_linear_extends_matches_the_all_pairs_rule():

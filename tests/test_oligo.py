@@ -283,9 +283,9 @@ def test_tensor_recursion_forms_one_power_without_fixed_elements(
     # power, so the check reuses it and is an identity
     calls = []
 
-    def counting(class_id, n, x0_only=False, limits=None):
+    def counting(class_id, n, x0_only=False):
         calls.append((n, x0_only))
-        return decompose_power(class_id, n, x0_only, limits)
+        return decompose_power(class_id, n, x0_only)
 
     monkeypatch.setattr(oligo, "decompose_power", counting)
     for k in range(4):
