@@ -358,10 +358,26 @@ def criterion_9():
                 "max_order": max(t.group_order for _, t in tables)}
 
 
+def _galois_numbers(q, top):
+    """Subspace counts of GF(q)^n for n = 0..top, by the Goldman-Rota
+    recurrence G(n+1) = 2 G(n) + (q^n - 1) G(n-1)."""
+    counts = [1, 2]
+    for n in range(1, top):
+        counts.append(2 * counts[n] + (q ** n - 1) * counts[n - 1])
+    return counts[:top + 1]
+
+
 def criterion_10():
-    """Tensor-power recursion residuals vanish for k <= 3."""
+    """Tensor-power recursion residuals vanish for k <= 3, and the orbits of
+    n-tuples for n <= 4 number the subspaces of relations (vector spaces)
+    and the nonempty sets of realized cells, 2^(2^n) - 1 (Boolean
+    algebras).  The recursion is linear in the per-hull counts, so only the
+    totals see every count off by one factor."""
     ok = True
     details = {}
+    totals = {}
+    expected = {"vector_space": _galois_numbers(2, 4)[1:],
+                "boolean_algebra": [2 ** 2 ** n - 1 for n in range(1, 5)]}
     for class_id in ("vector_space", "boolean_algebra"):
         residuals = []
         for k in range(1, 4):
@@ -369,6 +385,12 @@ def criterion_10():
             residuals.append(report["max_abs_residual"])
             ok = ok and report["ok"] and report["max_abs_residual"] == 0
         details[class_id] = residuals
+        cls = get_class(class_id)
+        totals[class_id] = [sum(count for _, count in
+                                cls.tuple_hulls(n).values())
+                            for n in range(1, 5)]
+        ok = ok and totals[class_id] == expected[class_id]
+    details["orbit_totals"] = totals
     return ok, details
 
 

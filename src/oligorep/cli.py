@@ -122,6 +122,13 @@ def cmd_catalog(args):
 
 
 def cmd_decompose(args):
+    # the recursion's (n+1)-st power is refused first if it is too large
+    recursion = None
+    if args.n >= 1 and not args.x0:
+        recursion = oligo.tensor_recursion_check(args.class_id, args.n)
+        if not recursion["ok"]:
+            raise InvariantViolation(
+                "tensor power recursion residuals are nonzero")
     decomposition = oligo.decompose_power(args.class_id, args.n,
                                           x0_only=args.x0)
     report = {
@@ -131,12 +138,8 @@ def cmd_decompose(args):
         "total_degree": decomposition.total_degree(),
         "terms": decomposition.to_json(),
     }
-    if args.n >= 1 and not args.x0:
-        recursion = oligo.tensor_recursion_check(args.class_id, args.n)
+    if recursion is not None:
         report["recursion"] = recursion
-        if not recursion["ok"]:
-            raise InvariantViolation(
-                "tensor power recursion residuals are nonzero")
     return report
 
 

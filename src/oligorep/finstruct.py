@@ -327,6 +327,8 @@ class FraisseClass:
 
     def enumerate_class(self, k):
         """One canonical representative per isomorphism class of size <= k."""
+        if k < 0:
+            raise MalformedStructure(f"size bound {k} is negative")
         reps = [self.empty()] + self._enumerate_nonempty(k)
         reps.sort(key=lambda r: (self.size(r), self._code_of_canonical(r)))
         return reps
@@ -338,6 +340,11 @@ class FraisseClass:
         if x0_only:
             types = [t for t in types if not self._touches_fixed(t.data, t.n)]
         return types
+
+    def max_aut_order(self, n):
+        """The largest order of Aut(B) over members B of size at most n, or
+        None when the class's character tables do not grow with Aut(B)."""
+        return None
 
     def _check_tuple_len(self, n):
         if n < 0:
@@ -520,6 +527,10 @@ class _RelationalClass(FraisseClass):
         """All payloads the class allows on k labeled points."""
         raise NotImplementedError
 
+    def max_aut_order(self, n):
+        # a set of n points, or the empty graph on them
+        return math.factorial(max(n, 0))
+
     def tuple_hulls(self, n, x0_only=False):
         # The hull of a tuple is the structure on its entries, and Aut(B)
         # acts freely on the S(n, k) k! maps of the coordinates onto the k
@@ -612,6 +623,9 @@ class LinearOrderClass(_RelationalClass):
 
     def _block_cores(self, k):
         return [tuple(p) for p in itertools.permutations(range(k))]
+
+    def max_aut_order(self, n):
+        return 1
 
     def _data_to_json(self, data):
         return {"ranks": list(data)}
@@ -1057,6 +1071,10 @@ class VectorSpaceClass(FraisseClass):
         for rows in _relation_spaces(n, self.q):
             types.append(TupleType(self.id, n, rows))
         return types
+
+    def max_aut_order(self, n):
+        # |GL(n, q)|, the group of the space of dimension n
+        return math.prod(self.q ** n - self.q ** i for i in range(n))
 
     def _touches_fixed(self, rows, n):
         if not rows:

@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolation,
     MalformedStructure,
     NotASubgroup,
+    SizeLimitExceeded,
 )
 from .finstruct import get_class, structure_to_json
 from .limits import get_limits
@@ -384,9 +385,15 @@ def decompose_power(class_id, n, x0_only=False):
     space has rank r spans a hull of dimension n - r; a Boolean orbit's
     hull has its realized cells as atoms.  Orbits whose hull is empty or
     consists of fixed elements contribute one copy of the trivial label
-    each.
+    each.  A hull group beyond the table bound is refused before any tuple
+    is counted.
     """
     cls = get_class(class_id)
+    order, bound = cls.max_aut_order(n), get_limits().table_order
+    if order is not None and order > bound:
+        raise SizeLimitExceeded(
+            f"{class_id} hulls of {n}-tuples have groups of order up to "
+            f"{order}, beyond the table bound {bound}")
     dec = Decomposition()
     for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
         if len(hull.points) == 0 or cls.is_fixed_only(hull):

@@ -54,3 +54,24 @@ def test_criterion_3_fails_on_a_hull_count_off_by_one(monkeypatch):
     ok, details = acceptance.criterion_3()
     assert ok is False
     assert details == {"counts": [1, 3, 15, 127]}
+
+
+def test_criterion_10_fails_on_doubled_boolean_counts(monkeypatch):
+    # the recursion is linear in the counts, so doubling every count, full
+    # and punctured, leaves its residuals at zero; the orbit totals see it
+    boo = get_class("boolean_algebra")
+    hulls = boo.tuple_hulls
+
+    def doubled(n, x0_only=False):
+        return {code: (hull, 2 * count)
+                for code, (hull, count) in hulls(n, x0_only).items()}
+
+    ok, details = acceptance.criterion_10()
+    assert ok is True
+    assert details["orbit_totals"] == {"vector_space": [2, 5, 16, 67],
+                                       "boolean_algebra": [3, 15, 255, 65535]}
+    monkeypatch.setattr(boo, "tuple_hulls", doubled)
+    ok, details = acceptance.criterion_10()
+    assert ok is False
+    assert details["boolean_algebra"] == [0, 0, 0]
+    assert details["orbit_totals"]["boolean_algebra"] == [6, 30, 510, 131070]

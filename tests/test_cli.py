@@ -169,6 +169,22 @@ def test_malformed_limits_exit_one(capsys, monkeypatch, raw):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--class", "pure_set"],
+    ["decompose", "--class", "pure_set", "--n", "2"],
+    ["subgroups", "--class", "pure_set"],
+    ["cosets", "--class", "pure_set"],
+    ["kazhdan", "--class", "vector_space"],
+    ["selftest"]], ids=lambda argv: argv[0])
+def test_every_verb_exits_one_on_malformed_limits(capsys, monkeypatch, argv):
+    # the stub criterion reads no limit, so only the read before dispatch
+    # can refuse them
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("1", "stub", 10.0, lambda: (True, {})),))
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 0}')
+    assert run(capsys, argv) == (1, "")
+
+
 def test_size_limit_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 50}')
     code, _ = run(capsys, ["kazhdan", "--class", "pure_set",
@@ -176,21 +192,49 @@ def test_size_limit_exits_two(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("cls, n, code", [("boolean_algebra", "5", 2),
-                                           ("graph", "9", 2),
-                                           ("graph", "-1", 1),
-                                           ("vector_space", "-1", 1)])
-def test_decompose_refuses_a_tuple_length_before_enumerating(
-        capsys, monkeypatch, cls, n, code):
-    # 2**32 cell patterns or 2**36 graphs on nine blocks would never finish
+def refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated before checking the length")
 
     monkeypatch.setattr(finstruct, "set_partitions", refuse)
     monkeypatch.setattr(finstruct, "_column_masks", refuse)
+    monkeypatch.setattr(finstruct, "_relation_spaces", refuse)
+    monkeypatch.setattr(finstruct.GraphClass, "_enumerate_nonempty", refuse)
+
+
+@pytest.mark.parametrize("cls, n, code", [("boolean_algebra", "5", 2),
+                                           ("graph", "9", 2),
+                                           ("graph", "8", 2),
+                                           ("vector_space", "8", 2),
+                                           ("vector_space_q3", "7", 2),
+                                           ("graph", "-1", 1),
+                                           ("vector_space", "-1", 1)])
+def test_decompose_refuses_a_tuple_length_before_enumerating(
+        capsys, monkeypatch, cls, n, code):
+    # 2**32 cell patterns or 2**36 graphs on nine blocks would never finish;
+    # 8! and |GL(8, 2)| or |GL(7, 3)| are beyond the table bound
+    refuse_enumeration(monkeypatch)
     argv = ["decompose", "--class", cls, "--n", n]
     assert run(capsys, argv) == (code, "")
     assert run(capsys, argv + ["--x0"]) == (code, "")
+
+
+def test_decompose_refuses_the_recursion_power_first(capsys, monkeypatch):
+    # the 7th power's hulls have at most 7! automorphisms, within the table
+    # bound, but the recursion check forms the 8th power; with --x0 there
+    # is no recursion and the 7th power runs
+    refuse_enumeration(monkeypatch)
+    assert run(capsys, ["decompose", "--class", "graph", "--n", "7"]) == (
+        2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--class", "pure_set", "--max-base", "-1"],
+    ["subgroups", "--class", "graph", "--max-base", "-2"],
+    ["cosets", "--class", "pure_set", "--max-base", "-1"]],
+    ids=lambda argv: argv[0])
+def test_negative_max_base_exits_one(capsys, argv):
+    assert run(capsys, argv) == (1, "")
 
 
 def test_invariant_failure_exits_three(capsys, monkeypatch):

@@ -456,6 +456,24 @@ def test_enumerate_boolean_algebras():
     assert [len(r.points) for r in reps] == [0, 2, 4, 8]
 
 
+@pytest.mark.parametrize("class_id", sorted(DEFAULT_MAX_BASE))
+def test_enumerate_class_refuses_a_negative_size(class_id):
+    with pytest.raises(MalformedStructure):
+        get_class(class_id).enumerate_class(-1)
+
+
+@pytest.mark.parametrize("class_id, top", [("pure_set", 5),
+                                            ("linear_order", 5),
+                                            ("graph", 5),
+                                            ("vector_space", 3),
+                                            ("vector_space_q3", 2)])
+def test_max_aut_order_is_the_largest_group(class_id, top):
+    cls = get_class(class_id)
+    for n in range(top + 1):
+        assert cls.max_aut_order(n) == max(
+            cls.automorphisms(b).order for b in cls.enumerate_class(n))
+
+
 # ---------------------------------------------------------------------------
 # tuple types
 
