@@ -529,7 +529,7 @@ class _RelationalClass(FraisseClass):
 
     def max_aut_order(self, n):
         # a set of n points, or the empty graph on them
-        return math.factorial(max(n, 0))
+        return math.factorial(n)
 
     def tuple_hulls(self, n, x0_only=False):
         # The hull of a tuple is the structure on its entries, and Aut(B)

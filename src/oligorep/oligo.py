@@ -385,10 +385,11 @@ def decompose_power(class_id, n, x0_only=False):
     space has rank r spans a hull of dimension n - r; a Boolean orbit's
     hull has its realized cells as atoms.  Orbits whose hull is empty or
     consists of fixed elements contribute one copy of the trivial label
-    each.  A hull group beyond the table bound is refused before any tuple
-    is counted.
+    each.  A tuple length beyond desk scale, or a hull group beyond the
+    table bound, is refused before any tuple is counted.
     """
     cls = get_class(class_id)
+    cls._check_tuple_len(n)
     order, bound = cls.max_aut_order(n), get_limits().table_order
     if order is not None and order > bound:
         raise SizeLimitExceeded(

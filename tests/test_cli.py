@@ -219,6 +219,25 @@ def test_decompose_refuses_a_tuple_length_before_enumerating(
     assert run(capsys, argv + ["--x0"]) == (code, "")
 
 
+@pytest.mark.parametrize("cls, n, code", [("graph", "1000000000", 2),
+                                           ("vector_space", "100000", 2),
+                                           ("vector_space_q3", "100000", 2),
+                                           ("graph", "9", 2),
+                                           ("graph", "-1", 1)])
+def test_decompose_checks_the_tuple_length_before_the_group_order(
+        capsys, monkeypatch, cls, n, code):
+    # (10**9)! or |GL(10**5, 2)| alone would exhaust time and memory
+    def refuse(*args):
+        raise AssertionError("formed the group order before the length check")
+
+    refuse_enumeration(monkeypatch)
+    monkeypatch.setattr(type(finstruct.get_class(cls)), "max_aut_order",
+                        refuse)
+    argv = ["decompose", "--class", cls, "--n", n]
+    assert run(capsys, argv) == (code, "")
+    assert run(capsys, argv + ["--x0"]) == (code, "")
+
+
 def test_decompose_refuses_the_recursion_power_first(capsys, monkeypatch):
     # the 7th power's hulls have at most 7! automorphisms, within the table
     # bound, but the recursion check forms the 8th power; with --x0 there
