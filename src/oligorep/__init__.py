@@ -22,7 +22,6 @@ from .errors import (
     OligorepError,
     SizeLimitExceeded,
     SupportOutsideEnumeration,
-    TruncationTooSmall,
     UndecidedComparison,
 )
 from .kazhdan import (
@@ -79,7 +78,6 @@ __all__ = [
     "RunLimits",
     "SizeLimitExceeded",
     "SupportOutsideEnumeration",
-    "TruncationTooSmall",
     "UndecidedComparison",
     "build_tree",
     "cayley_edge_invariance",

@@ -38,10 +38,6 @@ class BaseNotAclClosed(OligorepError, ValueError):
     """Base structure is not algebraically closed in its class."""
 
 
-class TruncationTooSmall(OligorepError, ValueError):
-    """A map or action is undefined on points the computation needs."""
-
-
 class SupportOutsideEnumeration(OligorepError, ValueError):
     """Distribution support is not contained in the enumerated prefix."""
 

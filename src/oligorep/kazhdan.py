@@ -30,7 +30,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import (
     FreenessViolation,
@@ -39,7 +39,6 @@ from .errors import (
     NoAlgebraicityRequired,
     SizeLimitExceeded,
     SupportOutsideEnumeration,
-    TruncationTooSmall,
     UndecidedComparison,
 )
 from .limits import get_limits
@@ -223,8 +222,10 @@ class _Realizer:
     ``images(mapping, a, banned)`` yields, in order of preference,
     distinct points outside ``banned`` that a partial automorphism
     ``mapping`` may send ``a`` to; ``preimages`` does the same for points
-    sent to ``a``.  ``extends(mapping, x, y)`` says whether a partial
-    automorphism stays one when the new pair x -> y is added.
+    sent to ``a``.  ``_fits(mapping, a)`` is the one extension test: a
+    test of b that says whether the partial automorphism ``mapping``,
+    ``a`` outside its domain, stays one when the pair a -> b is added.
+    ``extends_at`` turns it around for pairs b -> a.
     """
 
     interleaves = False
@@ -248,10 +249,14 @@ class _Realizer:
         return self.images({y: x for x, y in mapping.items()}, a, banned)
 
     def extends_at(self, mapping, a, even):
-        """``extends(mapping, x, y)`` as a test of the pairs (x, y), x not
-        in ``mapping``, that the children of ``mapping`` add at ``a``:
-        x = a if ``even``, y = a otherwise."""
-        return partial(self.extends, mapping)
+        """A test of b: is ``mapping`` plus a -> b (``even``), or plus
+        b -> a, a partial automorphism?  Exact when ``mapping`` is one;
+        b -> a is tested as a -> b in the inverse map, and a pair at an
+        ``a`` already on that side never fits."""
+        side = mapping if even else {v: u for u, v in mapping.items()}
+        if a in side:
+            return lambda b: False
+        return self._fits(side, a)
 
 
 class _PureRealizer(_Realizer):
@@ -274,8 +279,9 @@ class _PureRealizer(_Realizer):
             yield point
             point += 1
 
-    def extends(self, mapping, x, y):
-        return y not in mapping.values()
+    def _fits(self, mapping, a):
+        ran = set(mapping.values())
+        return lambda b: b not in ran
 
 
 class _LinearRealizer(_Realizer):
@@ -330,27 +336,10 @@ class _LinearRealizer(_Realizer):
             (below if u < a else above).append(v)
         return max(below, default=None), min(above, default=None)
 
-    def extends(self, mapping, x, y):
-        """x -> y keeps the order with every pair iff y lies in x's gap."""
-        lo, hi = self.gap(mapping, x)
-        return (lo is None or lo < y) and (hi is None or y < hi)
-
-    def extends_at(self, mapping, a, even):
-        """One gap for all children: a's in ``mapping`` if ``even``, else
-        a's in its inverse, which bounds x when ``mapping`` preserves the
-        order and a is outside its range.  ``verify`` folds every parent's
-        own validity into its verdict, so it needs no more."""
-        side = mapping if even else {v: u for u, v in mapping.items()}
-        if a in side:
-            return super().extends_at(mapping, a, even)
-        lo, hi = self.gap(side, a)
-
-        def test(x, y):
-            at, other = (x, y) if even else (y, x)
-            if at != a:
-                return self.extends(mapping, x, y)
-            return (lo is None or lo < other) and (hi is None or other < hi)
-        return test
+    def _fits(self, mapping, a):
+        """a -> b keeps the order with every pair iff b lies in a's gap."""
+        lo, hi = self.gap(mapping, a)
+        return lambda b: (lo is None or lo < b) and (hi is None or b < hi)
 
 
 class _RadoRealizer(_Realizer):
@@ -389,9 +378,13 @@ class _RadoRealizer(_Realizer):
                 self._edges.add((u, point) if u < point else (point, u))
             yield point
 
-    def extends(self, mapping, x, y):
-        return all(v != y and self.adjacent(u, x) == self.adjacent(v, y)
-                   for u, v in mapping.items())
+    def _fits(self, mapping, a):
+        """b is new to the range and sees it as a sees the domain; a's
+        row of adjacencies is computed once for every b."""
+        adjacent = self.adjacent
+        row = [(v, adjacent(u, a)) for u, v in mapping.items()]
+        return lambda b: all(v != b and adjacent(v, b) == edge
+                             for v, edge in row)
 
 
 _REALIZERS = {
@@ -466,26 +459,30 @@ class KazhdanTree:
         nodes with different pairs.  The root level of one node is, and a
         node is *sound* if the level above is separated and the node
         equals its ``parent``, looked up by identity there, or is that
-        parent plus one pair (x, y).  A level is separated if its nodes are
-        sound and each parent above has one child, equal to it, or children
-        adding a pair at a_n whose other ends are new and distinct.  The
-        conditions of a sound node follow from its parent's and (x, y):
+        parent plus one pair at a_n, on the level's side, with other end b.
+        A level is separated if its nodes are sound and each parent above
+        has one child, equal to it, or children whose ends b are new and
+        distinct.  The conditions of a sound node follow from its parent's
+        and b:
 
-        - validity: the node is a partial automorphism iff
-          ``extends(parent, x, y)``, which ``extends_at`` tests for all
-          children of a parent at once;
+        - validity: a valid parent plus the pair is a partial automorphism
+          iff the test ``extends_at(parent, a_n, even)``, made once per
+          parent, passes b; an invalid parent already fails validity;
         - 3: the grandparent covers the first n - 1 enumeration points on
-          the same side, so only a_n is looked for;
-        - 4: dom & ran gains at most x and y, which must be head points;
+          the same side, and a sound child adds a_n or has a parent that
+          holds it;
+        - 4: dom & ran gains at most a_n and b, so b must be outside
+          a_n's side of the parent or a head point;
         - 5 and 6: a parent's children are counted and their new points
           on the split side gathered in one set, where none may repeat;
         - 2: if a valid node N held its parent P and another node Q of the
           level above, the partial injection N would hold both, so Q has
           P's pairs, the level above being separated.
 
-        Any other node is checked from scratch, its parent by the subsets
-        of its pairs, so the report is the one ``exhaustive_verify`` in
-        ``tests/test_kazhdan.py`` gives, on malformed trees too.
+        Any other node is checked from scratch, each pair against the
+        pairs before it and its parent by the subsets of its pairs, so the
+        report is the one ``exhaustive_verify`` in ``tests/test_kazhdan.py``
+        gives, on malformed trees too.
         """
         realizer = self._realizer
         enum, levels = self.enumeration, self.levels
@@ -497,8 +494,8 @@ class KazhdanTree:
         def from_scratch(node, head, even):
             nonlocal valid, covers, bounded
             items = list(node.mapping.items())
-            valid &= all(realizer.extends(dict(items[:k]), *items[k])
-                         for k in range(len(items)))
+            valid &= all(realizer.extends_at(dict(items[:k]), x, True)(y)
+                         for k, (x, y) in enumerate(items))
             dom, ran = set(node.mapping), set(node.mapping.values())
             covers &= head <= (dom if even else ran)
             bounded &= dom & ran <= head
@@ -533,21 +530,20 @@ class KazhdanTree:
             for parent in levels[i - 1]:
                 pmap = parent.mapping
                 ran = set(pmap.values())
-                present = a in (pmap if even else ran)
-                core = ran if even else pmap
+                side, core = (pmap, ran) if even else (ran, pmap)
+                present = a in side
                 kids = children[id(parent)]
                 fits = realizer.extends_at(pmap, a, even)
                 split = len(kids) == (1 if present else 2 ** (n + 1))
                 seen = set()
                 for kid in kids:
                     new = _added(pmap, kid.mapping)
-                    sound = trusted and new is not None and len(new) <= 1
+                    sound = trusted and new is not None and (
+                        not new or len(new) == 1 and new[0][not even] == a)
                     if sound and new:
-                        (x, y), = new
-                        valid &= fits(x, y)
-                        covers &= present or (x if even else y) == a
-                        bounded &= ((x not in ran and x != y or x in head)
-                                    and (y not in pmap or y in head))
+                        b = new[0][even]
+                        valid &= fits(b)
+                        bounded &= b not in side or b in head
                     elif sound:
                         covers &= present
                     else:
@@ -560,8 +556,7 @@ class KazhdanTree:
                     points = {pair[even] for pair in new}.difference(core)
                     split &= not points & seen
                     seen |= points
-                    separated &= sound and (present or len(points) == 1
-                                            and new[0][not even] == a)
+                    separated &= sound and (present or len(points) == 1)
                 splitting[even] &= split
         report.update({
             "partial_automorphisms": valid,
@@ -606,21 +601,20 @@ def build_tree(class_id, depth, interleave=False):
         for parent in levels[-1]:
             mapping = parent.mapping
             ran = set(mapping.values())
-            present = a in mapping if even else a in ran
-            if present:
+            if a in (mapping if even else ran):
                 new_level.append(_TreeNode(dict(mapping), parent))
-                continue
-            banned = set(mapping) | ran | {a} | enum_set
-            stream = (realizer.images if even else realizer.preimages)(
-                mapping, a, banned)
-            for c in itertools.islice(stream, 2 ** (n + 1)):
-                child = {**mapping, a: c} if even else {**mapping, c: a}
-                new_level.append(_TreeNode(child, parent))
+            else:
+                banned = set(mapping) | ran | {a} | enum_set
+                stream = (realizer.images if even else realizer.preimages)(
+                    mapping, a, banned)
+                for c in itertools.islice(stream, 2 ** (n + 1)):
+                    child = {**mapping, a: c} if even else {**mapping, c: a}
+                    new_level.append(_TreeNode(child, parent))
+            if total + len(new_level) > budget:
+                raise SizeLimitExceeded(
+                    f"tree would exceed {budget} nodes at level "
+                    f"{number}; lower the depth")
         total += len(new_level)
-        if total > budget:
-            raise SizeLimitExceeded(
-                f"tree would exceed {budget} nodes at level "
-                f"{number}; lower the depth")
         levels.append(new_level)
     return KazhdanTree(class_id, depth, enum, levels, interleave, realizer)
 
@@ -629,7 +623,7 @@ def build_tree(class_id, depth, interleave=False):
 # the greedy walk
 
 
-def greedy_witness(class_id, f, max_depth=None, interleave=False):
+def greedy_witness(class_id, f, interleave=False):
     """Walk one branch and certify displacement at least 1/2 for ``f``.
 
     At each stage the walk either pins the image of the next enumeration
@@ -651,10 +645,6 @@ def greedy_witness(class_id, f, max_depth=None, interleave=False):
                 f"{class_id}")
         stage_of[point] = index
     stages = max(stage_of.values())
-    if max_depth is not None and 2 * stages + 1 > max_depth:
-        raise TruncationTooSmall(
-            f"support reaches enumeration point {stages}, needing walk "
-            f"depth {2 * stages + 1} > {max_depth}")
     budget = get_limits().tree_nodes
     if 2 ** (stages + 1) > budget:
         raise SizeLimitExceeded(

@@ -236,16 +236,21 @@ def base_table(class_id, base, code):
     """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, generic exact
-    tables for everything else.
+    tables for everything else.  A generic table of a group beyond the
+    ``table_order`` bound is refused on every lookup, cached or not.
     """
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
-    key = (class_id, code)
+    key, bound = (class_id, code), get_limits().table_order
     if key not in _TABLES:
-        aut = cls.automorphisms(base)
-        _TABLES[key] = character_table(aut, get_limits().table_order)
-    return _TABLES[key]
+        _TABLES[key] = character_table(cls.automorphisms(base), bound)
+    table = _TABLES[key]
+    if table.group_order > bound:
+        raise SizeLimitExceeded(
+            f"table of a group of order {table.group_order} is beyond the "
+            f"table bound {bound}")
+    return table
 
 
 def _atom_table(m):

@@ -17,11 +17,10 @@ from oligorep.errors import (
     NoAlgebraicityRequired,
     SizeLimitExceeded,
     SupportOutsideEnumeration,
-    TruncationTooSmall,
 )
 from oligorep.kazhdan import (
     ClopenF2Action,
-    _LinearRealizer,
+    _realizer_for,
     Distribution,
     RadoF2Action,
     VectorSpaceF2Action,
@@ -137,67 +136,77 @@ def test_tree_input_validation(monkeypatch):
         build_tree("pure_set", 6)
 
 
-def test_linear_extends_matches_the_all_pairs_rule():
-    # the gap rule against the rule it replaced, on random mappings whose
-    # pairs may break the order and new pairs that may reuse either end
-    rng = random.Random(7)
-    realizer = _LinearRealizer()
-    points = [Fraction(k, 4) for k in range(-8, 9)]
-    outcomes = set()
-    for _ in range(3000):
-        domain = rng.sample(points, rng.randint(0, 5))
-        mapping = dict(zip(domain, rng.sample(points, len(domain))))
-        if rng.random() < 0.5:
-            images = sorted(mapping.values())
-            mapping = dict(zip(sorted(mapping), images))
-        x, y = rng.choice(points), rng.choice(points)
-        expected = all(v < y if u < x else v > y for u, v in mapping.items())
-        assert realizer.extends(mapping, x, y) == expected, (mapping, x, y)
-        outcomes.add(expected)
-    assert outcomes == {True, False}
+def test_tree_budget_refuses_within_one_parent(monkeypatch):
+    # the budget is checked after each parent's children, not after a
+    # whole level: level 5 of 1024 nodes stops at most 2^3 nodes past it
+    built = []
 
+    class CountingNode(kazhdan._TreeNode):
+        __slots__ = ()
 
-@pytest.mark.parametrize("even", [True, False])
-def test_linear_extends_at_matches_extends_on_order_preserving_parents(even):
-    # one gap per parent against extends, for children adding a pair at a
-    # and, through the fallback, at another point; x is never in the parent
-    rng = random.Random(even)
-    realizer = _LinearRealizer()
-    points = [Fraction(k, 4) for k in range(-8, 9)]
-    outcomes = set()
-    for _ in range(3000):
-        domain = sorted(rng.sample(points, rng.randint(0, 5)))
-        mapping = dict(zip(domain, sorted(rng.sample(points, len(domain)))))
-        a = rng.choice(points)
-        fits = realizer.extends_at(mapping, a, even)
-        for _ in range(5):
-            other = rng.choice(points)
-            x, y = (a, other) if even else (other, a)
-            if rng.random() < 0.2:
-                x = rng.choice(points)
-            if x in mapping:
-                continue
-            expected = realizer.extends(mapping, x, y)
-            assert fits(x, y) == expected, (mapping, a, x, y)
-            outcomes.add(expected)
-    assert outcomes == {True, False}
+        def __init__(self, mapping, parent):
+            built.append(parent)
+            super().__init__(mapping, parent)
+
+    monkeypatch.setattr(kazhdan, "_TreeNode", CountingNode)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 200}')
+    with pytest.raises(SizeLimitExceeded):
+        build_tree("pure_set", 8)
+    assert 200 < len(built) <= 200 + 2 ** 3
 
 
 def _items(node):
     return frozenset(node.mapping.items())
 
 
-def _is_partial_automorphism(tree, mapping):
+def _is_partial_automorphism(cls, realizer, mapping):
     if len(set(mapping.values())) != len(mapping):
         return False
-    if tree.class_id == "linear_order":
+    if cls == "linear_order":
         pairs = sorted(mapping.items())
         return all(p[1] < q[1] for p, q in zip(pairs, pairs[1:]))
-    if tree.class_id == "graph":
-        adjacent = tree._realizer.adjacent
+    if cls == "graph":
+        adjacent = realizer.adjacent
         return all(adjacent(x, y) == adjacent(mapping[x], mapping[y])
                    for x, y in itertools.combinations(mapping, 2))
     return True
+
+
+_EXTENSION_POINTS = {
+    "pure_set": list(range(10)),
+    "linear_order": [Fraction(k, 4) for k in range(-8, 9)],
+    "graph": list(range(16)),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(_EXTENSION_POINTS))
+def test_extends_at_matches_the_pairwise_rule(cls):
+    # the one-sided test of each realizer, both ways round, against the
+    # reference rule on the extended map; parents are random partial
+    # automorphisms, and a may already lie on its side
+    points = _EXTENSION_POINTS[cls]
+    realizer = _realizer_for(cls, False)
+    rng = random.Random(cls)
+
+    def extends(mapping, x, y):
+        return x not in mapping and _is_partial_automorphism(
+            cls, realizer, {**mapping, x: y})
+
+    outcomes = {True: set(), False: set()}
+    for _ in range(1500):
+        mapping = {}
+        for x in rng.sample(points, rng.randint(0, 5)):
+            y = rng.choice(points)
+            if extends(mapping, x, y):
+                mapping[x] = y
+        a = rng.choice(points)
+        for even in (True, False):
+            fits = realizer.extends_at(mapping, a, even)
+            for b in rng.sample(points, 4):
+                expected = extends(mapping, *((a, b) if even else (b, a)))
+                assert fits(b) == expected, (mapping, a, b, even)
+                outcomes[even].add(expected)
+    assert outcomes == {True: {True, False}, False: {True, False}}
 
 
 def _exhaustive_splitting_ok(tree, even):
@@ -243,7 +252,7 @@ def exhaustive_verify(tree):
     report["1_root"] = (
         len(tree.levels[0]) == 1 and tree.levels[0][0].mapping == {})
     report["partial_automorphisms"] = all(
-        _is_partial_automorphism(tree, node.mapping)
+        _is_partial_automorphism(tree.class_id, tree._realizer, node.mapping)
         for level in tree.levels for node in level)
 
     unique = True
@@ -585,14 +594,6 @@ def test_greedy_witness_support_validation():
         greedy_witness("linear_order", {Fraction(1, 2): 1})
     with pytest.raises(SupportOutsideEnumeration):
         greedy_witness("graph", {"a": 1})
-
-
-def test_greedy_witness_truncation():
-    f = {6: 1}
-    report = greedy_witness("pure_set", f, max_depth=15)
-    assert report["stages"] == 7
-    with pytest.raises(TruncationTooSmall):
-        greedy_witness("pure_set", f, max_depth=13)
 
 
 # --- norm inequalities ------------------------------------------------------

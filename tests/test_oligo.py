@@ -133,6 +133,19 @@ def test_catalog_counts():
     assert len(irrep_catalog("vector_space_q3", 2)) == 11
 
 
+def test_table_bound_holds_for_cached_tables(monkeypatch):
+    # S5's table, cached under the default bound, is refused once the
+    # bound drops below 120; symmetric tables on atoms stay unbounded
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
+    assert len(irrep_catalog("pure_set", 5)) == 19
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 100}')
+    with pytest.raises(SizeLimitExceeded):
+        irrep_catalog("pure_set", 5)
+    assert len(irrep_catalog("pure_set", 4)) == 12
+    algebra = get_class("boolean_algebra").canonical_algebra(5)
+    assert oligo.base_table("boolean_algebra", algebra, None).group_order == 120
+
+
 def test_catalog_contains_unique_trivial_label():
     for cls_id in ("pure_set", "linear_order", "graph",
                    "vector_space", "boolean_algebra"):
