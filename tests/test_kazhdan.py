@@ -20,6 +20,7 @@ from oligorep.errors import (
 )
 from oligorep.kazhdan import (
     ClopenF2Action,
+    _LinearRealizer,
     _realizer_for,
     Distribution,
     RadoF2Action,
@@ -207,6 +208,57 @@ def test_extends_at_matches_the_pairwise_rule(cls):
                 assert fits(b) == expected, (mapping, a, b, even)
                 outcomes[even].add(expected)
     assert outcomes == {True: {True, False}, False: {True, False}}
+
+
+def _all_pairs_rule(mapping, x, y):
+    # x -> y keeps the order with every pair of mapping, pair by pair
+    return x not in mapping and all(
+        v < y if u < x else v > y for u, v in mapping.items())
+
+
+def _order_preserving_mapping(rng, points):
+    domain = sorted(rng.sample(points, rng.randint(0, 5)))
+    return dict(zip(domain, sorted(rng.sample(points, len(domain)))))
+
+
+def test_linear_extends_matches_the_all_pairs_rule():
+    # the gap rule against the rule it replaced, both ways round, on
+    # order-preserving mappings and new pairs that may reuse either end
+    rng = random.Random(7)
+    realizer = _LinearRealizer()
+    points = [Fraction(k, 4) for k in range(-8, 9)]
+    outcomes = set()
+    for _ in range(3000):
+        mapping = _order_preserving_mapping(rng, points)
+        x, y = rng.choice(points), rng.choice(points)
+        expected = _all_pairs_rule(mapping, x, y)
+        assert realizer.extends_at(mapping, x, True)(y) == expected, (
+            mapping, x, y)
+        assert realizer.extends_at(mapping, y, False)(x) == expected, (
+            mapping, x, y)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_linear_extends_at_matches_extends_on_order_preserving_parents(even):
+    # one gap per parent, tested on several new ends b of a pair at a
+    # (a -> b when even, b -> a otherwise), against the all-pairs rule
+    rng = random.Random(even)
+    realizer = _LinearRealizer()
+    points = [Fraction(k, 4) for k in range(-8, 9)]
+    outcomes = set()
+    for _ in range(3000):
+        mapping = _order_preserving_mapping(rng, points)
+        a = rng.choice(points)
+        fits = realizer.extends_at(mapping, a, even)
+        for _ in range(5):
+            b = rng.choice(points)
+            x, y = (a, b) if even else (b, a)
+            expected = _all_pairs_rule(mapping, x, y)
+            assert fits(b) == expected, (mapping, a, b)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def _exhaustive_splitting_ok(tree, even):
