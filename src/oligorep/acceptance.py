@@ -259,13 +259,10 @@ def criterion_6():
         ok = ok and report["ok"]
         details[class_id] = {"nodes": report["node_count"],
                              "conditions_ok": report["ok"]}
-        minimum = None
-        for seed in range(1000):
-            rng = random.Random(seed)
-            f = kazhdan.random_distribution(rng, range(6))
-            walk = kazhdan.greedy_witness(class_id, f)
-            if minimum is None or walk["displacement"] < minimum:
-                minimum = walk["displacement"]
+        minimum = min(kazhdan.greedy_witness(
+            class_id, kazhdan.random_distribution(random.Random(seed),
+                                                  range(6)))["displacement"]
+            for seed in range(1000))
         ok = ok and minimum >= Fraction(1, 2)
         details[class_id]["min_displacement"] = str(minimum)
     return ok, details

@@ -213,12 +213,8 @@ def cmd_kazhdan(args):
         trials = args.trials if args.trials is not None else 200
         stages = max(depth // 2, 1)
         rng = random.Random(args.seed)
-        minimum = None
-        for _ in range(trials):
-            f = kazhdan.random_distribution(rng, range(stages))
-            walk = kazhdan.greedy_witness(cls, f)
-            if minimum is None or walk["displacement"] < minimum:
-                minimum = walk["displacement"]
+        minimum = min(kazhdan.greedy_witness(cls, kazhdan.random_distribution(
+            rng, range(stages)))["displacement"] for _ in range(trials))
         report["displacement_trials"] = {
             "count": trials,
             "min_value": minimum,

@@ -24,7 +24,6 @@ rate, which is a finite stand-in for an almost-sure asymptotic statement.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import sys
 from array import array
@@ -408,23 +407,41 @@ def _realizer_for(class_id, interleave):
 
 
 class _TreeNode:
-    __slots__ = ("mapping", "parent")
+    """A node of a back-and-forth tree: its ``parent`` and the one
+    ``pair`` it adds, or None when it equals its parent.  ``mapping`` is
+    the dict of its chain of pairs, built on each read, unless one was
+    assigned (as in malformed trees): then the chains below start there."""
 
-    def __init__(self, mapping, parent):
-        self.mapping = mapping
+    __slots__ = ("parent", "pair", "_mapping")
+
+    def __init__(self, parent, pair=None):
         self.parent = parent
+        self.pair = pair
+        self._mapping = None
 
+    @property
+    def mapping(self):
+        if self._mapping is not None:
+            return self._mapping
+        mapping = dict(self.parent.mapping) if self.parent else {}
+        if self.pair:
+            mapping[self.pair[0]] = self.pair[1]
+        return mapping
 
-def _added(parent, node):
-    """The pairs of ``node`` outside ``parent``, or None if it does not
-    contain ``parent``.  Children are built as copies of their parent's
-    dict, so the first test settles them without hashing a point."""
-    if len(node) >= len(parent) and all(
-            map(operator.eq, parent.items(), node.items())):
-        return list(node.items())[len(parent):]
-    if parent.items() <= node.items():
-        return [item for item in node.items() if item not in parent.items()]
-    return None
+    @mapping.setter
+    def mapping(self, mapping):
+        self._mapping = mapping
+
+    def new_pairs(self, above):
+        """The pairs added to ``above``, the parent's mapping, or None if
+        it is not held; a built node's pair is read, not searched for."""
+        pair = self.pair
+        if self._mapping is None and (pair is None or pair[0] not in above):
+            return [pair] if pair else []
+        items = self.mapping.items()
+        if above.items() <= items:
+            return [item for item in items if item not in above.items()]
+        return None
 
 
 class KazhdanTree:
@@ -435,13 +452,10 @@ class KazhdanTree:
     pairwise disjoint outside the parent.
     """
 
-    def __init__(self, class_id, depth, enumeration, levels, interleave,
-                 realizer):
+    def __init__(self, class_id, enumeration, levels, realizer):
         self.class_id = class_id
-        self.depth = depth
         self.enumeration = enumeration
         self.levels = levels
-        self.interleave = interleave
         self._realizer = realizer
 
     @property
@@ -453,17 +467,17 @@ class KazhdanTree:
 
     def verify(self):
         """Check the six defining conditions and validity on every node,
-        each node against its parent.
+        each node against its parent, level by level; a parent's mapping
+        is built from its chain when its children are checked, then freed.
 
         A level is *separated* if no partial injection holds two of its
         nodes with different pairs.  The root level of one node is, and a
-        node is *sound* if the level above is separated and the node
-        equals its ``parent``, looked up by identity there, or is that
-        parent plus one pair at a_n, on the level's side, with other end b.
-        A level is separated if its nodes are sound and each parent above
-        has one child, equal to it, or children whose ends b are new and
-        distinct.  The conditions of a sound node follow from its parent's
-        and b:
+        built node is *sound* if the level above is separated and the node
+        equals its ``parent``, looked up by identity there, or adds one pair
+        at a_n, on the level's side, with other end b.  A level is separated
+        if its nodes are sound and each parent above has one child, equal to
+        it, or children whose ends b are new and distinct.  The conditions of
+        a sound node follow from its parent's and b:
 
         - validity: a valid parent plus the pair is a partial automorphism
           iff the test ``extends_at(parent, a_n, even)``, made once per
@@ -537,9 +551,10 @@ class KazhdanTree:
                 split = len(kids) == (1 if present else 2 ** (n + 1))
                 seen = set()
                 for kid in kids:
-                    new = _added(pmap, kid.mapping)
-                    sound = trusted and new is not None and (
-                        not new or len(new) == 1 and new[0][not even] == a)
+                    new = kid.new_pairs(pmap)
+                    sound = (trusted and kid._mapping is None
+                             and new is not None
+                             and (not new or new[0][not even] == a))
                     if sound and new:
                         b = new[0][even]
                         valid &= fits(b)
@@ -571,26 +586,18 @@ class KazhdanTree:
         report["level_sizes"] = self.level_sizes()
         return report
 
-    def to_json(self):
-        return {
-            "class": self.class_id,
-            "depth": self.depth,
-            "interleave": self.interleave,
-            "node_count": self.node_count,
-            "level_sizes": self.level_sizes(),
-            "enumeration": [str(a) for a in self.enumeration],
-        }
-
 
 def build_tree(class_id, depth, interleave=False):
-    """Materialize levels 1..depth of the back-and-forth tree."""
+    """Materialize levels 1..depth of the back-and-forth tree.  A child
+    holds its parent and one pair; a parent's mapping is built from its
+    chain when its children are made, and not kept."""
     if depth < 1:
         raise MalformedStructure("depth must be at least 1")
     realizer = _realizer_for(class_id, interleave)
     stages = max(depth // 2, 1)
     enum = realizer.enumeration(stages)
     enum_set = set(enum) if not interleave else set()
-    levels = [[_TreeNode({}, None)]]
+    levels = [[_TreeNode(None)]]
     total = 1
     budget = get_limits().tree_nodes
     for number in range(2, depth + 1):
@@ -602,21 +609,20 @@ def build_tree(class_id, depth, interleave=False):
             mapping = parent.mapping
             ran = set(mapping.values())
             if a in (mapping if even else ran):
-                new_level.append(_TreeNode(dict(mapping), parent))
+                new_level.append(_TreeNode(parent))
             else:
                 banned = set(mapping) | ran | {a} | enum_set
                 stream = (realizer.images if even else realizer.preimages)(
                     mapping, a, banned)
-                for c in itertools.islice(stream, 2 ** (n + 1)):
-                    child = {**mapping, a: c} if even else {**mapping, c: a}
-                    new_level.append(_TreeNode(child, parent))
+                new_level += [_TreeNode(parent, (a, c) if even else (c, a))
+                              for c in itertools.islice(stream, 2 ** (n + 1))]
             if total + len(new_level) > budget:
                 raise SizeLimitExceeded(
                     f"tree would exceed {budget} nodes at level "
                     f"{number}; lower the depth")
         total += len(new_level)
         levels.append(new_level)
-    return KazhdanTree(class_id, depth, enum, levels, interleave, realizer)
+    return KazhdanTree(class_id, enum, levels, realizer)
 
 
 # ---------------------------------------------------------------------------

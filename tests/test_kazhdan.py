@@ -95,6 +95,9 @@ def test_tree_level_sizes_without_reuse():
     tree = build_tree("pure_set", 6)
     assert tree.level_sizes() == [1, 4, 16, 128, 1024, 16384]
     assert tree.node_count == 17557
+    tree = build_tree("graph", 4)
+    assert tree.level_sizes() == [1, 4, 16, 128]
+    assert tree.enumeration == [0, 1]
 
 
 def test_tree_verification_all_relational_classes():
@@ -145,9 +148,9 @@ def test_tree_budget_refuses_within_one_parent(monkeypatch):
     class CountingNode(kazhdan._TreeNode):
         __slots__ = ()
 
-        def __init__(self, mapping, parent):
+        def __init__(self, parent, pair=None):
             built.append(parent)
-            super().__init__(mapping, parent)
+            super().__init__(parent, pair)
 
     monkeypatch.setattr(kazhdan, "_TreeNode", CountingNode)
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 200}')
@@ -368,6 +371,13 @@ def test_interleaved_reference_tree_has_persisting_nodes():
     assert persisting
 
 
+def _node(mapping, parent):
+    """A node given a mapping of its own, as malformed trees are built."""
+    node = kazhdan._TreeNode(parent)
+    node.mapping = mapping
+    return node
+
+
 def _last_child(tree, level=-1):
     """A node of the level and a copy of its parent's dict."""
     node = tree.levels[level][0]
@@ -377,15 +387,15 @@ def _last_child(tree, level=-1):
 def _second_root(tree):
     # a second root equal to a node of level 1, which then has two parents
     node = tree.levels[1][0]
-    tree.levels[0].append(type(node)(dict(node.mapping), None))
+    tree.levels[0].append(_node(dict(node.mapping), None))
 
 
 def _orphan(mapping, stray_mapping):
     """Append to the last level a node whose parent is outside the tree."""
     def mutate(tree):
         node = tree.levels[-1][0]
-        stray = type(node)(stray_mapping(node), None)
-        tree.levels[-1].append(type(node)(mapping(node), stray))
+        stray = _node(stray_mapping(node), None)
+        tree.levels[-1].append(_node(mapping(node), stray))
     return mutate
 
 
@@ -393,8 +403,8 @@ def _orphan_above(tree):
     # a copy of a level-1 node put in level 2 with a parent outside the
     # tree: the nodes below its twin then hold two nodes of level 2
     twin = tree.levels[1][0]
-    stray = type(twin)({}, None)
-    tree.levels[2].append(type(twin)(dict(twin.mapping), stray))
+    stray = _node({}, None)
+    tree.levels[2].append(_node(dict(twin.mapping), stray))
 
 
 def _two_parents(tree):
@@ -425,9 +435,9 @@ def _second_child_of_persisting(tree):
     # a node that persists unchanged gains a sibling that extends it; a
     # child of that sibling then holds both
     node = next(q for q in tree.levels[3] if q.mapping == q.parent.mapping)
-    sibling = type(node)({**node.mapping, 901: 902}, node.parent)
+    sibling = _node({**node.mapping, 901: 902}, node.parent)
     tree.levels[3].append(sibling)
-    tree.levels[4].append(type(node)({**sibling.mapping, 903: 1}, sibling))
+    tree.levels[4].append(_node({**sibling.mapping, 903: 1}, sibling))
 
 
 def _rekeyed_new_pair(tree):
@@ -474,7 +484,9 @@ def _order_swap(tree):
 
 def _swapped_images(tree):
     node = tree.levels[-1][0]
-    node.mapping[0], node.mapping[1] = node.mapping[1], node.mapping[0]
+    mapping = node.mapping
+    mapping[0], mapping[1] = mapping[1], mapping[0]
+    node.mapping = mapping
 
 
 def _adjacency_break(tree):
@@ -534,7 +546,9 @@ def test_tree_checker_catches_tampering():
     node = tree.levels[-1][0]
     x = next(iter(node.mapping))
     other = [y for y in node.mapping if y != x][0]
-    node.mapping[x] = node.mapping[other]
+    mapping = node.mapping
+    mapping[x] = mapping[other]
+    node.mapping = mapping
     report = tree.verify()
     assert not report["partial_automorphisms"]
     assert not report["ok"]
@@ -551,7 +565,7 @@ def _random_mutation(tree, rng):
     if kind == 0:
         levels[i].remove(node)
     elif kind == 1:
-        levels[i].append(rng.choice([node, type(node)(mapping, node.parent)]))
+        levels[i].append(rng.choice([node, _node(mapping, node.parent)]))
     elif kind == 2 and mapping:
         mapping[rng.choice(list(mapping))] = rng.choice(points)
     elif kind == 3 and mapping:
@@ -584,13 +598,124 @@ def test_tree_verify_matches_reference_on_random_mutations(cls, interleave):
     assert len(failed) >= 5, failed
 
 
-def test_tree_json_shape():
-    tree = build_tree("graph", 4)
-    blob = tree.to_json()
-    assert blob["class"] == "graph"
-    assert blob["depth"] == 4
-    assert blob["level_sizes"] == [1, 4, 16, 128]
-    assert blob["enumeration"] == ["0", "1"]
+def reference_tree(cls, depth, interleave=False):
+    """The tree built with a copy of its parent's dict in every child, on
+    a fresh realizer: the reference for ``build_tree``'s chain nodes."""
+    realizer = _realizer_for(cls, interleave)
+    enum = realizer.enumeration(max(depth // 2, 1))
+    enum_set = set(enum) if not interleave else set()
+    levels = [[_node({}, None)]]
+    for number in range(2, depth + 1):
+        n, even = number // 2, number % 2 == 0
+        a = enum[n - 1]
+        new_level = []
+        for parent in levels[-1]:
+            mapping = parent.mapping
+            ran = set(mapping.values())
+            if a in (mapping if even else ran):
+                new_level.append(_node(dict(mapping), parent))
+            else:
+                banned = set(mapping) | ran | {a} | enum_set
+                stream = (realizer.images if even else realizer.preimages)(
+                    mapping, a, banned)
+                for c in itertools.islice(stream, 2 ** (n + 1)):
+                    child = {**mapping, a: c} if even else {**mapping, c: a}
+                    new_level.append(_node(child, parent))
+        levels.append(new_level)
+    return kazhdan.KazhdanTree(cls, enum, levels, realizer)
+
+
+@pytest.mark.parametrize("cls,depth,interleave", [
+    (cls, depth, False)
+    for cls in ("pure_set", "linear_order", "graph")
+    for depth in range(1, 7)] + [("pure_set", 6, True)])
+def test_tree_matches_the_dict_copy_reference(cls, depth, interleave):
+    # the reference's nodes all hold dicts, so its verify checks every
+    # node from scratch, where the built tree's reads the pairs
+    tree = build_tree(cls, depth, interleave=interleave)
+    reference = reference_tree(cls, depth, interleave)
+    assert ([[node.mapping for node in level] for level in tree.levels]
+            == [[node.mapping for node in level]
+                for level in reference.levels])
+    assert tree.verify() == reference.verify()
+    assert not any(isinstance(getattr(node, slot), dict)
+                   for level in tree.levels for node in level
+                   for slot in kazhdan._TreeNode.__slots__)
+
+
+def _range_point_first(images, realizer, mapping, a, banned):
+    # a -> c with c already in the range
+    yield from itertools.islice(mapping.values(), 1)
+    yield from images(realizer, mapping, a, banned)
+
+
+def _outside_gap_first(images, realizer, mapping, a, banned):
+    # a -> b with b below the image of a point below a
+    lo, hi = realizer.gap(mapping, a)
+    if lo is not None:
+        yield lo - Fraction(1, 2)
+    yield from images(realizer, mapping, a, banned)
+
+
+def _missing_edge_first(images, realizer, mapping, a, banned):
+    # a fresh id that declares no edge to the image of one neighbour of a
+    neighbours = [x for x in mapping if realizer.adjacent(a, x)]
+    if neighbours:
+        fewer = {x: y for x, y in mapping.items() if x != neighbours[0]}
+        yield next(images(realizer, fewer, a, banned))
+    yield from images(realizer, mapping, a, banned)
+
+
+def _domain_point_first(images, realizer, mapping, a, banned):
+    # a -> d with d in the domain but not the range: d joins dom & ran
+    yield from itertools.islice(
+        (x for x in mapping if x not in mapping.values()), 1)
+    yield from images(realizer, mapping, a, banned)
+
+
+def _first_point_twice(images, realizer, mapping, a, banned):
+    stream = images(realizer, mapping, a, banned)
+    first = next(stream)
+    yield from (first, first)
+    yield from stream
+
+
+def _patch_images(monkeypatch, cls, stream):
+    """Have ``build_tree`` draw the images of ``cls`` from ``stream``,
+    given the realizer's own ``images``; preimages keep their stream."""
+    kind = type(_realizer_for(cls, False))
+    images = kind.images
+    monkeypatch.setattr(kind, "images",
+                        lambda self, *args: stream(images, self, *args))
+    monkeypatch.setattr(kind, "preimages", lambda self, mapping, a, banned:
+                        images(self, {y: x for x, y in mapping.items()},
+                               a, banned))
+
+
+@pytest.mark.parametrize("flag,cls,stream", [
+    ("partial_automorphisms", "pure_set", _range_point_first),
+    ("partial_automorphisms", "linear_order", _outside_gap_first),
+    ("partial_automorphisms", "graph", _missing_edge_first),
+    ("4_intersection_bound", "pure_set", _domain_point_first),
+    ("5_range_splitting", "pure_set", _first_point_twice)])
+def test_built_nodes_with_a_bad_end_fail(monkeypatch, flag, cls, stream):
+    # build_tree itself makes the bad pairs, so the nodes have no mapping
+    # of their own and verify reads each pair on the sound path
+    _patch_images(monkeypatch, cls, stream)
+    tree = build_tree(cls, 4)
+    report = tree.verify()
+    assert not report[flag]
+    assert report == exhaustive_verify(tree)
+
+
+def test_built_node_equal_to_its_parent_must_cover():
+    # a node with neither a pair nor a mapping of its own reads as its
+    # parent, which lacks enumeration point 1: found on the sound path
+    tree = build_tree("pure_set", 4)
+    tree.levels[-1][0] = kazhdan._TreeNode(tree.levels[-1][0].parent)
+    report = tree.verify()
+    assert not report["3_covers_enumeration"]
+    assert report == exhaustive_verify(tree)
 
 
 # --- the greedy walk --------------------------------------------------------
