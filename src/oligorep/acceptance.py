@@ -153,7 +153,7 @@ def _subgroup_sweep(class_id, max_size):
     for base in _nonempty_bases(class_id, max_size):
         aut = cls.automorphisms(base)
         if aut.order <= bound:
-            for sub in aut.subgroups_up_to_conjugacy(bound):
+            for sub in aut.subgroups_up_to_conjugacy():
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
             continue
         degree = len(base.points)

@@ -32,8 +32,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, NotACharacter
+from .errors import InvariantViolation, NotACharacter, SizeLimitExceeded
 from .finstruct import _rref
+from .limits import get_limits
 from .permgrp import PermGroup, cycle_type, inverse, pack, power, unpack
 
 
@@ -332,9 +333,6 @@ class _Table:
     ``class_sizes``, ``class_reps``, ``value(i, t)``, ``class_of_packed(g)``
     and ``_tstar[t]``, the class of the inverses of class t's members."""
 
-    def class_of_perm(self, g: tuple) -> int:
-        return self.class_of_packed(pack(g))
-
     def perm_character(self, action) -> tuple:
         """Fixed-point counts of class representatives under a CosetAction."""
         return tuple(action.character_value(g) for g in self.class_reps)
@@ -398,26 +396,6 @@ class CharacterTable(_Table):
     def class_of_packed(self, g: str) -> int:
         return self.class_index[g]
 
-    def export(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "exponent": self.exponent,
-            "prime": self.prime,
-            "classes": [
-                {
-                    "size": c.size,
-                    "order": c.order,
-                    "cycle_type": list(c.cycle_type),
-                    "rep": list(c.rep),
-                }
-                for c in self.classes
-            ],
-            "degrees": list(self.degrees),
-            "irreps": [
-                [_serialize_value(v) for v in row] for row in self.rows
-            ],
-        }
-
 
 def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
     """Row s of class matrix r: a[r][s][t] = #{(x, y) in C_r x C_s : xy =
@@ -437,11 +415,16 @@ def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
     return row
 
 
-def character_table(group: PermGroup, limit: int | None = 25000) -> CharacterTable:
-    """Exact character table by Dixon's modular method."""
-    classes, class_index = group.class_data(limit)
+def character_table(group: PermGroup) -> CharacterTable:
+    """Exact character table by Dixon's modular method.  A group above the
+    ``table_order`` limit is refused by its order, before any element."""
+    order, bound = group.order, get_limits().table_order
+    if order > bound:
+        raise SizeLimitExceeded(
+            f"table of a group of order {order} is beyond the table bound "
+            f"{bound}")
+    classes, class_index = group.class_data()
     k = len(classes)
-    order = group.order
     if classes[0].order != 1:
         raise InvariantViolation("identity class did not sort first")
     exponent = math.lcm(*(c.order for c in classes))
@@ -710,25 +693,6 @@ class SymmetricCharacterTable(_Table):
     def class_of_packed(self, g: str) -> int:
         return self._class_idx[cycle_type(unpack(g))]
 
-    def export(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "classes": [
-                {
-                    "partition": list(lam),
-                    "size": self.class_sizes[t],
-                    "order": self.class_orders[t],
-                }
-                for t, lam in enumerate(self.class_partitions)
-            ],
-            "degrees": list(self.degrees),
-            "irrep_partitions": [list(lam) for lam in self.irrep_partitions],
-            "irreps": [
-                [self.value(i, t) for t in range(self.num_classes)]
-                for i in range(self.num_classes)
-            ],
-        }
-
 
 def _partition_rep(m: int, lam: tuple) -> tuple:
     out = list(range(m))
@@ -748,7 +712,7 @@ def coset_character(table, sub: PermGroup) -> tuple:
     """Permutation character of G on the cosets of ``sub``, by class counting.
 
     ``table`` is either table type of G and ``sub`` a subgroup of G on the
-    points the table's ``class_of_perm`` reads.  Frobenius' formula gives
+    points of the table's class representatives.  Frobenius' formula gives
     the value on the class C_t as |G| |sub & C_t| / (|sub| |C_t|), so only
     the elements of ``sub`` are enumerated, never the cosets.
     """

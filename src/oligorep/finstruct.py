@@ -32,15 +32,14 @@ payload:
   algebras;
 * ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
   configuration of each orbit of the two groups, sorted, by closing orbits
-  of cell masks under the generators; graphs override it with a two-stage
-  search;
+  of cell masks under the reduced generators; graphs override it with a
+  two-stage search;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
   number of orbits of n-tuples whose hull it is), by a closed count per
   class;
-* ``_data_to_json`` / ``_data_from_json``: the ``data`` object of a
-  structure document.
+* ``_data_to_json``: the ``data`` object of a structure document.
 
 Boolean algebras set ``atomic``: the automorphism group of a base is the
 symmetric group on its atoms.  Canonical codes are short lowercase hex
@@ -70,9 +69,7 @@ __all__ = [
     "FraisseClass",
     "REGISTRY",
     "get_class",
-    "empty_structure",
     "structure_to_json",
-    "structure_from_json",
 ]
 
 
@@ -294,10 +291,6 @@ class FraisseClass:
                 raise MalformedStructure(f"position {p} out of range")
         return self._close(s, positions)
 
-    def fixed_point_indices(self, s):
-        """Positions of points fixed by every automorphism of the ambient limit."""
-        return tuple(filter(self._fixes(s), range(len(s.points))))
-
     def is_fixed_only(self, s):
         """Whether ``s`` has points and all are fixed; stops at the first
         moving point."""
@@ -410,9 +403,6 @@ class FraisseClass:
     def _data_to_json(self, data):
         raise NotImplementedError
 
-    def _data_from_json(self, payload):
-        raise NotImplementedError
-
     # -- double cosets and tuple hulls
 
     def joint_configs(self, base_b, base_c):
@@ -458,19 +448,20 @@ class FraisseClass:
         """The least member of each orbit of ``group_b`` x ``group_c`` on the
         joint configurations of the two bases, sorted.
 
-        Each generator permutes the cells of ``config_cells`` and so acts on
-        cell masks through byte tables.  The configurations are visited in
-        sorted order and the orbit of each new one's mask is closed and
-        marked, so the first configuration met in an orbit is its least.
+        Each reduced generator permutes the cells of ``config_cells`` and so
+        acts on cell masks through byte tables.  The configurations are
+        visited in sorted order and the orbit of each new one's mask is
+        closed and marked, so the first configuration met in an orbit is its
+        least.
         """
         cells, mask_of = self.config_cells(base_b, base_c)
         index = {cell: k for k, cell in enumerate(cells)}
         moves = [_byte_tables([1 << index[t, p[x], y] for t, x, y in cells], 0)
                  for p in (self.cell_perm(g, base_b)
-                           for g in group_b.generators)]
+                           for g in group_b.reduced_generators)]
         moves += [_byte_tables([1 << index[t, x, p[y]] for t, x, y in cells], 0)
                   for p in (self.cell_perm(g, base_c)
-                            for g in group_c.generators)]
+                            for g in group_c.reduced_generators)]
         seen = set()
         reps = []
         for config in sorted(self.joint_configs(base_b, base_c)):
@@ -582,9 +573,6 @@ class PureSetClass(_RelationalClass):
     def _data_to_json(self, data):
         return {}
 
-    def _data_from_json(self, payload):
-        return None
-
 
 class LinearOrderClass(_RelationalClass):
     id = "linear_order"
@@ -629,9 +617,6 @@ class LinearOrderClass(_RelationalClass):
 
     def _data_to_json(self, data):
         return {"ranks": list(data)}
-
-    def _data_from_json(self, payload):
-        return tuple(payload.get("ranks", ()))
 
     def joint_configs(self, base_b, base_c):
         # the two chains merged into n ranks, matched points sharing one
@@ -808,9 +793,6 @@ class GraphClass(_RelationalClass):
 
     def _data_to_json(self, data):
         return {"edges": sorted(sorted(e) for e in data)}
-
-    def _data_from_json(self, payload):
-        return frozenset(frozenset(e) for e in payload.get("edges", ()))
 
     # A configuration is ("cross", matching, cross): an edge-compatible
     # matching plus the cross edges among the sorted pairs of unmatched
@@ -1102,15 +1084,17 @@ class VectorSpaceClass(FraisseClass):
         q, vectors = data
         return {"q": q, "vectors": [list(v) for v in vectors]}
 
-    def _data_from_json(self, payload):
-        return (payload.get("q"),
-                tuple(tuple(v) for v in payload.get("vectors", ())))
-
     def joint_configs(self, base_b, base_c):
-        dB = self.size(base_b)
-        q = self.q
+        return self._joint_configs(self.q, self.size(base_b),
+                                   self.size(base_c))
+
+    @staticmethod
+    @lru_cache(maxsize=32)
+    def _joint_configs(q, dB, dC):
+        """The relation spaces of GF(q)^(dB + dC) whose rows stay independent
+        on either half, built once per pair of dimensions."""
         configs = []
-        for rows in _relation_spaces(dB + self.size(base_c), q):
+        for rows in _relation_spaces(dB + dC, q):
             if not rows:
                 configs.append(("space", rows))
                 continue
@@ -1121,7 +1105,7 @@ class VectorSpaceClass(FraisseClass):
             if len(_rref(right, q)[0]) != len(rows):
                 continue
             configs.append(("space", rows))
-        return configs
+        return tuple(configs)
 
     def config_cells(self, base_b, base_c):
         # a configuration is the set of its subspace's vectors (x, y) of
@@ -1317,9 +1301,6 @@ class BooleanAlgebraClass(FraisseClass):
         n_atoms, masks = data
         return {"atoms": n_atoms, "masks": list(masks)}
 
-    def _data_from_json(self, payload):
-        return (payload.get("atoms", 0), tuple(payload.get("masks", ())))
-
     @staticmethod
     def mask_perm(sigma, m):
         """The automorphism of the canonical algebra on m atoms, as a
@@ -1391,23 +1372,8 @@ def get_class(class_id):
     return REGISTRY[class_id]
 
 
-def empty_structure(class_id):
-    return get_class(class_id).empty()
-
-
 def structure_to_json(s):
     cls = get_class(s.cls)
     cls.validate(s)
     return {"class": s.cls, "points": list(s.points),
             "data": cls._data_to_json(s.data)}
-
-
-def structure_from_json(doc):
-    try:
-        class_id = doc["class"]
-        points = tuple(doc["points"])
-        payload = doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedStructure(f"bad structure document: {exc}")
-    cls = get_class(class_id)
-    return cls.make(points, cls._data_from_json(payload))

@@ -106,11 +106,10 @@ class Distribution:
         return f"Distribution({{{inner}}})"
 
 
-def random_distribution(rng, points, max_support=None):
+def random_distribution(rng, points):
     """Random element of the normalized nonnegative weights on ``points``."""
     points = list(points)
-    size = rng.randint(1, min(len(points), max_support or len(points)))
-    support = rng.sample(points, size)
+    support = rng.sample(points, rng.randint(1, len(points)))
     raw = [rng.randint(1, 16) for _ in support]
     total = sum(raw)
     return Distribution({p: Fraction(k, total) for p, k in zip(support, raw)})

@@ -10,7 +10,15 @@ Unknown keys or classes, malformed JSON and limits that are not positive
 integers raise InvalidLimits, a usage error, so typos fail loudly.
 
 ``get_limits`` is the one source of limits: no function takes them as an
-argument, and each reads the limit it needs where that limit binds.
+argument, and each is read where it binds.  ``max_base`` is the default
+base size of ``irrep_catalog``, ``enumerate_open_subgroups`` and
+``catalog``.  ``subgroups_up_to_conjugacy`` refuses a group above
+``subgroup_order``, and ``acceptance._subgroup_sweep`` probes one instead.
+``character_table`` refuses a group above ``table_order`` before it builds
+any element, ``base_table`` a cached table on every lookup, and
+``decompose_power`` a power whose hull groups may exceed it.  ``build_tree``
+stops past ``tree_nodes`` nodes; ``greedy_witness`` refuses a stage that
+could branch more ways.
 """
 
 from __future__ import annotations

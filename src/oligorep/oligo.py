@@ -177,9 +177,8 @@ def induced_equivalent(v, w):
 def enumerate_open_subgroups(class_id, max_base=None):
     """All open subgroups with base size at most ``max_base``, up to conjugacy."""
     cls = get_class(class_id)
-    limits = get_limits()
     if max_base is None:
-        max_base = limits.base_limit(class_id)
+        max_base = get_limits().base_limit(class_id)
     out = []
     for base in cls.enumerate_class(max_base):
         if cls.is_fixed_only(base):
@@ -188,7 +187,7 @@ def enumerate_open_subgroups(class_id, max_base=None):
             out.append(make_open_subgroup(class_id, base))
             continue
         aut = cls.automorphisms(base)
-        for sub in aut.subgroups_up_to_conjugacy(limits.subgroup_order):
+        for sub in aut.subgroups_up_to_conjugacy():
             out.append(OpenSubgroup(class_id, base, sub, aut))
     return out
 
@@ -244,7 +243,7 @@ def base_table(class_id, base, code):
         return _atom_table(cls.size(base))
     key, bound = (class_id, code), get_limits().table_order
     if key not in _TABLES:
-        _TABLES[key] = character_table(cls.automorphisms(base), bound)
+        _TABLES[key] = character_table(cls.automorphisms(base))
     table = _TABLES[key]
     if table.group_order > bound:
         raise SizeLimitExceeded(
@@ -361,7 +360,8 @@ def decompose_quasiregular(v):
     cls = get_class(v.cls)
     if cls.atomic:
         m = cls.size(v.base)
-        sub = PermGroup(m, [cls.atom_perm(g, m) for g in v.group.generators])
+        sub = PermGroup(m, [cls.atom_perm(g, m)
+                            for g in v.group.reduced_generators])
         if v.group.order != sub.order:
             raise InvariantViolation("atom action lost part of the subgroup")
     else:

@@ -29,6 +29,7 @@ from math import lcm, prod
 
 from .errors import (InvalidPermutation, InvariantViolation, NotASubgroup,
                      SizeLimitExceeded)
+from .limits import get_limits
 
 
 def identity(degree: int) -> tuple:
@@ -206,13 +207,9 @@ class PermGroup:
 
     # -- element and class data ----------------------------------------------
 
-    def packed_elements(self, limit: int | None = None) -> list:
-        """All elements packed, sorted.  Guarded against GL(5,2)."""
-        if limit is not None and self.order > limit:
-            raise SizeLimitExceeded(
-                f"group of order {self.order} exceeds element "
-                f"materialization limit {limit}"
-            )
+    def packed_elements(self) -> list:
+        """All elements packed, sorted, built on the first call; callers
+        bound the order first (``table_order``, ``subgroup_order``)."""
         if self._packed is None:
             # a sift writes g as t_0 t_1 ... t_{k-1}, t_i a coset rep of
             # level i, so g^-1 runs over the products of their inverses
@@ -227,24 +224,14 @@ class PermGroup:
             self._packed = elems
         return self._packed
 
-    def elements(self, limit: int | None = None) -> tuple:
+    def elements(self) -> tuple:
         """All elements as tuples, sorted."""
-        packed = self.packed_elements(limit)
+        packed = self.packed_elements()
         if self._elements is None:
             self._elements = tuple(map(unpack, packed))
         return self._elements
 
-    def orbit(self, point: int) -> tuple:
-        seen = {point}
-        queue = [point]
-        for x in queue:
-            for g in self.generators:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    queue.append(g[x])
-        return tuple(sorted(seen))
-
-    def conjugacy_classes(self, limit: int | None = None) -> tuple:
+    def conjugacy_classes(self) -> tuple:
         """ConjClass records sorted by (size, order, cycle_type, rep).
 
         Each class is closed by BFS under conjugation by the reduced
@@ -254,7 +241,7 @@ class PermGroup:
             conjugators = self._conjugators()
             index: dict = {}  # packed element -> class number
             raw = []
-            for rep in self.packed_elements(limit):
+            for rep in self.packed_elements():
                 if rep in index:
                     continue
                 k = index[rep] = len(raw)
@@ -277,14 +264,14 @@ class PermGroup:
             self._class_index = index
         return self._classes
 
-    def class_data(self, limit: int | None = None):
+    def class_data(self):
         """(classes, index): index maps each packed element to its class."""
-        classes = self.conjugacy_classes(limit)
+        classes = self.conjugacy_classes()
         return classes, self._class_index
 
     # -- subgroup enumeration --------------------------------------------------
 
-    def subgroups_up_to_conjugacy(self, limit: int = 2000) -> tuple:
+    def subgroups_up_to_conjugacy(self) -> tuple:
         """One representative per conjugacy class of subgroups.
 
         BFS: extend each known subgroup by an element of prime power order
@@ -294,15 +281,16 @@ class PermGroup:
         elements it was grown from, so an extension closes under those
         generators only, in O(|result| * |gens|) products, and is tried for
         one element per coset of the subgroup.  The number of extensions
-        still grows with the lattice; the order guard bounds it.  The
-        representative of a class is its ``sorted``-least member.
+        still grows with the lattice; a group above ``subgroup_order`` is
+        refused first.  The ``sorted``-least member represents its class.
         """
-        if self.order > limit:
+        bound = get_limits().subgroup_order
+        if self.order > bound:
             raise SizeLimitExceeded(
-                f"subgroup enumeration limited to order {limit}, "
+                f"subgroup enumeration limited to order {bound}, "
                 f"group has order {self.order}"
             )
-        pp_elems = [g for g in self.packed_elements(limit)
+        pp_elems = [g for g in self.packed_elements()
                     if _is_prime_power(perm_order(unpack(g)))]
 
         conjugators = self._conjugators()
@@ -387,7 +375,7 @@ class CosetAction:
     action permutation of g sends the index of hK to that of (gh)K.
     """
 
-    def __init__(self, group: PermGroup, sub: PermGroup, limit: int | None = None):
+    def __init__(self, group: PermGroup, sub: PermGroup):
         if sub.degree != group.degree:
             raise NotASubgroup("degree mismatch")
         for g in sub.generators:
@@ -395,8 +383,8 @@ class CosetAction:
                 raise NotASubgroup(f"generator {g!r} lies outside the group")
         self.group = group
         self.sub = sub
-        elems = group.elements(limit)
-        sub_elems = set(sub.elements(limit))
+        elems = group.elements()
+        sub_elems = set(sub.elements())
         assigned: dict = {}
         reps = []
         for g in elems:  # sorted, so the first of each coset is minimal
@@ -409,11 +397,6 @@ class CosetAction:
         self.reps = tuple(reps)
         self._coset_of = assigned
         self.size = len(reps)
-
-    def act(self, g: tuple) -> tuple:
-        return tuple(
-            self._coset_of[compose(g, rep)] for rep in self.reps
-        )
 
     def character_value(self, g: tuple) -> int:
         return sum(

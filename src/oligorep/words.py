@@ -57,11 +57,9 @@ def ball(radius: int) -> tuple:
     return tuple(words)
 
 
-def random_word(rng, max_len: int, nontrivial: bool = False) -> tuple:
-    """Uniform length in [0, max_len] (or [1, max_len]), then a uniform
-    reduced word of that length."""
-    lo = 1 if nontrivial else 0
-    n = rng.randrange(lo, max_len + 1)
+def random_word(rng, max_len: int) -> tuple:
+    """Uniform length in [0, max_len], then a uniform reduced word."""
+    n = rng.randrange(max_len + 1)
     out: list = []
     for _ in range(n):
         options = [letter for letter in LETTERS if not (out and out[-1] == -letter)]

@@ -16,6 +16,7 @@ from oligorep.chartab import (
     _cyclotomic,
     _is_prime,
     _primitive_root,
+    _serialize_value,
     character_table,
     coset_character,
     hook_degree,
@@ -23,7 +24,8 @@ from oligorep.chartab import (
     partitions_of,
     symmetric_character_table,
 )
-from oligorep.errors import InvariantViolation, NotACharacter
+from oligorep.errors import (InvariantViolation, NotACharacter,
+                             SizeLimitExceeded)
 from oligorep.finstruct import get_class
 from oligorep.permgrp import (
     CosetAction,
@@ -217,10 +219,8 @@ def test_c6_table():
     assert t.degrees == (1,) * 6
     assert t.num_classes == 6
     # the order-6 generator column carries all sixth roots of unity
-    gen_col = sorted(
-        str(t.rows[i][t.class_of_perm(from_cycles(6, [tuple(range(6))]))])
-        for i in range(6)
-    )
+    gen = t.class_of_packed(pack(from_cycles(6, [tuple(range(6))])))
+    gen_col = sorted(str(t.rows[i][gen]) for i in range(6))
     assert len(set(gen_col)) == 6
 
 
@@ -281,7 +281,7 @@ def test_frobenius_reciprocity_small_groups():
             for i in range(t.num_classes):
                 acc = Cyc.from_int(t.exponent, 0)
                 for x in K.elements():
-                    acc = acc + t.rows[i][t.class_of_perm(x)]
+                    acc = acc + t.rows[i][t.class_of_packed(pack(x))]
                 assert acc == mults[i] * K.order
 
 
@@ -326,17 +326,29 @@ def test_coset_character_rejects_a_fractional_value():
 
 
 def test_export_is_json_ready():
+    # table values as catalogs print them: ints, or {"order", "coeffs"}
     t = character_table(symmetric_group(3))
-    blob = json.dumps(t.export())
-    data = json.loads(blob)
-    assert data["degrees"] == [1, 1, 2]
-    assert data["classes"][0]["size"] == 1
+    assert json.loads(json.dumps([_serialize_value(v) for v in t.rows[-1]])
+                      ) == [2, -1, 0]
     t6 = character_table(PermGroup(6, [from_cycles(6, [tuple(range(6))])]))
-    data6 = json.loads(json.dumps(t6.export()))
+    data6 = json.loads(json.dumps(
+        [[_serialize_value(v) for v in row] for row in t6.rows]))
     nonint = [
-        v for row in data6["irreps"] for v in row if isinstance(v, dict)
+        v for row in data6 for v in row if isinstance(v, dict)
     ]
     assert nonint and all(set(v) == {"order", "coeffs"} for v in nonint)
+
+
+def test_table_bound_holds_once_classes_are_built(monkeypatch):
+    # S5's classes, built before the call, do not let its table past the
+    # bound; the refusal reads the order off the stabilizer chain
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 100}')
+    S5 = symmetric_group(5)
+    S5.conjugacy_classes()
+    with pytest.raises(SizeLimitExceeded):
+        character_table(S5)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 120}')
+    assert character_table(S5).num_classes == 7
 
 
 # -- class matrices -----------------------------------------------------------
@@ -549,8 +561,8 @@ def test_symmetric_decompose():
 
 def test_symmetric_class_of_perm():
     sym = symmetric_character_table(4)
-    assert sym.class_of_perm(identity(4)) == 0
-    i = sym.class_of_perm(from_cycles(4, [(0, 1)]))
+    assert sym.class_of_packed(pack(identity(4))) == 0
+    i = sym.class_of_packed(pack(from_cycles(4, [(0, 1)])))
     assert sym.class_partitions[i] == (2, 1, 1)
     # a partition's class index does not depend on the order of its parts
     assert sym.class_partitions.index(
@@ -566,12 +578,5 @@ def test_symmetric_class_of_perm():
 def test_class_reps_lie_in_their_classes(make_table):
     table = make_table()
     assert len(table.class_reps) == table.num_classes
-    assert ([table.class_of_perm(g) for g in table.class_reps]
+    assert ([table.class_of_packed(pack(g)) for g in table.class_reps]
             == list(range(table.num_classes)))
-
-
-def test_symmetric_export():
-    sym = symmetric_character_table(3)
-    data = json.loads(json.dumps(sym.export()))
-    assert data["degrees"] == [1, 1, 2]
-    assert data["irreps"][0] == [1, 1, 1]

@@ -1,5 +1,7 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +185,22 @@ def test_every_verb_exits_one_on_malformed_limits(capsys, monkeypatch, argv):
         ("1", "stub", 10.0, lambda: (True, {})),))
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 0}')
     assert run(capsys, argv) == (1, "")
+
+
+def test_no_function_takes_a_limit_argument():
+    # limits come from get_limits() where they bind, never from a caller
+    src = Path(cli.__file__).parent
+    taking = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)]
+                if "limit" in names:
+                    taking.append(f"{path.name}:{node.lineno}")
+    assert taking == []
 
 
 def test_size_limit_exits_two(capsys, monkeypatch):

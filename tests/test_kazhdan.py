@@ -43,7 +43,13 @@ from oligorep.words import EMPTY, ball, inv, mult
 
 
 def seeded_distribution(seed, points=range(6), max_support=4):
-    return random_distribution(random.Random(seed), points, max_support)
+    """A distribution on at most ``max_support`` of ``points``, drawn as
+    ``random_distribution`` draws one on all of them."""
+    rng = random.Random(seed)
+    support = rng.sample(list(points), rng.randint(1, max_support))
+    raw = [rng.randint(1, 16) for _ in support]
+    return Distribution({p: Fraction(k, sum(raw))
+                         for p, k in zip(support, raw)})
 
 
 def test_distribution_validation():

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -113,10 +112,13 @@ def test_membership():
     assert (0, 1) not in A  # wrong degree
 
 
-def test_elements_limit_guard():
+def test_elements_limit_guard(monkeypatch):
+    # the table bound refuses S6 by its order, before any element is built
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 100}')
     G = symmetric_group(6)
     with pytest.raises(SizeLimitExceeded):
-        G.elements(limit=100)
+        character_table(G)
+    assert G._packed is None
 
 
 def test_a_corrupted_transversal_fails_the_element_count():
@@ -129,12 +131,6 @@ def test_a_corrupted_transversal_fails_the_element_count():
     assert G.order == 24
     with pytest.raises(InvariantViolation):
         G.elements()
-
-
-def test_orbit():
-    G = PermGroup(5, [from_cycles(5, [(0, 1, 2)])])
-    assert G.orbit(0) == (0, 1, 2)
-    assert G.orbit(3) == (3,)
 
 
 def stabilizer_of_0(n):
@@ -210,10 +206,18 @@ def test_subgroups_s4():
     assert sorted(H.order for H in subs) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
 
 
-def test_subgroups_order_guard():
-    G = symmetric_group(7)
+def test_subgroups_order_guard(monkeypatch):
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
     with pytest.raises(SizeLimitExceeded):
-        G.subgroups_up_to_conjugacy(limit=2000)
+        symmetric_group(7).subgroups_up_to_conjugacy()
+    # the bound is read on each call, and refuses before any element is built
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"subgroup_order": 23}')
+    G = symmetric_group(4)
+    with pytest.raises(SizeLimitExceeded):
+        G.subgroups_up_to_conjugacy()
+    assert G._packed is None
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"subgroup_order": 24}')
+    assert len(G.subgroups_up_to_conjugacy()) == 11
 
 
 def test_coset_action():
@@ -221,12 +225,6 @@ def test_coset_action():
     K = PermGroup(3, [from_cycles(3, [(0, 1)])])
     act = CosetAction(G, K)
     assert act.size == 3
-    assert act.act(identity(3)) == (0, 1, 2)
-    # the action is by permutations and multiplicative
-    g = from_cycles(3, [(0, 1, 2)])
-    h = from_cycles(3, [(0, 1)])
-    pg, ph = act.act(g), act.act(h)
-    assert act.act(compose(g, h)) == compose(pg, ph)
     assert act.character_value(identity(3)) == 3
 
 
@@ -432,9 +430,10 @@ def test_results_do_not_depend_on_generating_set(name):
     pair = PermGroup(G.degree, two_generators(G))
     assert len(every.generators) == G.order and len(pair.generators) == 2
 
-    def table_json(H):
-        return json.dumps(character_table(H).export(), sort_keys=True)
+    def table_data(H):
+        t = character_table(H)
+        return t.exponent, t.prime, t.classes, t.degrees, t.rows
 
-    assert table_json(every) == table_json(pair)
+    assert table_data(every) == table_data(pair)
     assert ([H.elements() for H in every.subgroups_up_to_conjugacy()]
             == [H.elements() for H in pair.subgroups_up_to_conjugacy()])
