@@ -376,7 +376,6 @@ class CharacterTable(_Table):
 
     def __init__(self, group: PermGroup, classes, class_index, exponent,
                  prime, degrees, rows):
-        self.group = group
         self.classes = classes
         self.class_index = class_index
         self.exponent = exponent
@@ -415,14 +414,20 @@ def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
     return row
 
 
-def character_table(group: PermGroup) -> CharacterTable:
-    """Exact character table by Dixon's modular method.  A group above the
-    ``table_order`` limit is refused by its order, before any element."""
-    order, bound = group.order, get_limits().table_order
+def _check_table_order(order: int) -> None:
+    """Refuse a group of this order above the ``table_order`` limit."""
+    bound = get_limits().table_order
     if order > bound:
         raise SizeLimitExceeded(
             f"table of a group of order {order} is beyond the table bound "
             f"{bound}")
+
+
+def character_table(group: PermGroup) -> CharacterTable:
+    """Exact character table by Dixon's modular method.  A group above the
+    ``table_order`` limit is refused by its order, before any element."""
+    order = group.order
+    _check_table_order(order)
     classes, class_index = group.class_data()
     k = len(classes)
     if classes[0].order != 1:

@@ -15,8 +15,9 @@ base size of ``irrep_catalog``, ``enumerate_open_subgroups`` and
 ``catalog``.  ``subgroups_up_to_conjugacy`` refuses a group above
 ``subgroup_order``, and ``acceptance._subgroup_sweep`` probes one instead.
 ``character_table`` refuses a group above ``table_order`` before it builds
-any element, ``base_table`` a cached table on every lookup, and
-``decompose_power`` a power whose hull groups may exceed it.  ``build_tree``
+any element, ``base_table`` a new code's group before its elements form
+the table key and a cached table on every lookup, and ``decompose_power``
+a power whose hull groups may exceed it.  ``build_tree``
 stops past ``tree_nodes`` nodes; ``greedy_witness`` refuses a stage that
 could branch more ways.
 """

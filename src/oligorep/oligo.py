@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .chartab import (
+    _check_table_order,
     _serialize_value,
     character_table,
     coset_character,
@@ -235,20 +236,24 @@ def base_table(class_id, base, code):
     """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, generic exact
-    tables for everything else.  A generic table of a group beyond the
-    ``table_order`` bound is refused on every lookup, cached or not.
+    tables for everything else, built once per group: a new code finds its
+    table by the degree and sorted packed elements of Aut(B).  A group
+    beyond the ``table_order`` bound is refused on every lookup, a new one
+    before its elements are built.
     """
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
-    key, bound = (class_id, code), get_limits().table_order
+    key = (class_id, code)
     if key not in _TABLES:
-        _TABLES[key] = character_table(cls.automorphisms(base))
+        group = cls.automorphisms(base)
+        _check_table_order(group.order)
+        elements = (group.degree, "".join(group.packed_elements()))
+        if elements not in _TABLES:
+            _TABLES[elements] = character_table(group)
+        _TABLES[key] = _TABLES[elements]
     table = _TABLES[key]
-    if table.group_order > bound:
-        raise SizeLimitExceeded(
-            f"table of a group of order {table.group_order} is beyond the "
-            f"table bound {bound}")
+    _check_table_order(table.group_order)
     return table
 
 

@@ -16,7 +16,8 @@ becomes a strong generator on every level from the one it was sifted from
 down to the one where it dropped out, past the last level opening a new
 one whose base point is the least point the residue moves.  Those levels'
 orbits grow, and their new Schreier generators are sifted the same way.
-Everything is taken in a fixed order, so two runs over the same generators
+Everything is taken in a fixed order, and the conjugators that close
+classes are drawn with a fixed seed, so two runs over the same generators
 produce identical data.  That determinism is load-bearing for reproducible
 catalogs, which is why this module exists instead of leaning on a library
 with randomized internals.
@@ -26,10 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm, prod
+from random import Random
 
 from .errors import (InvalidPermutation, InvariantViolation, NotASubgroup,
                      SizeLimitExceeded)
 from .limits import get_limits
+
+_DRAWS = 16  # random elements tried for a small set of conjugators
 
 
 def identity(degree: int) -> tuple:
@@ -201,9 +205,25 @@ class PermGroup:
         return prod(len(trans) for trans in self._transversals)
 
     def _conjugators(self) -> list:
-        """(s, s^-1) packed per reduced generator s: the packed conjugate
-        s g s^-1 is then s_inv.translate(g).translate(s)."""
-        return [(pack(s), pack(inverse(s))) for s in self.reduced_generators]
+        """(s, s^-1) packed per s of a small generating set: the packed
+        conjugate s g s^-1 is then s_inv.translate(g).translate(s).  Past
+        two reduced generators, elements drawn with a fixed seed replace
+        them if they generate G without outnumbering them, as two random
+        elements mostly do (Seress 2003, 2.2-2.3).  Orbits under G do not
+        depend on the set."""
+        gens = self.reduced_generators
+        if len(gens) > 2:
+            elems, draw = self.packed_elements(), Random(0).choice
+            chain, drawn = PermGroup(self.degree, ()), []
+            for _ in range(_DRAWS):
+                g = unpack(draw(elems))
+                if chain._add(g, 0):
+                    drawn.append(g)
+                    if chain.order == self.order:
+                        gens = drawn
+                    if len(drawn) == len(gens):
+                        break
+        return [(pack(s), pack(inverse(s))) for s in gens]
 
     # -- element and class data ----------------------------------------------
 
@@ -234,9 +254,9 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple:
         """ConjClass records sorted by (size, order, cycle_type, rep).
 
-        Each class is closed by BFS under conjugation by the reduced
-        generators.  Its rep is its least member: the first element of the
-        sorted element list that no earlier class took."""
+        Each class is closed by BFS under conjugation by ``_conjugators``,
+        a small generating set.  Its rep is its least member: the first
+        element of the sorted element list that no earlier class took."""
         if self._classes is None:
             conjugators = self._conjugators()
             index: dict = {}  # packed element -> class number

@@ -1,5 +1,6 @@
 """Open subgroups, catalogs, decompositions, and double cosets."""
 
+import dataclasses
 import itertools
 import os
 import pickle
@@ -12,7 +13,8 @@ import pytest
 
 import oligorep
 from oligorep import cli, oligo
-from oligorep.acceptance import PROFILE_BASE
+from oligorep.acceptance import CLASS_IDS, PROFILE_BASE
+from oligorep.chartab import character_table
 from oligorep.errors import (
     BaseNotAclClosed,
     MalformedStructure,
@@ -25,7 +27,9 @@ from oligorep.finstruct import (
     _rref,
     get_class,
 )
+from oligorep.limits import get_limits
 from oligorep.oligo import (
+    IrrepLabel,
     commensurator,
     decompose_power,
     decompose_quasiregular,
@@ -39,7 +43,7 @@ from oligorep.oligo import (
     tensor_recursion_check,
     trivial_label,
 )
-from oligorep.permgrp import identity, inverse
+from oligorep.permgrp import PermGroup, identity, inverse
 
 
 def stirling2(n, k):
@@ -144,6 +148,75 @@ def test_table_bound_holds_for_cached_tables(monkeypatch):
     assert len(irrep_catalog("pure_set", 4)) == 12
     algebra = get_class("boolean_algebra").canonical_algebra(5)
     assert oligo.base_table("boolean_algebra", algebra, None).group_order == 120
+
+
+def test_table_bound_holds_before_and_behind_the_group_key(monkeypatch):
+    # the empty and complete graphs on 4 vertices and the 4-point set share
+    # S4 as a set of elements, so one table serves all three codes; below
+    # the bound, a cached code is refused by the table's order and a new
+    # one by the group's, before its elements form the group key
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
+    monkeypatch.setattr(oligo, "_TABLES", {})
+    code = get_class("graph").canonical_code
+    empty = graph_on([], 4)
+    full = graph_on(itertools.combinations(range(4), 2), 4)
+    table = oligo.base_table("graph", empty, code(empty))
+    assert oligo.base_table("graph", full, code(full)) is table
+    cached = len(oligo._TABLES)
+    real = PermGroup.packed_elements
+
+    def bounded(group):
+        if group.order > 20:
+            raise AssertionError("elements built above the table bound")
+        return real(group)
+
+    monkeypatch.setattr(PermGroup, "packed_elements", bounded)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 20}')
+    pure_code = get_class("pure_set").canonical_code(pure_base(4))
+    for class_id, base, base_code in (("graph", empty, code(empty)),
+                                      ("graph", full, code(full)),
+                                      ("pure_set", pure_base(4), pure_code)):
+        with pytest.raises(SizeLimitExceeded):
+            oligo.base_table(class_id, base, base_code)
+    assert len(oligo._TABLES) == cached
+    monkeypatch.setattr(PermGroup, "packed_elements", real)
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 24}')
+    assert oligo.base_table("pure_set", pure_base(4), pure_code) is table
+
+
+def test_base_tables_are_shared_by_equal_groups_and_match_fresh_ones(
+        monkeypatch):
+    # every generic table of the six default catalogs equals one built from
+    # the base's own group, and bases whose groups have equal element sets
+    # share one table: 227 codes, 95 groups
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
+    monkeypatch.setattr(oligo, "_TABLES", {})
+    by_group, codes = {}, 0
+    for class_id in CLASS_IDS:
+        cls = get_class(class_id)
+        if cls.atomic:
+            continue
+        for base in cls.enumerate_class(get_limits().base_limit(class_id)):
+            if not base.points or cls.is_fixed_only(base):
+                continue
+            code = cls.canonical_code(base)
+            table = oligo.base_table(class_id, base, code)
+            group = cls.automorphisms(base)
+            fresh = character_table(group)
+            assert fresh.classes == table.classes
+            assert fresh.class_reps == table.class_reps
+            assert fresh.degrees == table.degrees
+            for i, degree in enumerate(table.degrees):
+                label = IrrepLabel(class_id, code, cls.size(base), i,
+                                   degree, table)
+                assert label_values(label) == label_values(
+                    dataclasses.replace(label, table=fresh))
+            key = (group.degree, tuple(group.packed_elements()))
+            assert by_group.setdefault(key, table) is table
+            codes += 1
+    assert codes == 227
+    assert len(by_group) == len({id(t) for t in by_group.values()}) == 95
+    assert len(oligo._TABLES) == codes + 95
 
 
 def test_catalog_contains_unique_trivial_label():

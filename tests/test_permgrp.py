@@ -1,7 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
+
+from oligorep import permgrp
+from oligorep.acceptance import CLASS_IDS
 
 from oligorep.chartab import character_table
 
@@ -12,6 +16,7 @@ from oligorep.errors import (
     SizeLimitExceeded,
 )
 from oligorep.finstruct import get_class
+from oligorep.limits import get_limits
 from oligorep.permgrp import (
     CosetAction,
     PermGroup,
@@ -24,6 +29,7 @@ from oligorep.permgrp import (
     perm_order,
     power,
     symmetric_group,
+    unpack,
     validate_perm,
 )
 
@@ -437,3 +443,100 @@ def test_results_do_not_depend_on_generating_set(name):
     assert table_data(every) == table_data(pair)
     assert ([H.elements() for H in every.subgroups_up_to_conjugacy()]
             == [H.elements() for H in pair.subgroups_up_to_conjugacy()])
+
+
+# -- classes under a drawn generating set --------------------------------------
+
+def catalog_groups():
+    """Aut(B) of every nonempty base of the six default catalogs, one group
+    per element set."""
+    groups = {}
+    for class_id in CLASS_IDS:
+        cls = get_class(class_id)
+        for base in cls.enumerate_class(get_limits().base_limit(class_id)):
+            if base.points and not cls.is_fixed_only(base):
+                G = cls.automorphisms(base)
+                groups.setdefault((G.degree, tuple(G.packed_elements())), G)
+    return list(groups.values())
+
+
+def random_s6_subgroups(count=30):
+    """Groups on 3 to 5 random elements of S6, each keeping a random
+    partition of the points into blocks (one block: all of S6)."""
+    rng = random.Random(6)
+    groups = []
+    for _ in range(count):
+        points = rng.sample(range(6), 6)
+        cuts = sorted(rng.sample(range(1, 6), rng.randint(0, 3)))
+        blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [6])]
+        gens = []
+        for _ in range(rng.randint(3, 5)):
+            g = list(range(6))
+            for block in blocks:
+                for x, y in zip(block, rng.sample(block, len(block))):
+                    g[x] = y
+            gens.append(tuple(g))
+        groups.append(PermGroup(6, gens))
+    return groups
+
+
+def classes_under(G, gens):
+    """Class data of a fresh copy of G closed under conjugation by ``gens``."""
+    H = PermGroup(G.degree, G.generators)
+    H._conjugators = lambda: [(pack(s), pack(inverse(s))) for s in gens]
+    return H.class_data()
+
+
+def test_drawn_conjugators_generate_and_give_the_same_classes():
+    c2_cubed = PermGroup(6, [from_cycles(6, [(i, i + 1)]) for i in (0, 2, 4)])
+    groups = catalog_groups() + random_s6_subgroups() + [c2_cubed]
+    shortened = 0
+    for G in groups:
+        drawn = [unpack(s) for s, _ in G._conjugators()]
+        assert all(s in G for s in drawn)
+        assert PermGroup(G.degree, drawn).order == G.order
+        shortened += len(drawn) < len(G.reduced_generators)
+        classes, index = G.class_data()
+        assert (classes, index) == classes_under(G, G.reduced_generators)
+        if G.order <= 120:
+            expected = brute_classes(G)
+            assert [c.rep for c in classes] == [min(m) for m in expected]
+            assert [c.size for c in classes] == [len(m) for m in expected]
+            assert index == {pack(g): i for i, m in enumerate(expected)
+                             for g in m}
+    assert len(c2_cubed.reduced_generators) == len(c2_cubed._conjugators()) == 3
+    assert shortened >= 10
+
+
+@pytest.mark.parametrize("class_id, dim", [("vector_space", 4),
+                                           ("vector_space_q3", 3)])
+def test_general_linear_classes_close_under_two_drawn_elements(class_id, dim):
+    G = vector_space_group(class_id, dim)
+    assert len(G.reduced_generators) > 2 and len(G._conjugators()) == 2
+
+
+def test_a_draw_inside_a_proper_subgroup_keeps_the_reduced_generators(
+        monkeypatch):
+    # S4 on three transpositions; every draw lies in the S3 fixing point 3,
+    # and conjugation by S3 alone would split the classes of S4
+    G = PermGroup(4, [from_cycles(4, [(i, i + 1)]) for i in range(3)])
+    inside = [pack(g) for g in G.elements() if g[3] == 3]
+    draws = []
+
+    class InSubgroup:
+        def __init__(self, seed):
+            pass
+
+        def choice(self, elems):
+            draws.append(inside[len(draws) % len(inside)])
+            return draws[-1]
+
+    monkeypatch.setattr(permgrp, "Random", InSubgroup)
+    assert len(G.reduced_generators) == 3
+    conjugators = [unpack(s) for s, _ in G._conjugators()]
+    assert conjugators == list(G.reduced_generators)
+    assert len(draws) == permgrp._DRAWS
+    expected = brute_classes(G)
+    assert [c.size for c in G.conjugacy_classes()] == [1, 3, 6, 6, 8]
+    assert G.class_data()[1] == {pack(g): i for i, m in enumerate(expected)
+                                 for g in m}
