@@ -149,6 +149,20 @@ def _read_mask(tables, mask):
     return value
 
 
+def _mark_orbit(mask, moves, seen):
+    """Add the orbit of ``mask`` under the bit permutations ``moves``, each
+    as ``_byte_tables``, to the set ``seen``."""
+    seen.add(mask)
+    frontier = [mask]
+    while frontier:
+        current = frontier.pop()
+        for tables in moves:
+            moved = _read_mask(tables, current)
+            if moved not in seen:
+                seen.add(moved)
+                frontier.append(moved)
+
+
 @lru_cache(maxsize=8)
 def _column_masks(n):
     """For each coordinate i < n, the cells of the 2**n cube with bit i set."""
@@ -468,15 +482,7 @@ class FraisseClass:
             mask = mask_of(config)
             if mask in seen:
                 continue
-            seen.add(mask)
-            frontier = [mask]
-            while frontier:
-                current = frontier.pop()
-                for tables in moves:
-                    moved = _read_mask(tables, current)
-                    if moved not in seen:
-                        seen.add(moved)
-                        frontier.append(moved)
+            _mark_orbit(mask, moves, seen)
             reps.append(config)
         return reps
 
@@ -505,7 +511,7 @@ class _RelationalClass(FraisseClass):
     def config_finiteness(self, payload, base_b, base_c):
         # a matching's pairs have distinct ends on both sides
         matched = len(payload[1])
-        return matched == len(base_c), matched == len(base_b)
+        return matched == len(base_c.points), matched == len(base_b.points)
 
     def _tuple_types(self, n):
         types = []
@@ -675,8 +681,13 @@ class GraphClass(_RelationalClass):
     # The canonical form minimizes the adjacency bit code over all orders
     # compatible with the stable degree refinement.  The refinement is an
     # isomorphism invariant, so two graphs get the same minimum exactly when
-    # they are isomorphic, and the orders achieving the minimum give the
-    # full automorphism group.
+    # they are isomorphic, and the orders achieving the minimum are the
+    # first one moved by each automorphism.  Of those automorphisms only the
+    # ones that enlarge the group of the ones kept before them are kept as
+    # generators, at most log2 |Aut|.  Enumeration is by orbit-pruned
+    # augmentation: each graph on n - 1 points gets a last point joined to
+    # the least subset of each orbit of its automorphisms on subsets, and
+    # duplicates are dropped by integer code before any graph is built.
 
     def _adjacency(self, s):
         n = len(s.points)
@@ -704,9 +715,10 @@ class GraphClass(_RelationalClass):
             cells.setdefault(c, []).append(i)
         return [tuple(cells[c]) for c in sorted(cells)]
 
-    def _search(self, s):
-        n = len(s.points)
-        adj = self._adjacency(s)
+    def _search(self, adj):
+        """(least code, the orders reaching it in lexicographic order) of the
+        graph with adjacency rows ``adj``."""
+        n = len(adj)
         cells = self._stable_cells(n, adj)
         best_code = None
         best_orders = []
@@ -728,20 +740,18 @@ class GraphClass(_RelationalClass):
 
     def _canonical(self, s):
         n = len(s.points)
-        code, orders = self._search(s)
+        code, orders = self._search(self._adjacency(s))
         order = orders[0]
         rel = [0] * n
         for new, old in enumerate(order):
             rel[old] = new
-        edges = set()
-        bit = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if code >> bit & 1:
-                    edges.add(frozenset((i, j)))
-                bit += 1
-        canon = FinStructure(self.id, tuple(range(n)), frozenset(edges))
-        return canon, tuple(rel)
+        return self._from_code(n, code), tuple(rel)
+
+    def _from_code(self, n, code):
+        """The canonical graph on n points with least code ``code``."""
+        pairs = itertools.combinations(range(n), 2)
+        return FinStructure(self.id, tuple(range(n)), frozenset(
+            frozenset(p) for bit, p in enumerate(pairs) if code >> bit & 1))
 
     def _code_of_canonical(self, canon):
         pairs = sorted(tuple(sorted(e)) for e in canon.data)
@@ -751,35 +761,50 @@ class GraphClass(_RelationalClass):
         return PermGroup(len(s.points), self._canonical_aut_gens(s))
 
     def _canonical_aut_gens(self, canon):
-        # each order reaching the least code is the first one moved by an
-        # automorphism, in any graph, canonical or not
-        n = len(canon.points)
-        _, orders = self._search(canon)
+        # Each order reaching the least code is g(base) for one automorphism
+        # g, base being the first, in any graph, canonical or not.  They are
+        # sorted, so the g that fix base[:i] and move base[i] form one block,
+        # right after the stabilizer S of base[:i + 1], whose order is the
+        # block's start.  The group H of the g before a block member holds S
+        # and fixes base[:i], so it holds the member iff the member maps
+        # base[i] into the orbit of base[i] under H.  The g outside H are
+        # kept and generate H, which is Aut once |S| |orbit| is |Aut|.
+        _, orders = self._search(self._adjacency(canon))
         base = orders[0]
-        gens = []
-        for other in orders:
-            g = [0] * n
-            for k in range(n):
-                g[base[k]] = other[k]
-            gens.append(tuple(g))
+        base_inv = inverse(base)
+        gens, level = [], None
+        for index, other in enumerate(orders[1:], 1):
+            i = next(k for k, x in enumerate(other) if x != base[k])
+            if i != level:
+                level, start, orbit = i, index, [base[i]]
+            if other[i] not in orbit:
+                gens.append(compose(other, base_inv))
+                orbit = [base[i]]
+                for x in orbit:
+                    orbit += {g[x] for g in gens} - set(orbit)
+                if start * len(orbit) == len(orders):
+                    break
         return gens
 
     def _enumerate_nonempty(self, k):
+        # subsets in one orbit of Aut(prev) give isomorphic graphs
         reps = []
         level = [self.empty()]
         for n in range(1, k + 1):
-            seen = {}
+            codes = set()
             for prev in level:
+                adj = self._adjacency(prev)
+                moves = [_byte_tables([1 << v for v in g], 0)
+                         for g in self._canonical_aut_gens(prev)]
+                done = set()
                 for mask in range(1 << (n - 1)):
-                    edges = set(prev.data)
-                    for v in range(n - 1):
-                        if mask >> v & 1:
-                            edges.add(frozenset((v, n - 1)))
-                    candidate = FinStructure(
-                        self.id, tuple(range(n)), frozenset(edges))
-                    canon, _ = self._canonical(candidate)
-                    seen.setdefault(self._code_of_canonical(canon), canon)
-            level = [seen[c] for c in sorted(seen)]
+                    if mask in done:
+                        continue
+                    _mark_orbit(mask, moves, done)
+                    codes.add(self._search(
+                        [row | (mask >> v & 1) << (n - 1)
+                         for v, row in enumerate(adj)] + [mask])[0])
+            level = [self._from_code(n, code) for code in sorted(codes)]
             reps.extend(level)
         return reps
 

@@ -278,6 +278,7 @@ def irrep_catalog(class_id, max_base=None):
     if max_base is None:
         max_base = get_limits().base_limit(class_id)
     labels = []
+    # enumerate_class returns canonical forms, whose codes need no search
     for base in cls.enumerate_class(max_base):
         if cls.is_fixed_only(base):
             continue
@@ -285,7 +286,7 @@ def irrep_catalog(class_id, max_base=None):
             labels.append(trivial_label(class_id))
             continue
         labels.extend(_labels_for_base(class_id, base,
-                                       cls.canonical_code(base)))
+                                       cls._code_of_canonical(base)))
     return labels
 
 
@@ -507,7 +508,7 @@ def finitely_many_left_cosets(v, config, w=None):
     """
     w = w or v
     left, right = get_class(v.cls).config_finiteness(config, v.base, w.base)
-    if v.base == w.base and left != right:
+    if left != right and v.base == w.base:
         raise InvariantViolation(
             "left and right coset finiteness disagree on equal bases")
     return left

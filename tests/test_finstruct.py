@@ -29,6 +29,7 @@ from oligorep.finstruct import (
     structure_to_json,
 )
 from oligorep.limits import DEFAULT_MAX_BASE
+from oligorep.permgrp import PermGroup
 
 
 def relabeled(cls, s, perm):
@@ -478,6 +479,124 @@ def test_max_aut_order_is_the_largest_group(class_id, top):
     for n in range(top + 1):
         assert cls.max_aut_order(n) == max(
             cls.automorphisms(b).order for b in cls.enumerate_class(n))
+
+
+@pytest.mark.parametrize("class_id", sorted(DEFAULT_MAX_BASE))
+def test_enumerated_bases_are_their_own_canonical_forms(class_id):
+    # irrep_catalog reads each enumerated base's code without a search
+    cls = get_class(class_id)
+    for k in range(DEFAULT_MAX_BASE[class_id] + 1):
+        for rep in cls.enumerate_class(k):
+            assert cls.canonical(rep)[0] == rep
+            assert cls.canonical_code(rep) == cls._code_of_canonical(rep)
+
+
+# Reference graph search without pruning: every order compatible with the
+# stable refinement, every order reaching the least code as a generator, and
+# every extension mask of every graph canonicalized.
+
+def reference_search(s):
+    graph = get_class("graph")
+    n = len(s.points)
+    adj = graph._adjacency(s)
+    best, orders = None, []
+    for pieces in itertools.product(*[itertools.permutations(c) for c in
+                                      graph._stable_cells(n, adj)]):
+        order = tuple(itertools.chain.from_iterable(pieces))
+        code = sum(1 << bit for bit, (i, j) in enumerate(
+            itertools.combinations(range(n), 2))
+            if adj[order[i]] >> order[j] & 1)
+        if best is None or code < best:
+            best, orders = code, [order]
+        elif code == best:
+            orders.append(order)
+    return best or 0, orders
+
+
+def reference_canonical(s):
+    n = len(s.points)
+    code, orders = reference_search(s)
+    rel = [0] * n
+    for new, old in enumerate(orders[0]):
+        rel[old] = new
+    edges = [pair for bit, pair in enumerate(
+        itertools.combinations(range(n), 2)) if code >> bit & 1]
+    return graph_on(n, edges), tuple(rel)
+
+
+def reference_automorphisms(s):
+    n = len(s.points)
+    _, orders = reference_search(s)
+    gens = []
+    for other in orders:
+        g = [0] * n
+        for k in range(n):
+            g[orders[0][k]] = other[k]
+        gens.append(tuple(g))
+    return PermGroup(n, gens)
+
+
+def reference_enumeration(k):
+    graph = get_class("graph")
+    reps, level = [], [graph.empty()]
+    for n in range(1, k + 1):
+        seen = {}
+        for prev in level:
+            for mask in range(1 << (n - 1)):
+                edges = set(prev.data) | {frozenset((v, n - 1))
+                                          for v in range(n - 1)
+                                          if mask >> v & 1}
+                canon, _ = reference_canonical(graph_on(n, edges))
+                seen.setdefault(graph._code_of_canonical(canon), canon)
+        level = [seen[c] for c in sorted(seen)]
+        reps.extend(level)
+    return reps
+
+
+def test_graph_enumeration_matches_the_unpruned_reference():
+    graph = get_class("graph")
+    reference = reference_enumeration(6)
+    for k in range(7):
+        expected = [graph.empty()] + [r for r in reference
+                                      if len(r.points) <= k]
+        expected.sort(key=lambda r: (len(r.points),
+                                     graph._code_of_canonical(r)))
+        assert graph.enumerate_class(k) == expected
+
+
+def test_graph_canonical_forms_match_the_unpruned_reference():
+    # every labelled graph on at most 5 points, and random relabellings of
+    # the 156 graphs on 6
+    graph = get_class("graph")
+    cases = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        cases += [graph_on(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                  for mask in range(1 << len(pairs))]
+    rng = random.Random(24)
+    six = [s for s in graph.enumerate_class(6) if len(s.points) == 6]
+    assert len(six) == 156
+    for s in six:
+        perm = list(range(6))
+        rng.shuffle(perm)
+        cases.append(relabeled(graph, s, tuple(perm)))
+    for s in cases:
+        assert graph.canonical(s) == reference_canonical(s)
+        assert graph.automorphisms(s).order == reference_automorphisms(s).order
+
+
+def test_graph_automorphism_generators_match_the_unpruned_reference():
+    # the kept generators are the reference group's reduced generators, so
+    # the group and the conjugators built from them are unchanged
+    graph = get_class("graph")
+    cases = graph.enumerate_class(6) + [graph_on(7, [])]
+    assert len(cases) == 210
+    for s in cases:
+        group, reference = graph.automorphisms(s), reference_automorphisms(s)
+        assert group.generators == group.reduced_generators
+        assert group.reduced_generators == reference.reduced_generators
+        assert group.elements() == reference.elements()
+    assert len(graph.automorphisms(graph_on(7, [])).generators) == 6
 
 
 # ---------------------------------------------------------------------------

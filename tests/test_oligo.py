@@ -17,6 +17,7 @@ from oligorep.acceptance import CLASS_IDS, PROFILE_BASE
 from oligorep.chartab import character_table
 from oligorep.errors import (
     BaseNotAclClosed,
+    InvariantViolation,
     MalformedStructure,
     NotASubgroup,
     SizeLimitExceeded,
@@ -726,6 +727,19 @@ def test_matching_finiteness_counts_pairs(cls_id):
             assert cls.config_finiteness(config, v.base, v.base) == expected
             checked += 1
     assert checked > 0
+
+
+def test_finiteness_disagreement_on_equal_bases_raises(monkeypatch):
+    # the bases are compared only after left and right differ, and the
+    # check still runs then
+    v = enumerate_open_subgroups("graph", 2)[-1]
+    config = double_coset_profile(v).configs[0]
+    monkeypatch.setattr(type(get_class("graph")), "config_finiteness",
+                        lambda self, payload, base_b, base_c: (True, False))
+    with pytest.raises(InvariantViolation):
+        finitely_many_left_cosets(v, config)
+    w = make_open_subgroup("graph", get_class("graph").empty())
+    assert finitely_many_left_cosets(v, config, w) is True
 
 
 @pytest.mark.parametrize("cls_id", sorted(PROFILE_BASE))
