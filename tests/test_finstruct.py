@@ -571,7 +571,8 @@ def test_graph_canonical_forms_match_the_unpruned_reference():
     cases = []
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
-        cases += [graph_on(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        cases += [graph_on(n, [p for i, p in enumerate(pairs)
+                               if mask >> i & 1])
                   for mask in range(1 << len(pairs))]
     rng = random.Random(24)
     six = [s for s in graph.enumerate_class(6) if len(s.points) == 6]
