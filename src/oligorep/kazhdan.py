@@ -8,7 +8,9 @@ branches assemble into automorphisms moving every normalized nonnegative
 weight function by at least 1/2 in the l1 norm.  The tree can be
 materialized and its defining conditions checked, each node against its
 parent; the greedy branch walk is lazy and certifies its own displacement
-bound with exact rational arithmetic.
+bound with exact rational arithmetic.  The dense order's points are ints,
+dyadic rationals at a scale fixed per tree or walk; they become
+``Fraction``s only in the walk's certificates.
 
 Norm inequalities: the marginal contraction for diagonal actions on tuple
 spaces and the l1/l2 transfer that converts displacement bounds into
@@ -129,20 +131,27 @@ def _translate_pairs(f, perm):
     g f is nonzero, ``perm`` acting diagonally and fixing missing points."""
     inverse = {v: k for k, v in perm.items()}
     moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
-    zero = Fraction(0)
     for xs in set(f) | moved:
         pulled = tuple(inverse.get(x, x) for x in xs)
-        yield f.get(pulled, zero), f.get(xs, zero)
+        yield f.get(pulled, 0), f.get(xs, 0)
 
 
 def l1_displacement(f, perm):
     """l1 distance between f and its translate under a full permutation.
 
-    ``f`` maps tuples to rationals; ``perm`` is a point permutation acting
-    diagonally.  Points missing from ``perm`` are fixed.
+    ``f`` maps tuples to rationals or integers; ``perm`` is a point
+    permutation acting diagonally.  Points missing from ``perm`` are fixed.
     """
-    return sum((abs(a - b) for a, b in _translate_pairs(f, perm)),
-               Fraction(0))
+    return sum(abs(a - b) for a, b in _translate_pairs(f, perm))
+
+
+def _seeded_permutation(seed):
+    """The generator of a norm check's instance and the permutation of six
+    points that it draws first."""
+    rng = random.Random(seed)
+    images = list(range(6))
+    rng.shuffle(images)
+    return rng, dict(enumerate(images))
 
 
 def marginal_check(seed):
@@ -150,61 +159,51 @@ def marginal_check(seed):
 
     ``f~`` integrates out the last coordinate.  Checked exactly on five
     seeded random triples of six points; returns the norms and the verdict.
+    The weights stay the integers drawn until the norms are divided by
+    their total.
     """
-    rng = random.Random(seed)
-    points = list(range(6))
-    images = points[:]
-    rng.shuffle(images)
-    perm = dict(zip(points, images))
+    rng, perm = _seeded_permutation(seed)
     f = {}
     while len(f) < 5:
-        f[tuple(rng.choice(points) for _ in range(3))] = rng.randint(1, 16)
+        f[tuple(rng.choice(range(6)) for _ in range(3))] = rng.randint(1, 16)
     total = sum(f.values())
-    f = {xs: Fraction(v, total) for xs, v in f.items()}
     marginal = {}
     for xs, v in f.items():
-        head = xs[:-1]
-        marginal[head] = marginal.get(head, Fraction(0)) + v
+        marginal[xs[:-1]] = marginal.get(xs[:-1], 0) + v
     lhs = l1_displacement(marginal, perm)
     rhs = l1_displacement(f, perm)
-    return {"seed": seed, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
+    return {"seed": seed, "lhs": Fraction(lhs, total),
+            "rhs": Fraction(rhs, total), "ok": lhs <= rhs}
 
 
 def l1_l2_transfer(seed):
     """Squared form of |g f~ - f~|_1 <= 2 |g f - f|_2 |f|_2 with f~ = f^2.
 
-    ``f`` takes signed rational values on five pairs of six points.  Also
-    checks the scalar inequality |a - b|^2 <= |a^2 - b^2| behind it on
-    the absolute values occurring in the instance.  That check cannot fail:
-    for a, b >= 0 it reads |a - b| <= a + b, once divided by |a - b|.
+    ``f`` takes signed rational values on five pairs of six points, held
+    times 2520 = lcm(1, ..., 9) to compare integers.  Also checks the scalar
+    inequality |a - b|^2 <= |a^2 - b^2| behind it on the absolute values
+    occurring in the instance.  That check cannot fail: for a, b >= 0 it
+    reads |a - b| <= a + b, once divided by |a - b|.
     """
-    rng = random.Random(seed)
-    points = list(range(6))
-    images = points[:]
-    rng.shuffle(images)
-    perm = dict(zip(points, images))
+    rng, perm = _seeded_permutation(seed)
     f = {}
     while len(f) < 5:
-        xs = tuple(rng.choice(points) for _ in range(2))
+        xs = tuple(rng.choice(range(6)) for _ in range(2))
         num = rng.randint(-12, 12) or 1
-        f[xs] = Fraction(num, rng.randint(1, 9))
-    squared = {xs: v * v for xs, v in f.items()}
-    lhs = l1_displacement(squared, perm)
-    diff_sq = sum(((a - b) ** 2 for a, b in _translate_pairs(f, perm)),
-                  Fraction(0))
-    norm_sq = sum((v * v for v in f.values()), Fraction(0))
-    ok = lhs * lhs <= 4 * diff_sq * norm_sq
+        f[xs] = num * (2520 // rng.randint(1, 9))
+    lhs = l1_displacement({xs: v * v for xs, v in f.items()}, perm)
+    diff_sq = sum((a - b) ** 2 for a, b in _translate_pairs(f, perm))
+    norm_sq = sum(v * v for v in f.values())
     values = sorted(abs(v) for v in f.values())
-    scalar_ok = all(
-        (a - b) ** 2 <= abs(a * a - b * b)
-        for a, b in itertools.combinations(values, 2))
+    scale = 2520 ** 2
     return {
         "seed": seed,
-        "lhs": lhs,
-        "diff_sq": diff_sq,
-        "norm_sq": norm_sq,
-        "ok": ok,
-        "scalar_ok": scalar_ok,
+        "lhs": Fraction(lhs, scale),
+        "diff_sq": Fraction(diff_sq, scale),
+        "norm_sq": Fraction(norm_sq, scale),
+        "ok": lhs * lhs <= 4 * diff_sq * norm_sq,
+        "scalar_ok": all((a - b) ** 2 <= abs(a * a - b * b)
+                         for a, b in itertools.combinations(values, 2)),
     }
 
 
@@ -223,12 +222,13 @@ class _Realizer:
     sent to ``a``.  ``_fits(mapping, a)`` is the one extension test: a
     test of b that says whether the partial automorphism ``mapping``,
     ``a`` outside its domain, stays one when the pair a -> b is added.
-    ``extends_at`` turns it around for pairs b -> a.
+    ``extends_at`` turns it around for pairs b -> a.  Only the dense
+    order reads ``stages``, the walk's length or the tree's depth // 2.
     """
 
     interleaves = False
 
-    def __init__(self, interleave=False):
+    def __init__(self, interleave=False, stages=1):
         if interleave and not self.interleaves:
             raise MalformedStructure(
                 "interleaved realization is only available for the pure set")
@@ -242,6 +242,10 @@ class _Realizer:
         if isinstance(point, int) and 0 <= point < _SPREAD_BASE:
             return point + 1
         return None
+
+    def point(self, x):
+        """``x`` as reports show it."""
+        return x
 
     def preimages(self, mapping, a, banned):
         return self.images({y: x for x, y in mapping.items()}, a, banned)
@@ -283,23 +287,39 @@ class _PureRealizer(_Realizer):
 
 
 class _LinearRealizer(_Realizer):
-    """The rationals; enumeration on the integers, extensions in gaps."""
+    """The rationals; enumeration on the integers, extensions in gaps.
 
-    def __init__(self, interleave=False):
-        super().__init__(interleave)
-        self._high = Fraction(_SPREAD_BASE)
+    A point is an int, the dyadic rational x held as x * 2**scale for a
+    scale fixed by ``stages``.  A gap with no room at that scale raises
+    ``InvariantViolation``; nothing is rounded.  ``point`` gives back the
+    ``Fraction`` that reports show."""
+
+    def __init__(self, interleave=False, stages=1):
+        super().__init__(interleave, stages)
+        self.scale = self._scale(stages)
+        self.unit = 1 << self.scale
+
+    @staticmethod
+    def _scale(stages):
+        """Bits enough for a walk of ``stages`` stages or a tree of depth
+        2 * stages + 1, whose branch the walk is.  Level k takes one of the
+        first 2^(n+1) points of its stream, n = k // 2.  Inside the gap of
+        an order-preserving parent of at most k - 2 pairs, at most k - 2
+        points on the other side, a and the enumeration are banned, and the
+        splits of the gap down to j/2^m hold 2^m - 1 points."""
+        return sum((2 ** (k // 2 + 1) + k - 1 + stages).bit_length()
+                   for k in range(2, 2 * stages + 2))
 
     def enumeration(self, m):
-        return [Fraction(i) for i in range(m)]
+        return [i << self.scale for i in range(m)]
 
     def enumeration_index(self, point):
-        try:
-            value = Fraction(point)
-        except (TypeError, ValueError):
-            return None
-        if value.denominator == 1 and 0 <= value < _SPREAD_BASE:
-            return int(value) + 1
-        return None
+        if isinstance(point, Fraction) and point.denominator == 1:
+            point = point.numerator
+        return super().enumeration_index(point)
+
+    def point(self, x):
+        return Fraction(x, self.unit)
 
     def images(self, mapping, a, banned):
         """Points between the images of ``a``'s neighbours in ``mapping``,
@@ -307,25 +327,28 @@ class _LinearRealizer(_Realizer):
         lo, hi = self.gap(mapping, a)
         if lo is None and hi is None:
             while True:
-                self._high += 1
-                yield self._high
+                self._next += 1
+                yield self._next << self.scale
         if hi is None:
             top = max([lo] + [b for b in banned if b > lo])
             while True:
-                top += 1
+                top += self.unit
                 yield top
         if lo is None:
             bottom = min([hi] + [b for b in banned if b < hi])
             while True:
-                bottom -= 1
+                bottom -= self.unit
                 yield bottom
-        denom = 2
-        while True:
-            for j in range(1, denom, 2):
-                candidate = lo + (hi - lo) * Fraction(j, denom)
+        for k in itertools.count(1):
+            step, rest = divmod(hi - lo, 1 << k)
+            if rest:
+                raise InvariantViolation(
+                    f"the gap ({self.point(lo)}, {self.point(hi)}) has no "
+                    f"room at scale 2^-{self.scale}")
+            for j in range(1, 1 << k, 2):
+                candidate = lo + step * j
                 if candidate not in banned:
                     yield candidate
-            denom *= 2
 
     def gap(self, mapping, a):
         """Greatest image of a point below ``a``, least of the others."""
@@ -353,8 +376,8 @@ class _RadoRealizer(_Realizer):
     maps built here are partial automorphisms of it.
     """
 
-    def __init__(self, interleave=False):
-        super().__init__(interleave)
+    def __init__(self, interleave=False, stages=1):
+        super().__init__(interleave, stages)
         self._edges = set()
 
     def adjacent(self, i, j):
@@ -392,13 +415,13 @@ _REALIZERS = {
 }
 
 
-def _realizer_for(class_id, interleave):
+def _realizer_for(class_id, interleave, stages=1):
     maker = _REALIZERS.get(class_id)
     if maker is None:
         raise NoAlgebraicityRequired(
             f"displacement trees need a relational class with no "
             f"algebraicity; {class_id!r} does not qualify")
-    return maker(interleave)
+    return maker(interleave, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +615,8 @@ def build_tree(class_id, depth, interleave=False):
     chain when its children are made, and not kept."""
     if depth < 1:
         raise MalformedStructure("depth must be at least 1")
-    realizer = _realizer_for(class_id, interleave)
     stages = max(depth // 2, 1)
+    realizer = _realizer_for(class_id, interleave, stages)
     enum = realizer.enumeration(stages)
     enum_set = set(enum) if not interleave else set()
     levels = [[_TreeNode(None)]]
@@ -656,8 +679,10 @@ def greedy_witness(class_id, f, interleave=False):
             f"stage {stages} could branch {2 ** (stages + 1)} ways, beyond "
             f"the {budget} node budget")
 
+    realizer = _realizer_for(class_id, interleave, stages)
     enum = realizer.enumeration(stages)
     enum_set = set(enum) if not interleave else set()
+    weight = Distribution({enum[i - 1]: f[p] for p, i in stage_of.items()})
     mapping = {}
     ran = set()
     certificates = []
@@ -680,7 +705,7 @@ def greedy_witness(class_id, f, interleave=False):
         """The first candidate of the stage where ``f`` is at most bound."""
         banned = set(mapping) | ran | {a} | enum_set
         for c in itertools.islice(stream(mapping, a, banned), 2 ** (n + 1)):
-            if f[c] <= bound:
+            if weight[c] <= bound:
                 return c
         raise InvariantViolation(f"no small {side} among the branch "
                                  "candidates; mass accounting broken")
@@ -692,7 +717,7 @@ def greedy_witness(class_id, f, interleave=False):
             c = small(realizer.images, "image")
             mapping[a] = c
             ran.add(c)
-            certify("image", n, a, f[c], bound)
+            certify("image", n, realizer.point(a), weight[c], bound)
             if a not in ran:
                 banned = set(mapping) | ran | {a} | enum_set
                 d = next(realizer.preimages(mapping, a, banned))
@@ -701,13 +726,14 @@ def greedy_witness(class_id, f, interleave=False):
             continue
         if a in ran:
             raise InvariantViolation(
-                f"{a!r} in both domain and range before its stage")
+                f"{realizer.point(a)!r} in both domain and range before "
+                "its stage")
         d = small(realizer.preimages, "preimage")
         mapping[d] = a
         ran.add(a)
-        certify("preimage", n, d, f[d], bound)
+        certify("preimage", n, realizer.point(d), weight[d], bound)
 
-    displacement = partial_displacement(f, mapping)
+    displacement = partial_displacement(weight, mapping)
     required = 1 - sum(
         (Fraction(1, 2 ** (n + 1)) for n in range(1, stages + 1)),
         Fraction(0))

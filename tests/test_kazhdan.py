@@ -13,6 +13,7 @@ except ImportError:  # the property test below is skipped
 from oligorep import kazhdan
 from oligorep.errors import (
     FreenessViolation,
+    InvariantViolation,
     MalformedStructure,
     NoAlgebraicityRequired,
     SizeLimitExceeded,
@@ -182,10 +183,13 @@ def _is_partial_automorphism(cls, realizer, mapping):
     return True
 
 
+# -2, -7/4, ..., 2 as Fractions and as the dense order's scaled ints
+_QUARTERS = [[Fraction(k, 4) for k in range(-8, 9)],
+             [k << (_LinearRealizer(stages=3).scale - 2) for k in range(-8, 9)]]
 _EXTENSION_POINTS = {
-    "pure_set": list(range(10)),
-    "linear_order": [Fraction(k, 4) for k in range(-8, 9)],
-    "graph": list(range(16)),
+    "pure_set": [list(range(10))],
+    "linear_order": _QUARTERS,
+    "graph": [list(range(16))],
 }
 
 
@@ -194,7 +198,11 @@ def test_extends_at_matches_the_pairwise_rule(cls):
     # the one-sided test of each realizer, both ways round, against the
     # reference rule on the extended map; parents are random partial
     # automorphisms, and a may already lie on its side
-    points = _EXTENSION_POINTS[cls]
+    for points in _EXTENSION_POINTS[cls]:
+        _check_extends_at(cls, points)
+
+
+def _check_extends_at(cls, points):
     realizer = _realizer_for(cls, False)
     rng = random.Random(cls)
 
@@ -233,9 +241,13 @@ def _order_preserving_mapping(rng, points):
 def test_linear_extends_matches_the_all_pairs_rule():
     # the gap rule against the rule it replaced, both ways round, on
     # order-preserving mappings and new pairs that may reuse either end
+    for points in _QUARTERS:
+        _check_linear_extends(points)
+
+
+def _check_linear_extends(points):
     rng = random.Random(7)
     realizer = _LinearRealizer()
-    points = [Fraction(k, 4) for k in range(-8, 9)]
     outcomes = set()
     for _ in range(3000):
         mapping = _order_preserving_mapping(rng, points)
@@ -253,9 +265,13 @@ def test_linear_extends_matches_the_all_pairs_rule():
 def test_linear_extends_at_matches_extends_on_order_preserving_parents(even):
     # one gap per parent, tested on several new ends b of a pair at a
     # (a -> b when even, b -> a otherwise), against the all-pairs rule
+    for points in _QUARTERS:
+        _check_linear_extends_at(points, even)
+
+
+def _check_linear_extends_at(points, even):
     rng = random.Random(even)
     realizer = _LinearRealizer()
-    points = [Fraction(k, 4) for k in range(-8, 9)]
     outcomes = set()
     for _ in range(3000):
         mapping = _order_preserving_mapping(rng, points)
@@ -489,9 +505,11 @@ def _order_swap(tree):
 
 
 def _swapped_images(tree):
+    # enumeration points 0 and 1 trade images; 1 is held at the tree's scale
+    x, y = tree.enumeration[:2]
     node = tree.levels[-1][0]
     mapping = node.mapping
-    mapping[0], mapping[1] = mapping[1], mapping[0]
+    mapping[x], mapping[y] = mapping[y], mapping[x]
     node.mapping = mapping
 
 
@@ -604,11 +622,13 @@ def test_tree_verify_matches_reference_on_random_mutations(cls, interleave):
     assert len(failed) >= 5, failed
 
 
-def reference_tree(cls, depth, interleave=False):
+def reference_tree(cls, depth, interleave=False, realizer=None):
     """The tree built with a copy of its parent's dict in every child, on
-    a fresh realizer: the reference for ``build_tree``'s chain nodes."""
-    realizer = _realizer_for(cls, interleave)
-    enum = realizer.enumeration(max(depth // 2, 1))
+    a fresh realizer unless one is given: the reference for
+    ``build_tree``'s chain nodes."""
+    stages = max(depth // 2, 1)
+    realizer = realizer or _realizer_for(cls, interleave, stages)
+    enum = realizer.enumeration(stages)
     enum_set = set(enum) if not interleave else set()
     levels = [[_node({}, None)]]
     for number in range(2, depth + 1):
@@ -647,6 +667,104 @@ def test_tree_matches_the_dict_copy_reference(cls, depth, interleave):
     assert not any(isinstance(getattr(node, slot), dict)
                    for level in tree.levels for node in level
                    for slot in kazhdan._TreeNode.__slots__)
+
+
+class FractionLinearRealizer(kazhdan._Realizer):
+    """The dense order on ``Fraction`` points, as it was before its points
+    became ints at a dyadic scale: the reference for ``_LinearRealizer``."""
+
+    def __init__(self, interleave=False, stages=1):
+        super().__init__(interleave, stages)
+        self._high = Fraction(kazhdan._SPREAD_BASE)
+
+    def enumeration(self, m):
+        return [Fraction(i) for i in range(m)]
+
+    def enumeration_index(self, point):
+        if isinstance(point, Fraction) and point.denominator == 1:
+            point = point.numerator
+        return super().enumeration_index(point)
+
+    def images(self, mapping, a, banned):
+        lo, hi = self.gap(mapping, a)
+        if lo is None and hi is None:
+            while True:
+                self._high += 1
+                yield self._high
+        if hi is None:
+            top = max([lo] + [b for b in banned if b > lo])
+            while True:
+                top += 1
+                yield top
+        if lo is None:
+            bottom = min([hi] + [b for b in banned if b < hi])
+            while True:
+                bottom -= 1
+                yield bottom
+        denom = 2
+        while True:
+            for j in range(1, denom, 2):
+                candidate = lo + (hi - lo) * Fraction(j, denom)
+                if candidate not in banned:
+                    yield candidate
+            denom *= 2
+
+    gap = _LinearRealizer.gap
+    _fits = _LinearRealizer._fits
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_linear_tree_matches_the_fraction_reference(depth):
+    # node by node once the ints leave their scale, types included
+    tree = build_tree("linear_order", depth)
+    reference = reference_tree("linear_order", depth,
+                               realizer=FractionLinearRealizer())
+    point = tree._realizer.point
+    scaled = [[{point(x): point(y) for x, y in node.mapping.items()}
+               for node in level] for level in tree.levels]
+    expected = [[node.mapping for node in level] for level in reference.levels]
+    assert scaled == expected
+    assert repr(scaled) == repr(expected)
+    assert [point(a) for a in tree.enumeration] == reference.enumeration
+    assert tree.verify() == reference.verify()
+
+
+def test_linear_walks_match_the_fraction_reference(monkeypatch):
+    walks = [greedy_witness("linear_order", random_distribution(
+        random.Random(seed), range(6))) for seed in range(1000)]
+    monkeypatch.setitem(kazhdan._REALIZERS, "linear_order",
+                        FractionLinearRealizer)
+    for seed, walk in enumerate(walks):
+        expected = greedy_witness("linear_order", random_distribution(
+            random.Random(seed), range(6)))
+        assert walk == expected, seed
+        assert repr(walk) == repr(expected), seed
+
+
+def test_linear_gaps_run_out_of_room_below_the_needed_scale(monkeypatch):
+    # a depth-7 tree's finest point is j/2^9: at scale 8 a gap has no
+    # room for it, and the realizer raises rather than round
+    monkeypatch.setattr(_LinearRealizer, "_scale", staticmethod(lambda s: 9))
+    build_tree("linear_order", 7)
+    monkeypatch.setattr(_LinearRealizer, "_scale", staticmethod(lambda s: 8))
+    with pytest.raises(InvariantViolation, match="no room at scale 2\\^-8"):
+        build_tree("linear_order", 7)
+
+
+def test_linear_scale_holds_the_largest_tree_and_walk():
+    # the node budget allows a depth-7 tree and a walk of 17 stages, whose
+    # 2^18 candidates at its last stage are the most it may branch
+    tree = build_tree("linear_order", 7)
+    assert tree.verify()["ok"]
+    assert tree.node_count == 279701
+    with pytest.raises(SizeLimitExceeded):
+        greedy_witness("linear_order", {17: 1})
+    rng = random.Random(17)
+    for f in ({16: 1}, random_distribution(rng, range(17)),
+              seeded_distribution(17, range(17), 17)):
+        report = greedy_witness("linear_order", f)
+        assert report["stages"] == 17
+        assert report["ok"]
 
 
 def _range_point_first(images, realizer, mapping, a, banned):
@@ -777,6 +895,12 @@ def test_greedy_witness_support_validation():
         greedy_witness("linear_order", {Fraction(1, 2): 1})
     with pytest.raises(SupportOutsideEnumeration):
         greedy_witness("graph", {"a": 1})
+    # a string or a float is no point of any class, even when it reads as
+    # an enumeration point
+    for cls in ("pure_set", "linear_order", "graph"):
+        for point in ("0", 0.0):
+            with pytest.raises(SupportOutsideEnumeration):
+                greedy_witness(cls, {point: 1})
 
 
 # --- norm inequalities ------------------------------------------------------
@@ -794,6 +918,76 @@ def test_l1_l2_transfer_seeded():
         report = l1_l2_transfer(seed)
         assert report["ok"], (seed, report)
         assert report["scalar_ok"]
+
+
+def _fraction_translate_pairs(f, perm):
+    inverse = {v: k for k, v in perm.items()}
+    moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
+    zero = Fraction(0)
+    return [(f.get(tuple(inverse.get(x, x) for x in xs), zero),
+             f.get(xs, zero)) for xs in set(f) | moved]
+
+
+def _fraction_l1(f, perm):
+    return sum((abs(a - b) for a, b in _fraction_translate_pairs(f, perm)),
+               Fraction(0))
+
+
+def fraction_marginal_check(seed):
+    """``marginal_check`` in ``Fraction`` arithmetic throughout."""
+    rng = random.Random(seed)
+    points = list(range(6))
+    images = points[:]
+    rng.shuffle(images)
+    perm = dict(zip(points, images))
+    f = {}
+    while len(f) < 5:
+        f[tuple(rng.choice(points) for _ in range(3))] = rng.randint(1, 16)
+    total = sum(f.values())
+    f = {xs: Fraction(v, total) for xs, v in f.items()}
+    marginal = {}
+    for xs, v in f.items():
+        marginal[xs[:-1]] = marginal.get(xs[:-1], Fraction(0)) + v
+    lhs, rhs = _fraction_l1(marginal, perm), _fraction_l1(f, perm)
+    return {"seed": seed, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
+
+
+def fraction_l1_l2_transfer(seed):
+    """``l1_l2_transfer`` in ``Fraction`` arithmetic throughout."""
+    rng = random.Random(seed)
+    points = list(range(6))
+    images = points[:]
+    rng.shuffle(images)
+    perm = dict(zip(points, images))
+    f = {}
+    while len(f) < 5:
+        xs = tuple(rng.choice(points) for _ in range(2))
+        num = rng.randint(-12, 12) or 1
+        f[xs] = Fraction(num, rng.randint(1, 9))
+    lhs = _fraction_l1({xs: v * v for xs, v in f.items()}, perm)
+    diff_sq = sum(((a - b) ** 2 for a, b in _fraction_translate_pairs(
+        f, perm)), Fraction(0))
+    norm_sq = sum((v * v for v in f.values()), Fraction(0))
+    values = sorted(abs(v) for v in f.values())
+    return {
+        "seed": seed,
+        "lhs": lhs,
+        "diff_sq": diff_sq,
+        "norm_sq": norm_sq,
+        "ok": lhs * lhs <= 4 * diff_sq * norm_sq,
+        "scalar_ok": all((a - b) ** 2 <= abs(a * a - b * b)
+                         for a, b in itertools.combinations(values, 2)),
+    }
+
+
+def test_norm_checks_match_the_fraction_reference():
+    # the integer checks report the same Fractions as the reference
+    for seed in range(2000):
+        for check, reference in ((marginal_check, fraction_marginal_check),
+                                 (l1_l2_transfer, fraction_l1_l2_transfer)):
+            report, expected = check(seed), reference(seed)
+            assert report == expected, (check.__name__, seed)
+            assert repr(report) == repr(expected), (check.__name__, seed)
 
 
 def test_scalar_square_inequality():
