@@ -159,8 +159,7 @@ def marginal_check(seed):
 
     ``f~`` integrates out the last coordinate.  Checked exactly on five
     seeded random triples of six points; returns the norms and the verdict.
-    The weights stay the integers drawn until the norms are divided by
-    their total.
+    The weights stay integers until the norms are divided by their total.
     """
     rng, perm = _seeded_permutation(seed)
     f = {}
@@ -227,6 +226,7 @@ class _Realizer:
     """
 
     interleaves = False
+    unit = 1   # the int that holds the point 1
 
     def __init__(self, interleave=False, stages=1):
         if interleave and not self.interleaves:
@@ -236,7 +236,7 @@ class _Realizer:
         self._next = _SPREAD_BASE
 
     def enumeration(self, m):
-        return list(range(m))
+        return [i * self.unit for i in range(m)]
 
     def enumeration_index(self, point):
         if isinstance(point, int) and 0 <= point < _SPREAD_BASE:
@@ -302,16 +302,12 @@ class _LinearRealizer(_Realizer):
     @staticmethod
     def _scale(stages):
         """Bits enough for a walk of ``stages`` stages or a tree of depth
-        2 * stages + 1, whose branch the walk is.  Level k takes one of the
-        first 2^(n+1) points of its stream, n = k // 2.  Inside the gap of
-        an order-preserving parent of at most k - 2 pairs, at most k - 2
-        points on the other side, a and the enumeration are banned, and the
-        splits of the gap down to j/2^m hold 2^m - 1 points."""
+        2 * stages + 1: level k takes one of the first 2^(n+1) points of
+        its stream, n = k // 2, and in its gap at most k - 2 points of the
+        parent, a and the enumeration are banned, while the splits of the
+        gap down to j/2^m hold 2^m - 1 points."""
         return sum((2 ** (k // 2 + 1) + k - 1 + stages).bit_length()
                    for k in range(2, 2 * stages + 2))
-
-    def enumeration(self, m):
-        return [i << self.scale for i in range(m)]
 
     def enumeration_index(self, point):
         if isinstance(point, Fraction) and point.denominator == 1:
@@ -325,10 +321,8 @@ class _LinearRealizer(_Realizer):
         """Points between the images of ``a``'s neighbours in ``mapping``,
         outside ``banned``; the gap is found once for the whole stream."""
         lo, hi = self.gap(mapping, a)
-        if lo is None and hi is None:
-            while True:
-                self._next += 1
-                yield self._next << self.scale
+        if lo is None and hi is None:   # an empty mapping: any point fits
+            lo = _SPREAD_BASE << self.scale
         if hi is None:
             top = max([lo] + [b for b in banned if b > lo])
             while True:

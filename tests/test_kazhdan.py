@@ -681,9 +681,13 @@ class FractionLinearRealizer(kazhdan._Realizer):
         return [Fraction(i) for i in range(m)]
 
     def enumeration_index(self, point):
-        if isinstance(point, Fraction) and point.denominator == 1:
-            point = point.numerator
-        return super().enumeration_index(point)
+        try:
+            value = Fraction(point)
+        except (TypeError, ValueError):
+            return None
+        if value.denominator == 1 and 0 <= value < kazhdan._SPREAD_BASE:
+            return int(value) + 1
+        return None
 
     def images(self, mapping, a, banned):
         lo, hi = self.gap(mapping, a)
