@@ -129,11 +129,9 @@ def partial_displacement(f, mapping):
 def _translate_pairs(f, perm):
     """(f(g^-1 xs), f(xs)) over every tuple xs where f or its translate
     g f is nonzero, ``perm`` acting diagonally and fixing missing points."""
-    inverse = {v: k for k, v in perm.items()}
-    moved = {tuple(perm.get(x, x) for x in xs) for xs in f}
-    for xs in set(f) | moved:
-        pulled = tuple(inverse.get(x, x) for x in xs)
-        yield f.get(pulled, 0), f.get(xs, 0)
+    moved = {tuple(perm.get(x, x) for x in xs): v for xs, v in f.items()}
+    for xs in f.keys() | moved.keys():
+        yield moved.get(xs, 0), f.get(xs, 0)
 
 
 def l1_displacement(f, perm):
