@@ -184,8 +184,9 @@ def _is_partial_automorphism(cls, realizer, mapping):
 
 
 # -2, -7/4, ..., 2 as Fractions and as the dense order's scaled ints
+_QUARTER = _LinearRealizer(stages=3).unit // 4
 _QUARTERS = [[Fraction(k, 4) for k in range(-8, 9)],
-             [k << (_LinearRealizer(stages=3).scale - 2) for k in range(-8, 9)]]
+             [k * _QUARTER for k in range(-8, 9)]]
 _EXTENSION_POINTS = {
     "pure_set": [list(range(10))],
     "linear_order": _QUARTERS,
