@@ -47,7 +47,10 @@ strings; two structures get the same code exactly when they are
 isomorphic.  The empty structure is a member of every class and is its
 own closure; for the linear-algebraic classes the closure of any nonempty
 set contains the fixed elements (the zero vector, the top and bottom of an
-algebra).
+algebra).  These closures are generated, not iterated: the closure of a set
+of vectors is their span (``_span``), and that of a set of masks is the
+unions of the blocks into which the masks cut the top (``_blocks``).  So a
+set is closed when it has q**rank vectors, or 2**blocks masks.
 """
 
 from __future__ import annotations
@@ -174,10 +177,6 @@ def _column_masks(n):
 # small GF(q) helpers, q prime
 
 
-def _vec_add(u, v, q):
-    return tuple((a + b) % q for a, b in zip(u, v))
-
-
 def _rref(rows, q):
     """Reduced row echelon form over GF(q), q prime; returns (rows, pivot
     columns), both tuples, and stops once every row has a pivot."""
@@ -211,6 +210,18 @@ def _residue(vec, rref_rows, pivots, q):
             c = v[p]
             v = [(a - c * b) % q for a, b in zip(v, row)]
     return tuple(v)
+
+
+def _span(rows, q, width):
+    """Each vector of the span of ``rows``, vectors of length ``width`` over
+    GF(q), mapped to its coordinates over the rows that enlarge the span, in
+    order: the greedy basis."""
+    span = {(0,) * width: ()}
+    for row in rows:
+        if row not in span:
+            span = {tuple((a + c * b) % q for a, b in zip(v, row)): x + (c,)
+                    for v, x in span.items() for c in range(q)}
+    return span
 
 
 def _lex_index(coords, q):
@@ -296,7 +307,9 @@ class FraisseClass:
         return FinStructure(self.id, points, self._restrict_data(s, positions))
 
     def acl(self, s, positions):
-        """Positions of the closure of ``positions`` inside the member ``s``."""
+        """Positions of the closure of ``positions`` inside the member ``s``:
+        the positions themselves for relational classes, their span for
+        vector spaces, and the unions of their blocks for Boolean algebras."""
         if not self.is_member(s):
             raise MalformedStructure("acl needs a class member")
         positions = tuple(sorted(set(positions)))
@@ -943,18 +956,9 @@ class VectorSpaceClass(FraisseClass):
                 raise MalformedStructure("entries must lie in range(q)")
 
     def _is_closed(self, s):
+        # distinct vectors, all in their span of q**rank vectors
         _, vectors = s.data
-        if not vectors:
-            return True
-        present = set(vectors)
-        width = len(vectors[0])
-        if tuple([0] * width) not in present:
-            return False
-        for u in vectors:
-            for v in vectors:
-                if _vec_add(u, v, self.q) not in present:
-                    return False
-        return True
+        return not vectors or len(vectors) == self.q ** self.size(s)
 
     def size(self, s):
         _, vectors = s.data
@@ -971,57 +975,13 @@ class VectorSpaceClass(FraisseClass):
         _, vectors = s.data
         if not positions:
             return ()
-        width = len(vectors[0])
         lookup = {v: i for i, v in enumerate(vectors)}
-        closure = {tuple([0] * width)}
-        frontier = [vectors[p] for p in positions]
-        closure.update(frontier)
-        while frontier:
-            u = frontier.pop()
-            for v in list(closure):
-                w = _vec_add(u, v, self.q)
-                if w not in closure:
-                    closure.add(w)
-                    frontier.append(w)
-        return tuple(sorted(lookup[v] for v in closure))
+        span = _span([vectors[p] for p in positions], self.q, len(vectors[0]))
+        return tuple(sorted(lookup[v] for v in span))
 
     def _fixes(self, s):
         _, vectors = s.data
         return lambda p: not any(vectors[p])
-
-    def _basis_coords(self, s):
-        """Greedy basis over lex-sorted vectors, then coordinates per point."""
-        _, vectors = s.data
-        order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-        basis = []
-        for i in order:
-            trial = basis + [vectors[i]]
-            rows, _ = _rref(trial, self.q)
-            if len(rows) == len(trial):
-                basis.append(vectors[i])
-        coords = []
-        for v in vectors:
-            coords.append(self._solve(basis, v))
-        return basis, coords
-
-    def _solve(self, basis, v):
-        if not basis:
-            return ()
-        width = len(v)
-        rows = [list(b) + [0] * len(basis) for b in basis]
-        for i in range(len(basis)):
-            rows[i][width + i] = 1
-        reduced, pivots = _rref(rows, self.q)
-        residue = list(v)
-        coeffs = [0] * len(basis)
-        for row, p in zip(reduced, pivots):
-            if p < width and residue[p]:
-                c = residue[p]
-                residue = [(a - c * b) % self.q for a, b in zip(residue, row[:width])]
-                coeffs = [(x + c * y) % self.q for x, y in zip(coeffs, row[width:])]
-        if any(residue):
-            raise MalformedStructure("vector outside the span of the basis")
-        return tuple(coeffs)
 
     def _canonical(self, s):
         if not self._is_closed(s):
@@ -1029,11 +989,9 @@ class VectorSpaceClass(FraisseClass):
         _, vectors = s.data
         if not vectors:
             return self.empty(), ()
-        _, coords = self._basis_coords(s)
-        dim = len(coords[0]) if coords[0] != () else 0
-        canon = self.canonical_space(dim)
-        rel = tuple(_lex_index(c, self.q) for c in coords)
-        return canon, rel
+        coords = _span(sorted(vectors), self.q, len(vectors[0]))
+        rel = tuple(_lex_index(coords[v], self.q) for v in vectors)
+        return self.canonical_space(len(coords[vectors[0]])), rel
 
     def canonical_space(self, dim):
         vectors = tuple(_lex_vector(i, self.q, dim) for i in range(self.q ** dim))
@@ -1139,11 +1097,7 @@ class VectorSpaceClass(FraisseClass):
         cells = [(0, x, y) for x in range(q ** dB) for y in range(q ** dC)]
 
         def mask_of(config):
-            span = [(0,) * (dB + dC)]
-            for row in config[1]:
-                span = [tuple((a + c * b) % q for a, b in zip(v, row))
-                        for v in span for c in range(q)]
-            return sum(1 << _lex_index(v, q) for v in span)
+            return sum(1 << _lex_index(v, q) for v in _span(config[1], q, dB + dC))
 
         return cells, mask_of
 
@@ -1206,22 +1160,13 @@ class BooleanAlgebraClass(FraisseClass):
                 raise MalformedStructure("mask out of range for the ambient atoms")
 
     def _is_closed(self, s):
+        # distinct masks, all among the 2**blocks unions of blocks; on no
+        # atoms the top is the bottom, and no nonempty set is closed
         n_atoms, masks = s.data
         if not masks:
             return True
-        if n_atoms == 0:
-            return False
-        present = set(masks)
-        full = (1 << n_atoms) - 1
-        if 0 not in present or full not in present:
-            return False
-        for a in masks:
-            if a ^ full not in present:
-                return False
-            for b in masks:
-                if a & b not in present:
-                    return False
-        return True
+        blocks = self._blocks(masks, (1 << n_atoms) - 1)
+        return n_atoms > 0 and len(masks) == 1 << len(blocks)
 
     def size(self, s):
         n_atoms, masks = s.data
@@ -1240,6 +1185,15 @@ class BooleanAlgebraClass(FraisseClass):
                 atoms.append(m)
         return sorted(atoms)
 
+    @staticmethod
+    def _blocks(masks, full):
+        """The atoms of the subalgebra of ``full`` that ``masks`` generate:
+        the top cut by each mask and its complement."""
+        blocks = [full]
+        for m in masks:
+            blocks = [part for b in blocks for part in (b & m, b & ~m) if part]
+        return blocks
+
     def _restrict_data(self, s, positions):
         n_atoms, masks = s.data
         return (n_atoms, tuple(masks[p] for p in positions))
@@ -1249,22 +1203,10 @@ class BooleanAlgebraClass(FraisseClass):
         if not positions:
             return ()
         lookup = {m: i for i, m in enumerate(masks)}
-        full = (1 << n_atoms) - 1
-        closure = {0, full}
-        closure.update(masks[p] for p in positions)
-        changed = True
-        while changed:
-            changed = False
-            current = list(closure)
-            for a in current:
-                if a ^ full not in closure:
-                    closure.add(a ^ full)
-                    changed = True
-                for b in current:
-                    if a & b not in closure:
-                        closure.add(a & b)
-                        changed = True
-        return tuple(sorted(lookup[m] for m in closure))
+        unions = [0]
+        for b in self._blocks([masks[p] for p in positions], (1 << n_atoms) - 1):
+            unions += [u | b for u in unions]
+        return tuple(sorted(lookup[u] for u in unions))
 
     def _fixes(self, s):
         n_atoms, masks = s.data

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from oligorep.finstruct import (
     FinStructure,
     _byte_tables,
     _lex_index,
+    _lex_vector,
     _read_mask,
     _residue,
     _rref,
@@ -375,6 +377,154 @@ def test_acl_is_idempotent_and_member():
     again = vs.acl(space, closure)
     assert closure == again
     assert vs.is_member(vs.induced(space, closure))
+
+
+# the pairwise and fixed-point closures and the per-vector solve: the
+# references for the span and the blocks
+
+
+def reference_is_closed(cls, s):
+    """Membership by pairwise sums, or by meets and complements."""
+    if cls.id == "boolean_algebra":
+        n_atoms, masks = s.data
+        if not masks:
+            return True
+        full = (1 << n_atoms) - 1
+        present = set(masks)
+        return (n_atoms > 0 and {0, full} <= present
+                and all(a ^ full in present for a in masks)
+                and all(a & b in present for a in masks for b in masks))
+    q, vectors = s.data
+    if not vectors:
+        return True
+    present = set(vectors)
+    return ((0,) * len(vectors[0]) in present
+            and all(tuple((a + b) % q for a, b in zip(u, v)) in present
+                    for u in vectors for v in vectors))
+
+
+def reference_close(cls, s, positions):
+    """acl by adding sums, or meets and complements, until nothing changes."""
+    if not positions:
+        return ()
+    if cls.id == "boolean_algebra":
+        n_atoms, elements = s.data
+        full = (1 << n_atoms) - 1
+        closure = {0, full}
+
+        def moves(a, b):
+            return (a & b, a ^ full)
+    else:
+        q, elements = s.data
+        closure = {(0,) * len(elements[0])}
+
+        def moves(u, v):
+            return (tuple((a + b) % q for a, b in zip(u, v)),)
+    closure |= {elements[p] for p in positions}
+    while True:
+        new = {w for a in closure for b in closure for w in moves(a, b)}
+        if new <= closure:
+            break
+        closure |= new
+    lookup = {e: i for i, e in enumerate(elements)}
+    return tuple(sorted(lookup[e] for e in closure))
+
+
+def reference_solve(basis, v, q):
+    """The coordinates of v over basis, by one augmented row reduction."""
+    if not basis:
+        return ()
+    width = len(v)
+    rows = [list(b) + [int(i == j) for j in range(len(basis))]
+            for i, b in enumerate(basis)]
+    reduced, pivots = _rref(rows, q)
+    residue = list(v)
+    coeffs = [0] * len(basis)
+    for row, p in zip(reduced, pivots):
+        if p < width and residue[p]:
+            c = residue[p]
+            residue = [(a - c * b) % q for a, b in zip(residue, row[:width])]
+            coeffs = [(x + c * y) % q for x, y in zip(coeffs, row[width:])]
+    assert not any(residue), "vector outside the span of the basis"
+    return tuple(coeffs)
+
+
+def reference_vector_canonical(cls, s):
+    """The greedy basis over the lex-sorted vectors, one rank test per
+    vector, and each point's coordinates by ``reference_solve``."""
+    q, vectors = s.data
+    if not vectors:
+        return cls.empty(), ()
+    basis = []
+    for v in sorted(vectors):
+        if len(_rref(basis + [v], q)[0]) > len(basis):
+            basis.append(v)
+    rel = tuple(_lex_index(reference_solve(basis, v, q), q) for v in vectors)
+    return cls.canonical_space(len(basis)), rel
+
+
+def every_subset(cls, dim):
+    """Every set of elements of the ambient space GF(q)^dim, or of the
+    algebra on dim atoms, once in lex order and once shuffled."""
+    if cls.id == "boolean_algebra":
+        elements, tag = list(range(1 << dim)), dim
+    else:
+        elements = [_lex_vector(i, cls.q, dim) for i in range(cls.q ** dim)]
+        tag = cls.q
+    rng = random.Random(dim)
+    for bits in range(1 << len(elements)):
+        subset = [e for k, e in enumerate(elements) if bits >> k & 1]
+        for order in (subset, rng.sample(subset, len(subset))):
+            yield cls.make(tuple(range(len(order))), (tag, tuple(order)))
+
+
+@pytest.mark.parametrize("class_id, dim", [
+    ("vector_space", d) for d in range(4)] + [
+    ("vector_space_q3", d) for d in range(3)] + [
+    ("boolean_algebra", m) for m in range(4)])
+def test_generated_closures_match_the_pairwise_reference(class_id, dim):
+    # every subset: is_member; every member: acl of every position subset,
+    # and the canonical form and relabeling of vector spaces
+    cls = get_class(class_id)
+    if class_id == "boolean_algebra":
+        closed_sets = 1 + (bell_numbers(dim)[dim] if dim else 0)
+    else:
+        closed_sets = 1 + sum(gaussian_binomial(dim, k, cls.q)
+                              for k in range(dim + 1))
+    members = 0
+    for s in every_subset(cls, dim):
+        member = reference_is_closed(cls, s)
+        assert cls.is_member(s) == member, s
+        if not member:
+            with pytest.raises(MalformedStructure):
+                cls.canonical(s)
+            continue
+        members += 1
+        for bits in range(1 << len(s.points)):
+            positions = tuple(p for p in range(len(s.points)) if bits >> p & 1)
+            assert cls.acl(s, positions) == reference_close(cls, s, positions), (
+                s, positions)
+        if class_id != "boolean_algebra":
+            assert cls.canonical(s) == reference_vector_canonical(cls, s), s
+    assert members == 2 * closed_sets
+
+
+def test_large_rank_non_members_are_refused_without_their_span():
+    # the span of 24 unit vectors has 2**24 vectors, and 30 singletons
+    # generate 2**30 masks; neither is built
+    vs = get_class("vector_space")
+    units = tuple(tuple(int(i == j) for j in range(24)) for i in range(24))
+    boolean = get_class("boolean_algebra")
+    singletons = tuple(1 << i for i in range(30))
+    top = (1 << 30) - 1
+    cases = [(vs, (2, extra + units)) for extra in ((), ((0,) * 24,))]
+    cases += [(boolean, (30, extra + singletons))
+              for extra in ((), (0,), (top,), (0, top))]
+    for cls, data in cases:
+        s = cls.make(tuple(range(len(data[1]))), data)
+        start = time.perf_counter()
+        assert not cls.is_member(s)
+        assert time.perf_counter() - start < 1.0, data
 
 
 def fixed_point_indices(cls, s):
