@@ -38,7 +38,8 @@ payload:
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
   number of orbits of n-tuples whose hull it is), by a closed count per
-  class;
+  class: Gaussian binomials for vector spaces, which list no relation
+  space;
 * ``_data_to_json``: the ``data`` object of a structure document.
 
 Boolean algebras set ``atomic``: the automorphism group of a base is the
@@ -203,15 +204,6 @@ def _rref(rows, q):
     return reduced, tuple(pivots)
 
 
-def _residue(vec, rref_rows, pivots, q):
-    v = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        if v[p]:
-            c = v[p]
-            v = [(a - c * b) % q for a, b in zip(v, row)]
-    return tuple(v)
-
-
 def _span(rows, q, width):
     """Each vector of the span of ``rows``, vectors of length ``width`` over
     GF(q), mapped to its coordinates over the rows that enlarge the span, in
@@ -222,6 +214,14 @@ def _span(rows, q, width):
             span = {tuple((a + c * b) % q for a, b in zip(v, row)): x + (c,)
                     for v, x in span.items() for c in range(q)}
     return span
+
+
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n."""
+    if k > n:
+        return 0
+    return (math.prod(q ** (n - i) - 1 for i in range(k))
+            // math.prod(q ** (i + 1) - 1 for i in range(k)))
 
 
 def _lex_index(coords, q):
@@ -1042,25 +1042,27 @@ class VectorSpaceClass(FraisseClass):
         return math.prod(self.q ** n - self.q ** i for i in range(n))
 
     def _touches_fixed(self, rows, n):
-        if not rows:
-            return False
-        _, pivots = _rref(rows, self.q)
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            if not any(_residue(e, rows, pivots, self.q)):
-                return True
-        return False
+        # entry i is zero iff e_i is a relation, and a unit vector lies in
+        # a reduced echelon space only as one of its rows
+        return any(len(row) - row.count(0) == 1 for row in rows)
 
     def tuple_hulls(self, n, x0_only=False):
-        # the entries of a tuple whose relation space has rank r span a
-        # space of dimension n - r, the zero space when all of them are zero
+        # The entries of a tuple whose relation space has rank r span a
+        # space of dimension d = n - r, so [n, d]_q orbits (Gaussian
+        # binomials) have a hull of dimension d.  With x0_only,
+        # inclusion-exclusion runs over the s entries that are zero: the
+        # relation spaces holding s given unit vectors number [n - s, d]_q,
+        # as subspaces of the quotient by them.  A d with no orbit is left
+        # out.
         self._check_tuple_len(n)
-        dims = Counter(n - len(rows) for rows in _relation_spaces(n, self.q)
-                       if not (x0_only and self._touches_fixed(rows, n)))
         hulls = {}
-        for dim, count in dims.items():
-            hull = self.canonical_space(dim)
-            hulls[self._code_of_canonical(hull)] = (hull, count)
+        for d in range(n + 1):
+            count = sum((-1) ** s * math.comb(n, s)
+                        * _gaussian_binomial(n - s, d, self.q)
+                        for s in range(n + 1 if x0_only else 1))
+            if count:
+                hull = self.canonical_space(d)
+                hulls[self._code_of_canonical(hull)] = (hull, count)
         return hulls
 
     def _data_to_json(self, data):
@@ -1075,20 +1077,14 @@ class VectorSpaceClass(FraisseClass):
     @lru_cache(maxsize=32)
     def _joint_configs(q, dB, dC):
         """The relation spaces of GF(q)^(dB + dC) whose rows stay independent
-        on either half, built once per pair of dimensions."""
-        configs = []
-        for rows in _relation_spaces(dB + dC, q):
-            if not rows:
-                configs.append(("space", rows))
-                continue
-            left = [r[:dB] for r in rows]
-            right = [r[dB:] for r in rows]
-            if len(_rref(left, q)[0]) != len(rows):
-                continue
-            if len(_rref(right, q)[0]) != len(rows):
-                continue
-            configs.append(("space", rows))
-        return tuple(configs)
+        on either half, built once per pair of dimensions: each reduced left
+        half of rank r beside each right half of rank r.  Every pivot lies
+        on the left, so the rows are already in reduced echelon form."""
+        vectors = list(itertools.product(range(q), repeat=dC))
+        return tuple(("space", tuple(a + b for a, b in zip(left, right)))
+                     for left in _relation_spaces(dB, q)
+                     for right in itertools.product(vectors, repeat=len(left))
+                     if len(_rref(right, q)[0]) == len(left))
 
     def config_cells(self, base_b, base_c):
         # a configuration is the set of its subspace's vectors (x, y) of
@@ -1172,18 +1168,10 @@ class BooleanAlgebraClass(FraisseClass):
         n_atoms, masks = s.data
         if not masks:
             return 0
-        if masks == tuple(range(1 << n_atoms)):
+        if len(masks) == 1 << n_atoms:
+            # distinct masks in range: every one of them
             return n_atoms
-        return len(self._atoms(masks))
-
-    @staticmethod
-    def _atoms(masks):
-        nonzero = [m for m in masks if m]
-        atoms = []
-        for m in nonzero:
-            if not any(o != m and o & m == o for o in nonzero):
-                atoms.append(m)
-        return sorted(atoms)
+        return len(self._blocks(masks, (1 << n_atoms) - 1))
 
     @staticmethod
     def _blocks(masks, full):
@@ -1216,19 +1204,14 @@ class BooleanAlgebraClass(FraisseClass):
     def _canonical(self, s):
         if not self._is_closed(s):
             raise MalformedStructure("canonical form needs a closed structure")
-        _, masks = s.data
+        n_atoms, masks = s.data
         if not masks:
             return self.empty(), ()
-        atoms = self._atoms(masks)
-        canon = self.canonical_algebra(len(atoms))
-        rel = []
-        for m in masks:
-            new = 0
-            for k, atom in enumerate(atoms):
-                if atom & m == atom:
-                    new |= 1 << k
-            rel.append(new)
-        return canon, tuple(rel)
+        # each mask is a union of atoms, so it holds those it meets
+        atoms = sorted(self._blocks(masks, (1 << n_atoms) - 1))
+        rel = tuple(sum(1 << k for k, atom in enumerate(atoms) if atom & m)
+                    for m in masks)
+        return self.canonical_algebra(len(atoms)), rel
 
     def canonical_algebra(self, n_atoms):
         masks = tuple(range(1 << n_atoms)) if n_atoms else ()

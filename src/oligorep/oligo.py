@@ -72,7 +72,8 @@ class OpenSubgroup:
         self.base = base
         self.group = group
         self.aut = aut
-        self.base_code = get_class(cls_id).canonical_code(base)
+        # every caller passes a canonical base, whose code needs no search
+        self.base_code = get_class(cls_id)._code_of_canonical(base)
         self._elements = None
 
     @property

@@ -1,11 +1,13 @@
 """One test per acceptance criterion, each printing its pass/fail line,
 plus the sweep's probes of base groups above the subgroup bound."""
 
+import math
+
 import pytest
 
-from oligorep import acceptance
+from oligorep import acceptance, oligo
 from oligorep.chartab import symmetric_character_table
-from oligorep.finstruct import get_class
+from oligorep.finstruct import _gaussian_binomial, get_class
 from oligorep.oligo import decompose_quasiregular
 from oligorep.permgrp import cycle_type
 
@@ -75,3 +77,32 @@ def test_criterion_10_fails_on_doubled_boolean_counts(monkeypatch):
     assert ok is False
     assert details["boolean_algebra"] == [0, 0, 0]
     assert details["orbit_totals"]["boolean_algebra"] == [6, 30, 510, 131070]
+
+
+def test_criterion_10_fails_without_the_second_inclusion_exclusion_term(
+        monkeypatch):
+    # punctured vector counts without the s = 2 term of their
+    # inclusion-exclusion must show in every recursion residual
+    vs = get_class("vector_space")
+    hulls = vs.tuple_hulls
+
+    def without_s2(n, x0_only=False):
+        counted = hulls(n, x0_only)
+        if not x0_only or n < 2:
+            return counted
+        by_dim = {vs.size(hull): count for hull, count in counted.values()}
+        mutant = {}
+        for d in range(n + 1):
+            count = (by_dim.get(d, 0)
+                     - math.comb(n, 2) * _gaussian_binomial(n - 2, d, 2))
+            if count:
+                hull = vs.canonical_space(d)
+                mutant[vs.canonical_code(hull)] = (hull, count)
+        return mutant
+
+    monkeypatch.setattr(vs, "tuple_hulls", without_s2)
+    for k in range(1, 4):
+        assert oligo.tensor_recursion_check("vector_space", k)["ok"] is False
+    ok, details = acceptance.criterion_10()
+    assert ok is False
+    assert all(residual > 0 for residual in details["vector_space"])

@@ -24,7 +24,6 @@ from oligorep.finstruct import (
     _lex_index,
     _lex_vector,
     _read_mask,
-    _residue,
     _rref,
     get_class,
     set_partitions,
@@ -935,7 +934,7 @@ def vector_marked_core(cls, t):
     marked = []
     for i in range(t.n):
         e = tuple(1 if j == i else 0 for j in range(t.n))
-        residue = _residue(e, reduced, pivots, cls.q)
+        residue = reference_residue(e, reduced, pivots, cls.q)
         marked.append(_lex_index(tuple(residue[c] for c in free), cls.q))
     return cls.canonical_space(len(free)), tuple(marked)
 
@@ -1004,6 +1003,142 @@ def test_boolean_tuple_hulls_visit_no_cell_masks(monkeypatch):
         punctured = boolean.tuple_hulls(n, x0_only=True)
         assert sum(count for _, count in full.values()) == (1 << (1 << n)) - 1
         assert all(count > 0 for _, count in punctured.values())
+
+
+# the minimal masks, the residue test, the listed hull counts and the
+# filtered joint configurations: the references for the blocks, the unit
+# rows, the Gaussian binomials and the generated configurations
+
+
+def reference_atoms(masks):
+    """The minimal nonzero masks: the atoms of a member."""
+    nonzero = [m for m in masks if m]
+    return sorted(m for m in nonzero
+                  if not any(o != m and o & m == o for o in nonzero))
+
+
+def reference_residue(vec, rref_rows, pivots, q):
+    """``vec`` reduced by the rows of a reduced echelon form."""
+    v = list(vec)
+    for row, p in zip(rref_rows, pivots):
+        if v[p]:
+            c = v[p]
+            v = [(a - c * b) % q for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def reference_touches_fixed(cls, rows, n):
+    """Whether some unit vector e_i reduces to zero by the relations."""
+    if not rows:
+        return False
+    _, pivots = _rref(rows, cls.q)
+    return any(not any(reference_residue(
+        tuple(int(i == j) for j in range(n)), rows, pivots, cls.q))
+        for i in range(n))
+
+
+def reference_vector_hulls(cls, n, x0_only):
+    """Hull code -> (hull, count), counting every relation space's rank."""
+    dims = Counter(n - len(rows) for rows in finstruct._relation_spaces(n, cls.q)
+                   if not (x0_only and reference_touches_fixed(cls, rows, n)))
+    return {cls.canonical_code(cls.canonical_space(d)):
+            (cls.canonical_space(d), count) for d, count in dims.items()}
+
+
+def reference_joint_configs(q, dB, dC):
+    """The relation spaces of GF(q)^(dB + dC), filtered to those whose rows
+    stay independent on either half."""
+    return {("space", rows) for rows in finstruct._relation_spaces(dB + dC, q)
+            if len(_rref([r[:dB] for r in rows], q)[0]) == len(rows)
+            and len(_rref([r[dB:] for r in rows], q)[0]) == len(rows)}
+
+
+def algebra_members(m):
+    """Every member of the algebra on m atoms, the unions of the blocks of
+    each partition of the atoms, in increasing order and once shuffled."""
+    boolean = get_class("boolean_algebra")
+    rng = random.Random(m)
+    yield boolean.empty()
+    if not m:
+        # on no atoms the top is the bottom, and no nonempty set is closed
+        return
+    for blocks in set_partitions(m):
+        unions = [0]
+        for block in blocks:
+            bits = sum(1 << a for a in block)
+            unions += [u | bits for u in unions]
+        for order in (sorted(unions), rng.sample(unions, len(unions))):
+            yield boolean.make(tuple(range(len(order))), (m, tuple(order)))
+
+
+def test_boolean_blocks_match_the_minimal_masks_on_members():
+    boolean = get_class("boolean_algebra")
+    for m in range(5):
+        members = 0
+        for s in algebra_members(m):
+            assert boolean.is_member(s)
+            atoms = reference_atoms(s.data[1])
+            assert boolean.size(s) == len(atoms)
+            relabel = tuple(sum(1 << k for k, atom in enumerate(atoms)
+                                if atom & mask == atom)
+                            for mask in s.data[1])
+            canon = boolean.canonical_algebra(len(atoms)) if atoms else (
+                boolean.empty())
+            assert boolean.canonical(s) == (canon, relabel), s
+            members += 1
+        assert members == (1 + 2 * bell_numbers(m)[m] if m else 1)
+
+
+def test_boolean_size_counts_the_atoms_of_the_closure():
+    # a non-member's size is that of the algebra it generates, as a set of
+    # vectors has the rank of its span
+    boolean = get_class("boolean_algebra")
+    assert boolean.size(boolean.make((0, 1, 2), (2, (0, 1, 3)))) == 2
+    for m in range(4):
+        full = boolean.make(tuple(range(1 << m)), (m, tuple(range(1 << m))))
+        for bits in range(1 << (1 << m)):
+            positions = tuple(p for p in range(1 << m) if bits >> p & 1)
+            closure = reference_close(boolean, full, positions)
+            s = boolean.make(positions, (m, positions))
+            assert boolean.size(s) == len(reference_atoms(closure)), s
+
+
+@pytest.mark.parametrize("class_id, top", [("vector_space", 5),
+                                           ("vector_space_q3", 4)])
+def test_vector_unit_rows_and_closed_counts_match_the_listing(class_id, top):
+    cls = get_class(class_id)
+    for n in range(top + 1):
+        for rows in finstruct._relation_spaces(n, cls.q):
+            assert (cls._touches_fixed(rows, n)
+                    == reference_touches_fixed(cls, rows, n)), rows
+        for x0_only in (False, True):
+            assert (cls.tuple_hulls(n, x0_only)
+                    == reference_vector_hulls(cls, n, x0_only)), (n, x0_only)
+
+
+@pytest.mark.parametrize("q, top", [(2, 3), (3, 2)])
+def test_vector_joint_configs_match_the_filtered_listing(q, top):
+    for dB in range(top + 1):
+        for dC in range(top + 1):
+            configs = finstruct.VectorSpaceClass._joint_configs(q, dB, dC)
+            assert len(set(configs)) == len(configs)
+            assert set(configs) == reference_joint_configs(q, dB, dC), (dB, dC)
+
+
+@pytest.mark.parametrize("class_id", ["vector_space", "vector_space_q3"])
+def test_vector_tuple_hulls_list_no_relation_space(class_id, monkeypatch):
+    cls = get_class(class_id)
+
+    def refuse(*args):
+        raise AssertionError("listed the relation spaces")
+
+    monkeypatch.setattr(finstruct, "_relation_spaces", refuse)
+    for n in range(cls.max_tuple_len + 1):
+        for x0_only in (False, True):
+            hulls = cls.tuple_hulls(n, x0_only)
+            assert all(count > 0 for _, count in hulls.values())
+        assert (sum(count for _, count in cls.tuple_hulls(n).values())
+                == sum(gaussian_binomial(n, k, cls.q) for k in range(n + 1)))
 
 
 def test_graph_hull_counts_follow_orbit_stabilizer():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 import oligorep
-from oligorep import cli, oligo
+from oligorep import acceptance, cli, oligo
 from oligorep.acceptance import CLASS_IDS, PROFILE_BASE
 from oligorep.chartab import character_table
 from oligorep.errors import (
@@ -23,6 +24,7 @@ from oligorep.errors import (
     SizeLimitExceeded,
 )
 from oligorep.finstruct import (
+    FinStructure,
     FraisseClass,
     _lex_vector,
     _rref,
@@ -107,6 +109,43 @@ def test_base_must_be_closed():
     missing_complement = boo.make((0, 1, 3), (2, (0, 1, 3)))
     with pytest.raises(BaseNotAclClosed):
         make_open_subgroup("boolean_algebra", missing_complement)
+
+
+def shuffled(base, rng):
+    """``base`` with its points in a seeded order, renamed."""
+    order = rng.sample(range(len(base.points)), len(base.points))
+    where = {old: new for new, old in enumerate(order)}
+    if base.cls == "graph":
+        data = frozenset(frozenset(where[v] for v in e) for e in base.data)
+    elif base.cls == "pure_set":
+        data = None
+    elif base.cls == "linear_order":
+        data = tuple(base.data[old] for old in order)
+    else:
+        tag, elements = base.data
+        data = (tag, tuple(elements[old] for old in order))
+    return FinStructure(base.cls, tuple(f"p{old}" for old in order), data)
+
+
+def test_open_subgroup_bases_are_canonical_so_their_codes_need_no_search():
+    # every constructor passes a canonical base, so the code read off it
+    # is the code a canonical search would give
+    rng = random.Random(0)
+    for class_id in CLASS_IDS:
+        cls = get_class(class_id)
+        max_base = PROFILE_BASE[class_id]
+        subgroups = enumerate_open_subgroups(class_id, max_base)
+        subgroups += [commensurator(v) for v in subgroups]
+        subgroups += [v for v, _ in
+                      acceptance._subgroup_sweep(class_id, max_base)]
+        for base in cls.enumerate_class(max_base):
+            moved = shuffled(base, rng)
+            subgroups.append(make_open_subgroup(class_id, moved))
+            subgroups.append(make_open_subgroup(
+                class_id, moved, cls.automorphisms(moved).generators))
+        for v in subgroups:
+            assert cls.canonical(v.base)[0] == v.base, v
+            assert v.base_code == cls.canonical_code(v.base), v
 
 
 def test_generators_must_preserve_base():
