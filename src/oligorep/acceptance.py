@@ -269,14 +269,15 @@ def criterion_6():
 
 
 def criterion_7():
-    """Marginal contraction and the squared l1/l2 transfer, 10^4 seeded
-    instances each, exact rational arithmetic."""
+    """Marginal contraction, and the squared l1/l2 transfer with the
+    isometry of translation, 10^4 seeded instances each, exact rational
+    arithmetic."""
     ok = True
     for seed in range(10000):
         ok = ok and kazhdan.marginal_check(seed)["ok"]
     for seed in range(10000):
         report = kazhdan.l1_l2_transfer(seed)
-        ok = ok and report["ok"] and report["scalar_ok"]
+        ok = ok and report["ok"] and report["isometry_ok"]
     return ok, {"instances": 20000}
 
 

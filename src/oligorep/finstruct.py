@@ -16,9 +16,9 @@ class:
   the bitmask of point ``i`` over the ambient atoms.
 
 Each class plugs in validation, membership, closure (``acl``), canonical
-forms with relabeling maps, automorphism groups, and enumeration of both
-structures and tuple types.  It also owns everything else that reads its
-payload:
+forms with relabeling maps, automorphism groups and enumeration of
+structures; the relational classes also list tuple types.  It also owns
+everything else that reads its payload:
 
 * ``joint_configs(base_b, base_c)``: the raw joint configurations of two
   bases, one tagged tuple each (``"match"``, ``"ranks"``, ``"cross"``,
@@ -32,8 +32,8 @@ payload:
   algebras;
 * ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
   configuration of each orbit of the two groups, sorted, by closing orbits
-  of cell masks under the reduced generators; graphs override it with a
-  two-stage search;
+  of cell masks under the reduced generators, or every configuration when
+  neither group has one; graphs override it with a two-stage search;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
@@ -91,15 +91,12 @@ class FinStructure:
 
 @dataclass(frozen=True)
 class TupleType:
-    """Orbit of an n-tuple, described by a canonical marked payload.
-
-    For the relational classes the payload is ``(blocks, core)`` where
-    ``blocks`` partitions the coordinates (ordered by least element) and
-    ``core`` is the induced structure on the blocks.  For vector spaces it
-    is the reduced row echelon form of the space of linear relations among
-    the entries.  For Boolean algebras it is the bitmask of realized sign
-    patterns (cells).  Equal payloads mean equal orbits, so dataclass
-    equality is orbit equality.
+    """Orbit of an n-tuple in a relational class, described by a canonical
+    marked payload ``(blocks, core)``: ``blocks`` partitions the coordinates
+    (ordered by least element) and ``core`` is the induced structure on the
+    blocks.  Equal payloads mean equal orbits, so dataclass equality is
+    orbit equality.  The other classes count their orbits per hull
+    (``tuple_hulls``) and list none.
     """
 
     cls: str
@@ -165,13 +162,6 @@ def _mark_orbit(mask, moves, seen):
             if moved not in seen:
                 seen.add(moved)
                 frontier.append(moved)
-
-
-@lru_cache(maxsize=8)
-def _column_masks(n):
-    """For each coordinate i < n, the cells of the 2**n cube with bit i set."""
-    return tuple(sum(1 << cell for cell in range(1 << n) if cell >> i & 1)
-                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +343,11 @@ class FraisseClass:
         reps.sort(key=lambda r: (self.size(r), self._code_of_canonical(r)))
         return reps
 
-    def enumerate_tuple_types(self, n, x0_only=False):
-        """Orbits of n-tuples, optionally dropping tuples touching fixed elements."""
+    def enumerate_tuple_types(self, n):
+        """Orbits of n-tuples as :class:`TupleType`; only the relational
+        classes, which have no fixed elements, list them."""
         self._check_tuple_len(n)
-        types = self._tuple_types(n)
-        if x0_only:
-            types = [t for t in types if not self._touches_fixed(t.data, t.n)]
-        return types
+        return self._tuple_types(n)
 
     def max_aut_order(self, n):
         """The largest order of Aut(B) over members B of size at most n, or
@@ -424,9 +412,6 @@ class FraisseClass:
     def _tuple_types(self, n):
         raise NotImplementedError
 
-    def _touches_fixed(self, data, n):
-        return False
-
     def _data_to_json(self, data):
         raise NotImplementedError
 
@@ -479,8 +464,12 @@ class FraisseClass:
         acts on cell masks through byte tables.  The configurations are
         visited in sorted order and the orbit of each new one's mask is
         closed and marked, so the first configuration met in an orbit is its
-        least.
+        least.  Where neither group has a reduced generator, each
+        configuration is its own orbit and no cell or mask is built.
         """
+        configs = sorted(self.joint_configs(base_b, base_c))
+        if not (group_b.reduced_generators or group_c.reduced_generators):
+            return configs
         cells, mask_of = self.config_cells(base_b, base_c)
         index = {cell: k for k, cell in enumerate(cells)}
         moves = [_byte_tables([1 << index[t, p[x], y] for t, x, y in cells], 0)
@@ -491,7 +480,7 @@ class FraisseClass:
                             for g in group_c.reduced_generators)]
         seen = set()
         reps = []
-        for config in sorted(self.joint_configs(base_b, base_c)):
+        for config in configs:
             mask = mask_of(config)
             if mask in seen:
                 continue
@@ -638,30 +627,14 @@ class LinearOrderClass(_RelationalClass):
         return {"ranks": list(data)}
 
     def joint_configs(self, base_b, base_c):
-        # the two chains merged into n ranks, matched points sharing one
+        # the two chains merged into n ranks, matched points sharing one;
+        # chains are rigid, so each is its own double coset
         nB, nC = len(base_b), len(base_c)
         return [("ranks", rb, rc)
                 for n in range(max(nB, nC), nB + nC + 1)
                 for rb in itertools.combinations(range(n), nB)
                 for rc in itertools.combinations(range(n), nC)
                 if len(set(rb + rc)) == n]
-
-    # tag 0: x and y share a rank; tag 1: x ranks below y
-    cell_tags = 2
-
-    def config_cells(self, base_b, base_c):
-        cells, pair_mask = super().config_cells(base_b, base_c)
-
-        def mask_of(config):
-            _, rb, rc = config
-            return pair_mask((
-                "ranks",
-                [(x, y) for x, r in enumerate(rb) for y, s in enumerate(rc)
-                 if r == s],
-                [(x, y) for x, r in enumerate(rb) for y, s in enumerate(rc)
-                 if r < s]))
-
-        return cells, mask_of
 
     def config_finiteness(self, payload, base_b, base_c):
         rb, rc = set(payload[1]), set(payload[2])
@@ -1031,20 +1004,9 @@ class VectorSpaceClass(FraisseClass):
     def _enumerate_nonempty(self, k):
         return [self.canonical_space(d) for d in range(k + 1)]
 
-    def _tuple_types(self, n):
-        types = []
-        for rows in _relation_spaces(n, self.q):
-            types.append(TupleType(self.id, n, rows))
-        return types
-
     def max_aut_order(self, n):
         # |GL(n, q)|, the group of the space of dimension n
         return math.prod(self.q ** n - self.q ** i for i in range(n))
-
-    def _touches_fixed(self, rows, n):
-        # entry i is zero iff e_i is a relation, and a unit vector lies in
-        # a reduced echelon space only as one of its rows
-        return any(len(row) - row.count(0) == 1 for row in rows)
 
     def tuple_hulls(self, n, x0_only=False):
         # The entries of a tuple whose relation space has rank r span a
@@ -1226,15 +1188,6 @@ class BooleanAlgebraClass(FraisseClass):
 
     def _enumerate_nonempty(self, k):
         return [self.canonical_algebra(m) for m in range(1, k + 1)]
-
-    def _tuple_types(self, n):
-        return [TupleType(self.id, n, pmask)
-                for pmask in range(1, 1 << (1 << n))]
-
-    def _touches_fixed(self, pmask, n):
-        # some entry is the same, bottom or top, in every realized cell
-        return any((pmask & column) in (0, pmask)
-                   for column in _column_masks(n))
 
     def tuple_hulls(self, n, x0_only=False):
         # An orbit is a set of realized cells among the 2**n sign patterns,

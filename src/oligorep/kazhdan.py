@@ -177,10 +177,11 @@ def l1_l2_transfer(seed):
     """Squared form of |g f~ - f~|_1 <= 2 |g f - f|_2 |f|_2 with f~ = f^2.
 
     ``f`` takes signed rational values on five pairs of six points, held
-    times 2520 = lcm(1, ..., 9) to compare integers.  Also checks the scalar
-    inequality |a - b|^2 <= |a^2 - b^2| behind it on the absolute values
-    occurring in the instance.  That check cannot fail: for a, b >= 0 it
-    reads |a - b| <= a + b, once divided by |a - b|.
+    times 2520 = lcm(1, ..., 9) to compare integers.  Also checks that
+    translation is an isometry: over the pairs (a, b) that the norms read,
+    sum a^2 = sum b^2 = |f|_2^2.  The squared check passes any pairs whose
+    a's and b's are each values of f at distinct tuples, by Cauchy-Schwarz,
+    so pairs that miss or repeat a tuple show only here.
     """
     rng, perm = _seeded_permutation(seed)
     f = {}
@@ -189,9 +190,9 @@ def l1_l2_transfer(seed):
         num = rng.randint(-12, 12) or 1
         f[xs] = num * (2520 // rng.randint(1, 9))
     lhs = l1_displacement({xs: v * v for xs, v in f.items()}, perm)
-    diff_sq = sum((a - b) ** 2 for a, b in _translate_pairs(f, perm))
+    pairs = list(_translate_pairs(f, perm))
+    diff_sq = sum((a - b) ** 2 for a, b in pairs)
     norm_sq = sum(v * v for v in f.values())
-    values = sorted(abs(v) for v in f.values())
     scale = 2520 ** 2
     return {
         "seed": seed,
@@ -199,8 +200,8 @@ def l1_l2_transfer(seed):
         "diff_sq": Fraction(diff_sq, scale),
         "norm_sq": Fraction(norm_sq, scale),
         "ok": lhs * lhs <= 4 * diff_sq * norm_sq,
-        "scalar_ok": all((a - b) ** 2 <= abs(a * a - b * b)
-                         for a, b in itertools.combinations(values, 2)),
+        "isometry_ok": (sum(a * a for a, _ in pairs)
+                        == sum(b * b for _, b in pairs) == norm_sq),
     }
 
 

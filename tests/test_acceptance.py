@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from oligorep import acceptance, oligo
+from oligorep import acceptance, kazhdan, oligo
 from oligorep.chartab import symmetric_character_table
 from oligorep.finstruct import _gaussian_binomial, get_class
 from oligorep.oligo import decompose_quasiregular
@@ -56,6 +56,56 @@ def test_criterion_3_fails_on_a_hull_count_off_by_one(monkeypatch):
     ok, details = acceptance.criterion_3()
     assert ok is False
     assert details == {"counts": [1, 3, 15, 127]}
+
+
+@pytest.mark.parametrize("criterion, class_id", [
+    (acceptance.criterion_2, "pure_set"),
+    (acceptance.criterion_3, "graph"),
+])
+def test_criteria_2_and_3_fail_on_a_dropped_tuple_type(
+        monkeypatch, criterion, class_id):
+    # the listing is read only here; one orbit missing must show against
+    # the brute-force equality patterns
+    cls = get_class(class_id)
+    listing = cls.enumerate_tuple_types
+
+    def dropping(n):
+        return listing(n)[:-1]
+
+    assert criterion()[0] is True
+    monkeypatch.setattr(cls, "enumerate_tuple_types", dropping)
+    assert criterion()[0] is False
+
+
+def support_only_pairs(f, perm):
+    """``kazhdan._translate_pairs`` over the support of f only, missing the
+    tuples where only the translate is nonzero."""
+    moved = {tuple(perm.get(x, x) for x in xs): v for xs, v in f.items()}
+    for xs, v in f.items():
+        yield moved.get(xs, 0), v
+
+
+def test_criterion_7_fails_on_pairs_over_the_support_only(monkeypatch):
+    # the squared transfer passes these pairs on every seed, the isometry
+    # of translation does not
+    monkeypatch.setattr(kazhdan, "_translate_pairs", support_only_pairs)
+    reports = [kazhdan.l1_l2_transfer(seed) for seed in range(200)]
+    assert all(report["ok"] for report in reports)
+    assert not all(report["isometry_ok"] for report in reports)
+    assert acceptance.criterion_7() == (False, {"instances": 20000})
+
+
+def test_criterion_7_fails_on_every_pair_twice(monkeypatch):
+    pairs = kazhdan._translate_pairs
+
+    def doubled(f, perm):
+        listed = list(pairs(f, perm))
+        return listed + listed
+
+    monkeypatch.setattr(kazhdan, "_translate_pairs", doubled)
+    assert not any(kazhdan.l1_l2_transfer(seed)["isometry_ok"]
+                   for seed in range(200))
+    assert acceptance.criterion_7() == (False, {"instances": 20000})
 
 
 def test_criterion_10_fails_on_doubled_boolean_counts(monkeypatch):

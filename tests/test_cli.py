@@ -215,7 +215,6 @@ def refuse_enumeration(monkeypatch):
         raise AssertionError("enumerated before checking the length")
 
     monkeypatch.setattr(finstruct, "set_partitions", refuse)
-    monkeypatch.setattr(finstruct, "_column_masks", refuse)
     monkeypatch.setattr(finstruct, "_relation_spaces", refuse)
     monkeypatch.setattr(finstruct.GraphClass, "_enumerate_nonempty", refuse)
 

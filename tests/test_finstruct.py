@@ -3,7 +3,7 @@ import json
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -807,13 +807,60 @@ def test_partition_generator_matches_bell():
         assert set(got) == expected
 
 
+# -- the test-side listing of vector and Boolean tuple types, which the
+# classes count per hull in closed form and do not list
+
+
+ListedType = namedtuple("ListedType", "n data")
+
+
+def cell_by_cell(pmask, n):
+    """Whether some entry of the Boolean tuple type ``pmask`` is the same,
+    bottom or top, in every realized cell, its columns formed cell by
+    cell."""
+    for i in range(n):
+        column = 0
+        for cell in range(1 << n):
+            if pmask >> cell & 1 and cell >> i & 1:
+                column |= 1 << cell
+        if pmask & column in (0, pmask):
+            return True
+    return False
+
+
+def listed_tuple_types(cls, n, x0_only=False):
+    """The orbits of n-tuples, with x0_only dropping those that touch a
+    fixed element: the relational ``enumerate_tuple_types``, which touch
+    none; the relation spaces of a vector space, in reduced echelon form;
+    the nonempty sets of realized cells of a Boolean algebra, as masks."""
+    if cls.relational:
+        return cls.enumerate_tuple_types(n)
+    if cls.id == "boolean_algebra":
+        return [ListedType(n, pmask) for pmask in range(1, 1 << (1 << n))
+                if not (x0_only and cell_by_cell(pmask, n))]
+    return [ListedType(n, rows)
+            for rows in finstruct._relation_spaces(n, cls.q)
+            if not (x0_only and reference_touches_fixed(cls, rows, n))]
+
+
+@pytest.mark.parametrize("cls_id", ["vector_space", "vector_space_q3",
+                                    "boolean_algebra"])
+def test_only_relational_classes_list_tuple_types(cls_id):
+    with pytest.raises(NotImplementedError):
+        get_class(cls_id).enumerate_tuple_types(2)
+
+
 def test_pure_set_tuple_type_counts():
     pure = get_class("pure_set")
     bells = bell_numbers(5)
     for n in range(6):
         types = pure.enumerate_tuple_types(n)
         assert len(types) == bells[n]
-        assert len(types) == len(pure.enumerate_tuple_types(n, x0_only=True))
+    # no relational class has a fixed element to drop
+    for cls_id in ("pure_set", "linear_order", "graph"):
+        cls = get_class(cls_id)
+        for n in range(5):
+            assert cls.tuple_hulls(n, True) == cls.tuple_hulls(n, False)
 
 
 def test_linear_order_tuple_type_counts():
@@ -838,21 +885,21 @@ def test_vector_space_tuple_type_counts():
     vs = get_class("vector_space")
     for n in range(5):
         expected = sum(gaussian_binomial(n, k, 2) for k in range(n + 1))
-        assert len(vs.enumerate_tuple_types(n)) == expected
+        assert len(listed_tuple_types(vs, n)) == expected
     vs3 = get_class("vector_space_q3")
     for n in range(5):
         expected = sum(gaussian_binomial(n, k, 3) for k in range(n + 1))
-        assert len(vs3.enumerate_tuple_types(n)) == expected
-    assert len(vs.enumerate_tuple_types(1)) == 2
-    assert len(vs.enumerate_tuple_types(1, x0_only=True)) == 1
-    assert len(vs.enumerate_tuple_types(2, x0_only=True)) == 2
+        assert len(listed_tuple_types(vs3, n)) == expected
+    assert len(listed_tuple_types(vs, 1)) == 2
+    assert len(listed_tuple_types(vs, 1, x0_only=True)) == 1
+    assert len(listed_tuple_types(vs, 2, x0_only=True)) == 2
 
 
 def test_boolean_tuple_type_counts():
     boolean = get_class("boolean_algebra")
     for n in range(4):
-        assert len(boolean.enumerate_tuple_types(n)) == 2 ** (2 ** n) - 1
-    assert len(boolean.enumerate_tuple_types(1, x0_only=True)) == 1
+        assert len(listed_tuple_types(boolean, n)) == 2 ** (2 ** n) - 1
+    assert len(listed_tuple_types(boolean, 1, x0_only=True)) == 1
     brute = 0
     for pattern in range(1, 16):
         cells = [c for c in range(4) if pattern >> c & 1]
@@ -863,27 +910,9 @@ def test_boolean_tuple_type_counts():
                 constant = True
         if not constant:
             brute += 1
-    assert len(boolean.enumerate_tuple_types(2, x0_only=True)) == brute
+    assert len(listed_tuple_types(boolean, 2, x0_only=True)) == brute
     with pytest.raises(SizeLimitExceeded):
         boolean.enumerate_tuple_types(5)
-
-
-def test_boolean_touches_fixed_matches_cell_by_cell_columns():
-    boolean = get_class("boolean_algebra")
-
-    def cell_by_cell(pmask, n):
-        for i in range(n):
-            column = 0
-            for cell in range(1 << n):
-                if pmask >> cell & 1 and cell >> i & 1:
-                    column |= 1 << cell
-            if pmask & column in (0, pmask):
-                return True
-        return False
-
-    for n in range(5):
-        for pmask in range(1 << (1 << n)):
-            assert boolean._touches_fixed(pmask, n) == cell_by_cell(pmask, n)
 
 
 @pytest.mark.parametrize("bits", [0, 8, 9, 24, 81])
@@ -956,7 +985,7 @@ def reference_tuple_hulls(cls, n, x0_only):
     is counted by its number of cells, the atoms of its hull, since
     canonicalizing an algebra on 2**16 points would not finish.
     """
-    types = cls.enumerate_tuple_types(n, x0_only)
+    types = listed_tuple_types(cls, n, x0_only)
     if cls.id == "boolean_algebra":
         atoms = Counter(bin(t.data).count("1") for t in types)
         return {cls.code_for_atoms(m): (cls.canonical_algebra(m), count)
@@ -983,21 +1012,15 @@ def test_tuple_hulls_match_the_per_type_reference(cls_id):
             hulls = cls.tuple_hulls(n, x0_only)
             assert hulls == reference_tuple_hulls(cls, n, x0_only), (n, x0_only)
             assert (sum(count for _, count in hulls.values())
-                    == len(cls.enumerate_tuple_types(n, x0_only)))
+                    == len(listed_tuple_types(cls, n, x0_only)))
             for hull, _ in hulls.values():
                 if cls.relational:
                     assert cls.canonical(hull)[0] == hull
 
 
-def test_boolean_tuple_hulls_visit_no_cell_masks(monkeypatch):
-    # the counts are closed: no pattern mask is formed or tested
+def test_boolean_tuple_hulls_visit_no_cell_masks():
+    # the counts are closed: the class keeps no listing of cell masks
     boolean = get_class("boolean_algebra")
-
-    def refuse(*args):
-        raise AssertionError("visited the cell masks")
-
-    monkeypatch.setattr(finstruct, "_column_masks", refuse)
-    monkeypatch.setattr(type(boolean), "_touches_fixed", refuse)
     for n in range(5):
         full = boolean.tuple_hulls(n)
         punctured = boolean.tuple_hulls(n, x0_only=True)
@@ -1006,8 +1029,8 @@ def test_boolean_tuple_hulls_visit_no_cell_masks(monkeypatch):
 
 
 # the minimal masks, the residue test, the listed hull counts and the
-# filtered joint configurations: the references for the blocks, the unit
-# rows, the Gaussian binomials and the generated configurations
+# filtered joint configurations: the references for the blocks, the vector
+# tuple listing, the Gaussian binomials and the generated configurations
 
 
 def reference_atoms(masks):
@@ -1108,9 +1131,6 @@ def test_boolean_size_counts_the_atoms_of_the_closure():
 def test_vector_unit_rows_and_closed_counts_match_the_listing(class_id, top):
     cls = get_class(class_id)
     for n in range(top + 1):
-        for rows in finstruct._relation_spaces(n, cls.q):
-            assert (cls._touches_fixed(rows, n)
-                    == reference_touches_fixed(cls, rows, n)), rows
         for x0_only in (False, True):
             assert (cls.tuple_hulls(n, x0_only)
                     == reference_vector_hulls(cls, n, x0_only)), (n, x0_only)
@@ -1201,15 +1221,15 @@ def test_marked_cores_pure_set():
 
 def test_marked_cores_vector_space():
     vs = get_class("vector_space")
-    for t in vs.enumerate_tuple_types(2):
+    for t in listed_tuple_types(vs, 2):
         base, marked = vector_marked_core(vs, t)
         assert vs.is_member(base)
         dim = vs.size(base)
         span = vs.acl(base, marked) if marked else ()
         if dim:
             assert len(span) == 2 ** dim
-    zero_type = [t for t in vs.enumerate_tuple_types(1)
-                 if vs._touches_fixed(t.data, t.n)]
+    zero_type = [t for t in listed_tuple_types(vs, 1)
+                 if reference_touches_fixed(vs, t.data, t.n)]
     base, marked = vector_marked_core(vs, zero_type[0])
     assert vs.size(base) == 0
     assert marked == (0,)
@@ -1217,7 +1237,7 @@ def test_marked_cores_vector_space():
 
 def test_marked_cores_boolean():
     boolean = get_class("boolean_algebra")
-    for t in boolean.enumerate_tuple_types(2):
+    for t in listed_tuple_types(boolean, 2):
         base, marked = boolean_marked_core(boolean, t)
         assert boolean.is_member(base)
         assert boolean.acl(base, marked) == tuple(range(len(base.points)))
@@ -1250,7 +1270,7 @@ def test_marked_cores_pin_every_automorphism_brute_force():
         assert fixers == [tuple(range(n))]
 
     boolean = get_class("boolean_algebra")
-    for t in boolean.enumerate_tuple_types(2):
+    for t in listed_tuple_types(boolean, 2):
         base, marked = boolean_marked_core(boolean, t)
         m = boolean.size(base)
         if m <= 1:
@@ -1269,7 +1289,7 @@ def test_hull_stabilizers_are_trivial_brute_force():
     for cls_id in ("vector_space", "vector_space_q3"):
         vcls = get_class(cls_id)
         q = vcls.q
-        for t in vcls.enumerate_tuple_types(2):
+        for t in listed_tuple_types(vcls, 2):
             base, marked = vector_marked_core(vcls, t)
             dim = vcls.size(base)
             if dim == 0:

@@ -922,7 +922,7 @@ def test_l1_l2_transfer_seeded():
     for seed in range(400):
         report = l1_l2_transfer(seed)
         assert report["ok"], (seed, report)
-        assert report["scalar_ok"]
+        assert report["isometry_ok"], (seed, report)
 
 
 def _fraction_translate_pairs(f, perm):
@@ -970,18 +970,18 @@ def fraction_l1_l2_transfer(seed):
         num = rng.randint(-12, 12) or 1
         f[xs] = Fraction(num, rng.randint(1, 9))
     lhs = _fraction_l1({xs: v * v for xs, v in f.items()}, perm)
-    diff_sq = sum(((a - b) ** 2 for a, b in _fraction_translate_pairs(
-        f, perm)), Fraction(0))
+    pairs = _fraction_translate_pairs(f, perm)
+    diff_sq = sum(((a - b) ** 2 for a, b in pairs), Fraction(0))
     norm_sq = sum((v * v for v in f.values()), Fraction(0))
-    values = sorted(abs(v) for v in f.values())
     return {
         "seed": seed,
         "lhs": lhs,
         "diff_sq": diff_sq,
         "norm_sq": norm_sq,
         "ok": lhs * lhs <= 4 * diff_sq * norm_sq,
-        "scalar_ok": all((a - b) ** 2 <= abs(a * a - b * b)
-                         for a, b in itertools.combinations(values, 2)),
+        "isometry_ok": (sum((a * a for a, _ in pairs), Fraction(0))
+                        == sum((b * b for _, b in pairs), Fraction(0))
+                        == norm_sq),
     }
 
 

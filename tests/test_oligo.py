@@ -677,7 +677,6 @@ def test_vector_profiles_on_unequal_bases(cls_id, dims):
 
 @pytest.mark.parametrize("cls_id, max_base", [
     ("pure_set", 3),
-    ("linear_order", 3),
     ("graph", 3),
     ("vector_space", 2),
     ("vector_space_q3", 2),
@@ -711,6 +710,32 @@ def test_cell_masks_are_injective_and_closed(cls_id, max_base):
                             cell[side] = p[cell[side]]
                             image |= 1 << index[tuple(cell)]
                     assert image in masks, (v, w)
+
+
+@pytest.mark.parametrize("cls_id, max_base", [
+    ("pure_set", 3),
+    ("linear_order", 3),
+    ("vector_space", 2),
+    ("vector_space_q3", 2),
+    ("boolean_algebra", 3),
+])
+def test_trivial_group_profiles_build_no_cells(cls_id, max_base, monkeypatch):
+    # with no generator on either side each configuration is its own
+    # orbit; a chain is rigid, so every linear-order profile is of this kind
+    cls = get_class(cls_id)
+    trivial = [v for v in enumerate_open_subgroups(cls_id, max_base)
+               if v.group.order == 1 and v.base.points]
+    assert len(trivial) >= 2
+    expected = {(v, w): reference_reps(v, w)
+                for v, w in itertools.product(trivial, repeat=2)}
+
+    def refuse(*args):
+        raise AssertionError("built the cells of a trivial-group profile")
+
+    monkeypatch.setattr(type(cls), "config_cells", refuse)
+    for (v, w), reps in expected.items():
+        assert list(double_coset_profile(v, w).configs) == reps, (v, w)
+        assert len(reps) == len(cls.joint_configs(v.base, w.base))
 
 
 def test_graph_profiles_keep_the_size_guard():
