@@ -33,7 +33,9 @@ everything else that reads its payload:
 * ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
   configuration of each orbit of the two groups, sorted, by closing orbits
   of cell masks under the reduced generators, or every configuration when
-  neither group has one; graphs override it with a two-stage search;
+  neither group has one; graphs override it with a two-stage search and
+  return the witnesses as a read-only sequence that holds one packed cross
+  mask per witness and decodes the configuration when it is read;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
@@ -56,11 +58,13 @@ set is closed when it has q**rank vectors, or 2**blocks masks.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -853,11 +857,16 @@ class GraphClass(_RelationalClass):
         tuples, so the first mask met in an orbit of the stabilizer is its
         witness, and marks its images under the stabilizer, each element
         acting on masks through byte tables.  The witnesses come out sorted.
+
+        They are returned packed (``_CrossWitnesses``): per matching, the
+        witness masks as an ``array("I")``, decoded only when read.  Where
+        the stabilizer fixes every cross mask, every mask is a witness and
+        the cached lex ``order`` array itself is kept.
         """
         kk = [(g1, g2) for g1 in group_b.elements()
               for g2 in group_c.elements()]
         seen = set()
-        reps = []
+        blocks = []
         for matching, cross_pairs, decode, order in self._layouts(
                 base_b, base_c):
             if matching in seen:
@@ -870,18 +879,66 @@ class GraphClass(_RelationalClass):
                 if image == matching:
                     moves.add(tuple(1 << index[g1[b], g2[c]]
                                     for b, c in cross_pairs))
+            if len(moves) == 1:
+                # the stabilizer fixes every cross mask: all are witnesses
+                blocks.append((matching, decode, order))
+                continue
             # cross masks fit in three bytes (_MAX_CONFIGS), read inline
             moves = [[_byte_tables(bits[start:start + 8], 0)[0]
                       for start in (0, 8, 16)] for bits in moves]
             done = bytearray(1 << len(cross_pairs))
+            masks = array("I")
             for mask in order:
                 if done[mask]:
                     continue
                 for low, mid, high in moves:
                     done[low[mask & 255] + mid[mask >> 8 & 255]
                          + high[mask >> 16]] = 1
-                reps.append(("cross", matching, _read_mask(decode, mask)))
-        return reps
+                masks.append(mask)
+            blocks.append((matching, decode, masks))
+        return _CrossWitnesses(blocks)
+
+
+class _CrossWitnesses(Sequence):
+    """Graph double-coset witnesses, held packed and decoded on read.
+
+    ``blocks`` lists, per witnessed matching in sorted order, ``(matching,
+    decode tables, cross masks)``: the masks of its witnesses as an
+    ``array("I")``, in the order of their decoded tuples.  Indexing and
+    iteration decode ``("cross", matching, cross)`` with the tables
+    ``GraphClass._layouts`` caches, so a witness costs four bytes and is
+    decoded afresh each time it is read.  Equal to a list or tuple of the
+    same witnesses in order.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._starts = list(itertools.accumulate(
+            (len(masks) for _, _, masks in blocks), initial=0))
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # a negative i counts from the end
+        b = bisect.bisect_right(self._starts, k) - 1
+        matching, decode, masks = self._blocks[b]
+        return ("cross", matching,
+                _read_mask(decode, masks[k - self._starts[b]]))
+
+    def __iter__(self):
+        for matching, decode, masks in self._blocks:
+            for mask in masks:
+                yield ("cross", matching, _read_mask(decode, mask))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, _CrossWitnesses)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ lazily, so bases far beyond the generic table limit stay cheap.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .chartab import (
@@ -464,10 +465,15 @@ def _payload_json(value):
 @dataclass(frozen=True)
 class DoubleCosetProfile:
     """V\\G/W: ``configs`` holds the payload of one joint configuration per
-    double coset, sorted."""
+    double coset, sorted, as a read-only sequence.
+
+    For graphs that sequence keeps each witness as a packed cross mask and
+    decodes its payload when it is indexed or iterated; for the other
+    classes it is a tuple.  Either way it equals the tuple of its payloads.
+    """
 
     cls: str
-    configs: tuple
+    configs: Sequence
 
     @property
     def count(self):
@@ -490,13 +496,15 @@ def double_coset_profile(v, w=None):
     and orbits under that action are exactly the double cosets.  The class
     finds the orbits (``double_coset_reps``); each double coset is witnessed
     by the least configuration of its orbit, and the class returns the
-    witnesses sorted.
+    witnesses sorted.  A list of witnesses is frozen into a tuple; graph
+    witnesses come as a packed sequence, kept as it is and decoded on read.
     """
     w = w or v
     if v.cls != w.cls:
         raise MalformedStructure("profiles need subgroups of the same group")
     reps = get_class(v.cls).double_coset_reps(v.base, v.group, w.base, w.group)
-    return DoubleCosetProfile(v.cls, tuple(reps))
+    return DoubleCosetProfile(
+        v.cls, tuple(reps) if isinstance(reps, list) else reps)
 
 
 def finitely_many_left_cosets(v, config, w=None):

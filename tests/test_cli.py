@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oligorep import acceptance, cli, finstruct
+from oligorep import acceptance, cli, finstruct, oligo
 
 
 def run(capsys, argv):
@@ -81,14 +81,28 @@ def test_subgroups_listing(capsys):
     assert report["count"] == 4
 
 
-def test_cosets_listing(capsys):
-    report = run_json(capsys, ["cosets", "--class", "vector_space",
-                               "--max-base", "1"])
-    assert report["count"] == 2
-    for pair in report["pairs"]:
+@pytest.mark.parametrize("class_id, max_base, count", [
+    ("vector_space", 1, 2),
+    ("graph", 3, 18),
+], ids=["vector_space", "graph"])
+def test_cosets_listing(capsys, class_id, max_base, count):
+    # graph profiles hold packed witnesses, so the listing decodes them;
+    # the reference is the orbit closure every class inherits
+    report = run_json(capsys, ["cosets", "--class", class_id,
+                               "--max-base", str(max_base)])
+    subs = oligo.enumerate_open_subgroups(class_id, max_base)
+    assert report["count"] == len(subs) == count
+    cls = finstruct.get_class(class_id)
+    for pair, v in zip(report["pairs"], subs):
+        assert pair["subgroup"] == v.to_json()
         assert pair["profile"]["count"] == len(
             pair["profile"]["witnesses"])
         assert pair["finite_left_classes"] >= 1
+        reps = finstruct.FraisseClass.double_coset_reps(
+            cls, v.base, v.group, v.base, v.group)
+        assert pair["profile"]["witnesses"] == [
+            {"class": class_id, "payload": json.loads(json.dumps(config))}
+            for config in sorted(reps)]
 
 
 def test_kazhdan_relational_report(capsys):

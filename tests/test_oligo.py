@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -555,7 +556,10 @@ def payload_action(cls, base_b, base_c):
 
     @lru_cache(maxsize=None)
     def linear_map(g, dim):
-        # the point permutation inverse(g), on coordinate vectors
+        # the point permutation inverse(g), on coordinate vectors; the one
+        # vector of GF(q)^0 has no point, and is mapped to itself
+        if dim == 0:
+            return {(): ()}
         g = inverse(g)
         return {_lex_vector(i, q, dim): _lex_vector(g[i], q, dim)
                 for i in range(q ** dim)}
@@ -635,10 +639,45 @@ def _closure_reps(v, w):
 
 
 def test_graph_profiles_match_the_orbit_closure():
+    # graph witnesses are held as packed cross masks and decoded on read,
+    # so every way of reading them is checked against the reference path
     subs = enumerate_open_subgroups("graph", 3)
     for v, w in itertools.product(subs, repeat=2):
-        got = list(double_coset_profile(v, w).configs)
-        assert got == _closure_reps(v, w), (v, w)
+        expected = _closure_reps(v, w)
+        configs = double_coset_profile(v, w).configs
+        n = len(expected)
+        assert len(configs) == n, (v, w)
+        assert configs[0] == expected[0] and configs[-1] == expected[-1]
+        assert [configs[i] for i in range(n)] == expected, (v, w)
+        with pytest.raises(IndexError):
+            configs[n]
+        first, second = list(configs), list(configs)
+        assert first == second == expected, (v, w)
+        assert all(config in configs for config in expected[::7])
+        assert ("cross", ((9, 9),), ()) not in configs
+        assert configs == expected and expected == configs
+        assert configs == tuple(expected) and tuple(expected) == configs
+        assert configs != expected[:-1] and configs != expected + [None]
+        again = double_coset_profile(v, w)
+        assert again == double_coset_profile(v, w)
+        assert hash(again) == hash(double_coset_profile(v, w))
+
+
+def test_graph_profile_witnesses_stay_packed():
+    # the trivial group on the path P4 has 74 338 witnesses; held as
+    # decoded tuples they retained 13.2 MB, as cross masks with their
+    # decode tables 0.7 MB
+    type(get_class("graph"))._layouts.cache_clear()
+    v = make_open_subgroup("graph", graph_on([(0, 1), (1, 2), (2, 3)], 4))
+    assert v.group.order == 1
+    tracemalloc.start()
+    try:
+        profile = double_coset_profile(v)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.count == 74338
+    assert retained < 2_000_000, retained
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 3), (1, 2)]],
@@ -663,6 +702,9 @@ def test_vector_profiles_match_the_payload_action(cls_id):
     ("vector_space", (1, 2)),
     ("vector_space", (2, 3)),
     ("vector_space_q3", (1, 2)),
+    ("vector_space", (0, 1)),
+    ("vector_space", (0, 2)),
+    ("vector_space_q3", (0, 1)),
 ])
 def test_vector_profiles_on_unequal_bases(cls_id, dims):
     cls = get_class(cls_id)
