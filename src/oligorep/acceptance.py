@@ -238,7 +238,7 @@ def criterion_5():
             ok = ok and comm.base_code == v.base_code
             profile = oligo.double_coset_profile(v)
             ok = ok and profile.count >= 1
-            finite = sum(1 for config in profile.configs
+            finite = sum(n for config, n in profile.runs()
                          if oligo.finitely_many_left_cosets(v, config))
             ok = ok and finite == _double_coset_count(v.aut, v.group)
             configs += profile.count

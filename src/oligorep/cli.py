@@ -160,9 +160,8 @@ def cmd_cosets(args):
     rows = []
     for v in oligo.enumerate_open_subgroups(args.class_id, max_base):
         profile = oligo.double_coset_profile(v)
-        finite = sum(
-            1 for config in profile.configs
-            if oligo.finitely_many_left_cosets(v, config))
+        finite = sum(n for config, n in profile.runs()
+                     if oligo.finitely_many_left_cosets(v, config))
         rows.append({
             "subgroup": v.to_json(),
             "profile": profile.to_json(),
@@ -305,8 +304,9 @@ def main(argv=None):
             get_class(args.class_id)
         report = args.func(args)
         text = _render(report, args.command, args.format)
-    except SizeLimitExceeded as exc:
-        print(f"oligorep: size limit: {exc}", file=sys.stderr)
+    except (SizeLimitExceeded, MemoryError) as exc:
+        print(f"oligorep: size limit: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
     except (InvariantViolation, FreenessViolation) as exc:
         print(f"oligorep: invariant failure: {exc}", file=sys.stderr)

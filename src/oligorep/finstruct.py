@@ -35,7 +35,8 @@ everything else that reads its payload:
   of cell masks under the reduced generators, or every configuration when
   neither group has one; graphs override it with a two-stage search and
   return the witnesses as a read-only sequence that holds one packed cross
-  mask per witness and decodes the configuration when it is read;
+  mask per witness and decodes the configuration when it is read, and
+  whose ``runs()`` gives each matching's first witness and witness count;
 * ``config_finiteness(payload, base_b, base_c)``: the pair (left, right)
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
@@ -930,6 +931,12 @@ class _CrossWitnesses(Sequence):
         for matching, decode, masks in self._blocks:
             for mask in masks:
                 yield ("cross", matching, _read_mask(decode, mask))
+
+    def runs(self):
+        """(first witness, number of witnesses) per matching, decoding one
+        mask each: graph ``config_finiteness`` reads only the matching."""
+        for matching, decode, masks in self._blocks:
+            yield ("cross", matching, _read_mask(decode, masks[0])), len(masks)
 
     def __eq__(self, other):
         if not isinstance(other, (list, tuple, _CrossWitnesses)):

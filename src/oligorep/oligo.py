@@ -470,6 +470,8 @@ class DoubleCosetProfile:
     For graphs that sequence keeps each witness as a packed cross mask and
     decodes its payload when it is indexed or iterated; for the other
     classes it is a tuple.  Either way it equals the tuple of its payloads.
+    ``runs()`` covers it in order by (first witness, count) runs of equally
+    finite witnesses: one run per matching for graphs, else one per witness.
     """
 
     cls: str
@@ -478,6 +480,11 @@ class DoubleCosetProfile:
     @property
     def count(self):
         return len(self.configs)
+
+    def runs(self):
+        if hasattr(self.configs, "runs"):
+            return self.configs.runs()
+        return ((config, 1) for config in self.configs)
 
     def to_json(self):
         return {
@@ -512,8 +519,9 @@ def finitely_many_left_cosets(v, config, w=None):
     ``double_coset_profile(v, w).configs``, meets finitely many cosets.
 
     That happens exactly when the second marked copy sits inside the closed
-    hull of the first, which for these classes means the copies coincide.
-    The left and the right criteria are computed separately and must agree.
+    hull of the first; on equal bases the copies then coincide, on unequal
+    ones they need not.  Left and right are computed separately and must
+    agree on equal bases.
     """
     w = w or v
     left, right = get_class(v.cls).config_finiteness(config, v.base, w.base)

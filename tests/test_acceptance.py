@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from oligorep import acceptance, kazhdan, oligo
+from oligorep import acceptance, finstruct, kazhdan, oligo
 from oligorep.chartab import symmetric_character_table
 from oligorep.finstruct import _gaussian_binomial, get_class
 from oligorep.oligo import decompose_quasiregular
@@ -75,6 +75,25 @@ def test_criteria_2_and_3_fail_on_a_dropped_tuple_type(
     assert criterion()[0] is True
     monkeypatch.setattr(cls, "enumerate_tuple_types", dropping)
     assert criterion()[0] is False
+
+
+def test_criterion_5_fails_on_a_run_one_witness_short(monkeypatch):
+    # on equal graph bases the longest matching of a profile is a full one,
+    # whose run is finite; one witness short there must show against the
+    # brute-force count of K\Aut(B)/K
+    runs = finstruct._CrossWitnesses.runs
+
+    def one_short(self):
+        listed = list(runs(self))
+        k = max(range(len(listed)), key=lambda i: len(listed[i][0][1]))
+        config, n = listed[k]
+        listed[k] = (config, n - 1)
+        return iter(listed)
+
+    monkeypatch.setattr(finstruct._CrossWitnesses, "runs", one_short)
+    # one finite witness short in each of the 80 graph profiles
+    assert acceptance.criterion_5() == (False, {
+        "subgroups": 151, "configs_checked": 1383278, "finite_configs": 741})
 
 
 def support_only_pairs(f, perm):

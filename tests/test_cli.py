@@ -87,7 +87,9 @@ def test_subgroups_listing(capsys):
 ], ids=["vector_space", "graph"])
 def test_cosets_listing(capsys, class_id, max_base, count):
     # graph profiles hold packed witnesses, so the listing decodes them;
-    # the reference is the orbit closure every class inherits
+    # the reference is the orbit closure every class inherits.  The finite
+    # count, read once per run of witnesses, must equal the count over
+    # every decoded witness and the brute-force |K\Aut(B)/K|
     report = run_json(capsys, ["cosets", "--class", class_id,
                                "--max-base", str(max_base)])
     subs = oligo.enumerate_open_subgroups(class_id, max_base)
@@ -97,7 +99,11 @@ def test_cosets_listing(capsys, class_id, max_base, count):
         assert pair["subgroup"] == v.to_json()
         assert pair["profile"]["count"] == len(
             pair["profile"]["witnesses"])
-        assert pair["finite_left_classes"] >= 1
+        per_witness = sum(
+            1 for config in oligo.double_coset_profile(v).configs
+            if oligo.finitely_many_left_cosets(v, config))
+        assert pair["finite_left_classes"] == per_witness == (
+            acceptance._double_coset_count(v.aut, v.group)), v
         reps = finstruct.FraisseClass.double_coset_reps(
             cls, v.base, v.group, v.base, v.group)
         assert pair["profile"]["witnesses"] == [
@@ -222,6 +228,20 @@ def test_size_limit_exits_two(capsys, monkeypatch):
     code, _ = run(capsys, ["kazhdan", "--class", "pure_set",
                            "--depth", "6"])
     assert code == 2
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    # a profile too large for the process is a size limit, reported in one
+    # line, not a traceback under the usage code
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oligo, "double_coset_profile", exhausted)
+    assert cli.main(["cosets", "--class", "graph"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oligorep: size limit: out of memory\n"
+    assert "Traceback" not in captured.err
 
 
 def refuse_enumeration(monkeypatch):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 import oligorep
-from oligorep import acceptance, cli, oligo
+from oligorep import acceptance, cli, finstruct, oligo
 from oligorep.acceptance import CLASS_IDS, PROFILE_BASE
 from oligorep.chartab import character_table
 from oligorep.errors import (
@@ -663,10 +663,11 @@ def test_graph_profiles_match_the_orbit_closure():
         assert hash(again) == hash(double_coset_profile(v, w))
 
 
-def test_graph_profile_witnesses_stay_packed():
+def test_graph_profile_witnesses_stay_packed(monkeypatch):
     # the trivial group on the path P4 has 74 338 witnesses; held as
     # decoded tuples they retained 13.2 MB, as cross masks with their
-    # decode tables 0.7 MB
+    # decode tables 0.7 MB.  Counting the finite ones through the runs
+    # decodes the first mask of each matching's block and no other
     type(get_class("graph"))._layouts.cache_clear()
     v = make_open_subgroup("graph", graph_on([(0, 1), (1, 2), (2, 3)], 4))
     assert v.group.order == 1
@@ -678,6 +679,49 @@ def test_graph_profile_witnesses_stay_packed():
         tracemalloc.stop()
     assert profile.count == 74338
     assert retained < 2_000_000, retained
+    read_mask = finstruct._read_mask
+    calls = []
+
+    def counted(tables, mask):
+        calls.append(mask)
+        return read_mask(tables, mask)
+
+    monkeypatch.setattr(finstruct, "_read_mask", counted)
+    finite = sum(n for config, n in profile.runs()
+                 if finitely_many_left_cosets(v, config))
+    blocks = len(profile.configs._blocks)
+    assert len(calls) <= blocks < profile.count
+    assert finite == 2 == acceptance._double_coset_count(v.aut, v.group)
+
+
+def test_runs_are_as_finite_as_their_witnesses():
+    # each run is its first witness and the witnesses after it, all finite
+    # alike on both sides; so the left and right sums over the runs are
+    # those over the witnesses, on equal and unequal bases
+    pairs = 0
+    for cls_id, max_base in {"pure_set": 3, "linear_order": 3, "graph": 3,
+                             "vector_space": 2, "vector_space_q3": 1,
+                             "boolean_algebra": 3}.items():
+        cls = get_class(cls_id)
+        subs = enumerate_open_subgroups(cls_id, max_base)
+        for v, w in itertools.product(subs, repeat=2):
+            profile = double_coset_profile(v, w)
+            finiteness = [cls.config_finiteness(config, v.base, w.base)
+                          for config in profile.configs]
+            runs = list(profile.runs())
+            start = 0
+            for first, n in runs:
+                assert first == profile.configs[start], (v, w)
+                assert set(finiteness[start:start + n]) == {
+                    cls.config_finiteness(first, v.base, w.base)}, (v, w)
+                start += n
+            assert start == profile.count, (v, w)
+            for side in (0, 1):
+                assert sum(n for first, n in runs if cls.config_finiteness(
+                    first, v.base, w.base)[side]) == sum(
+                    1 for pair in finiteness if pair[side]), (v, w)
+            pairs += 1
+    assert pairs == 498
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 3), (1, 2)]],
