@@ -999,8 +999,6 @@ class VectorSpaceClass(FraisseClass):
 
     def size(self, s):
         _, vectors = s.data
-        if not vectors:
-            return 0
         rows, _ = _rref(vectors, self.q)
         return len(rows)
 

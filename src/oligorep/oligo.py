@@ -5,10 +5,10 @@ of the built-in classes.  An open subgroup is described symbolically by a
 pair ``(B, K)``: a canonical algebraically closed finite structure ``B``
 and a permutation group ``K`` between the pointwise and the setwise
 stabilizer of ``B``.  Irreducible representations are labeled ``(B, i)``
-with ``i`` a row index into the character table of ``Aut(B)``; the label
-``(empty, 0)`` is the trivial representation.  Bases all of whose points
-are fixed elements describe the same subgroup as the empty base and are
-normalized away on construction.
+with ``i`` a row index into the character table of ``Aut(B)``; the trivial
+representation is row 0 of the empty base's one-row table.  Bases all of
+whose points are fixed elements describe the same subgroup as the empty
+base and are replaced by it where they enter.
 
 Decompositions of quasi-regular representations and of powers of the
 natural action reduce to finite character theory over ``Aut(B)``.  For
@@ -146,9 +146,7 @@ def make_open_subgroup(class_id, base, generators=()):
             raise NotASubgroup(
                 "generator does not preserve the base structure")
     if cls.is_fixed_only(canon):
-        empty = cls.empty()
-        trivial = PermGroup(0, [])
-        return OpenSubgroup(class_id, empty, trivial, PermGroup(0, []))
+        return make_open_subgroup(class_id, cls.empty())
     return OpenSubgroup(class_id, canon, PermGroup(n, moved), aut)
 
 
@@ -177,15 +175,21 @@ def induced_equivalent(v, w):
     return False
 
 
-def enumerate_open_subgroups(class_id, max_base=None):
-    """All open subgroups with base size at most ``max_base``, up to conjugacy."""
+def sweep_bases(class_id, max_base=None):
+    """Canonical bases of size at most ``max_base`` (by default the class's
+    limit) but the fixed-only ones, which give the empty base's subgroup."""
     cls = get_class(class_id)
     if max_base is None:
         max_base = get_limits().base_limit(class_id)
+    return [base for base in cls.enumerate_class(max_base)
+            if not cls.is_fixed_only(base)]
+
+
+def enumerate_open_subgroups(class_id, max_base=None):
+    """All open subgroups with base size at most ``max_base``, up to conjugacy."""
+    cls = get_class(class_id)
     out = []
-    for base in cls.enumerate_class(max_base):
-        if cls.is_fixed_only(base):
-            continue
+    for base in sweep_bases(class_id, max_base):
         if len(base.points) == 0:
             out.append(make_open_subgroup(class_id, base))
             continue
@@ -227,8 +231,10 @@ class IrrepLabel:
 
 
 def trivial_label(class_id):
+    """The trivial representation: row 0 of the empty base's one-row table."""
     cls = get_class(class_id)
-    return IrrepLabel(class_id, cls.canonical_code(cls.empty()), 0, 0, 1)
+    empty = cls.empty()
+    return _labels_for_base(class_id, empty, cls._code_of_canonical(empty))[0]
 
 
 _TABLES = {}
@@ -267,7 +273,7 @@ def _atom_table(m):
 
 
 def _labels_for_base(class_id, base, code):
-    """Labels over one nonempty normalized base, in table row order."""
+    """Labels over one normalized base, in table row order."""
     table = base_table(class_id, base, code)
     size = get_class(class_id).size(base)
     return [IrrepLabel(class_id, code, size, i, table.degrees[i], table)
@@ -277,16 +283,9 @@ def _labels_for_base(class_id, base, code):
 def irrep_catalog(class_id, max_base=None):
     """All irreducible-representation labels with base size at most max_base."""
     cls = get_class(class_id)
-    if max_base is None:
-        max_base = get_limits().base_limit(class_id)
     labels = []
-    # enumerate_class returns canonical forms, whose codes need no search
-    for base in cls.enumerate_class(max_base):
-        if cls.is_fixed_only(base):
-            continue
-        if len(base.points) == 0:
-            labels.append(trivial_label(class_id))
-            continue
+    # swept bases are canonical forms, whose codes need no search
+    for base in sweep_bases(class_id, max_base):
         labels.extend(_labels_for_base(class_id, base,
                                        cls._code_of_canonical(base)))
     return labels
@@ -294,8 +293,6 @@ def irrep_catalog(class_id, max_base=None):
 
 def label_values(label):
     """Character value vector of the finite part, JSON-ready."""
-    if label.base_size == 0:
-        return [1]
     table = label.table
     return [_serialize_value(table.value(label.sigma_index, t))
             for t in range(table.num_classes)]
@@ -362,9 +359,6 @@ def decompose_quasiregular(v):
     on the atoms, where their symmetric table lives.
     """
     dec = Decomposition()
-    if len(v.base.points) == 0:
-        dec.add(trivial_label(v.cls), 1)
-        return dec
     cls = get_class(v.cls)
     if cls.atomic:
         m = cls.size(v.base)
@@ -396,9 +390,9 @@ def decompose_power(class_id, n, x0_only=False):
     generating B, so a relational hull B on k points is the hull of
     S(n, k) k! / |Aut(B)| orbits (Cameron); a vector tuple whose relation
     space has rank r spans a hull of dimension n - r; a Boolean orbit's
-    hull has its realized cells as atoms.  Orbits whose hull is empty or
-    consists of fixed elements contribute one copy of the trivial label
-    each.  A tuple length beyond desk scale, or a hull group beyond the
+    hull has its realized cells as atoms.  A hull of fixed elements is
+    replaced by the empty base, whose regular character is the trivial
+    label.  A tuple length beyond desk scale, or a hull group beyond the
     table bound, is refused before any tuple is counted.
     """
     cls = get_class(class_id)
@@ -410,9 +404,9 @@ def decompose_power(class_id, n, x0_only=False):
             f"{order}, beyond the table bound {bound}")
     dec = Decomposition()
     for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
-        if len(hull.points) == 0 or cls.is_fixed_only(hull):
-            dec.add(trivial_label(class_id), count)
-            continue
+        if cls.is_fixed_only(hull):
+            hull = cls.empty()
+            code = cls._code_of_canonical(hull)
         for label in _labels_for_base(class_id, hull, code):
             dec.add(label, count * label.degree)
     return dec

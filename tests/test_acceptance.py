@@ -96,6 +96,82 @@ def test_criterion_5_fails_on_a_run_one_witness_short(monkeypatch):
         "subgroups": 151, "configs_checked": 1383278, "finite_configs": 741})
 
 
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_criterion_1_fails_on_a_catalog_missing_one_label(
+        monkeypatch, dropped):
+    catalog = oligo.irrep_catalog
+
+    def missing_one(class_id, max_base=None):
+        labels = catalog(class_id, max_base)
+        del labels[dropped]
+        return labels
+
+    monkeypatch.setattr(oligo, "irrep_catalog", missing_one)
+    ok, details = acceptance.criterion_1()
+    assert ok is False
+    assert details["labels"] == 5
+
+
+def test_criterion_6_fails_on_an_interleaved_image_in_the_range(monkeypatch):
+    # interleaved pure-set walks go below displacement 2, so the bound can
+    # bind; an image already in the range breaks the interleaved tree's
+    # partial automorphisms and the walks' certified bound
+    ok, details = acceptance.criterion_6()
+    assert ok is True
+    assert {key: details["pure_set"][key] for key in (
+        "interleaved_nodes", "interleaved_min_displacement")} == {
+        "interleaved_nodes": 8382, "interleaved_min_displacement": "32/45"}
+    images = kazhdan._PureRealizer.images
+
+    def in_the_range(self, mapping, a, banned):
+        if self.interleave and mapping:
+            yield min(mapping.values())
+        yield from images(self, mapping, a, banned)
+
+    monkeypatch.setattr(kazhdan._PureRealizer, "images", in_the_range)
+    tree = kazhdan.build_tree("pure_set", 6, interleave=True)
+    assert tree.verify()["partial_automorphisms"] is False
+    assert kazhdan.build_tree("pure_set", 6).verify()["ok"] is True
+    ok, details = acceptance.criterion_6()
+    assert ok is False
+    assert details["pure_set"]["interleaved_conditions_ok"] is False
+    assert details["pure_set"]["conditions_ok"] is True
+
+
+class OneValueOff:
+    """A character table that reads its last value one too high and
+    otherwise is the table it wraps, which stays as it was."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def value(self, i, t):
+        last = self.table.num_classes - 1
+        return self.table.value(i, t) + ((i, t) == (last, last))
+
+
+def test_criterion_9_fails_on_one_wrong_table_value(monkeypatch):
+    # one entry of the S3 table off by one breaks both orthogonality
+    # relations, though the degrees still square up to the order
+    lookup = oligo.base_table
+
+    def off(class_id, base, code):
+        table = lookup(class_id, base, code)
+        if class_id == "pure_set" and len(base.points) == 3:
+            return OneValueOff(table)
+        return table
+
+    assert acceptance.criterion_9() == (True, {"tables": 34, "max_order": 168})
+    monkeypatch.setattr(oligo, "base_table", off)
+    assert acceptance.criterion_9() == (False,
+                                        {"tables": 34, "max_order": 168})
+    monkeypatch.undo()
+    assert acceptance.criterion_9()[0] is True
+
+
 def support_only_pairs(f, perm):
     """``kazhdan._translate_pairs`` over the support of f only, missing the
     tuples where only the translate is nonzero."""

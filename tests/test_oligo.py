@@ -269,6 +269,51 @@ def test_catalog_contains_unique_trivial_label():
         assert len(set(labels)) == len(labels)
 
 
+def empty_base_values(class_id):
+    """Catalog, quasi-regular and power decompositions that carry the
+    trivial label, as JSON; the n = 1 powers of the classes with fixed
+    elements have fixed-only hulls."""
+    whole = make_open_subgroup(class_id, get_class(class_id).empty())
+    values = [[label.to_json() for label in irrep_catalog(class_id, 2)],
+              decompose_quasiregular(whole).to_json(),
+              decompose_power(class_id, 0).to_json()]
+    if get_class(class_id).num_fixed_elements:
+        values += [decompose_power(class_id, 1, x0_only=x0).to_json()
+                   for x0 in (False, True)]
+    return values
+
+
+def test_the_trivial_label_is_computed_like_every_other(monkeypatch):
+    expected = {c: empty_base_values(c) for c in CLASS_IDS}
+    for c in CLASS_IDS:
+        trivial = trivial_label(c).to_json()
+        catalog, quasiregular, power = expected[c][:3]
+        assert catalog[0] == trivial
+        assert quasiregular == power == [dict(trivial, multiplicity=1)]
+    assert [len(v) for v in expected.values()] == [3, 3, 3, 5, 5, 5]
+
+    def refused(class_id):
+        raise AssertionError("the trivial label is written by hand")
+
+    monkeypatch.setattr(oligo, "trivial_label", refused)
+    assert {c: empty_base_values(c) for c in CLASS_IDS} == expected
+
+
+def test_the_empty_base_checks_its_index(monkeypatch):
+    # a permutation character of 2 on the one-row table is a decomposition
+    # of degree 2, against the index 1 of the whole group
+    coset_character = oligo.coset_character
+
+    def doubled(table, sub):
+        return (2,) if table.num_classes == 1 else coset_character(table, sub)
+
+    monkeypatch.setattr(oligo, "coset_character", doubled)
+    for c in CLASS_IDS:
+        whole = make_open_subgroup(c, get_class(c).empty())
+        with pytest.raises(InvariantViolation, match="dimension 2 != index 1"):
+            decompose_quasiregular(whole)
+
+
 def test_quasiregular_two_point_pointwise_stabilizer():
     v = make_open_subgroup("pure_set", pure_base(2))
     dec = decompose_quasiregular(v)
