@@ -15,10 +15,13 @@ class:
 * ``boolean_algebra``: a pair ``(n_atoms, masks)`` where ``masks[i]`` is
   the bitmask of point ``i`` over the ambient atoms.
 
-Each class plugs in validation, membership, closure (``acl``), canonical
-forms with relabeling maps, automorphism groups and enumeration of
-structures; the relational classes also list tuple types.  It also owns
-everything else that reads its payload:
+Each class plugs in validation, membership, closure (``acl``) and
+enumeration of structures, and one ``_canonical`` hook: the canonical form,
+the relabeling onto it and generators of its automorphism group, which for
+graphs one search gives.  ``automorphisms`` moves those generators back
+onto a structure's positions, and the enumeration carries each
+representative's.  The relational classes also list tuple types.  Each
+class also owns everything else that reads its payload:
 
 * ``joint_configs(base_b, base_c)``: the raw joint configurations of two
   bases, one tagged tuple each (``"match"``, ``"ranks"``, ``"cross"``,
@@ -112,10 +115,6 @@ class TupleType:
 def _digest(*parts):
     text = "|".join(str(p) for p in parts)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-
-
-def _identity_relabel(n):
-    return tuple(range(n))
 
 
 def _relabel(pairs, g1, g2):
@@ -327,26 +326,36 @@ class FraisseClass:
     def canonical(self, s):
         """Return ``(canon, relabel)`` with ``relabel[i]`` the new position of ``i``."""
         self.validate(s)
-        return self._canonical(s)
+        return self._canonical(s)[:2]
 
     def canonical_code(self, s):
         canon, _ = self.canonical(s)
         return self._code_of_canonical(canon)
 
     def automorphisms(self, s):
-        """Automorphism group of ``s`` as permutations of its positions."""
+        """Automorphism group of ``s`` as permutations of its positions: the
+        generators of Aut(canon) that ``_canonical`` gives, moved back."""
         self.validate(s)
-        return self._automorphisms(s)
+        _, rel, gens = self._canonical(s)
+        rel_inv = inverse(rel)
+        return PermGroup(len(s.points),
+                         [compose(rel_inv, compose(g, rel)) for g in gens])
 
     # -- enumeration
 
     def enumerate_class(self, k):
         """One canonical representative per isomorphism class of size <= k."""
+        return [rep for rep, _ in self._enumerate(k)]
+
+    def _enumerate(self, k):
+        """(canonical representative, generators of its automorphism group)
+        per isomorphism class of size <= k, by size and code."""
         if k < 0:
             raise MalformedStructure(f"size bound {k} is negative")
-        reps = [self.empty()] + self._enumerate_nonempty(k)
-        reps.sort(key=lambda r: (self.size(r), self._code_of_canonical(r)))
-        return reps
+        pairs = [(self.empty(), [])] + self._enumerate_nonempty(k)
+        pairs.sort(key=lambda pair: (self.size(pair[0]),
+                                     self._code_of_canonical(pair[0])))
+        return pairs
 
     def enumerate_tuple_types(self, n):
         """Orbits of n-tuples as :class:`TupleType`; only the relational
@@ -395,23 +404,15 @@ class FraisseClass:
         return positions
 
     def _canonical(self, s):
+        """``(canon, relabel, gens)``: ``canonical`` and generators of
+        Aut(canon) as permutations of its positions."""
         raise NotImplementedError
 
     def _code_of_canonical(self, canon):
         raise NotImplementedError
 
-    def _automorphisms(self, s):
-        canon, rel = self.canonical(s)
-        gens = [
-            compose(inverse(rel), compose(g, rel))
-            for g in self._canonical_aut_gens(canon)
-        ]
-        return PermGroup(len(s.points), gens)
-
-    def _canonical_aut_gens(self, canon):
-        raise NotImplementedError
-
     def _enumerate_nonempty(self, k):
+        """``_enumerate``'s pairs but the empty structure's, in any order."""
         raise NotImplementedError
 
     def _tuple_types(self, n):
@@ -426,8 +427,6 @@ class FraisseClass:
         """Every way a copy of ``base_c`` can sit relative to ``base_b``."""
         raise NotImplementedError
 
-    cell_tags = 1
-
     def config_cells(self, base_b, base_c):
         """``(cells, mask_of)``: the cells ``(tag, x, y)`` a joint
         configuration can occupy, and a function from a configuration to its
@@ -435,20 +434,15 @@ class FraisseClass:
 
         The masks are injective on ``joint_configs`` and their set is closed
         under the cell permutations of every pair of automorphisms.  By
-        default a configuration is ``(kind, pairs_0, pairs_1, ...)``: one set
-        of pairs (x, y) per tag, x counting ``size(base_b)`` and y
-        ``size(base_c)``.
+        default a configuration is ``(kind, pairs)``: a set of pairs (x, y)
+        with tag 0, x counting ``size(base_b)`` and y ``size(base_c)``.
         """
-        nb, nc = self.size(base_b), self.size(base_c)
-        cells = [(t, x, y) for t in range(self.cell_tags)
-                 for x in range(nb) for y in range(nc)]
+        nc = self.size(base_c)
+        cells = [(0, x, y) for x in range(self.size(base_b))
+                 for y in range(nc)]
 
         def mask_of(config):
-            mask = 0
-            for t, pairs in enumerate(config[1:]):
-                for x, y in pairs:
-                    mask |= 1 << ((t * nb + x) * nc + y)
-            return mask
+            return sum(1 << (x * nc + y) for x, y in config[1])
 
         return cells, mask_of
 
@@ -543,10 +537,10 @@ class _RelationalClass(FraisseClass):
         self._check_tuple_len(n)
         stirling = Counter(len(blocks) for blocks in set_partitions(n))
         hulls = {}
-        for hull in self.enumerate_class(n):
+        for hull, gens in self._enumerate(n):
             k = len(hull)
             if k in stirling:
-                aut = PermGroup(k, self._canonical_aut_gens(hull)).order
+                aut = PermGroup(k, gens).order
                 hulls[self._code_of_canonical(hull)] = (
                     hull, stirling[k] * math.factorial(k) // aut)
         return hulls
@@ -567,18 +561,15 @@ class PureSetClass(_RelationalClass):
 
     def _canonical(self, s):
         n = len(s.points)
-        return FinStructure(self.id, tuple(range(n)), None), _identity_relabel(n)
+        points = tuple(range(n))
+        return FinStructure(self.id, points, None), points, _symmetric_gens(n)
 
     def _code_of_canonical(self, canon):
         return _digest(self.id, len(canon.points))
 
-    def _canonical_aut_gens(self, canon):
-        n = len(canon.points)
-        return _symmetric_gens(n)
-
     def _enumerate_nonempty(self, k):
-        return [self._canonical(FinStructure(self.id, tuple(range(n)), None))[0]
-                for n in range(1, k + 1)]
+        return [(FinStructure(self.id, tuple(range(n)), None),
+                 _symmetric_gens(n)) for n in range(1, k + 1)]
 
     def _block_cores(self, k):
         return [None]
@@ -610,16 +601,13 @@ class LinearOrderClass(_RelationalClass):
     def _canonical(self, s):
         n = len(s.points)
         canon = FinStructure(self.id, tuple(range(n)), tuple(range(n)))
-        return canon, tuple(s.data)
+        return canon, tuple(s.data), []
 
     def _code_of_canonical(self, canon):
         return _digest(self.id, len(canon.points))
 
-    def _canonical_aut_gens(self, canon):
-        return []
-
     def _enumerate_nonempty(self, k):
-        return [FinStructure(self.id, tuple(range(n)), tuple(range(n)))
+        return [(FinStructure(self.id, tuple(range(n)), tuple(range(n))), [])
                 for n in range(1, k + 1)]
 
     def _block_cores(self, k):
@@ -675,10 +663,12 @@ class GraphClass(_RelationalClass):
     # they are isomorphic, and the orders achieving the minimum are the
     # first one moved by each automorphism.  Of those automorphisms only the
     # ones that enlarge the group of the ones kept before them are kept as
-    # generators, at most log2 |Aut|.  Enumeration is by orbit-pruned
-    # augmentation: each graph on n - 1 points gets a last point joined to
-    # the least subset of each orbit of its automorphisms on subsets, and
-    # duplicates are dropped by integer code before any graph is built.
+    # generators, at most log2 |Aut|, so one search gives the canonical form
+    # and its group.  Enumeration is by orbit-pruned augmentation: each
+    # graph on n - 1 points gets a last point joined to the least subset of
+    # each orbit of its automorphisms on subsets, and duplicates are dropped
+    # by integer code before any graph is built; the search that meets a
+    # code first gives that code's generators.
 
     def _adjacency(self, s):
         n = len(s.points)
@@ -730,13 +720,9 @@ class GraphClass(_RelationalClass):
         return best_code or 0, best_orders
 
     def _canonical(self, s):
-        n = len(s.points)
         code, orders = self._search(self._adjacency(s))
-        order = orders[0]
-        rel = [0] * n
-        for new, old in enumerate(order):
-            rel[old] = new
-        return self._from_code(n, code), tuple(rel)
+        return (self._from_code(len(s.points), code), inverse(orders[0]),
+                self._aut_gens(orders))
 
     def _from_code(self, n, code):
         """The canonical graph on n points with least code ``code``."""
@@ -748,29 +734,31 @@ class GraphClass(_RelationalClass):
         pairs = sorted(tuple(sorted(e)) for e in canon.data)
         return _digest(self.id, len(canon.points), pairs)
 
-    def _automorphisms(self, s):
-        return PermGroup(len(s.points), self._canonical_aut_gens(s))
+    @staticmethod
+    def _aut_gens(orders):
+        """Generators of the automorphism group of the canonical form, from
+        the orders of a ``_search``, in canonical positions.
 
-    def _canonical_aut_gens(self, canon):
-        # Each order reaching the least code is g(base) for one automorphism
-        # g, base being the first, in any graph, canonical or not.  They are
-        # sorted, so the g that fix base[:i] and move base[i] form one block,
-        # right after the stabilizer S of base[:i + 1], whose order is the
-        # block's start.  The group H of the g before a block member holds S
-        # and fixes base[:i], so it holds the member iff the member maps
-        # base[i] into the orbit of base[i] under H.  The g outside H are
-        # kept and generate H, which is Aut once |S| |orbit| is |Aut|.
-        _, orders = self._search(self._adjacency(canon))
+        Each order reaching the least code is g(base) for one automorphism
+        g, base being the first, and inverse(base) g base, which is
+        inverse(base) other, is g in canonical positions.  The orders are
+        sorted, so the g that fix base[:i] and move base[i] form one block,
+        right after the stabilizer S of base[:i + 1], whose order is the
+        block's start.  The group H of the g before a block member holds S
+        and fixes base[:i], so it holds the member iff the member maps i,
+        in canonical positions, into the orbit of i under H.  The g outside
+        H are kept and generate H, which is Aut once |S| |orbit| is |Aut|.
+        """
         base = orders[0]
         base_inv = inverse(base)
         gens, level = [], None
         for index, other in enumerate(orders[1:], 1):
             i = next(k for k, x in enumerate(other) if x != base[k])
             if i != level:
-                level, start, orbit = i, index, [base[i]]
-            if other[i] not in orbit:
-                gens.append(compose(other, base_inv))
-                orbit = [base[i]]
+                level, start, orbit = i, index, [i]
+            if base_inv[other[i]] not in orbit:
+                gens.append(compose(base_inv, other))
+                orbit = [i]
                 for x in orbit:
                     orbit += {g[x] for g in gens} - set(orbit)
                 if start * len(orbit) == len(orders):
@@ -778,26 +766,30 @@ class GraphClass(_RelationalClass):
         return gens
 
     def _enumerate_nonempty(self, k):
-        # subsets in one orbit of Aut(prev) give isomorphic graphs
-        reps = []
-        level = [self.empty()]
+        # subsets in one orbit of Aut(prev) give isomorphic graphs, and no
+        # graph is searched twice: a parent's generators come from the
+        # search that met its code first
+        pairs = []
+        level = [(self.empty(), [])]
         for n in range(1, k + 1):
-            codes = set()
-            for prev in level:
+            found = {}
+            for prev, gens in level:
                 adj = self._adjacency(prev)
-                moves = [_byte_tables([1 << v for v in g], 0)
-                         for g in self._canonical_aut_gens(prev)]
+                moves = [_byte_tables([1 << v for v in g], 0) for g in gens]
                 done = set()
                 for mask in range(1 << (n - 1)):
                     if mask in done:
                         continue
                     _mark_orbit(mask, moves, done)
-                    codes.add(self._search(
+                    code, orders = self._search(
                         [row | (mask >> v & 1) << (n - 1)
-                         for v, row in enumerate(adj)] + [mask])[0])
-            level = [self._from_code(n, code) for code in sorted(codes)]
-            reps.extend(level)
-        return reps
+                         for v, row in enumerate(adj)] + [mask])
+                    if code not in found:
+                        found[code] = self._aut_gens(orders)
+            level = [(self._from_code(n, code), found[code])
+                     for code in sorted(found)]
+            pairs.extend(level)
+        return pairs
 
     def _block_cores(self, k):
         pairs = list(itertools.combinations(range(k), 2))
@@ -812,10 +804,7 @@ class GraphClass(_RelationalClass):
 
     # A configuration is ("cross", matching, cross): an edge-compatible
     # matching plus the cross edges among the sorted pairs of unmatched
-    # points.  Bit i of a cross mask stands for pair i; as cells, tag 0 is
-    # the matching and tag 1 the cross edges.
-
-    cell_tags = 2
+    # points.  Bit i of a cross mask stands for pair i.
 
     @staticmethod
     @lru_cache(maxsize=32)
@@ -1023,10 +1012,11 @@ class VectorSpaceClass(FraisseClass):
             raise MalformedStructure("canonical form needs a closed structure")
         _, vectors = s.data
         if not vectors:
-            return self.empty(), ()
+            return self.empty(), (), []
         coords = _span(sorted(vectors), self.q, len(vectors[0]))
         rel = tuple(_lex_index(coords[v], self.q) for v in vectors)
-        return self.canonical_space(len(coords[vectors[0]])), rel
+        dim = len(coords[vectors[0]])
+        return self.canonical_space(dim), rel, self._space_gens(dim)
 
     def canonical_space(self, dim):
         vectors = tuple(_lex_vector(i, self.q, dim) for i in range(self.q ** dim))
@@ -1035,8 +1025,8 @@ class VectorSpaceClass(FraisseClass):
     def _code_of_canonical(self, canon):
         return _digest(self.id, self.size(canon), len(canon.points))
 
-    def _canonical_aut_gens(self, canon):
-        dim = self.size(canon)
+    def _space_gens(self, dim):
+        """Generators of GL(dim, q) as permutations of the canonical space."""
         return [self._matrix_perm(m, dim) for m in self._matrix_gens(dim)]
 
     def _matrix_gens(self, dim):
@@ -1064,7 +1054,8 @@ class VectorSpaceClass(FraisseClass):
         return tuple(images)
 
     def _enumerate_nonempty(self, k):
-        return [self.canonical_space(d) for d in range(k + 1)]
+        return [(self.canonical_space(d), self._space_gens(d))
+                for d in range(k + 1)]
 
     def max_aut_order(self, n):
         # |GL(n, q)|, the group of the space of dimension n
@@ -1230,12 +1221,13 @@ class BooleanAlgebraClass(FraisseClass):
             raise MalformedStructure("canonical form needs a closed structure")
         n_atoms, masks = s.data
         if not masks:
-            return self.empty(), ()
+            return self.empty(), (), []
         # each mask is a union of atoms, so it holds those it meets
         atoms = sorted(self._blocks(masks, (1 << n_atoms) - 1))
         rel = tuple(sum(1 << k for k, atom in enumerate(atoms) if atom & m)
                     for m in masks)
-        return self.canonical_algebra(len(atoms)), rel
+        m = len(atoms)
+        return self.canonical_algebra(m), rel, self._algebra_gens(m)
 
     def canonical_algebra(self, n_atoms):
         masks = tuple(range(1 << n_atoms)) if n_atoms else ()
@@ -1244,12 +1236,13 @@ class BooleanAlgebraClass(FraisseClass):
     def _code_of_canonical(self, canon):
         return _digest(self.id, self.size(canon))
 
-    def _canonical_aut_gens(self, canon):
-        m = self.size(canon)
+    def _algebra_gens(self, m):
+        """Generators of the atom permutations, on the canonical algebra."""
         return [self.mask_perm(sigma, m) for sigma in _symmetric_gens(m)]
 
     def _enumerate_nonempty(self, k):
-        return [self.canonical_algebra(m) for m in range(1, k + 1)]
+        return [(self.canonical_algebra(m), self._algebra_gens(m))
+                for m in range(1, k + 1)]
 
     def tuple_hulls(self, n, x0_only=False):
         # An orbit is a set of realized cells among the 2**n sign patterns,

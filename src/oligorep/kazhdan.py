@@ -883,13 +883,10 @@ class RadoF2Action(PureSetF2Action):
     def adjacent(self, x, y):
         return x != y and pair_coin(self.seed, mult(inv(x), y))
 
-    def ball_masks(self, r):
-        """Bit k of mask x: is x in ball(r-1) adjacent to word k of ball(r)?"""
-        return next(_cayley_masks(r, [self.seed]))[1]
-
 
 def _cayley_masks(r, seeds):
-    """Yield (seed, ``RadoF2Action(seed).ball_masks(r)``) for each seed.
+    """Yield (seed, masks) for each seed: bit k of mask x says whether x in
+    ball(r-1) is adjacent to word k of ball(r) under ``RadoF2Action(seed)``.
 
     x ~ z is the coin of min(c, c'), c = word_int(x^-1 z) and c' =
     word_int(z^-1 x).  If x and z share a prefix of length p exactly,

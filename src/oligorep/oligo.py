@@ -138,9 +138,9 @@ def make_open_subgroup(class_id, base, generators=()):
     n = len(base.points)
     for g in generators:
         validate_perm(g, n)
-    canon, rel = cls.canonical(base)
+    canon, rel, aut_gens = cls._canonical(base)
     moved = [compose(rel, compose(tuple(g), inverse(rel))) for g in generators]
-    aut = cls.automorphisms(canon)
+    aut = PermGroup(n, aut_gens)
     for g in moved:
         if g not in aut:
             raise NotASubgroup(

@@ -81,6 +81,23 @@ def test_subgroups_listing(capsys):
     assert report["count"] == 4
 
 
+class TwoTagGraph(finstruct.GraphClass):
+    """Graphs with cells for the inherited orbit closure, as in
+    ``tests/test_oligo.py``: tag 0 the matching, tag 1 the cross edges."""
+
+    def config_cells(self, base_b, base_c):
+        nb, nc = len(base_b), len(base_c)
+        cells = [(t, x, y) for t in range(2)
+                 for x in range(nb) for y in range(nc)]
+
+        def mask_of(config):
+            return sum(1 << ((t * nb + x) * nc + y)
+                       for t, pairs in enumerate(config[1:])
+                       for x, y in pairs)
+
+        return cells, mask_of
+
+
 @pytest.mark.parametrize("class_id, max_base, count", [
     ("vector_space", 1, 2),
     ("graph", 3, 18),
@@ -105,7 +122,8 @@ def test_cosets_listing(capsys, class_id, max_base, count):
         assert pair["finite_left_classes"] == per_witness == (
             acceptance._double_coset_count(v.aut, v.group)), v
         reps = finstruct.FraisseClass.double_coset_reps(
-            cls, v.base, v.group, v.base, v.group)
+            TwoTagGraph() if class_id == "graph" else cls,
+            v.base, v.group, v.base, v.group)
         assert pair["profile"]["witnesses"] == [
             {"class": class_id, "payload": json.loads(json.dumps(config))}
             for config in sorted(reps)]

@@ -30,6 +30,7 @@ from oligorep.finstruct import (
     structure_to_json,
 )
 from oligorep.limits import DEFAULT_MAX_BASE
+from oligorep.oligo import make_open_subgroup
 from oligorep.permgrp import PermGroup
 
 
@@ -747,6 +748,53 @@ def test_graph_automorphism_generators_match_the_unpruned_reference():
         assert group.reduced_generators == reference.reduced_generators
         assert group.elements() == reference.elements()
     assert len(graph.automorphisms(graph_on(7, [])).generators) == 6
+
+
+def test_carried_graph_generators_generate_the_reference_group():
+    # the generators the enumeration carries per representative, and those
+    # _canonical moves into canonical positions from a shuffled labelling,
+    # generate Aut(rep) itself, element for element
+    graph = get_class("graph")
+    pairs = graph._enumerate(6)
+    assert [rep for rep, _ in pairs] == graph.enumerate_class(6)
+    empty = graph_on(7, [])
+    cases = pairs + [(empty, graph._canonical(empty)[2])]
+    assert len(cases) == 210
+    rng = random.Random(33)
+    for rep, gens in cases:
+        n = len(rep.points)
+        reference = set(reference_automorphisms(rep).elements())
+        assert set(PermGroup(n, gens).elements()) == reference
+        perm = list(range(n))
+        rng.shuffle(perm)
+        canon, _, moved = graph._canonical(relabeled(graph, rep, tuple(perm)))
+        assert canon == rep
+        assert set(PermGroup(n, moved).elements()) == reference
+
+
+def test_each_graph_is_searched_once(monkeypatch):
+    # every enumeration candidate is searched once; a parent's generators,
+    # a hull's group and Aut of an open subgroup's base come from a search
+    # already made, so none is searched again
+    graph = get_class("graph")
+    path = relabeled(graph, graph_on(4, [(0, 1), (1, 2), (2, 3)]),
+                     (2, 0, 3, 1))
+    calls, search = [], finstruct.GraphClass._search
+    monkeypatch.setattr(finstruct.GraphClass, "_search",
+                        lambda self, adj: calls.append(adj) or search(self, adj))
+    for call, searches in (
+            (lambda: graph.enumerate_class(6), 663),
+            (lambda: graph.enumerate_class(4), 29),
+            (lambda: graph.tuple_hulls(5), 119),
+            (lambda: graph.tuple_hulls(0), 0),
+            (lambda: make_open_subgroup("graph", path), 1)):
+        calls.clear()
+        result = call()
+        assert len(calls) == searches, searches
+    assert result.aut.order == 2 and result.base == graph.canonical(path)[0]
+    empty = graph.empty()
+    assert graph.tuple_hulls(0) == {
+        graph._code_of_canonical(empty): (empty, 1)}
 
 
 # ---------------------------------------------------------------------------

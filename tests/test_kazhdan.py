@@ -1144,6 +1144,12 @@ def test_cayley_extension_small_radius():
     assert report["mean_rate"] == 1
 
 
+def ball_masks(r, seed):
+    """Bit k of mask x: is x in ball(r-1) adjacent to word k of ball(r)
+    under ``RadoF2Action(seed)``?  The masks ``cayley_extension_check`` reads."""
+    return next(kazhdan._cayley_masks(r, [seed]))[1]
+
+
 def brute_masks(r, seed):
     """Adjacency of every ball(r-1) vertex to every ball(r) vertex, pair by
     pair."""
@@ -1202,14 +1208,14 @@ def brute_extension(r, t, seeds):
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_cayley_masks_match_pairwise_adjacency(r):
     for seed in range(5):
-        assert RadoF2Action(seed).ball_masks(r) == brute_masks(r, seed)
+        assert ball_masks(r, seed) == brute_masks(r, seed)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_cayley_masks_reduce_the_seed_mod_two_to_the_64(r):
     # pair_coin sees only seed mod 2**64, and so do the lanes
     for seed, residue in ((-3, 2**64 - 3), (2**64 + 5, 5)):
-        masks = RadoF2Action(seed).ball_masks(r)
+        masks = ball_masks(r, seed)
         assert masks == brute_masks(r, seed) == brute_masks(r, residue)
 
 
