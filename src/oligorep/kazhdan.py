@@ -26,10 +26,10 @@ rate, which is a finite stand-in for an almost-sure asymptotic statement.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from array import array
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,6 +45,7 @@ from .errors import (
 from .limits import get_limits
 from .words import (
     EMPTY,
+    LETTERS,
     _mix_lanes,
     ball,
     inv,
@@ -888,54 +889,62 @@ def _cayley_masks(r, seeds):
     """Yield (seed, masks) for each seed: bit k of mask x says whether x in
     ball(r-1) is adjacent to word k of ball(r) under ``RadoF2Action(seed)``.
 
-    x ~ z is the coin of min(c, c'), c = word_int(x^-1 z) and c' =
-    word_int(z^-1 x).  If x and z share a prefix of length p exactly,
-    c = (word_int(x[p:]^-1) - word_int(x[:p])) 4^(|z|-p) + word_int(z) and
-    c' = word_int(z[p:]^-1) 4^(|x|-p) + word_int(x[p:]), and ball(r) holds
-    the words of one length that begin with x[:p] in one run.  A row of
-    codes, last word first, goes into the 128-bit lanes of one int, where
-    ``_mix_lanes`` takes the inner ``_splitmix64`` of all of them at once,
-    for all seeds.  Per seed, each row xors in the seed mod 2**64, mixes
-    again and keeps bit 0 of each lane as the row's mask.  x, the k-th word
-    of both balls, meets itself at code 0 in row k; that bit is cleared.
+    x ~ z is the coin of g = x^-1 z, so one coin is drawn per word g of
+    length n <= 2r - 1, in ball order.  With g = u w, |w| = min(n, r), the
+    codes of g and g^-1 for all w of a run of ball(r) sit in the 128-bit
+    lanes of one int, where the lesser is kept and ``_mix_lanes`` takes its
+    inner ``_splitmix64``, once for all seeds; per seed, the outer one
+    follows the seed mod 2**64 xored in.  If z = x[:p] c y with c not x[p],
+    g = x[p:]^-1 c y, so the z and the g that continue x[:p] c and x[p:]^-1 c
+    to one length fill runs of one size: a row is a join of runs of coins,
+    in the order of their z.  Bit k of row k, x against itself, is cleared.
     """
-    outer = ball(r)
-    codes = [word_int(z) for z in outer]
-    tails = [[word_int(inv(z[p:])) for z in outer] for p in range(r + 1)]
+    outer, inner = ball(r), ball(r - 1)
+    # first[n]: where the words of length n begin in ball order
+    first = [0] + [2 * 3 ** k - 1 for k in range(2 * r + 1)]
+    rank = {z: i - first[len(z)] for i, z in enumerate(outer)}   # by length
 
-    n = len(outer)
-    ones = _lanes([1] * n)
-    mixed = array("Q")   # the inner mix of each row's codes, row by row
-    for x in ball(r - 1):
-        row = [0] * n
-        for m in range(r + 1):
-            cut = None   # the run of x[:p+1], done before that of x[:p]
-            for p in range(min(len(x), m), -1, -1):
-                # length m, prefix x[:p]: the 4^(m-p) codes from low
-                k = 4 ** (m - p)
-                low = word_int(x[:p]) * k + (k - 1) // 3
-                lo, hi = bisect_left(codes, low), bisect_left(codes, low + k)
-                base = (word_int(inv(x[p:])) - word_int(x[:p])) * k
-                s, rest = 2 * (len(x) - p), word_int(x[p:])
-                parts = [(lo, cut[0]), (cut[1], hi)] if cut else [(lo, hi)]
-                for a, b in parts:
-                    row[a:b] = [
-                        c if (c := base + w) < (d := (v << s) + rest) else d
-                        for w, v in zip(codes[a:b], tails[p][a:b])]
-                cut = lo, hi
-        mixed += _low_halves(_mix_lanes(_lanes(row[::-1]), ones), n)
+    mixed = array("Q")   # the inner mix of each word's code, in ball order
+    for b in range(r + 1):   # g = u w with |w| = b, and u = 1 unless b = r
+        run = outer[first[b]:first[b + 1]]
+        w = _lanes([word_int(z) for z in run])
+        w_inv = _lanes([word_int(inv(z)) for z in run])
+        ones = _lanes([1] * len(run))
+        for u in inner if b == r else [()]:
+            c = w + (word_int(u) << 2 * b) * ones
+            d = (w_inv << 2 * len(u)) + word_int(inv(u)) * ones
+            use_d = ((c | ones << 64) - d >> 64 & ones) * 0xFFFF_FFFF_FFFF_FFFF
+            part = array("Q", _mix_lanes(c ^ (c ^ d) & use_d, ones).to_bytes(
+                16 * len(run), "little"))[::2]   # the low half of each lane
+            j = LETTERS.index(-u[-1]) * len(run) // 4 if u else len(run)
+            mixed += part[:j] + part[j + len(run) // 4:]   # u w reduced
+    if sys.byteorder == "big":
+        mixed.byteswap()
 
+    rows = []   # per x, (start, end) of each run of its coins in ``mixed``
+    for x, xi in zip(inner, map(inv, inner)):
+        # z = q y and g = h y for |q y| <= last; prefixes of x stop at q
+        heads = [(x[:m], xi[:len(x) - m], m) for m in range(len(x) + 1)]
+        heads += [(x[:p] + (c,), xi[:len(x) - p] + (c,), r)
+                  for p in range(len(x) + 1) for c in LETTERS
+                  if x[p - 1:p] != (-c,) and x[p:p + 1] != (c,)]
+        # the z and g of length m that continue q and h begin at these places
+        runs = sorted((first[m] + rank[q] * (s := 3 ** (m - len(q))),
+                       first[len(h) + m - len(q)] + rank[h] * s, s)
+                      for q, h, last in heads for m in range(len(q), last + 1))
+        rows.append(array("I", [i for _, a, s in runs for i in (a, a + s)]))
+
+    ones = _lanes([1] * 1024)
     for seed in seeds:
         key = (seed & 0xFFFF_FFFF_FFFF_FFFF) * ones
-        masks = []
-        for i in range(0, len(mixed), n):
-            z = _mix_lanes(_lanes(mixed[i:i + n]) ^ key, ones)
-            bits = z.to_bytes(16 * n, "little")[::16].translate(_BIT_DIGITS)
-            masks.append(int(bits, 2) & ~(1 << len(masks)))
-        yield seed, masks
-
-
-_BIT_DIGITS = bytes(48 + (byte & 1) for byte in range(256))
+        coins = bytearray(len(mixed))   # b"0" or b"1" per word
+        for i in range(0, len(mixed), 1024):
+            z = _mix_lanes(_lanes(mixed[i:i + 1024]) ^ key, ones)
+            coins[i:i + 1024] = (z & ones | ones * 48).to_bytes(
+                1 << 14, "little")[::16]
+        yield seed, [int(b"".join([coins[a:b] for a, b in zip(
+            cuts[::2], cuts[1::2])])[::-1], 2) & ~(1 << i)
+            for i, cuts in enumerate(rows)]
 
 
 def _lanes(values):
@@ -946,14 +955,6 @@ def _lanes(values):
     if sys.byteorder == "big":
         buf.byteswap()
     return int.from_bytes(buf, "little")
-
-
-def _low_halves(z, n):
-    """The low 64 bits of each of the first ``n`` lanes of ``z``."""
-    low = array("Q", z.to_bytes(16 * n, "little"))[::2]
-    if sys.byteorder == "big":
-        low.byteswap()
-    return low
 
 
 _F2_ACTIONS = {
@@ -1109,6 +1110,8 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     asymptotic; the finite rate is reported, not asserted.  It is 1 from
     r = 3 on for the seeds tried, so each seed also reports ``witnesses``,
     the must-link prescriptions' witnesses summed: one flipped bit moves it.
+    Each seed's masks are audited by ``_audit_masks``, which raises
+    ``InvariantViolation`` on a miscount or on a bit off the edge rule.
     """
     if t not in (1, 2):
         raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
@@ -1121,6 +1124,7 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     results = []
     for seed, masks in _cayley_masks(r, seeds):
         witnessed, witnesses = _extension_witnessed(masks, n_outer, t)
+        _audit_masks(r, t, seed, masks, witnesses)
         results.append({
             "seed": seed,
             "configs": total,
@@ -1138,6 +1142,38 @@ def cayley_extension_check(r=6, t=2, seeds=20):
         "all_witnessed": all(
             row["witnessed"] == row["configs"] for row in results),
     }
+
+
+EDGE_SAMPLES = 64   # mask bits per seed compared with the edge rule
+
+
+def _audit_masks(r, t, seed, masks, witnesses):
+    """Raise ``InvariantViolation`` unless ``witnesses`` equals its recount
+    by columns and ``EDGE_SAMPLES`` bits of ``masks`` follow the edge rule.
+
+    A vertex k witnesses a must-link set of at most ``t`` inner vertices
+    iff the set lies among the d_k masks that hold bit k, so the witnesses
+    number sum_k C(d_k, 1) + ... + C(d_k, t), a total that reads no pair of
+    masks.  Each sampled bit, at inner index i then outer index k drawn
+    from ``random.Random(seed)``, must equal ``RadoF2Action(seed)``'s
+    adjacency of the two words.  A sample of 64 of the 706 645 bits at
+    r = 6 can miss a single wrong bit; the pinned ``witnesses`` cannot.
+    """
+    outer, inner = ball(r), ball(r - 1)
+    columns = zip(*(format(m, f"0{len(outer)}b") for m in masks))
+    degrees = [column.count("1") for column in columns]
+    recount = sum(math.comb(d, j) for d in degrees for j in range(1, t + 1))
+    if recount != witnesses:
+        raise InvariantViolation(
+            f"seed {seed}: {witnesses} witnesses, {recount} recounted by "
+            "columns")
+    rng, action = random.Random(seed), RadoF2Action(seed)
+    for _ in range(EDGE_SAMPLES):
+        i, k = rng.randrange(len(inner)), rng.randrange(len(outer))
+        if masks[i] >> k & 1 != action.adjacent(inner[i], outer[k]):
+            raise InvariantViolation(
+                f"seed {seed}: bit {k} of mask {i} is not the adjacency of "
+                f"{inner[i]!r} and {outer[k]!r}")
 
 
 def _extension_witnessed(masks, n_outer, t):

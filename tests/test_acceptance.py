@@ -2,6 +2,7 @@
 plus the sweep's probes of base groups above the subgroup bound."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from oligorep.chartab import symmetric_character_table
 from oligorep.finstruct import _gaussian_binomial, get_class
 from oligorep.oligo import decompose_quasiregular
 from oligorep.permgrp import cycle_type
+from oligorep.words import ball
 
 
 @pytest.mark.parametrize("cid", [row[0] for row in acceptance.CRITERIA])
@@ -170,6 +172,57 @@ def test_criterion_9_fails_on_one_wrong_table_value(monkeypatch):
                                         {"tables": 34, "max_order": 168})
     monkeypatch.undo()
     assert acceptance.criterion_9()[0] is True
+
+
+def skipping_neighbours(masks, n_outer, t):
+    """``kazhdan._extension_witnessed`` with a pair loop that skips
+    j = i + 1."""
+    sizes = [m.bit_count() for m in masks]
+    witnessed = sum((size > 0) + (size + 1 < n_outer) for size in sizes)
+    witnesses = sum(sizes)
+    if t == 2:
+        for i, a in enumerate(masks):
+            for j in range(i + 2, len(masks)):
+                common = (a & masks[j]).bit_count()
+                adj = a >> j & 1
+                witnesses += common
+                witnessed += (
+                    (common > 0)
+                    + (sizes[i] + sizes[j] - common + 2 * (1 - adj) < n_outer)
+                    + (sizes[i] - common - adj > 0)
+                    + (sizes[j] - common - adj > 0))
+    return witnessed, witnesses
+
+
+def test_criterion_8_fails_on_a_pair_loop_that_skips_neighbours(
+        monkeypatch):
+    # the recount of seed 0's witnesses by columns sees the missing pairs
+    # before the rate does, and the criterion stops there
+    monkeypatch.setattr(kazhdan, "_extension_witnessed", skipping_neighbours)
+    ok, details = acceptance.criterion_8()
+    assert ok is False
+    assert details == {"extension_rate": {"error": (
+        "seed 0: 43629367 witnesses, 43808057 recounted by columns")}}
+
+
+def test_criterion_8_fails_on_one_flipped_mask_bit(monkeypatch):
+    # the first bit that the audit of seed 0 samples, row then column; the
+    # recount reads the same masks as the pair loop and agrees with it
+    masks_of = kazhdan._cayley_masks
+    rng = random.Random(0)
+    i, k = rng.randrange(len(ball(5))), rng.randrange(len(ball(6)))
+
+    def flipped(r, seeds):
+        for seed, masks in masks_of(r, seeds):
+            if seed == 0:
+                masks[i] ^= 1 << k
+            yield seed, masks
+
+    monkeypatch.setattr(kazhdan, "_cayley_masks", flipped)
+    ok, details = acceptance.criterion_8()
+    assert ok is False
+    assert details["extension_rate"]["error"].startswith(
+        f"seed 0: bit {k} of mask {i} is not the adjacency of ")
 
 
 def support_only_pairs(f, perm):

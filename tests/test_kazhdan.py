@@ -1,5 +1,9 @@
 import itertools
 import random
+import sys
+import tracemalloc
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -40,7 +44,7 @@ from oligorep.kazhdan import (
     partial_displacement,
     random_distribution,
 )
-from oligorep.words import EMPTY, ball, inv, mult
+from oligorep.words import EMPTY, _mix_lanes, ball, inv, mult, word_int
 
 
 def seeded_distribution(seed, points=range(6), max_support=4):
@@ -1217,6 +1221,115 @@ def test_cayley_masks_reduce_the_seed_mod_two_to_the_64(r):
     for seed, residue in ((-3, 2**64 - 3), (2**64 + 5, 5)):
         masks = ball_masks(r, seed)
         assert masks == brute_masks(r, seed) == brute_masks(r, residue)
+
+
+def pairwise_lane_masks(r, seeds):
+    """``kazhdan._cayley_masks`` as it was built pair by pair: the reference
+    for the masks drawn with one coin per group element.
+
+    x ~ z is the coin of min(c, c'), c = word_int(x^-1 z) and c' =
+    word_int(z^-1 x).  If x and z share a prefix of length p exactly,
+    c = (word_int(x[p:]^-1) - word_int(x[:p])) 4^(|z|-p) + word_int(z) and
+    c' = word_int(z[p:]^-1) 4^(|x|-p) + word_int(x[p:]), and ball(r) holds
+    the words of one length that begin with x[:p] in one run.  A row of
+    codes, last word first, goes into the 128-bit lanes of one int, where
+    ``_mix_lanes`` takes the inner ``_splitmix64`` of all of them at once,
+    for all seeds.  Per seed, each row xors in the seed mod 2**64, mixes
+    again and keeps bit 0 of each lane as the row's mask.  x, the k-th word
+    of both balls, meets itself at code 0 in row k; that bit is cleared.
+    """
+    outer = ball(r)
+    codes = [word_int(z) for z in outer]
+    tails = [[word_int(inv(z[p:])) for z in outer] for p in range(r + 1)]
+
+    n = len(outer)
+    ones = kazhdan._lanes([1] * n)
+    mixed = array("Q")   # the inner mix of each row's codes, row by row
+    for x in ball(r - 1):
+        row = [0] * n
+        for m in range(r + 1):
+            cut = None   # the run of x[:p+1], done before that of x[:p]
+            for p in range(min(len(x), m), -1, -1):
+                # length m, prefix x[:p]: the 4^(m-p) codes from low
+                k = 4 ** (m - p)
+                low = word_int(x[:p]) * k + (k - 1) // 3
+                lo, hi = bisect_left(codes, low), bisect_left(codes, low + k)
+                base = (word_int(inv(x[p:])) - word_int(x[:p])) * k
+                s, rest = 2 * (len(x) - p), word_int(x[p:])
+                parts = [(lo, cut[0]), (cut[1], hi)] if cut else [(lo, hi)]
+                for a, b in parts:
+                    row[a:b] = [
+                        c if (c := base + w) < (d := (v << s) + rest) else d
+                        for w, v in zip(codes[a:b], tails[p][a:b])]
+                cut = lo, hi
+        lanes = _mix_lanes(kazhdan._lanes(row[::-1]), ones).to_bytes(
+            16 * n, "little")
+        mixed += array("Q", lanes)[::2]   # the low half of each lane
+    if sys.byteorder == "big":
+        mixed.byteswap()
+
+    for seed in seeds:
+        key = (seed & 0xFFFF_FFFF_FFFF_FFFF) * ones
+        masks = []
+        for i in range(0, len(mixed), n):
+            z = _mix_lanes(kazhdan._lanes(mixed[i:i + n]) ^ key, ones)
+            bits = z.to_bytes(16 * n, "little")[::16].translate(
+                bytes(48 + (byte & 1) for byte in range(256)))
+            masks.append(int(bits, 2) & ~(1 << len(masks)))
+        yield seed, masks
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_cayley_masks_match_the_pairwise_lanes(r):
+    seeds = [0, 1, 19, -3, 2**64 + 5]
+    assert list(kazhdan._cayley_masks(r, seeds)) == list(
+        pairwise_lane_masks(r, seeds))
+
+
+def test_cayley_masks_peak_memory_at_radius_six():
+    # the inner mixes, 8 bytes for each of the 354 293 words of ball(11),
+    # take 2.8 MB; the pairwise lanes kept 706 645 and peaked near 7 MB
+    tracemalloc.start()
+    try:
+        next(kazhdan._cayley_masks(6, [0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_extension_check_raises_on_a_sampled_bit_off_the_edge_rule(
+        monkeypatch):
+    # the bit the audit of seed 3 draws first, row then column
+    rng = random.Random(3)
+    i, k = rng.randrange(5), rng.randrange(17)
+    masks_of = kazhdan._cayley_masks
+
+    def flipped(r, seeds):
+        for seed, masks in masks_of(r, seeds):
+            if seed == 3:
+                masks[i] ^= 1 << k
+            yield seed, masks
+
+    monkeypatch.setattr(kazhdan, "_cayley_masks", flipped)
+    with pytest.raises(InvariantViolation, match=f"seed 3: bit {k} of mask "
+                                                 f"{i} is not the adjacency"):
+        cayley_extension_check(r=2, t=2, seeds=[2, 3])
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_extension_check_raises_on_a_witness_total_off_its_recount(
+        monkeypatch, t):
+    def one_more(masks, n_outer, t):
+        witnessed, witnesses = _extension_witnessed(masks, n_outer, t)
+        return witnessed, witnesses + 1
+
+    report = cayley_extension_check(r=3, t=t, seeds=[4])
+    monkeypatch.setattr(kazhdan, "_extension_witnessed", one_more)
+    with pytest.raises(InvariantViolation, match=(
+            f"seed 4: {report['per_seed'][0]['witnesses'] + 1} witnesses, "
+            f"{report['per_seed'][0]['witnesses']} recounted by columns")):
+        cayley_extension_check(r=3, t=t, seeds=[4])
 
 
 @pytest.mark.parametrize("r,t", itertools.product([0, 1, 2, 3], [1, 2]))
