@@ -2,7 +2,9 @@
 
 Everything derives from OligorepError so callers can catch broadly; the CLI
 maps subclasses onto exit codes (usage/data errors -> 1, resource limits -> 2,
-violated internal invariants -> 3).
+violated internal invariants -> 3).  A broken certificate of any kind, a
+free action with a fixed point included, is an InvariantViolation: the CLI
+exits 3 on it and the acceptance suite reports it as a failed criterion.
 """
 
 
@@ -46,13 +48,13 @@ class NoAlgebraicityRequired(OligorepError, ValueError):
     """Operation only applies to classes without algebraicity."""
 
 
-class FreenessViolation(OligorepError, ValueError):
-    """A group action certificate found a point with nontrivial stabilizer."""
-
-
 class UndecidedComparison(OligorepError, ValueError):
     """Order comparison did not resolve within the configured degree."""
 
 
 class InvariantViolation(OligorepError, RuntimeError):
     """An internal mathematical invariant failed; this is always a bug."""
+
+
+class FreenessViolation(InvariantViolation):
+    """A group action certificate found a point with nontrivial stabilizer."""

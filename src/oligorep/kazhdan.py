@@ -652,7 +652,9 @@ def greedy_witness(class_id, f, interleave=False):
     point to a location where ``f`` is small, or, if the point already has
     an image, pins its preimage the same way.  The displacement of the
     resulting partial automorphism is a lower bound for the displacement of
-    every automorphism extending it.
+    every automorphism extending it.  A walk below ``required``, which
+    exceeds 1/2, raises ``InvariantViolation``, so the ``ok`` it returns is
+    always True; the key stays for the reports that read it.
     """
     realizer = _realizer_for(class_id, interleave)
     if not isinstance(f, Distribution):

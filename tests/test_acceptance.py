@@ -1,13 +1,16 @@
 """One test per acceptance criterion, each printing its pass/fail line,
 plus the sweep's probes of base groups above the subgroup bound."""
 
+import itertools
+import json
 import math
 import random
 
 import pytest
 
-from oligorep import acceptance, finstruct, kazhdan, oligo
+from oligorep import acceptance, cli, finstruct, kazhdan, oligo
 from oligorep.chartab import symmetric_character_table
+from oligorep.errors import FreenessViolation, InvariantViolation
 from oligorep.finstruct import _gaussian_binomial, get_class
 from oligorep.oligo import decompose_quasiregular
 from oligorep.permgrp import cycle_type
@@ -77,6 +80,39 @@ def test_criteria_2_and_3_fail_on_a_dropped_tuple_type(
     assert criterion()[0] is True
     monkeypatch.setattr(cls, "enumerate_tuple_types", dropping)
     assert criterion()[0] is False
+
+
+def swapping_equal_degrees(v):
+    """``oligo.decompose_quasiregular`` with the multiplicities of the first
+    two rows of equal degree and different multiplicities swapped."""
+    decomposition = decompose_quasiregular(v)
+    labels = oligo._labels_for_base(v.cls, v.base, v.base_code)
+    mults = [decomposition[label] for label in labels]
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        if labels[i].degree == labels[j].degree and mults[i] != mults[j]:
+            mults[i], mults[j] = mults[j], mults[i]
+            break
+    return oligo.Decomposition(dict(zip(labels, mults)))
+
+
+def test_criterion_4_fails_on_swapped_multiplicities_of_equal_degree(
+        monkeypatch):
+    # the swap keeps the total degree, and the regular case, where each
+    # multiplicity is its degree, has nothing to swap; only the cross-check
+    # through the coset action sees it
+    details = {"subgroups": 196, "probe_only": 40, "regular_cases": 36,
+               "cross_checked": 149}
+    assert acceptance.criterion_4() == (True, details)
+    # S3 by a transposition: trivial and sign rows swap, (1, 0, 1) to
+    # (0, 1, 1)
+    v = next(v for v, _ in acceptance._subgroup_sweep("pure_set", 3)
+             if len(v.base.points) == 3 and v.group.order == 2)
+    labels = oligo._labels_for_base("pure_set", v.base, v.base_code)
+    assert [decompose_quasiregular(v)[label] for label in labels] == [1, 0, 1]
+    assert [swapping_equal_degrees(v)[label] for label in labels] == [0, 1, 1]
+    monkeypatch.setattr(oligo, "decompose_quasiregular",
+                        swapping_equal_degrees)
+    assert acceptance.criterion_4() == (False, details)
 
 
 def test_criterion_5_fails_on_a_run_one_witness_short(monkeypatch):
@@ -199,10 +235,10 @@ def test_criterion_8_fails_on_a_pair_loop_that_skips_neighbours(
     # the recount of seed 0's witnesses by columns sees the missing pairs
     # before the rate does, and the criterion stops there
     monkeypatch.setattr(kazhdan, "_extension_witnessed", skipping_neighbours)
-    ok, details = acceptance.criterion_8()
-    assert ok is False
-    assert details == {"extension_rate": {"error": (
-        "seed 0: 43629367 witnesses, 43808057 recounted by columns")}}
+    report = acceptance.run_criterion("8")
+    assert report["passed"] is False
+    assert report["details"] == {"error": (
+        "seed 0: 43629367 witnesses, 43808057 recounted by columns")}
 
 
 def test_criterion_8_fails_on_one_flipped_mask_bit(monkeypatch):
@@ -219,10 +255,52 @@ def test_criterion_8_fails_on_one_flipped_mask_bit(monkeypatch):
             yield seed, masks
 
     monkeypatch.setattr(kazhdan, "_cayley_masks", flipped)
-    ok, details = acceptance.criterion_8()
-    assert ok is False
-    assert details["extension_rate"]["error"].startswith(
+    report = acceptance.run_criterion("8")
+    assert report["passed"] is False
+    assert list(report["details"]) == ["error"]
+    assert report["details"]["error"].startswith(
         f"seed 0: bit {k} of mask {i} is not the adjacency of ")
+
+
+@pytest.mark.parametrize("certificate, error", [
+    ("cayley_edge_invariance", InvariantViolation(
+        "translation by (1,) broke the edge ((), (2,))")),
+    ("freeness_check", FreenessViolation(
+        "word (1,) fixes point () in vector_space")),
+], ids=["edge_invariance", "freeness"])
+def test_a_certificate_that_raises_fails_criterion_8_and_the_rest_run(
+        monkeypatch, capsys, certificate, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kazhdan, certificate, broken)
+    ran = []
+
+    def stub(num):
+        def run():
+            ran.append(num)
+            return True, {}
+        return run
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (num, desc, budget, func if num == "8" else stub(num))
+        for num, desc, budget, func in acceptance.CRITERIA))
+    # run_all's report of criterion 8 is the one run_criterion("8") returns
+    reports = acceptance.run_all()
+    assert [report["id"] for report in reports] == [
+        str(n) for n in range(1, 11)]
+    assert [report["passed"] for report in reports] == (
+        [True] * 7 + [False] + [True] * 2)
+    assert reports[7]["details"] == {"error": str(error)}
+    assert ran == ["1", "2", "3", "4", "5", "6", "7", "9", "10"]
+    capsys.readouterr()
+
+    assert cli.main(["selftest"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [row["passed"] for row in report["criteria"]] == (
+        [True] * 7 + [False] + [True] * 2)
+    assert report["criteria"][7]["details"] == {"error": str(error)}
 
 
 def support_only_pairs(f, perm):

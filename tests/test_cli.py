@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oligorep import acceptance, cli, finstruct, oligo
+from oligorep import acceptance, cli, finstruct, kazhdan, oligo
+from oligorep.errors import FreenessViolation, InvariantViolation
 
 
 def run(capsys, argv):
@@ -330,6 +331,25 @@ def test_invariant_failure_exits_three(capsys, monkeypatch):
                         lambda *a, **k: {"ok": False})
     code, _ = run(capsys, ["decompose", "--class", "pure_set", "--n", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("class_id, certificate, error", [
+    ("pure_set", "greedy_witness", InvariantViolation(
+        "certified displacement 1/4 below the guaranteed bound 5/8")),
+    ("vector_space", "freeness_check", FreenessViolation(
+        "word (1,) fixes point () in vector_space")),
+], ids=["walk", "freeness"])
+def test_kazhdan_exits_three_on_a_broken_certificate(
+        capsys, monkeypatch, class_id, certificate, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kazhdan, certificate, broken)
+    code = cli.main(["kazhdan", "--class", class_id])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"oligorep: invariant failure: {error}\n"
 
 
 def test_selftest_exit_codes(capsys, monkeypatch):
