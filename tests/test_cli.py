@@ -352,6 +352,18 @@ def test_kazhdan_exits_three_on_a_broken_certificate(
     assert captured.err == f"oligorep: invariant failure: {error}\n"
 
 
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_kazhdan_order_undecided_at_a_low_degree_exits_three(capsys, degree):
+    # at degree 1 the density comparison of the identity with a commutator
+    # is counted as undecided, as every other comparison of the check is
+    code = cli.main(["kazhdan", "--class", "linear_order", "--degree", degree])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "oligorep: invariant failure: order axioms failed on a sample\n")
+
+
 def test_selftest_exit_codes(capsys, monkeypatch):
     rows = [{"id": "1", "desc": "stub", "passed": True, "elapsed": 0.0,
              "details": {}}]

@@ -1050,8 +1050,11 @@ def test_a_wrong_mult_fails_the_shared_translation_sweep(monkeypatch):
     monkeypatch.setattr(kazhdan, "mult", broken)
     kazhdan._translation_sweep.cache_clear()
     for cls in ("pure_set", "linear_order"):
-        with pytest.raises(FreenessViolation, match="fixes point"):
+        with pytest.raises(FreenessViolation) as info:
             freeness_check(cls, word_len=4)
+        # the first fixed pair, words outside and points inside, is named
+        assert str(info.value) == (
+            "word (1, 2, -1, -2) fixes point () in pure_set")
     # a failed sweep is not cached, so it fails again on the next call
     assert kazhdan._translation_sweep.cache_info().currsize == 0
 
@@ -1125,6 +1128,13 @@ def test_order_axioms_hold():
     assert report["undecided"] == 0
     assert report["density_checked"] > 100
     assert report["ok"]
+
+
+def test_order_axioms_count_an_undecided_density_comparison():
+    # through degree 1 the identity and a commutator cannot be told apart
+    report = order_axioms_check(max_degree=1, trials=50)
+    assert report["undecided"] > 0
+    assert report["ok"] is False
 
 
 def test_cayley_edges_are_translation_invariant():

@@ -62,6 +62,28 @@ def test_random_word_reduced():
         assert len(w) <= 8
 
 
+def listed_random_word(rng, max_len):
+    """``random_word`` with the options for each letter listed afresh: the
+    same ``randrange`` calls must draw the same words."""
+    n = rng.randrange(max_len + 1)
+    out = []
+    for _ in range(n):
+        options = [letter for letter in LETTERS
+                   if not (out and out[-1] == -letter)]
+        out.append(options[rng.randrange(len(options))])
+    return tuple(out)
+
+
+def test_random_word_draws_the_words_of_the_listed_options():
+    for seed in range(5):
+        for max_len in range(9):
+            ours, listed = random.Random(seed), random.Random(seed)
+            assert ([words.random_word(ours, max_len) for _ in range(200)]
+                    == [listed_random_word(listed, max_len)
+                        for _ in range(200)])
+            assert ours.getstate() == listed.getstate()
+
+
 # Sanov's matrices generate a free subgroup of SL(2, Z), so a word's matrix
 # checks its reduction by a route that shares no code with ``mult``
 SANOV = {X: ((1, 2), (0, 1)), Xi: ((1, -2), (0, 1)),
@@ -216,6 +238,58 @@ def _order_key(sample):
     return functools.cmp_to_key(cmp)
 
 
+def expanded_low_degrees(word):
+    one, two = magnus_component(word, 1), magnus_component(word, 2)
+    return (one.get((0,), 0), one.get((1,), 0), two.get((0, 0), 0),
+            two.get((0, 1), 0), two.get((1, 0), 0), two.get((1, 1), 0))
+
+
+def test_low_degrees_are_the_expansion_through_degree_two():
+    assert words._low_degrees((X, Y, Xi, Yi)) == (0, 0, 0, 1, -1, 0)
+    assert words._low_degrees((Xi, Xi)) == (-2, 0, 3, 0, 0, 0)
+    for w in ball(5):
+        assert words._low_degrees(w) == expanded_low_degrees(w), w
+    # the expansion is a homomorphism, so unreduced words count too
+    rng = random.Random(29)
+    for _ in range(2000):
+        w = tuple(rng.choice(LETTERS) for _ in range(rng.randrange(13)))
+        assert words._low_degrees(w) == expanded_low_degrees(w), w
+
+
+def compare_by_degree(u, v, max_degree):
+    """``magnus_compare`` with every degree read from the expanded series."""
+    if u == v:
+        return "="
+    for degree in range(1, max_degree + 1):
+        cu = magnus_component(u, degree)
+        cv = magnus_component(v, degree)
+        for mono in sorted(set(cu) | set(cv)):
+            diff = cv.get(mono, 0) - cu.get(mono, 0)
+            if diff:
+                return "<" if diff > 0 else ">"
+    return "undecided"
+
+
+def compare_or_undecided(u, v, max_degree):
+    try:
+        return magnus_compare(u, v, max_degree)
+    except UndecidedComparison as exc:
+        assert str(exc) == (
+            f"words agree through degree {max_degree}: {u!r} vs {v!r}")
+        return "undecided"
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 10])
+def test_compare_matches_the_series_read_degree_by_degree(max_degree):
+    rng = random.Random(31 + max_degree)
+    pairs = list(itertools.product(ball(3), repeat=2))
+    pairs += [(words.random_word(rng, 7), words.random_word(rng, 7))
+              for _ in range(5000)]
+    verdicts = [compare_or_undecided(u, v, max_degree) for u, v in pairs]
+    assert verdicts == [compare_by_degree(u, v, max_degree) for u, v in pairs]
+    assert len(set(verdicts)) == (4 if max_degree < 3 else 3)
+
+
 def test_compare_undecided():
     # force a tiny degree bound so a deep commutator cannot be resolved
     comm = (X, Y, Xi, Yi)
@@ -237,6 +311,26 @@ def test_magnus_cache_is_bounded():
     info = words._expand.cache_info()
     assert info.maxsize == words.MAGNUS_CACHE_SIZE
     assert 0 < info.currsize <= words.MAGNUS_CACHE_SIZE
+
+
+def test_the_order_check_expands_only_pairs_that_agree_through_degree_two():
+    from oligorep.kazhdan import order_axioms_check
+
+    words._expand.cache_clear()
+    report = order_axioms_check(word_len=6, max_degree=10, trials=10000,
+                                seed=0)
+    assert report["density_checked"] == 4263
+    assert words._expand.cache_info().currsize <= 300
+
+
+@pytest.mark.parametrize("seed, density_checked",
+                         [(0, 850), (1, 859), (2, 840)])
+def test_order_axioms_reports_are_pinned(seed, density_checked):
+    from oligorep.kazhdan import order_axioms_check
+
+    assert order_axioms_check(trials=2000, seed=seed) == {
+        "trials": 2000, "word_len": 6, "max_degree": 10, "failures": 0,
+        "undecided": 0, "density_checked": density_checked, "ok": True}
 
 
 def test_compare_does_not_depend_on_the_cache():
