@@ -66,6 +66,7 @@ import bisect
 import hashlib
 import itertools
 import math
+import operator
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -127,7 +128,8 @@ def _byte_tables(values, zero):
     a byte to ``zero`` plus the values of its set bits in order.
 
     Values are ints with one bit each (a bit permutation) or 1-tuples
-    (decoding); ``_read_mask`` adds up one entry per byte.
+    (decoding); ``_read_mask`` adds up one entry per byte, ``_read_masks``
+    does so for many masks at once.
     """
     tables = []
     for start in range(0, max(len(values), 1), 8):
@@ -138,8 +140,10 @@ def _byte_tables(values, zero):
     return tables
 
 
+@lru_cache(maxsize=None)
 def _lex_masks(n):
-    """Every mask over n bits, ordered as the sorted tuples of their set bits."""
+    """Every mask over n bits, ordered as the sorted tuples of their set bits;
+    cached by width (n <= 20 by ``_MAX_CONFIGS``) and shared, so read-only."""
     order = [0]
     for bit in reversed(range(n)):
         order = [0] + [(1 << bit) | mask for mask in order] + order[1:]
@@ -152,6 +156,20 @@ def _read_mask(tables, mask):
         mask >>= 8
         value += table[mask & 255]
     return value
+
+
+def _read_masks(tables, masks):
+    """``_read_mask`` of each mask of the sequence ``masks``, in order, as
+    one lazy chain of ``map``s, a pass over ``masks`` per byte.  The masks
+    fit the tables, so their top byte needs no ``& 255``."""
+    values = None
+    for k, table in enumerate(tables):
+        byte = map((8 * k).__rrshift__, masks) if k else masks
+        if k < len(tables) - 1:
+            byte = map((255).__and__, byte)
+        read = map(table.__getitem__, byte)
+        values = map(operator.add, values, read) if k else read
+    return values
 
 
 def _mark_orbit(mask, moves, seen):
@@ -832,10 +850,10 @@ class GraphClass(_RelationalClass):
         return tuple(layouts)
 
     def joint_configs(self, base_b, base_c):
-        return [("cross", matching, _read_mask(decode, mask))
+        return [("cross", matching, cross)
                 for matching, cross_pairs, decode, _
                 in self._layouts(base_b, base_c)
-                for mask in range(1 << len(cross_pairs))]
+                for cross in _read_masks(decode, range(1 << len(cross_pairs)))]
 
     def double_coset_reps(self, base_b, group_b, base_c, group_c):
         """Orbit minima in two stages, without acting on whole configurations.
@@ -846,12 +864,14 @@ class GraphClass(_RelationalClass):
         the cross masks over m0's pairs in the order of their decoded
         tuples, so the first mask met in an orbit of the stabilizer is its
         witness, and marks its images under the stabilizer, each element
-        acting on masks through byte tables.  The witnesses come out sorted.
+        acting on masks through byte tables.  Each mask is visited once, so
+        the elements that fix every cross mask, the identity among them,
+        mark nothing and are left out.  The witnesses come out sorted.
 
         They are returned packed (``_CrossWitnesses``): per matching, the
         witness masks as an ``array("I")``, decoded only when read.  Where
-        the stabilizer fixes every cross mask, every mask is a witness and
-        the cached lex ``order`` array itself is kept.
+        no element is left to mark, every mask is a witness and the cached
+        lex ``order`` array itself is kept.
         """
         kk = [(g1, g2) for g1 in group_b.elements()
               for g2 in group_c.elements()]
@@ -869,7 +889,8 @@ class GraphClass(_RelationalClass):
                 if image == matching:
                     moves.add(tuple(1 << index[g1[b], g2[c]]
                                     for b, c in cross_pairs))
-            if len(moves) == 1:
+            moves.discard(tuple(1 << i for i in range(len(cross_pairs))))
+            if not moves:
                 # the stabilizer fixes every cross mask: all are witnesses
                 blocks.append((matching, decode, order))
                 continue
@@ -897,8 +918,9 @@ class _CrossWitnesses(Sequence):
     ``array("I")``, in the order of their decoded tuples.  Indexing and
     iteration decode ``("cross", matching, cross)`` with the tables
     ``GraphClass._layouts`` caches, so a witness costs four bytes and is
-    decoded afresh each time it is read.  Equal to a list or tuple of the
-    same witnesses in order.
+    decoded afresh each time it is read; iteration decodes a block at a
+    time (``_read_masks``).  Equal to a list or tuple of the same witnesses
+    in order.
     """
 
     def __init__(self, blocks):
@@ -917,9 +939,10 @@ class _CrossWitnesses(Sequence):
                 _read_mask(decode, masks[k - self._starts[b]]))
 
     def __iter__(self):
-        for matching, decode, masks in self._blocks:
-            for mask in masks:
-                yield ("cross", matching, _read_mask(decode, mask))
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat("cross"), itertools.repeat(matching),
+                _read_masks(decode, masks))
+            for matching, decode, masks in self._blocks)
 
     def runs(self):
         """(first witness, number of witnesses) per matching, decoding one
@@ -930,8 +953,7 @@ class _CrossWitnesses(Sequence):
     def __eq__(self, other):
         if not isinstance(other, (list, tuple, _CrossWitnesses)):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __hash__(self):
         return hash(tuple(self))

@@ -36,7 +36,7 @@ from .errors import (
     NotASubgroup,
     SizeLimitExceeded,
 )
-from .finstruct import get_class, structure_to_json
+from .finstruct import REGISTRY, get_class, structure_to_json
 from .limits import get_limits
 from .permgrp import PermGroup, compose, inverse, validate_perm
 
@@ -518,7 +518,8 @@ def finitely_many_left_cosets(v, config, w=None):
     agree on equal bases.
     """
     w = w or v
-    left, right = get_class(v.cls).config_finiteness(config, v.base, w.base)
+    # v.cls was checked when v was built
+    left, right = REGISTRY[v.cls].config_finiteness(config, v.base, w.base)
     if left != right and v.base == w.base:
         raise InvariantViolation(
             "left and right coset finiteness disagree on equal bases")

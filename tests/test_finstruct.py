@@ -24,6 +24,7 @@ from oligorep.finstruct import (
     _lex_index,
     _lex_vector,
     _read_mask,
+    _read_masks,
     _rref,
     get_class,
     set_partitions,
@@ -976,6 +977,26 @@ def test_byte_tables_match_a_bit_by_bit_permutation(bits):
         set_bits = tuple(k for k in range(bits) if mask >> k & 1)
         assert _read_mask(moves, mask) == sum(1 << perm[k] for k in set_bits)
         assert _read_mask(decode, mask) == set_bits
+
+
+@pytest.mark.parametrize("bits", [*range(13), 20])
+def test_bulk_reading_matches_one_mask_at_a_time(bits):
+    # every mask over up to 12 bits (one and two bytes); over 20 bits, three
+    # bytes, which no criterion or workload reaches, the single bits, the
+    # full mask and seeded masks
+    rng = random.Random(bits)
+    perm = list(range(bits))
+    rng.shuffle(perm)
+    if bits <= 12:
+        masks = range(1 << bits)
+    else:
+        masks = ([1 << k for k in range(bits)] + [(1 << bits) - 1]
+                 + [rng.getrandbits(bits) for _ in range(5000)])
+    for tables in (_byte_tables([1 << p for p in perm], 0),
+                   _byte_tables([(k,) for k in range(bits)], ())):
+        assert len(tables) == max(1, -(-bits // 8))
+        assert list(_read_masks(tables, masks)) == [
+            _read_mask(tables, mask) for mask in masks]
 
 
 # -- the per-type reference for tuple hulls: every tuple type read through

@@ -792,16 +792,25 @@ def test_runs_are_as_finite_as_their_witnesses():
     assert pairs == 498
 
 
-@pytest.mark.parametrize("edges", [[], [(0, 3), (1, 2)]],
-                         ids=["empty", "2K2"])
-def test_graph_profiles_match_the_orbit_closure_on_four_points(edges):
+@pytest.mark.parametrize("edges, flip, count", [
+    ([], (1, 0, 3, 2), None),
+    ([(0, 3), (1, 2)], (1, 0, 3, 2), None),
+    ([(0, 1), (1, 2), (2, 3)], (3, 2, 1, 0), 18781),
+    ([(0, 1), (1, 2), (0, 2), (2, 3)], (1, 0, 2, 3), 21221),
+], ids=["empty", "2K2", "P4", "paw"])
+def test_graph_profiles_match_the_orbit_closure_on_four_points(
+        edges, flip, count):
     # the witness is the least configuration of the orbit, so its matching
     # is the least of its matching orbit, not the first one enumerated;
-    # no subgroup of three points or fewer, against itself, tells them apart
-    v = make_open_subgroup("graph", graph_on(edges, 4), [(1, 0, 3, 2)])
+    # no subgroup of three points or fewer, against itself, tells them apart.
+    # P4 and the paw under their flips are the cosets benchmark's: order-2
+    # stabilizers on 16 cross pairs, whose marking leaves out the identity
+    v = make_open_subgroup("graph", graph_on(edges, 4), [flip])
     assert v.group.order == 2
     got = list(double_coset_profile(v).configs)
     assert got == _closure_reps(v, v)
+    if count is not None:
+        assert len(got) == count
 
 
 @pytest.mark.parametrize("cls_id", ["vector_space", "vector_space_q3"])
