@@ -10,10 +10,11 @@ built (Schneider 1990, "Dixon's character table algorithm revisited"):
 row s costs |C_r| products, since counting the triples xy = z two ways
 gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.  Classes,
 rows and coset characters read the group's packed elements (``permgrp``),
-so each product is one ``str.translate``.  Each exact value of the lift
-and each row orthogonality sum (the column relations follow) is added up
-in one exponent dict by ``_mul_acc``, as in ``Cyc.__mul__``, with no Cyc
-per term.  A table failing them is a bug, hence InvariantViolation.
+so each product is one ``translate`` of a packed element.  Each exact
+value of the lift and each row orthogonality sum (the column relations
+follow) is added up in one exponent dict by ``_mul_acc``, as in
+``Cyc.__mul__``, with no Cyc per term.  A table failing them is a bug,
+hence InvariantViolation.
 
 Symmetric groups additionally get an independent construction from
 partition combinatorics (hook lengths, Murnaghan-Nakayama border strips)
@@ -35,7 +36,8 @@ from functools import lru_cache
 from .errors import InvariantViolation, NotACharacter, SizeLimitExceeded
 from .finstruct import _rref
 from .limits import get_limits
-from .permgrp import PermGroup, cycle_type, inverse, pack, power, unpack
+from .permgrp import (PermGroup, cycle_type, inverse, left_multiply, pack,
+                      power, table, unpack)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +394,19 @@ class CharacterTable(_Table):
     def value(self, i: int, t: int) -> Cyc:
         return self.rows[i][t]
 
-    def class_of_packed(self, g: str) -> int:
+    def class_of_packed(self, g: bytes | str) -> int:
         return self.class_index[g]
 
 
 def _class_matrix_row(members_r, rep_s, size_s, class_index, sizes) -> list:
     """Row s of class matrix r: a[r][s][t] = #{(x, y) in C_r x C_s : xy =
     rep_t} for every t, as |C_s| #{x in C_r : x rep_s in C_t} / |C_t|, all
-    packed: x rep_s is rep_s.translate(x)."""
+    packed.  It counts rep_s x, a left product by one table, in place of
+    x rep_s: rep_s x = rep_s (x rep_s) rep_s^-1 lies in the same class, so
+    every count is the same."""
     counts = [0] * len(sizes)
-    for t in map(class_index.__getitem__, map(rep_s.translate, members_r)):
+    for t in map(class_index.__getitem__,
+                 left_multiply(table(rep_s), members_r)):
         counts[t] += 1
     row = []
     for count, size in zip(counts, sizes):
@@ -695,7 +700,7 @@ class SymmetricCharacterTable(_Table):
     def value(self, i: int, t: int) -> int:
         return mn_value(self.irrep_partitions[i], self.class_partitions[t])
 
-    def class_of_packed(self, g: str) -> int:
+    def class_of_packed(self, g: bytes | str) -> int:
         return self._class_idx[cycle_type(unpack(g))]
 
 

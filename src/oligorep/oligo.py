@@ -256,7 +256,8 @@ def base_table(class_id, base, code):
     if key not in _TABLES:
         group = cls.automorphisms(base)
         _check_table_order(group.order)
-        elements = (group.degree, "".join(group.packed_elements()))
+        packed = group.packed_elements()  # bytes, or str past 256 points
+        elements = (group.degree, packed[0][:0].join(packed))
         if elements not in _TABLES:
             _TABLES[elements] = character_table(group)
         _TABLES[key] = _TABLES[elements]

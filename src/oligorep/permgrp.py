@@ -4,10 +4,14 @@ A permutation on n points is a tuple p of length n with p[i] the image of
 i.  Composition is (g * h)(i) = g(h(i)), i.e. h acts first.
 
 A group materializes its elements once, packed (``pack``): a sorted list
-of ``str``, code point i the image of i, which sorts as the tuples do.  As
-g * h is ``h.translate(g)``, a conjugate s g s^-1 is two C-level calls at
-any degree.  Classes, their index (keyed by the packed elements) and the
-subgroup lattice work on that list; ``elements()`` and class reps are tuples.
+of ``bytes`` up to 256 points, of code-point ``str`` past that, which sort
+as the tuples do.  For either type p * x is ``x.translate(table(p))``, so
+only generators, transversal and coset reps and conjugators become
+tables, and each product is a left product in one C-level ``map``
+(``left_multiply``).  Classes, their index (keyed by the packed elements)
+and the subgroup lattice work on that list, closing orbits a level at a
+time (``_orbit``) and subgroups a left coset at a time (``_closure``);
+``elements()`` and class reps are tuples.
 
 The stabilizer chain comes from one incremental Schreier–Sims pass (Sims
 1970; Seress, *Permutation Group Algorithms*, 2003).  Each generator, in
@@ -26,7 +30,9 @@ with randomized internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, filterfalse, repeat
 from math import lcm, prod
+from operator import add
 from random import Random
 
 from .errors import (InvalidPermutation, InvariantViolation, NotASubgroup,
@@ -45,13 +51,28 @@ def compose(g: tuple, h: tuple) -> tuple:
     return tuple(map(g.__getitem__, h))
 
 
-def pack(g) -> str:
-    """g with one code point per point; g * h is pack(h).translate(pack(g))."""
-    return "".join(map(chr, g))
+_BYTES = bytes(range(256))
 
 
-def unpack(g: str) -> tuple:
-    return tuple(map(ord, g))
+def pack(g) -> bytes | str:
+    """g with one byte per point up to 256 points, else one code point per
+    point (points above 255 fit no byte); either sorts as the tuples do."""
+    return bytes(g) if len(g) <= 256 else "".join(map(chr, g))
+
+
+def unpack(g: bytes | str) -> tuple:
+    return tuple(g) if isinstance(g, bytes) else tuple(map(ord, g))
+
+
+def table(p: bytes | str) -> bytes | str:
+    """The translate table of packed p, so x.translate(table(p)) is p * x:
+    bytes padded to 256 with the identity, a ``str`` as it is."""
+    return p + _BYTES[len(p):] if isinstance(p, bytes) else p
+
+
+def left_multiply(t: bytes | str, xs):
+    """p * x for each packed x in xs, t = table(p), as one C-level map."""
+    return map(type(t).translate, xs, repeat(t))
 
 
 def inverse(g: tuple) -> tuple:
@@ -205,21 +226,20 @@ class PermGroup:
         return prod(len(trans) for trans in self._transversals)
 
     def _conjugators(self) -> list:
-        """(s, s^-1) packed per s of a small generating set: the packed
-        conjugate s g s^-1 is then s_inv.translate(g).translate(s).  Past
-        two reduced generators, elements drawn with a fixed seed replace
-        them if they generate G without outnumbering them, as two random
-        elements mostly do (Seress 2003, 2.2-2.3).  Orbits under G do not
-        depend on the set."""
+        """(s, s^-1) packed per s of a small generating set, as
+        ``_conjugation`` takes them.  Past two reduced generators, elements
+        drawn with a fixed seed replace them if they generate G without
+        outnumbering them, as two random elements mostly do (Seress 2003,
+        2.2-2.3).  Orbits under G do not depend on the set."""
         gens = self.reduced_generators
         if len(gens) > 2:
             elems, draw = self.packed_elements(), Random(0).choice
-            chain, drawn = PermGroup(self.degree, ()), []
+            bsgs, drawn = PermGroup(self.degree, ()), []
             for _ in range(_DRAWS):
                 g = unpack(draw(elems))
-                if chain._add(g, 0):
+                if bsgs._add(g, 0):
                     drawn.append(g)
-                    if chain.order == self.order:
+                    if bsgs.order == self.order:
                         gens = drawn
                     if len(drawn) == len(gens):
                         break
@@ -235,8 +255,9 @@ class PermGroup:
             # level i, so g^-1 runs over the products of their inverses
             elems = [pack(self._identity)]
             for trans in self._transversals:
-                elems = [e.translate(v) for v in map(pack, trans.values())
-                         for e in elems]
+                elems = list(chain.from_iterable(
+                    left_multiply(table(pack(v)), elems)
+                    for v in trans.values()))
             if len(set(elems)) != self.order:
                 raise InvariantViolation(f"{len(set(elems))} distinct "
                                          f"elements, order {self.order}")
@@ -254,24 +275,20 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple:
         """ConjClass records sorted by (size, order, cycle_type, rep).
 
-        Each class is closed by BFS under conjugation by ``_conjugators``,
-        a small generating set.  Its rep is its least member: the first
-        element of the sorted element list that no earlier class took."""
+        Each class is closed a level at a time under conjugation by
+        ``_conjugators``, a small generating set.  Its rep is its least
+        member: the first element of the sorted element list that no
+        earlier class took."""
         if self._classes is None:
-            conjugators = self._conjugators()
+            conjugations = [_conjugation(*c) for c in self._conjugators()]
             index: dict = {}  # packed element -> class number
             raw = []
             for rep in self.packed_elements():
                 if rep in index:
                     continue
-                k = index[rep] = len(raw)
-                members = [rep]
-                for g in members:
-                    for s, s_inv in conjugators:
-                        c = s_inv.translate(g).translate(s)
-                        if c not in index:
-                            index[c] = k
-                            members.append(c)
+                members = _orbit({rep}, lambda level: chain.from_iterable(
+                    conj(level) for conj in conjugations))
+                index.update(dict.fromkeys(members, len(raw)))
                 rep = unpack(rep)
                 raw.append(ConjClass(rep, len(members), perm_order(rep),
                                      cycle_type(rep)))
@@ -298,11 +315,13 @@ class PermGroup:
         (every subgroup is generated by such elements, since each of its
         elements' prime power parts lie in it), dedup by conjugate orbits of
         the full element sets.  Each subgroup in the frontier keeps the
-        elements it was grown from, so an extension closes under those
-        generators only, in O(|result| * |gens|) products, and is tried for
-        one element per coset of the subgroup.  The number of extensions
-        still grows with the lattice; a group above ``subgroup_order`` is
-        refused first.  The ``sorted``-least member represents its class.
+        elements it was grown from, so an extension closes under left
+        multiplication by those generators only, in O(|result| * |gens|)
+        products, and is tried for one element g per left coset gH of the
+        subgroup H, since <H, g> = <H, gh> for h in H.  The number of
+        extensions still grows with the lattice; a group above
+        ``subgroup_order`` is refused first.  The ``sorted``-least member
+        represents its class.
         """
         bound = get_limits().subgroup_order
         if self.order > bound:
@@ -313,19 +332,12 @@ class PermGroup:
         pp_elems = [g for g in self.packed_elements()
                     if _is_prime_power(perm_order(unpack(g)))]
 
-        conjugators = self._conjugators()
+        conjugations = [_conjugation(*c) for c in self._conjugators()]
 
         def conj_orbit(elem_set: frozenset) -> frozenset:
-            orbit = {elem_set}
-            queue = [elem_set]
-            for current in queue:
-                for s, s_inv in conjugators:
-                    moved = frozenset(s_inv.translate(g).translate(s)
-                                      for g in current)
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        queue.append(moved)
-            return frozenset(orbit)
+            return frozenset(_orbit({elem_set}, lambda level: (
+                frozenset(conj(current))
+                for current in level for conj in conjugations)))
 
         ident = pack(self._identity)
         triv = frozenset({ident})
@@ -335,12 +347,11 @@ class PermGroup:
         while frontier:
             nxt = []
             for current, gens in frontier:
-                # <H, g> = <H, hg> for h in H: one g per coset Hg suffices
-                covered = set(current)
+                covered = set(current)  # one g per left coset gH
                 for g in pp_elems:
                     if g in covered:
                         continue
-                    covered.update(map(g.translate, current))
+                    covered.update(left_multiply(table(g), current))
                     grown_gens = gens + (g,)
                     grown = _closure(current, grown_gens)
                     if grown in seen_sets:
@@ -374,18 +385,40 @@ def _is_prime_power(n: int) -> bool:
 def _closure(subgroup: frozenset, gens: tuple) -> frozenset:
     """The packed group generated by `gens` over its subgroup `subgroup`.
 
-    A set holding the identity and closed under right multiplication by
+    A set holding the identity and closed under left multiplication by
     the generators is the group they generate: in a finite group every
-    inverse is a positive power."""
-    elems = set(subgroup)
-    queue = list(subgroup)
-    for x in queue:
-        for s in gens:
-            y = s.translate(x)
-            if y not in elems:
-                elems.add(y)
-                queue.append(y)
+    inverse is a positive power.  Over the subgroup H such a set is a union
+    of left cosets, s xH being the coset of s x, so the closure runs on
+    coset reps a level at a time and takes in each new coset whole."""
+    tables = [table(s) for s in gens]
+    elems, level = set(subgroup), gens  # the images of 1, H's rep
+    while level:
+        fresh = []
+        for x in filterfalse(elems.__contains__, level):
+            elems.update(left_multiply(table(x), subgroup))
+            fresh.append(x)
+        level = list(chain.from_iterable(
+            left_multiply(t, fresh) for t in tables))
     return frozenset(elems)
+
+
+def _orbit(start, step) -> set:
+    """The closure of the set ``start`` under ``step``, which maps a level
+    (a set) to the images of its members, built a level at a time."""
+    seen = level = set(start)
+    while level:
+        level = set(filterfalse(seen.__contains__, step(level)))
+        seen |= level
+    return seen
+
+
+def _conjugation(s, s_inv):
+    """The map from packed xs to s x s^-1 for each x in xs, computed as
+    s_inv.translate(table(s x)): table(y) is y + pad for every y of the
+    degree, so each per-element call is C-level."""
+    t = table(s)
+    pad = repeat(t[len(s):])
+    return lambda xs: map(s_inv.translate, map(add, left_multiply(t, xs), pad))
 
 
 class CosetAction:

@@ -16,6 +16,8 @@ from oligorep.permgrp import (  # noqa: E402
     inverse,
     pack,
     perm_order,
+    table,
+    unpack,
 )
 
 MAX_DEGREE = 9
@@ -46,8 +48,30 @@ def test_one_pass_conjugation(pair):
     s, g = pair
     hypothesis.assume(s != identity(len(s)))
     ((s_packed, s_inv),) = PermGroup(len(s), [s])._conjugators()
-    assert (s_inv.translate(pack(g)).translate(s_packed)
+    assert (s_inv.translate(table(pack(g).translate(table(s_packed))))
             == pack(compose(s, compose(g, inverse(s)))))
+
+
+@st.composite
+def boundary_perms(draw, count):
+    """Permutations on 1-40 or on 250-300 points, on both sides of the
+    switch from bytes to code points at 256."""
+    degree = draw(st.one_of(st.integers(min_value=1, max_value=40),
+                            st.integers(min_value=250, max_value=300)))
+    return [tuple(draw(st.permutations(range(degree))))
+            for _ in range(count)]
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(boundary_perms(3))
+def test_packing_at_the_byte_boundary(triple):
+    g, x, y = triple
+    assert pack(x).translate(table(pack(g))) == pack(compose(g, x))
+    assert unpack(pack(g)) == g
+    # a neighbour sharing all but the last two points with g
+    near = g[:-2] + g[:-3:-1]
+    perms = [g, x, y, near]
+    assert [unpack(p) for p in sorted(map(pack, perms))] == sorted(perms)
 
 
 def closure(degree, gens):
@@ -125,8 +149,9 @@ def test_classes_match_brute_conjugation(case):
     assert [c.rep for c in classes] == [min(c) for c in expected]
     assert [c.size for c in classes] == [len(c) for c in expected]
     assert index == {pack(g): t for g, t in where.items()}
-    # code points above 127 and above 255 take the same path
-    for big in (200, 300):
+    # bytes up to 256 points, code points past that: both sides of the
+    # switch give the same classes
+    for big in (200, 256, 257, 300):
         H = PermGroup(big, [shift(g, big) for g in gens])
         big_classes, big_index = H.class_data()
         assert [c.rep for c in big_classes] == [

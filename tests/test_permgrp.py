@@ -327,6 +327,24 @@ def test_subgroup_classes_match_brute_force(name):
     assert [H.elements() for H in G.subgroups_up_to_conjugacy()] == expected
 
 
+def shift(g, degree):
+    """g moved onto the top len(g) of ``degree`` points, fixing the rest."""
+    low = degree - len(g)
+    return tuple(range(low)) + tuple(low + x for x in g)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_shifted_lattice_crosses_the_byte_boundary(name):
+    # packed elements are bytes up to 256 points and code points past that;
+    # the closures, conjugate orbits and coset skips must agree on both
+    G = SMALL_GROUPS[name]()
+    expected = [H.elements() for H in G.subgroups_up_to_conjugacy()]
+    for big in (200, 256, 257, 300):
+        shifted = PermGroup(big, [shift(g, big) for g in G.generators])
+        assert [H.elements() for H in shifted.subgroups_up_to_conjugacy()] == [
+            tuple(shift(g, big) for g in elems) for elems in expected]
+
+
 def test_subgroups_d5():
     subs = dihedral_group(5).subgroups_up_to_conjugacy()
     assert [H.order for H in subs] == [1, 2, 5, 10]
