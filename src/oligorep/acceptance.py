@@ -161,7 +161,7 @@ def _subgroup_sweep(class_id, max_size):
             continue
         degree = len(base.points)
         reps = oligo.base_table(class_id, base,
-                                cls.canonical_code(base)).class_reps[1:]
+                                cls._code_of_canonical(base)).class_reps[1:]
         if cls.atomic:
             # the table lists atom permutations; the subgroup moves masks
             reps = [cls.mask_perm(rep, cls.size(base)) for rep in reps]

@@ -2,7 +2,8 @@
 
 One verb per capability: catalog, decompose, cosets, subgroups, kazhdan,
 selftest.  Reports are deterministic for a fixed configuration and seed,
-and are written atomically (temp file plus rename) when --out is given.
+and are written atomically (temp file plus rename) when --out is given;
+a file that cannot be written exits 1, its temp file removed.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 size limit exceeded,
 3 mathematical invariant failure.
@@ -11,6 +12,7 @@ Exit codes: 0 success, 1 usage or malformed input, 2 size limit exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,23 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _plain(obj):
-    """Rewrite a report into JSON-safe primitives, exactly and stably."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_plain(x) for x in obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    return str(obj)
 
 
 def _text_lines(obj, indent=0):
@@ -74,7 +59,7 @@ _CSV_ROWS = {"catalog": "labels", "decompose": "terms",
 
 
 def _render(report, command, fmt):
-    report = _plain(report)
+    report = json.loads(json.dumps(report, default=str))
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "text":
@@ -99,9 +84,14 @@ def _emit(text, out):
         sys.stdout.write(text + "\n")
         return
     tmp = f"{out}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        os.replace(tmp, out)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OligorepError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def cmd_catalog(args):
@@ -205,7 +195,7 @@ def cmd_kazhdan(args):
             raise InvariantViolation("tree conditions failed verification")
 
         trials = args.trials if args.trials is not None else 200
-        stages = max(depth // 2, 1)
+        stages = len(tree.enumeration)
         rng = random.Random(args.seed)
         minimum = min(kazhdan.greedy_witness(cls, kazhdan.random_distribution(
             rng, range(stages)))["displacement"] for _ in range(trials))
@@ -296,7 +286,7 @@ def main(argv=None):
         if getattr(args, "class_id", None) is not None:
             get_class(args.class_id)
         report = args.func(args)
-        text = _render(report, args.command, args.format)
+        _emit(_render(report, args.command, args.format), args.out)
     except (SizeLimitExceeded, MemoryError) as exc:
         print(f"oligorep: size limit: {str(exc) or 'out of memory'}",
               file=sys.stderr)
@@ -307,7 +297,6 @@ def main(argv=None):
     except (OligorepError, ValueError) as exc:
         print(f"oligorep: error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
     if args.command == "selftest" and not report["ok"]:
         return 3
     return 0

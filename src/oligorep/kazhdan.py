@@ -7,10 +7,11 @@ relational limit structure (pure set, dense order, random graph) whose
 branches assemble into automorphisms moving every normalized nonnegative
 weight function by at least 1/2 in the l1 norm.  The tree can be
 materialized and its defining conditions checked, each node against its
-parent; the greedy branch walk is lazy and certifies its own displacement
-bound with exact rational arithmetic.  The dense order's points are ints,
-dyadic rationals at a scale fixed per tree or walk; they become
-``Fraction``s only in the walk's certificates.
+parent.  The greedy walk takes one child per level by the rule that builds
+the tree, ``_level``, tests each pair it adds, and certifies its
+displacement bound with exact rational arithmetic.  The dense order's
+points are ints, dyadic rationals at a scale fixed per tree or walk; they
+become ``Fraction``s only in the walk's certificates.
 
 Norm inequalities: the marginal contraction for diagonal actions on tuple
 spaces and the l1/l2 transfer that converts displacement bounds into
@@ -83,6 +84,7 @@ class Distribution:
     """Finitely supported nonnegative weights of total mass one, exact."""
 
     __slots__ = ("weights",)
+    _zero = Fraction(0)   # the weight off the support, made once
 
     def __init__(self, weights):
         self.weights = {}
@@ -96,7 +98,7 @@ class Distribution:
             raise MalformedStructure("weights must sum to exactly 1")
 
     def __getitem__(self, point):
-        return self.weights.get(point, Fraction(0))
+        return self.weights.get(point, self._zero)
 
     def support(self):
         return set(self.weights)
@@ -346,10 +348,14 @@ class _LinearRealizer(_Realizer):
 
     def gap(self, mapping, a):
         """Greatest image of a point below ``a``, least of the others."""
-        below, above = [], []
+        lo = hi = None
         for u, v in mapping.items():
-            (below if u < a else above).append(v)
-        return max(below, default=None), min(above, default=None)
+            if u < a:
+                if lo is None or v > lo:
+                    lo = v
+            elif hi is None or v < hi:
+                hi = v
+        return lo, hi
 
     def _fits(self, mapping, a):
         """a -> b keeps the order with every pair iff b lies in a's gap."""
@@ -396,10 +402,10 @@ class _RadoRealizer(_Realizer):
     def _fits(self, mapping, a):
         """b is new to the range and sees it as a sees the domain; a's
         row of adjacencies is computed once for every b."""
-        adjacent = self.adjacent
-        row = [(v, adjacent(u, a)) for u, v in mapping.items()]
-        return lambda b: all(v != b and adjacent(v, b) == edge
-                             for v, edge in row)
+        adjacent, images = self.adjacent, list(mapping.values())
+        row = [adjacent(u, a) for u in mapping]
+        return lambda b: b not in images and [
+            adjacent(v, b) for v in images] == row
 
 
 _REALIZERS = {
@@ -603,6 +609,22 @@ class KazhdanTree:
         return report
 
 
+def _level(realizer, enum, reserved, mapping, number):
+    """Level ``number``'s rule below a node holding ``mapping``: (a, even,
+    points), a = a_n for n = number // 2, paired in the domain if ``even``
+    and else in the range.  ``points`` is None if a is there already, so
+    the node persists, else it lazily yields the first 2^(n+1) candidates
+    of that side's stream outside the mapping, a and ``reserved``."""
+    n, even = number // 2, number % 2 == 0
+    a = enum[n - 1]
+    ran = set(mapping.values())
+    if a in (mapping if even else ran):
+        return a, even, None
+    stream = (realizer.images if even else realizer.preimages)(
+        mapping, a, set(mapping) | ran | {a} | reserved)
+    return a, even, itertools.islice(stream, 2 ** (n + 1))
+
+
 def build_tree(class_id, depth, interleave=False):
     """Materialize levels 1..depth of the back-and-forth tree.  A child
     holds its parent and one pair; a parent's mapping is built from its
@@ -612,26 +634,20 @@ def build_tree(class_id, depth, interleave=False):
     stages = max(depth // 2, 1)
     realizer = _realizer_for(class_id, interleave, stages)
     enum = realizer.enumeration(stages)
-    enum_set = set(enum) if not interleave else set()
+    reserved = set() if interleave else set(enum)
     levels = [[_TreeNode(None)]]
     total = 1
     budget = get_limits().tree_nodes
     for number in range(2, depth + 1):
-        n = number // 2
-        a = enum[n - 1]
-        even = number % 2 == 0
         new_level = []
         for parent in levels[-1]:
-            mapping = parent.mapping
-            ran = set(mapping.values())
-            if a in (mapping if even else ran):
+            a, even, points = _level(realizer, enum, reserved,
+                                     parent.mapping, number)
+            if points is None:
                 new_level.append(_TreeNode(parent))
             else:
-                banned = set(mapping) | ran | {a} | enum_set
-                stream = (realizer.images if even else realizer.preimages)(
-                    mapping, a, banned)
                 new_level += [_TreeNode(parent, (a, c) if even else (c, a))
-                              for c in itertools.islice(stream, 2 ** (n + 1))]
+                              for c in points]
             if total + len(new_level) > budget:
                 raise SizeLimitExceeded(
                     f"tree would exceed {budget} nodes at level "
@@ -646,15 +662,16 @@ def build_tree(class_id, depth, interleave=False):
 
 
 def greedy_witness(class_id, f, interleave=False):
-    """Walk one branch and certify displacement at least 1/2 for ``f``.
+    """Walk one branch of the tree; certify displacement >= 1/2 for ``f``.
 
-    At each stage the walk either pins the image of the next enumeration
-    point to a location where ``f`` is small, or, if the point already has
-    an image, pins its preimage the same way.  The displacement of the
-    resulting partial automorphism is a lower bound for the displacement of
-    every automorphism extending it.  A walk below ``required``, which
-    exceeds 1/2, raises ``InvariantViolation``, so the ``ok`` it returns is
-    always True; the key stays for the reports that read it.
+    Stage n takes one child on each of levels 2n and 2n+1, testing its
+    pair with the realizer's ``extends_at``: if a_n has no image, the
+    first candidate where ``f`` is small, then the first preimage; else
+    the first preimage where ``f`` is small.  The displacement of the
+    resulting partial automorphism bounds that of every automorphism
+    extending it.  A failed test, or a walk below ``required``, which
+    exceeds 1/2, raises ``InvariantViolation``, so the ``ok`` it returns
+    is always True; the key stays for the reports that read it.
     """
     realizer = _realizer_for(class_id, interleave)
     if not isinstance(f, Distribution):
@@ -677,62 +694,52 @@ def greedy_witness(class_id, f, interleave=False):
 
     realizer = _realizer_for(class_id, interleave, stages)
     enum = realizer.enumeration(stages)
-    enum_set = set(enum) if not interleave else set()
+    reserved = set() if interleave else set(enum)
     weight = Distribution({enum[i - 1]: f[p] for p, i in stage_of.items()})
-    mapping = {}
-    ran = set()
-    certificates = []
-    certified_points = set()
+    bounds = [Fraction(1, 2 ** (n + 1)) for n in range(stages + 1)]
+    mapping, certificates, certified = {}, [], set()
 
-    def certify(side, n, point, value, bound):
-        if point in certified_points:
+    def take(number, side=None):
+        """Add the pair of level ``number`` at its first candidate or, if
+        the level certifies a ``side``, at its first candidate where ``f``
+        is at most the stage's bound; False if the node persists."""
+        a, even, points = _level(realizer, enum, reserved, mapping, number)
+        if points is None:
+            return False
+        n = number // 2
+        bound = bounds[n]
+        b = next((c for c in points if not side or weight[c] <= bound), None)
+        if b is None:
+            raise InvariantViolation(f"no small {side} among the branch "
+                                     "candidates; mass accounting broken")
+        x, y = (a, b) if even else (b, a)
+        if not realizer.extends_at(mapping, a, even)(b):
             raise InvariantViolation(
-                f"point {point!r} certified twice; bound accounting broken")
-        certified_points.add(point)
-        certificates.append({
-            "stage": n,
-            "side": side,
-            "point": point,
-            "value": value,
-            "bound": bound,
-        })
-
-    def small(stream, side):
-        """The first candidate of the stage where ``f`` is at most bound."""
-        banned = set(mapping) | ran | {a} | enum_set
-        for c in itertools.islice(stream(mapping, a, banned), 2 ** (n + 1)):
-            if weight[c] <= bound:
-                return c
-        raise InvariantViolation(f"no small {side} among the branch "
-                                 "candidates; mass accounting broken")
+                f"the pair {realizer.point(x)} -> {realizer.point(y)} fails "
+                "the extension test of the walk's map")
+        mapping[x] = y
+        if side:
+            point = realizer.point(x)
+            if point in certified:
+                raise InvariantViolation(f"point {point!r} certified twice; "
+                                         "bound accounting broken")
+            certified.add(point)
+            certificates.append({"stage": n, "side": side, "point": point,
+                                 "value": weight[b], "bound": bound})
+        return True
 
     for n in range(1, stages + 1):
-        a = enum[n - 1]
-        bound = Fraction(1, 2 ** (n + 1))
-        if a not in mapping:
-            c = small(realizer.images, "image")
-            mapping[a] = c
-            ran.add(c)
-            certify("image", n, realizer.point(a), weight[c], bound)
-            if a not in ran:
-                banned = set(mapping) | ran | {a} | enum_set
-                d = next(realizer.preimages(mapping, a, banned))
-                mapping[d] = a
-                ran.add(a)
-            continue
-        if a in ran:
+        if take(2 * n, "image"):
+            take(2 * n + 1)
+        elif enum[n - 1] in mapping.values():
             raise InvariantViolation(
-                f"{realizer.point(a)!r} in both domain and range before "
-                "its stage")
-        d = small(realizer.preimages, "preimage")
-        mapping[d] = a
-        ran.add(a)
-        certify("preimage", n, realizer.point(d), weight[d], bound)
+                f"{realizer.point(enum[n - 1])!r} in both domain and range "
+                "before its stage")
+        else:
+            take(2 * n + 1, "preimage")
 
     displacement = partial_displacement(weight, mapping)
-    required = 1 - sum(
-        (Fraction(1, 2 ** (n + 1)) for n in range(1, stages + 1)),
-        Fraction(0))
+    required = 1 - sum(bounds[1:])
     if displacement < required:
         raise InvariantViolation(
             f"certified displacement {displacement} below the guaranteed "

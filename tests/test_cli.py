@@ -177,6 +177,24 @@ def test_output_file_deterministic(tmp_path, capsys):
     assert not (tmp_path / "a.json.tmp").exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "directory"])
+def test_unwritable_out_exits_one_and_leaves_no_temp_file(
+        tmp_path, capsys, target):
+    # a missing parent fails to open the temp file; an existing directory
+    # takes the temp file but refuses the rename
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    code = cli.main(["catalog", "--class", "pure_set", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"oligorep: error: cannot write {out}: " + (
+        "No such file or directory\n" if "/" in target
+        else "Is a directory\n")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["catalog"])

@@ -814,7 +814,7 @@ def _first_point_twice(images, realizer, mapping, a, banned):
 
 
 def _patch_images(monkeypatch, cls, stream):
-    """Have ``build_tree`` draw the images of ``cls`` from ``stream``,
+    """Have trees and walks draw the images of ``cls`` from ``stream``,
     given the realizer's own ``images``; preimages keep their stream."""
     kind = type(_realizer_for(cls, False))
     images = kind.images
@@ -910,6 +910,97 @@ def test_greedy_witness_support_validation():
         for point in ("0", 0.0):
             with pytest.raises(SupportOutsideEnumeration):
                 greedy_witness(cls, {point: 1})
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """``greedy_witness`` that also gives the realizer the walk used and
+    its final mapping, read where the walk measures its displacement."""
+    seen = {}
+    realizer_for, displacement = _realizer_for, partial_displacement
+
+    def keep_realizer(*args):
+        seen["realizer"] = realizer_for(*args)
+        return seen["realizer"]
+
+    def keep_mapping(weight, mapping):
+        seen["mapping"] = dict(mapping)
+        return displacement(weight, mapping)
+
+    monkeypatch.setattr(kazhdan, "_realizer_for", keep_realizer)
+    monkeypatch.setattr(kazhdan, "partial_displacement", keep_mapping)
+
+    def walk(cls, f, interleave=False):
+        report = greedy_witness(cls, f, interleave)
+        return report, seen["realizer"], seen["mapping"]
+    return walk
+
+
+@pytest.mark.parametrize("cls", ["pure_set", "linear_order", "graph"])
+def test_clean_walks_end_on_partial_automorphisms(walked, cls):
+    for seed in range(300):
+        f = random_distribution(random.Random(seed), range(6))
+        _, realizer, mapping = walked(cls, f)
+        assert _is_partial_automorphism(cls, realizer, mapping), seed
+
+
+@pytest.mark.parametrize("cls,interleave", [("linear_order", False),
+                                            ("pure_set", True)])
+@pytest.mark.parametrize("stages", [1, 2])
+def test_walks_stay_on_their_tree(walked, cls, interleave, stages):
+    # the realizers whose points depend on the mapping alone: a walk of s
+    # stages ends on a node of the last level of the depth-2s+1 tree
+    tree = build_tree(cls, 2 * stages + 1, interleave)
+    point = tree._realizer.point
+    last = {frozenset((point(x), point(y)) for x, y in node.mapping.items())
+            for node in tree.levels[-1]}
+    ends = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        raw = [rng.randint(0, 9) for _ in range(stages - 1)]
+        raw.append(rng.randint(1, 9))
+        f = {p: Fraction(k, sum(raw)) for p, k in enumerate(raw)}
+        report, realizer, mapping = walked(cls, f, interleave)
+        assert report["stages"] == stages
+        end = frozenset((realizer.point(x), realizer.point(y))
+                        for x, y in mapping.items())
+        assert end in last, seed
+        ends.add(end)
+    # f is 0 at every candidate of a walk that bans the enumeration, and
+    # one stage's f is {0: 1}: only interleaved walks of two stages may
+    # pass over a child where f is large
+    assert len(ends) == (2 if interleave and stages == 2 else 1)
+
+
+@pytest.mark.parametrize("cls", ["linear_order", "graph"])
+def test_walk_pairs_that_fail_the_extension_test_raise(monkeypatch, cls):
+    # every stream puts a point of the range first: preimages, drawn as
+    # images of the inverse map, start at a point of the domain, which
+    # each walk's first stage takes
+    kind = type(_realizer_for(cls, False))
+    images = kind.images
+    monkeypatch.setattr(kind, "images", lambda self, *args:
+                        _range_point_first(images, self, *args))
+    for seed in range(300):
+        f = random_distribution(random.Random(seed), range(6))
+        with pytest.raises(InvariantViolation,
+                           match="fails the extension test"):
+            greedy_witness(cls, f)
+
+
+@pytest.mark.parametrize("cls", ["linear_order", "graph"])
+def test_walk_images_that_fail_the_extension_test_raise(monkeypatch, cls):
+    # images alone start at a point of the range, where f is 0, so the
+    # image step of every stage after the first takes it
+    _patch_images(monkeypatch, cls, _range_point_first)
+    for seed in range(300):
+        f = random_distribution(random.Random(seed), range(6))
+        if max(f.support()) == 0:
+            assert greedy_witness(cls, f)["stages"] == 1
+            continue
+        with pytest.raises(InvariantViolation,
+                           match=r"the pair 1 -> .* fails the extension"):
+            greedy_witness(cls, f)
 
 
 # --- norm inequalities ------------------------------------------------------
