@@ -81,8 +81,10 @@ def _equality_patterns(n):
 
 
 def _nonempty_bases(class_id, max_size):
-    return [base for base in oligo.sweep_bases(class_id, max_size)
-            if base.points]
+    """(base, Aut(B)) per swept base with points."""
+    for base, gens in oligo.sweep_bases(class_id, max_size):
+        if base.points:
+            yield base, PermGroup(len(base.points), gens)
 
 
 def criterion_1():
@@ -153,8 +155,7 @@ def _subgroup_sweep(class_id, max_size):
     """
     cls = get_class(class_id)
     bound = get_limits().subgroup_order
-    for base in _nonempty_bases(class_id, max_size):
-        aut = cls.automorphisms(base)
+    for base, aut in _nonempty_bases(class_id, max_size):
         if aut.order <= bound:
             for sub in aut.subgroups_up_to_conjugacy():
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
@@ -330,42 +331,26 @@ def criterion_9():
     group of order at most 500 arising in the sweeps."""
     ok = True
     tables = []
-    seen = set()
     for class_id in CLASS_IDS:
-        for base in _nonempty_bases(class_id, SWEEP_BASE[class_id]):
-            cls = get_class(class_id)
-            aut = cls.automorphisms(base)
-            if aut.order > 500:
-                continue
-            code = cls._code_of_canonical(base)
-            if (class_id, code) in seen:
-                continue
-            seen.add((class_id, code))
-            tables.append((class_id, oligo.base_table(class_id, base, code)))
+        cls = get_class(class_id)
+        for base, aut in _nonempty_bases(class_id, SWEEP_BASE[class_id]):
+            if aut.order <= 500:
+                tables.append((class_id, oligo.base_table(
+                    class_id, base, cls._code_of_canonical(base))))
     for class_id, table in tables:
-        order = table.group_order
+        order, sizes = table.group_order, table.class_sizes
         k = table.num_classes
-        sizes = table.class_sizes
+        rows = [[table.value(i, t) for t in range(k)] for i in range(k)]
+        bars = [[w.conj() if isinstance(w, Cyc) else w for w in row]
+                for row in rows]
         ok = ok and sum(d * d for d in table.degrees) == order
-        for i in range(k):
-            for j in range(i, k):
-                total = 0
-                for t in range(k):
-                    v = table.value(i, t)
-                    w = table.value(j, t)
-                    w = w.conj() if isinstance(w, Cyc) else w
-                    total = total + v * w * sizes[t]
-                ok = ok and total == (order if i == j else 0)
-        for s in range(k):
-            for t in range(s, k):
-                total = 0
-                for i in range(k):
-                    v = table.value(i, s)
-                    w = table.value(i, t)
-                    w = w.conj() if isinstance(w, Cyc) else w
-                    total = total + v * w
-                expected = order // sizes[s] if s == t else 0
-                ok = ok and total == expected
+        # rows i, j weighted by the class sizes, then columns i, j
+        for i, j in itertools.combinations_with_replacement(range(k), 2):
+            total = sum((v * w * size for v, w, size
+                         in zip(rows[i], bars[j], sizes)), 0)
+            ok = ok and total == (order if i == j else 0)
+            total = sum((row[i] * bar[j] for row, bar in zip(rows, bars)), 0)
+            ok = ok and total == (order // sizes[i] if i == j else 0)
     return ok, {"tables": len(tables),
                 "max_order": max(t.group_order for _, t in tables)}
 

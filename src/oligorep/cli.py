@@ -107,10 +107,19 @@ def cmd_catalog(args):
 
 
 def cmd_decompose(args):
-    # the recursion's (n+1)-st power is refused first if it is too large
+    # n itself, then the recursion's (n+1)-st power, is refused before any
+    # power is formed
     recursion = None
     if args.n >= 1 and not args.x0:
-        recursion = oligo.tensor_recursion_check(args.class_id, args.n)
+        oligo.check_power(args.class_id, args.n)
+        try:
+            recursion = oligo.tensor_recursion_check(args.class_id, args.n)
+        except SizeLimitExceeded as exc:
+            # n + 1 is 2 to 9, as n passed the tuple length check
+            nth = {2: "2nd", 3: "3rd"}.get(args.n + 1, f"{args.n + 1}th")
+            raise SizeLimitExceeded(
+                f"the recursion check of --n {args.n} forms the {nth} power: "
+                f"{exc}; --x0 runs --n {args.n} without it") from exc
         if not recursion["ok"]:
             raise InvariantViolation(
                 "tensor power recursion residuals are nonzero")

@@ -176,26 +176,23 @@ def induced_equivalent(v, w):
 
 
 def sweep_bases(class_id, max_base=None):
-    """Canonical bases of size at most ``max_base`` (by default the class's
-    limit) but the fixed-only ones, which give the empty base's subgroup."""
+    """(canonical base, generators of Aut(B) as its enumeration found them)
+    per base of size at most ``max_base`` (by default the class's limit) but
+    the fixed-only ones, which give the empty base's subgroup."""
     cls = get_class(class_id)
     if max_base is None:
         max_base = get_limits().base_limit(class_id)
-    return [base for base in cls.enumerate_class(max_base)
+    return [(base, gens) for base, gens in cls._enumerate(max_base)
             if not cls.is_fixed_only(base)]
 
 
 def enumerate_open_subgroups(class_id, max_base=None):
     """All open subgroups with base size at most ``max_base``, up to conjugacy."""
-    cls = get_class(class_id)
     out = []
-    for base in sweep_bases(class_id, max_base):
-        if len(base.points) == 0:
-            out.append(make_open_subgroup(class_id, base))
-            continue
-        aut = cls.automorphisms(base)
-        for sub in aut.subgroups_up_to_conjugacy():
-            out.append(OpenSubgroup(class_id, base, sub, aut))
+    for base, gens in sweep_bases(class_id, max_base):
+        aut = PermGroup(len(base.points), gens)
+        subs = aut.subgroups_up_to_conjugacy() if base.points else (aut,)
+        out.extend(OpenSubgroup(class_id, base, sub, aut) for sub in subs)
     return out
 
 
@@ -286,7 +283,7 @@ def irrep_catalog(class_id, max_base=None):
     cls = get_class(class_id)
     labels = []
     # swept bases are canonical forms, whose codes need no search
-    for base in sweep_bases(class_id, max_base):
+    for base, _ in sweep_bases(class_id, max_base):
         labels.extend(_labels_for_base(class_id, base,
                                        cls._code_of_canonical(base)))
     return labels
@@ -380,6 +377,18 @@ def decompose_quasiregular(v):
     return dec
 
 
+def check_power(class_id, n):
+    """Refuse an n-th power whose tuple length is beyond desk scale or whose
+    hull groups are beyond the table bound, before any tuple is counted."""
+    cls = get_class(class_id)
+    cls._check_tuple_len(n)
+    order, bound = cls.max_aut_order(n), get_limits().table_order
+    if order is not None and order > bound:
+        raise SizeLimitExceeded(
+            f"{class_id} hulls of {n}-tuples have groups of order up to "
+            f"{order}, beyond the table bound {bound}")
+
+
 def decompose_power(class_id, n, x0_only=False):
     """Decompose the n-th power of the natural (or punctured) action.
 
@@ -397,12 +406,7 @@ def decompose_power(class_id, n, x0_only=False):
     table bound, is refused before any tuple is counted.
     """
     cls = get_class(class_id)
-    cls._check_tuple_len(n)
-    order, bound = cls.max_aut_order(n), get_limits().table_order
-    if order is not None and order > bound:
-        raise SizeLimitExceeded(
-            f"{class_id} hulls of {n}-tuples have groups of order up to "
-            f"{order}, beyond the table bound {bound}")
+    check_power(class_id, n)
     dec = Decomposition()
     for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
         if cls.is_fixed_only(hull):

@@ -335,6 +335,19 @@ def test_decompose_refuses_the_recursion_power_first(capsys, monkeypatch):
         2, "")
 
 
+def test_decompose_refusal_names_the_recursion_power(capsys):
+    # --n 4 itself is within desk scale; its recursion check is not
+    code = cli.main(["decompose", "--class", "boolean_algebra", "--n", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "oligorep: size limit: the recursion check of --n 4 forms the 5th "
+        "power: tuple length 5 beyond desk scale for boolean_algebra; --x0 "
+        "runs --n 4 without it\n")
+    assert run(capsys, ["decompose", "--class", "boolean_algebra", "--n",
+                        "4", "--x0"])[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--class", "pure_set", "--max-base", "-1"],
     ["subgroups", "--class", "graph", "--max-base", "-2"],
@@ -380,6 +393,29 @@ def test_kazhdan_order_undecided_at_a_low_degree_exits_three(capsys, degree):
     assert captured.out == ""
     assert captured.err == (
         "oligorep: invariant failure: order axioms failed on a sample\n")
+
+
+def test_kazhdan_exits_three_when_the_order_axioms_fail(capsys, monkeypatch):
+    # an order that answers "<" to every comparison is not antisymmetric
+    monkeypatch.setattr(kazhdan, "magnus_compare",
+                        lambda u, v, max_degree=10: "<")
+    code = cli.main(["kazhdan", "--class", "linear_order", "--trials", "50"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "oligorep: invariant failure: order axioms failed on a sample\n")
+
+
+def test_kazhdan_exits_three_when_the_tree_fails_verification(
+        capsys, monkeypatch):
+    verify = kazhdan.KazhdanTree.verify
+    monkeypatch.setattr(kazhdan.KazhdanTree, "verify",
+                        lambda tree: {**verify(tree), "ok": False})
+    code = cli.main(["kazhdan", "--class", "pure_set", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "oligorep: invariant failure: tree conditions failed verification\n")
 
 
 def test_selftest_exit_codes(capsys, monkeypatch):

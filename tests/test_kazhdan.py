@@ -44,7 +44,8 @@ from oligorep.kazhdan import (
     partial_displacement,
     random_distribution,
 )
-from oligorep.words import EMPTY, _mix_lanes, ball, inv, mult, word_int
+from oligorep.words import (
+    EMPTY, _mix_lanes, ball, inv, mult, word_int, word_key)
 
 
 def seeded_distribution(seed, points=range(6), max_support=4):
@@ -972,6 +973,24 @@ def test_walks_stay_on_their_tree(walked, cls, interleave, stages):
     assert len(ends) == (2 if interleave and stages == 2 else 1)
 
 
+@pytest.mark.parametrize("cls", ["pure_set", "linear_order", "graph"])
+def test_walk_below_the_guaranteed_bound_raises(monkeypatch, cls):
+    monkeypatch.setattr(kazhdan, "partial_displacement",
+                        lambda f, mapping: Fraction(0))
+    with pytest.raises(InvariantViolation, match=(
+            "certified displacement 0 below the guaranteed bound 5/8")):
+        greedy_witness(cls, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+
+
+def test_walk_with_no_small_image_raises(monkeypatch):
+    # every interleaved image is a itself, where f is 1
+    monkeypatch.setattr(kazhdan._PureRealizer, "images",
+                        lambda self, mapping, a, banned: itertools.repeat(a))
+    with pytest.raises(InvariantViolation,
+                       match="no small image among the branch candidates"):
+        greedy_witness("pure_set", {0: 1}, True)
+
+
 @pytest.mark.parametrize("cls", ["linear_order", "graph"])
 def test_walk_pairs_that_fail_the_extension_test_raise(monkeypatch, cls):
     # every stream puts a point of the range first: preimages, drawn as
@@ -1225,6 +1244,34 @@ def test_order_axioms_count_an_undecided_density_comparison():
     # through degree 1 the identity and a commutator cannot be told apart
     report = order_axioms_check(max_degree=1, trials=50)
     assert report["undecided"] > 0
+    assert report["ok"] is False
+
+
+def shortlex_compare(u, v, max_degree=10):
+    """Compare by ``word_key``: a total order, but not bi-invariant."""
+    return "=" if u == v else "<" if word_key(u) < word_key(v) else ">"
+
+
+def always_less(u, v, max_degree=10):
+    return "<"
+
+
+def cyclic_in_length(u, v, max_degree=10):
+    """Lengths 0 < 1 < 2 < 0 mod 3, shortlex within a residue: not
+    transitive."""
+    step = (len(u) - len(v)) % 3
+    return shortlex_compare(u, v) if step == 0 else "<" if step == 2 else ">"
+
+
+@pytest.mark.parametrize("compare", [shortlex_compare, always_less,
+                                     cyclic_in_length],
+                         ids=lambda compare: compare.__name__)
+def test_order_axioms_fail_on_a_wrong_order(monkeypatch, compare):
+    # shortlex breaks invariance, an order that always answers "<" breaks
+    # antisymmetry, and a cycle through the lengths breaks transitivity
+    monkeypatch.setattr(kazhdan, "magnus_compare", compare)
+    report = order_axioms_check(trials=200)
+    assert report["failures"] > 0
     assert report["ok"] is False
 
 

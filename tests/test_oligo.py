@@ -149,6 +149,39 @@ def test_open_subgroup_bases_are_canonical_so_their_codes_need_no_search():
             assert v.base_code == cls.canonical_code(v.base), v
 
 
+def test_sweeps_search_a_base_again_only_for_a_new_table(monkeypatch):
+    # the sweeps take Aut(B) from the enumeration that found B; only a
+    # table lookup that misses the cache searches the base once more
+    callers = []
+    searched = FraisseClass.automorphisms
+
+    def recording(self, s):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return searched(self, s)
+
+    monkeypatch.setattr(FraisseClass, "automorphisms", recording)
+    monkeypatch.setattr(oligo, "_TABLES", {})
+    for class_id in CLASS_IDS:
+        enumerate_open_subgroups(class_id, PROFILE_BASE[class_id])
+        for _ in acceptance._subgroup_sweep(class_id,
+                                            acceptance.SWEEP_BASE[class_id]):
+            pass
+    acceptance.criterion_9()
+    assert callers and set(callers) == {"base_table"}
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_swept_generators_generate_the_searched_automorphism_group(class_id):
+    cls = get_class(class_id)
+    for base, gens in oligo.sweep_bases(class_id,
+                                        acceptance.SWEEP_BASE[class_id]):
+        group = PermGroup(len(base.points), gens)
+        aut = cls.automorphisms(base)
+        assert group.order == aut.order, base
+        if group.order <= 2000:
+            assert set(group.elements()) == set(aut.elements()), base
+
+
 def test_generators_must_preserve_base():
     path = graph_on([(0, 1), (1, 2)], 3)
     with pytest.raises(NotASubgroup):
