@@ -31,7 +31,7 @@ from .chartab import Cyc
 from .errors import InvariantViolation, SizeLimitExceeded
 from .finstruct import get_class
 from .limits import get_limits
-from .permgrp import CosetAction, PermGroup, compose, symmetric_group
+from .permgrp import CosetAction, PermGroup, compose
 
 CLASS_IDS = ("pure_set", "linear_order", "graph", "vector_space",
              "vector_space_q3", "boolean_algebra")
@@ -164,7 +164,9 @@ def _subgroup_sweep(class_id, max_size):
         reps = oligo.base_table(class_id, base,
                                 cls._code_of_canonical(base)).class_reps[1:]
         if cls.atomic:
-            # the table lists atom permutations; the subgroup moves masks
+            # the table lists atom permutations and the subgroup moves
+            # masks: lift them, the other way from cell_group, so that the
+            # probes keep the table's class order
             reps = [cls.mask_perm(rep, cls.size(base)) for rep in reps]
         yield oligo.OpenSubgroup(
             class_id, base, PermGroup(degree, []), aut), True
@@ -175,15 +177,12 @@ def _subgroup_sweep(class_id, max_size):
 
 
 def _coset_multiplicities(v, table):
-    """Multiplicities by row index through an explicit table of cosets,
-    independent of the class counting that decompose_quasiregular does."""
+    """Multiplicities by row index through an explicit table of cosets.
+    Both groups are read on the table's points by ``cell_group``, as in
+    decompose_quasiregular; the rest is independent of it: the cosets are
+    enumerated (``CosetAction``), not counted by class (``coset_character``)."""
     cls = get_class(v.cls)
-    if cls.atomic:
-        m = cls.size(v.base)
-        group = symmetric_group(m)
-        sub = PermGroup(m, [cls.atom_perm(g, m) for g in v.group.generators])
-    else:
-        group, sub = v.aut, v.group
+    group, sub = cls.cell_group(v.aut, v.base), cls.cell_group(v.group, v.base)
     mults = table.decompose(table.perm_character(CosetAction(group, sub)))
     return {i: m for i, m in enumerate(mults) if m}
 

@@ -142,7 +142,7 @@ class Cyc:
 
     @staticmethod
     def root(e: int, k: int) -> "Cyc":
-        """zeta_e^k, reduced."""
+        """zeta_e^k, reduced.  Public API, pinned by the original tests."""
         return _make_cyc(e, _phi_data(e)[1][k % e])
 
     def _coerce(self, other):

@@ -30,8 +30,9 @@ class also owns everything else that reads its payload:
   configuration can occupy, and a function from a configuration to its
   cell mask; sets of pairs by default, a subspace's vectors for vector
   spaces;
-* ``cell_perm(g, base)``: how an automorphism of a base moves the cell
-  coordinates: ``g`` itself by default, the atom permutation for Boolean
+* ``cell_group(group, base)``: ``group`` <= Aut(base) as it permutes the
+  cell coordinates, which are also the points of the base's character
+  table: ``group`` itself by default, its action on the atoms for Boolean
   algebras;
 * ``double_coset_reps(base_b, group_b, base_c, group_c)``: the least
   configuration of each orbit of the two groups, sorted, by closing orbits
@@ -48,16 +49,17 @@ class also owns everything else that reads its payload:
   space;
 * ``_data_to_json``: the ``data`` object of a structure document.
 
-Boolean algebras set ``atomic``: the automorphism group of a base is the
-symmetric group on its atoms.  Canonical codes are short lowercase hex
-strings; two structures get the same code exactly when they are
-isomorphic.  The empty structure is a member of every class and is its
-own closure; for the linear-algebraic classes the closure of any nonempty
-set contains the fixed elements (the zero vector, the top and bottom of an
-algebra).  These closures are generated, not iterated: the closure of a set
-of vectors is their span (``_span``), and that of a set of masks is the
-unions of the blocks into which the masks cut the top (``_blocks``).  So a
-set is closed when it has q**rank vectors, or 2**blocks masks.
+Boolean algebras set ``atomic``: Aut(base) is the symmetric group on its
+atoms, whose table ``oligo.base_table`` reads from partitions.  Canonical
+codes are short lowercase hex strings; two structures get the same code
+exactly when they are isomorphic.  The empty structure is a member of
+every class and is its own closure; for the linear-algebraic classes the
+closure of any nonempty set contains the fixed elements (the zero vector,
+the top and bottom of an algebra).  These closures are generated, not
+iterated: the closure of a set of vectors is their span (``_span``), and
+that of a set of masks is the unions of the blocks into which the masks
+cut the top (``_blocks``).  So a set is closed when it has q**rank
+vectors, or 2**blocks masks.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def _lex_vector(idx, q, dim):
 def set_partitions(n):
     """Yield partitions of range(n) as block tuples ordered by least element:
     each partition of range(n - 1) with n - 1 added to one of its blocks or
-    as a block of its own."""
+    as a block of its own.  Public API, pinned by the original tests."""
     if n == 0:
         yield ()
         return
@@ -311,6 +313,8 @@ class FraisseClass:
     # -- substructures and closure
 
     def induced(self, s, positions):
+        """The substructure of ``s`` on ``positions``.  Public API, pinned
+        by the original tests."""
         positions = tuple(sorted(set(positions)))
         for p in positions:
             if not 0 <= p < len(s.points):
@@ -321,7 +325,8 @@ class FraisseClass:
     def acl(self, s, positions):
         """Positions of the closure of ``positions`` inside the member ``s``:
         the positions themselves for relational classes, their span for
-        vector spaces, and the unions of their blocks for Boolean algebras."""
+        vector spaces, and the unions of their blocks for Boolean algebras.
+        Public API, pinned by the original tests."""
         if not self.is_member(s):
             raise MalformedStructure("acl needs a class member")
         positions = tuple(sorted(set(positions)))
@@ -377,7 +382,8 @@ class FraisseClass:
 
     def enumerate_tuple_types(self, n):
         """Orbits of n-tuples as :class:`TupleType`; only the relational
-        classes, which have no fixed elements, list them."""
+        classes, which have no fixed elements, list them.  Public API,
+        pinned by the original tests."""
         self._check_tuple_len(n)
         return self._tuple_types(n)
 
@@ -464,10 +470,11 @@ class FraisseClass:
 
         return cells, mask_of
 
-    def cell_perm(self, g, base):
-        """The permutation of cell coordinates by which ``g`` in Aut(base)
-        moves the cells (tag, x, y), on x for the first base, y the second."""
-        return g
+    def cell_group(self, group, base):
+        """``group`` <= Aut(base) as it permutes the cell coordinates, x of
+        the cells (tag, x, y) for the first base and y for the second; these
+        are also the points of the base's character table."""
+        return group
 
     def config_finiteness(self, payload, base_b, base_c):
         """(left, right): the ``base_c`` copy lies in the hull of the other, and back."""
@@ -490,11 +497,9 @@ class FraisseClass:
         cells, mask_of = self.config_cells(base_b, base_c)
         index = {cell: k for k, cell in enumerate(cells)}
         moves = [_byte_tables([1 << index[t, p[x], y] for t, x, y in cells], 0)
-                 for p in (self.cell_perm(g, base_b)
-                           for g in group_b.reduced_generators)]
+                 for p in self.cell_group(group_b, base_b).reduced_generators]
         moves += [_byte_tables([1 << index[t, x, p[y]] for t, x, y in cells], 0)
-                  for p in (self.cell_perm(g, base_c)
-                            for g in group_c.reduced_generators)]
+                  for p in self.cell_group(group_c, base_c).reduced_generators]
         seen = set()
         reps = []
         for config in configs:
@@ -966,13 +971,8 @@ class _CrossWitnesses(Sequence):
 def _symmetric_gens(n):
     if n < 2:
         return []
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    cycle = tuple(range(1, n)) + (0,)
-    gens = [tuple(swap)]
-    if n > 2:
-        gens.append(cycle)
-    return gens
+    swap = (1, 0) + tuple(range(2, n))
+    return [swap, tuple(range(1, n)) + (0,)] if n > 2 else [swap]
 
 
 class VectorSpaceClass(FraisseClass):
@@ -1285,14 +1285,8 @@ class BooleanAlgebraClass(FraisseClass):
     def mask_perm(sigma, m):
         """The automorphism of the canonical algebra on m atoms, as a
         permutation of its 2**m masks, that permutes the atoms by sigma."""
-        images = []
-        for mask in range(1 << m):
-            new = 0
-            for k in range(m):
-                if mask >> k & 1:
-                    new |= 1 << sigma[k]
-            images.append(new)
-        return tuple(images)
+        return tuple(sum(1 << sigma[k] for k in range(m) if mask >> k & 1)
+                     for mask in range(1 << m))
 
     @staticmethod
     def atom_perm(point_perm, m):
@@ -1300,7 +1294,7 @@ class BooleanAlgebraClass(FraisseClass):
         sigma = []
         for k in range(m):
             img = point_perm[1 << k]
-            if img & (img - 1):
+            if img.bit_count() != 1:
                 raise InvariantViolation("automorphism does not permute atoms")
             sigma.append(img.bit_length() - 1)
         return tuple(sigma)
@@ -1324,8 +1318,13 @@ class BooleanAlgebraClass(FraisseClass):
                 configs.append(("cells", tuple(sorted(chosen))))
         return configs
 
-    def cell_perm(self, g, base):
-        return self.atom_perm(g, self.size(base))
+    def cell_group(self, group, base):
+        m = self.size(base)
+        atoms = PermGroup(m, [self.atom_perm(g, m)
+                              for g in group.reduced_generators])
+        if atoms.order != group.order:
+            raise InvariantViolation("atom action lost part of the subgroup")
+        return atoms
 
     def config_finiteness(self, payload, base_b, base_c):
         # left: every atom of the first copy meets one atom of the second;

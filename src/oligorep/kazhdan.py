@@ -628,16 +628,26 @@ def _level(realizer, enum, reserved, mapping, number):
 def build_tree(class_id, depth, interleave=False):
     """Materialize levels 1..depth of the back-and-forth tree.  A child
     holds its parent and one pair; a parent's mapping is built from its
-    chain when its children are made, and not kept."""
+    chain when its children are made, and not kept.  A depth is refused
+    before any node is built if its count, 2^(k//2+1) children per parent
+    on level k (a bound when ``interleave`` lets nodes persist), exceeds
+    ``tree_nodes``."""
     if depth < 1:
         raise MalformedStructure("depth must be at least 1")
     stages = max(depth // 2, 1)
     realizer = _realizer_for(class_id, interleave, stages)
+    budget = get_limits().tree_nodes
+    total = size = 1
+    for number in range(2, depth + 1):
+        size <<= number // 2 + 1
+        total += size
+        if total > budget:
+            raise SizeLimitExceeded(
+                f"tree would exceed {budget} nodes at level "
+                f"{number}; lower the depth")
     enum = realizer.enumeration(stages)
     reserved = set() if interleave else set(enum)
     levels = [[_TreeNode(None)]]
-    total = 1
-    budget = get_limits().tree_nodes
     for number in range(2, depth + 1):
         new_level = []
         for parent in levels[-1]:
@@ -648,11 +658,6 @@ def build_tree(class_id, depth, interleave=False):
             else:
                 new_level += [_TreeNode(parent, (a, c) if even else (c, a))
                               for c in points]
-            if total + len(new_level) > budget:
-                raise SizeLimitExceeded(
-                    f"tree would exceed {budget} nodes at level "
-                    f"{number}; lower the depth")
-        total += len(new_level)
         levels.append(new_level)
     return KazhdanTree(class_id, enum, levels, realizer)
 

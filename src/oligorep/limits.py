@@ -18,8 +18,9 @@ base size of ``irrep_catalog``, ``enumerate_open_subgroups`` and
 any element, ``base_table`` a new code's group before its elements form
 the table key and a cached table on every lookup, and ``decompose_power``
 a power whose hull groups may exceed it.  ``build_tree``
-stops past ``tree_nodes`` nodes; ``greedy_witness`` refuses a stage that
-could branch more ways.
+refuses a depth whose closed-form node count exceeds ``tree_nodes`` before
+it builds a node; ``greedy_witness`` refuses a stage that could branch
+more ways.
 """
 
 from __future__ import annotations

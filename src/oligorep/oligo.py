@@ -240,11 +240,13 @@ _TABLES = {}
 def base_table(class_id, base, code):
     """Character table used for labels over this base of canonical ``code``.
 
-    Symmetric-group tables (on atoms) for Boolean algebras, generic exact
-    tables for everything else, built once per group: a new code finds its
-    table by the degree and sorted packed elements of Aut(B).  A group
-    beyond the ``table_order`` bound is refused on every lookup, a new one
-    before its elements are built.
+    Symmetric-group tables (on atoms) for Boolean algebras, read from
+    partitions: tensor-power hulls reach 16 atoms, and S_16 is far beyond
+    Dixon's method, so the table is chosen here by ``atomic``.  Generic
+    exact tables for everything else, built once per group: a new code
+    finds its table by the degree and sorted packed elements of Aut(B).  A
+    group beyond the ``table_order`` bound is refused on every lookup, a
+    new one before its elements are built.
     """
     cls = get_class(class_id)
     if cls.atomic:
@@ -353,19 +355,11 @@ def decompose_quasiregular(v):
 
     The multiplicity of (B, sigma) is the multiplicity of sigma in the
     permutation character of Aut(B) acting on the cosets of K; nothing with
-    a different base occurs.  Boolean algebras read K through its action
-    on the atoms, where their symmetric table lives.
+    a different base occurs.  K is read on the points of the table
+    (``cell_group``): the atoms, for Boolean algebras.
     """
     dec = Decomposition()
-    cls = get_class(v.cls)
-    if cls.atomic:
-        m = cls.size(v.base)
-        sub = PermGroup(m, [cls.atom_perm(g, m)
-                            for g in v.group.reduced_generators])
-        if v.group.order != sub.order:
-            raise InvariantViolation("atom action lost part of the subgroup")
-    else:
-        sub = v.group
+    sub = get_class(v.cls).cell_group(v.group, v.base)
     labels = _labels_for_base(v.cls, v.base, v.base_code)
     table = labels[0].table
     char = coset_character(table, sub)

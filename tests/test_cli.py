@@ -267,6 +267,15 @@ def test_size_limit_exits_two(capsys, monkeypatch):
     assert code == 2
 
 
+def test_a_tree_past_the_node_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
+    assert cli.main(["kazhdan", "--class", "graph", "--depth", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("oligorep: size limit: tree would exceed 400000 "
+                            "nodes at level 8; lower the depth\n")
+
+
 def test_out_of_memory_exits_two(capsys, monkeypatch):
     # a profile too large for the process is a size limit, reported in one
     # line, not a traceback under the usage code

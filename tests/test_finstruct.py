@@ -1,9 +1,11 @@
+import ast
 import itertools
 import json
 import math
 import random
 import time
 from collections import Counter, namedtuple
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +337,45 @@ def test_symmetric_groups_on_points_and_atoms():
     order = get_class("linear_order")
     chain = order.make(tuple(range(4)), (0, 1, 2, 3))
     assert order.automorphisms(chain).order == 1
+
+
+def scoped_nodes(node, scope=""):
+    """(dotted name of the innermost enclosing class or function, node)
+    for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from scoped_nodes(child, inner)
+
+
+def test_atoms_are_read_through_one_class_hook():
+    # how Aut(base) acts on the points of its table is the class's
+    # cell_group; atomic is left where the table is chosen and where the
+    # table's class representatives are lifted to masks; no per-element
+    # cell hook is left beside it
+    hooks, cell_names, atomic_reads, atom_calls = set(), set(), set(), set()
+    for path in sorted(Path(finstruct.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for scope, node in scoped_nodes(ast.parse(text)):
+            name = getattr(node, "name", None) or getattr(
+                node, "attr", None) or getattr(node, "id", None)
+            if isinstance(name, str) and name.startswith("cell_"):
+                cell_names.add(name)
+            if isinstance(node, ast.FunctionDef) and node.name == "cell_group":
+                hooks.add(scope)
+            elif (isinstance(node, ast.Attribute) and node.attr == "atomic"
+                  and isinstance(node.ctx, ast.Load)):
+                atomic_reads.add(f"{path.stem}.{scope}")
+            elif isinstance(node, ast.Call) and "atom_perm" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                atom_calls.add(scope.split(".")[0])
+    assert cell_names == {"cell_group"}
+    assert hooks == {"FraisseClass", "BooleanAlgebraClass"}
+    assert atomic_reads == {"oligo.base_table", "acceptance._subgroup_sweep"}
+    assert atom_calls == {"BooleanAlgebraClass"}
 
 
 # ---------------------------------------------------------------------------

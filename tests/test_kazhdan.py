@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from array import array
 from bisect import bisect_left
@@ -152,23 +153,74 @@ def test_tree_input_validation(monkeypatch):
         build_tree("pure_set", 6)
 
 
-def test_tree_budget_refuses_within_one_parent(monkeypatch):
-    # the budget is checked after each parent's children, not after a
-    # whole level: level 5 of 1024 nodes stops at most 2^3 nodes past it
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The parents of the tree nodes built while the test runs."""
+    parents = []
 
     class CountingNode(kazhdan._TreeNode):
         __slots__ = ()
 
         def __init__(self, parent, pair=None):
-            built.append(parent)
+            parents.append(parent)
             super().__init__(parent, pair)
 
     monkeypatch.setattr(kazhdan, "_TreeNode", CountingNode)
+    return parents
+
+
+def test_tree_budget_refuses_within_one_parent(monkeypatch, built):
+    # the budget is checked against the closed-form count before the
+    # first node: level 5 takes the total to 1173 nodes, past 200
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"tree_nodes": 200}')
     with pytest.raises(SizeLimitExceeded):
         build_tree("pure_set", 8)
-    assert 200 < len(built) <= 200 + 2 ** 3
+    assert built == []
+
+
+def closed_form_sizes(depth):
+    """Level k of a tree without interleaving multiplies the level above by
+    2^(k//2+1): 2^(n+1) children at a_n, n = k // 2, on either side."""
+    sizes = [1]
+    for k in range(2, depth + 1):
+        sizes.append(sizes[-1] * 2 ** (k // 2 + 1))
+    return sizes
+
+
+def test_level_sizes_follow_the_closed_form():
+    # exact without interleaving, an upper bound with it; the count here is
+    # made apart from build_tree's own
+    assert list(itertools.accumulate(closed_form_sizes(8))) == [
+        1, 5, 21, 149, 1173, 17557, 279701, 8668309]
+    for cls in ("pure_set", "linear_order", "graph"):
+        for depth in range(1, 7):
+            assert build_tree(cls, depth).level_sizes() == \
+                closed_form_sizes(depth), (cls, depth)
+    sizes = build_tree("pure_set", 6, interleave=True).level_sizes()
+    bounds = closed_form_sizes(6)
+    assert len(sizes) == len(bounds)
+    assert all(got <= bound for got, bound in zip(sizes, bounds))
+    assert sum(sizes) == 8382 < sum(bounds)
+
+
+@pytest.mark.parametrize("cls, interleave", [
+    ("pure_set", False), ("linear_order", False), ("graph", False),
+    ("pure_set", True)])
+def test_depth_eight_is_refused_before_any_node(monkeypatch, built, cls,
+                                                interleave):
+    # 279 701 nodes through level 7 fit the default budget, 8 668 309
+    # through level 8 do not; no node is built to find that out
+    def refusal_seconds():
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded) as info:
+            build_tree(cls, 8, interleave)
+        assert str(info.value) == ("tree would exceed 400000 nodes at "
+                                   "level 8; lower the depth")
+        return time.perf_counter() - start
+
+    monkeypatch.delenv("OLIGOREP_LIMITS", raising=False)
+    assert min(refusal_seconds() for _ in range(3)) < 0.01
+    assert built == []
 
 
 def _items(node):

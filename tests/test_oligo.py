@@ -47,7 +47,7 @@ from oligorep.oligo import (
     tensor_recursion_check,
     trivial_label,
 )
-from oligorep.permgrp import PermGroup, identity, inverse
+from oligorep.permgrp import PermGroup, from_cycles, identity, inverse
 
 
 def stirling2(n, k):
@@ -384,6 +384,26 @@ def test_quasiregular_dimension_bookkeeping():
         assert decompose_quasiregular(v).total_degree() == v.index
     for v in enumerate_open_subgroups("boolean_algebra", 3):
         assert decompose_quasiregular(v).total_degree() == v.index
+
+
+@pytest.mark.parametrize("swap, message", [
+    ((3, 5), "atom action lost part of the subgroup"),
+    ((1, 3), "automorphism does not permute atoms"),
+    ((0, 1), "automorphism does not permute atoms")])
+def test_atom_action_refuses_a_mask_swap_that_is_no_automorphism(
+        swap, message):
+    # the swap of masks 3 and 5 fixes every atom, so its atom group is
+    # trivial; those of 1 and 3, and of 0 and 1, send atom 1 off the atoms
+    boo = get_class("boolean_algebra")
+    base = boo.canonical_algebra(3)
+    bad = PermGroup(8, [from_cycles(8, [swap])])
+    v = oligo.OpenSubgroup("boolean_algebra", base, bad,
+                           boo.automorphisms(base))
+    for call in (lambda: boo.cell_group(bad, base),
+                 lambda: decompose_quasiregular(v),
+                 lambda: double_coset_profile(v)):
+        with pytest.raises(InvariantViolation, match=message):
+            call()
 
 
 def test_power_pure_set_small():
@@ -897,8 +917,7 @@ def test_cell_masks_are_injective_and_closed(cls_id, max_base):
         assert len(masks) == len(raw), (v, w)
         assert all(mask < 1 << len(cells) for mask in masks)
         for side, base, group in ((1, v.base, v.group), (2, w.base, w.group)):
-            for g in group.generators:
-                p = cls.cell_perm(g, base)
+            for p in cls.cell_group(group, base).generators:
                 for mask in masks:
                     image = 0
                     for k, cell in enumerate(cells):
