@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, MalformedStructure, SizeLimitExceeded
-from .permgrp import PermGroup, compose, inverse
+from .permgrp import PermGroup, compose, inverse, symmetric_gens
 
 __all__ = [
     "FinStructure",
@@ -585,14 +585,14 @@ class PureSetClass(_RelationalClass):
     def _canonical(self, s):
         n = len(s.points)
         points = tuple(range(n))
-        return FinStructure(self.id, points, None), points, _symmetric_gens(n)
+        return FinStructure(self.id, points, None), points, symmetric_gens(n)
 
     def _code_of_canonical(self, canon):
         return _digest(self.id, len(canon.points))
 
     def _enumerate_nonempty(self, k):
         return [(FinStructure(self.id, tuple(range(n)), None),
-                 _symmetric_gens(n)) for n in range(1, k + 1)]
+                 symmetric_gens(n)) for n in range(1, k + 1)]
 
     def _block_cores(self, k):
         return [None]
@@ -968,13 +968,6 @@ class _CrossWitnesses(Sequence):
 # vector spaces over GF(q)
 
 
-def _symmetric_gens(n):
-    if n < 2:
-        return []
-    swap = (1, 0) + tuple(range(2, n))
-    return [swap, tuple(range(1, n)) + (0,)] if n > 2 else [swap]
-
-
 class VectorSpaceClass(FraisseClass):
     relational = False
     num_fixed_elements = 1
@@ -1052,19 +1045,27 @@ class VectorSpaceClass(FraisseClass):
         return [self._matrix_perm(m, dim) for m in self._matrix_gens(dim)]
 
     def _matrix_gens(self, dim):
-        gens = []
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                m = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-                m[i][j] = 1
-                gens.append(m)
-        if self.q > 2 and dim >= 1:
-            m = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-            m[0][0] = self.q - 1
-            gens.append(m)
-        return gens
+        """Two matrices generating GL(dim, q), q prime: the transvection
+        I + E_01 and the dim-cycle e_k -> e_{k+1} (indices mod dim) with
+        row 0 scaled by (q - 1)(-1)^(dim - 1), so of determinant q - 1.
+
+        Conjugating I + E_01 by powers of the cycle gives the transvections
+        I + cE_{k,k+1}, c != 0, and their powers every multiple, q being
+        prime.  For dim >= 3 the commutators [I + aE_ij, I + bE_jk] =
+        I + abE_ik give every elementary transvection, and these generate
+        SL(dim, q) (Taylor, *The Geometry of the Classical Groups*, 1992);
+        for dim = 2, I + E_01 and I + cE_10 generate SL(2, q).  q - 1
+        generates GF(q)^* for q in {2, 3}, so the cycle's determinant
+        takes SL to GL.  Dimension 0 has no generator, nor has dimension 1
+        over GF(2)."""
+        if dim < 2:
+            return [[[self.q - 1]]] if dim and self.q > 2 else []
+        cycle = [[int(r == (c + 1) % dim) for c in range(dim)]
+                 for r in range(dim)]
+        cycle[0][dim - 1] = (self.q - 1) * (-1) ** (dim - 1) % self.q
+        transvection = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        transvection[0][1] = 1
+        return [transvection, cycle]
 
     def _matrix_perm(self, m, dim):
         images = []
@@ -1260,7 +1261,7 @@ class BooleanAlgebraClass(FraisseClass):
 
     def _algebra_gens(self, m):
         """Generators of the atom permutations, on the canonical algebra."""
-        return [self.mask_perm(sigma, m) for sigma in _symmetric_gens(m)]
+        return [self.mask_perm(sigma, m) for sigma in symmetric_gens(m)]
 
     def _enumerate_nonempty(self, k):
         return [(self.canonical_algebra(m), self._algebra_gens(m))

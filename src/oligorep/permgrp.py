@@ -20,11 +20,10 @@ becomes a strong generator on every level from the one it was sifted from
 down to the one where it dropped out, past the last level opening a new
 one whose base point is the least point the residue moves.  Those levels'
 orbits grow, and their new Schreier generators are sifted the same way.
-Everything is taken in a fixed order, and the conjugators that close
-classes are drawn with a fixed seed, so two runs over the same generators
-produce identical data.  That determinism is load-bearing for reproducible
-catalogs, which is why this module exists instead of leaning on a library
-with randomized internals.
+Everything is taken in a fixed order and nothing is drawn at random, so
+two runs over the same generators produce identical data.  That
+determinism is load-bearing for reproducible catalogs, which is why this
+module exists instead of leaning on a library with randomized internals.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from math import lcm, prod
 from operator import add
-from random import Random
 
 from .errors import (InvalidPermutation, InvariantViolation, NotASubgroup,
                      SizeLimitExceeded)
 from .limits import get_limits
-
-_DRAWS = 16  # random elements tried for a small set of conjugators
 
 
 def identity(degree: int) -> tuple:
@@ -226,24 +222,11 @@ class PermGroup:
         return prod(len(trans) for trans in self._transversals)
 
     def _conjugators(self) -> list:
-        """(s, s^-1) packed per s of a small generating set, as
-        ``_conjugation`` takes them.  Past two reduced generators, elements
-        drawn with a fixed seed replace them if they generate G without
-        outnumbering them, as two random elements mostly do (Seress 2003,
-        2.2-2.3).  Orbits under G do not depend on the set."""
-        gens = self.reduced_generators
-        if len(gens) > 2:
-            elems, draw = self.packed_elements(), Random(0).choice
-            bsgs, drawn = PermGroup(self.degree, ()), []
-            for _ in range(_DRAWS):
-                g = unpack(draw(elems))
-                if bsgs._add(g, 0):
-                    drawn.append(g)
-                    if bsgs.order == self.order:
-                        gens = drawn
-                    if len(drawn) == len(gens):
-                        break
-        return [(pack(s), pack(inverse(s))) for s in gens]
+        """(s, s^-1) packed per reduced generator s, as ``_conjugation``
+        takes them.  Orbits under G do not depend on the generating set,
+        and each level costs a product per generator, so the classes keep
+        the sets they make small (GL(d, q) from two matrices)."""
+        return [(pack(s), pack(inverse(s))) for s in self.reduced_generators]
 
     # -- element and class data ----------------------------------------------
 
@@ -276,9 +259,9 @@ class PermGroup:
         """ConjClass records sorted by (size, order, cycle_type, rep).
 
         Each class is closed a level at a time under conjugation by
-        ``_conjugators``, a small generating set.  Its rep is its least
+        ``_conjugators``, the reduced generators.  Its rep is its least
         member: the first element of the sorted element list that no
-        earlier class took."""
+        earlier class took, so it does not depend on the generators."""
         if self._classes is None:
             conjugations = [_conjugation(*c) for c in self._conjugators()]
             index: dict = {}  # packed element -> class number
@@ -458,8 +441,14 @@ class CosetAction:
         )
 
 
+def symmetric_gens(n: int) -> list:
+    """The transposition (0 1) and the n-cycle i -> i + 1, which generate
+    S_n: only the transposition for n = 2, nothing for n < 2."""
+    if n < 2:
+        return []
+    swap = (1, 0) + tuple(range(2, n))
+    return [swap, tuple(range(1, n)) + (0,)] if n > 2 else [swap]
+
+
 def symmetric_group(n: int) -> PermGroup:
-    if n <= 1:
-        return PermGroup(max(n, 1), [])
-    gens = [from_cycles(n, [tuple(range(n))]), from_cycles(n, [(0, 1)])]
-    return PermGroup(n, gens)
+    return PermGroup(max(n, 1), symmetric_gens(n))

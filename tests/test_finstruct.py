@@ -328,6 +328,22 @@ def test_general_linear_group_orders():
     assert vs3.automorphisms(vs3.canonical_space(3)).order == 11232
 
 
+@pytest.mark.parametrize("class_id, dim", [
+    *(("vector_space", d) for d in range(7)),
+    *(("vector_space_q3", d) for d in range(5))])
+def test_two_matrices_generate_the_general_linear_group(class_id, dim):
+    # the transvection and the scaled cycle generate GL(dim, q), and
+    # neither alone does
+    cls = get_class(class_id)
+    degree, gens = cls.q ** dim, cls._space_gens(dim)
+    group = PermGroup(degree, gens)
+    assert len(gens) <= 2
+    assert group.order == math.prod(
+        cls.q ** dim - cls.q ** i for i in range(dim))
+    if len(gens) == 2:
+        assert all(PermGroup(degree, [g]).order < group.order for g in gens)
+
+
 def test_symmetric_groups_on_points_and_atoms():
     pure = get_class("pure_set")
     five = pure.make(tuple(range(5)), None)

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -463,7 +465,7 @@ def test_results_do_not_depend_on_generating_set(name):
             == [H.elements() for H in pair.subgroups_up_to_conjugacy()])
 
 
-# -- classes under a drawn generating set --------------------------------------
+# -- classes under the reduced generators ---------------------------------------
 
 def catalog_groups():
     """Aut(B) of every nonempty base of the six default catalogs, one group
@@ -505,15 +507,13 @@ def classes_under(G, gens):
     return H.class_data()
 
 
-def test_drawn_conjugators_generate_and_give_the_same_classes():
+def test_conjugators_are_the_reduced_generators_and_give_the_classes():
     c2_cubed = PermGroup(6, [from_cycles(6, [(i, i + 1)]) for i in (0, 2, 4)])
     groups = catalog_groups() + random_s6_subgroups() + [c2_cubed]
-    shortened = 0
     for G in groups:
-        drawn = [unpack(s) for s, _ in G._conjugators()]
-        assert all(s in G for s in drawn)
-        assert PermGroup(G.degree, drawn).order == G.order
-        shortened += len(drawn) < len(G.reduced_generators)
+        conjugators = [unpack(s) for s, _ in G._conjugators()]
+        assert conjugators == list(G.reduced_generators)
+        assert PermGroup(G.degree, conjugators).order == G.order
         classes, index = G.class_data()
         assert (classes, index) == classes_under(G, G.reduced_generators)
         if G.order <= 120:
@@ -523,38 +523,60 @@ def test_drawn_conjugators_generate_and_give_the_same_classes():
             assert index == {pack(g): i for i, m in enumerate(expected)
                              for g in m}
     assert len(c2_cubed.reduced_generators) == len(c2_cubed._conjugators()) == 3
-    assert shortened >= 10
 
 
-@pytest.mark.parametrize("class_id, dim", [("vector_space", 4),
-                                           ("vector_space_q3", 3)])
-def test_general_linear_classes_close_under_two_drawn_elements(class_id, dim):
+def elementary_generators(cls, dim):
+    """Every elementary transvection I + E_ij and, over GF(3),
+    diag(2, 1, ..., 1), as permutations of the canonical space: a
+    generating set of GL(dim, q) other than the class's own two matrices."""
+    mats = []
+    for i, j in itertools.permutations(range(dim), 2):
+        m = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        m[i][j] = 1
+        mats.append(m)
+    if cls.q > 2:
+        m = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        m[0][0] = cls.q - 1
+        mats.append(m)
+    return [cls._matrix_perm(m, dim) for m in mats]
+
+
+@pytest.mark.parametrize("class_id, dim, num_classes", [
+    ("vector_space", 4, 14), ("vector_space_q3", 3, 24)])
+def test_general_linear_classes_close_under_two_generators(
+        class_id, dim, num_classes):
+    # the largest tables' groups, GL(4,2) and GL(3,3), close their classes
+    # under two matrices and get the data every elementary transvection
+    # gives
+    cls = get_class(class_id)
     G = vector_space_group(class_id, dim)
-    assert len(G.reduced_generators) > 2 and len(G._conjugators()) == 2
+    assert len(G.reduced_generators) == len(G._conjugators()) == 2
+    classes, index = G.class_data()
+    assert len(classes) == num_classes
+    assert (classes, index) == classes_under(G, elementary_generators(cls, dim))
 
 
-def test_a_draw_inside_a_proper_subgroup_keeps_the_reduced_generators(
-        monkeypatch):
-    # S4 on three transpositions; every draw lies in the S3 fixing point 3,
-    # and conjugation by S3 alone would split the classes of S4
+def test_s4_on_three_transpositions_closes_its_classes_under_all_three():
+    # conjugation by the S3 fixing point 3 alone would split the classes
     G = PermGroup(4, [from_cycles(4, [(i, i + 1)]) for i in range(3)])
-    inside = [pack(g) for g in G.elements() if g[3] == 3]
-    draws = []
-
-    class InSubgroup:
-        def __init__(self, seed):
-            pass
-
-        def choice(self, elems):
-            draws.append(inside[len(draws) % len(inside)])
-            return draws[-1]
-
-    monkeypatch.setattr(permgrp, "Random", InSubgroup)
     assert len(G.reduced_generators) == 3
     conjugators = [unpack(s) for s, _ in G._conjugators()]
     assert conjugators == list(G.reduced_generators)
-    assert len(draws) == permgrp._DRAWS
     expected = brute_classes(G)
     assert [c.size for c in G.conjugacy_classes()] == [1, 3, 6, 6, 8]
     assert G.class_data()[1] == {pack(g): i for i, m in enumerate(expected)
                                  for g in m}
+
+
+@pytest.mark.parametrize("module", ["permgrp", "chartab", "finstruct", "oligo"])
+def test_the_group_and_table_layers_import_nothing_from_random(module):
+    # catalogs, tables and lattices are reproducible because nothing in
+    # these modules is drawn at random
+    path = Path(permgrp.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "random" not in imported
