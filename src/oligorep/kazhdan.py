@@ -50,8 +50,8 @@ from .words import (
     _mix_lanes,
     ball,
     inv,
+    join,
     magnus_compare,
-    mult,
     pair_coin,
     random_word,
     word_int,
@@ -772,7 +772,7 @@ class PureSetF2Action:
     class_id = "pure_set"
 
     def act(self, w, point):
-        return mult(w, point)
+        return join(w, point)
 
 
 class LinearOrderF2Action(PureSetF2Action):
@@ -814,7 +814,7 @@ class VectorSpaceF2Action:
         return self.vector(out)
 
     def act(self, w, point):
-        return frozenset((mult(w, b), c) for b, c in point)
+        return frozenset((join(w, b), c) for b, c in point)
 
     def sample_points(self, rng, count):
         out = []
@@ -861,7 +861,7 @@ class ClopenF2Action:
 
     def act(self, w, point):
         support, masks = point
-        moved = [mult(w, h) for h in support]
+        moved = [join(w, h) for h in support]
         order = sorted(range(len(moved)), key=lambda i: word_key(moved[i]))
         return (tuple(moved[i] for i in order), frozenset(
             sum(1 << pos for pos, i in enumerate(order) if mask >> i & 1)
@@ -896,7 +896,7 @@ class RadoF2Action(PureSetF2Action):
         self.seed = seed
 
     def adjacent(self, x, y):
-        return x != y and pair_coin(self.seed, mult(inv(x), y))
+        return x != y and pair_coin(self.seed, join(inv(x), y))
 
 
 def _cayley_masks(r, seeds):
@@ -999,9 +999,17 @@ def freeness_check(action, word_len=8, seed=0, points=None):
     fixed point found; otherwise reports what was checked.  Left
     multiplication is free by the group axioms (w p = p forces w = 1): on
     the default points the actions that inherit it share one cached sweep,
-    which only a wrong ``mult`` can fail, and fails on every call, as
-    exceptions are not cached.
+    which only a wrong ``join`` can fail, and fails on every call, as
+    exceptions are not cached.  A word length whose ball, 2*3^word_len - 1
+    words, exceeds ``ball_words`` is refused before any word is built.
     """
+    budget = get_limits().ball_words
+    # past bit_length() letters the ball exceeds any budget: the cap keeps
+    # a huge word_len from building a huge power of 3
+    if 2 * 3 ** min(word_len, budget.bit_length()) - 1 > budget:
+        raise SizeLimitExceeded(
+            f"ball({word_len}) would hold 2*3^{word_len} - 1 words, beyond "
+            f"the {budget} word budget; lower the word length")
     if isinstance(action, str):
         action = f2_embedding(action, seed=seed)
     if points is None and type(action).act is PureSetF2Action.act:
@@ -1028,10 +1036,10 @@ def freeness_check(action, word_len=8, seed=0, points=None):
 
 @lru_cache(maxsize=32)
 def _translation_sweep(word_len):
-    """The report of left multiplication on ball(2): one ``mult`` pass over
+    """The report of left multiplication on ball(2): one ``join`` pass over
     the words per point, and on a hit the loop of ``freeness_check``."""
     words, points = ball.__wrapped__(word_len)[1:], ball(2)
-    if any(p in map(mult, words, itertools.repeat(p)) for p in points):
+    if any(p in map(join, words, itertools.repeat(p)) for p in points):
         return freeness_check(PureSetF2Action(), word_len, points=points)
     return {"class": "pure_set", "word_len": word_len,
             "words_checked": len(words), "points_checked": len(points),
@@ -1058,9 +1066,9 @@ def order_axioms_check(word_len=6, max_degree=10, trials=10000, seed=0):
             if {uv, vu} not in ({"="}, {"<", ">"}) or (uv == "=") != (u == v):
                 failures += 1
             if uv == "<":
-                if magnus_compare(mult(w, u), mult(w, v), max_degree) != "<":
+                if magnus_compare(join(w, u), join(w, v), max_degree) != "<":
                     failures += 1
-                if magnus_compare(mult(u, w), mult(v, w), max_degree) != "<":
+                if magnus_compare(join(u, w), join(v, w), max_degree) != "<":
                     failures += 1
             vw = magnus_compare(v, w, max_degree)
             if uv == "<" and vw == "<":
@@ -1090,10 +1098,10 @@ def _density_witness(u, max_degree):
     """A word strictly between the identity and a positive ``u``, if the
     conjugation trick applies within the degree bound."""
     for y in ((1,), (2,), (1, 2)):
-        if mult(u, y) == mult(y, u):
+        if join(u, y) == join(y, u):
             continue
         for t in (y, inv(y)):
-            z = mult(mult(t, u), inv(t))
+            z = join(join(t, u), inv(t))
             if z == u:
                 continue
             try:
@@ -1117,7 +1125,7 @@ def cayley_edge_invariance(seed=0, trials=2000, rng_seed=0):
         x, y, w = (random_word(rng, 5) for _ in range(3))
         if x == y:
             continue
-        if action.adjacent(x, y) != action.adjacent(mult(w, x), mult(w, y)):
+        if action.adjacent(x, y) != action.adjacent(join(w, x), join(w, y)):
             raise InvariantViolation(
                 f"translation by {w!r} broke the edge ({x!r}, {y!r})")
     return {"seed": seed, "trials": trials, "ok": True}

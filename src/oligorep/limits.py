@@ -20,7 +20,8 @@ the table key and a cached table on every lookup, and ``decompose_power``
 a power whose hull groups may exceed it.  ``build_tree``
 refuses a depth whose closed-form node count exceeds ``tree_nodes`` before
 it builds a node; ``greedy_witness`` refuses a stage that could branch
-more ways.
+more ways.  ``freeness_check`` refuses a word length whose ball of
+2*3^n - 1 words exceeds ``ball_words`` before it builds a word.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class RunLimits:
     subgroup_order: int = 2000
     table_order: int = 25000
     tree_nodes: int = 400000
+    ball_words: int = 400000
 
     def base_limit(self, cls_id: str) -> int:
         return self.max_base[cls_id]
@@ -81,7 +83,8 @@ def get_limits() -> RunLimits:
                     raise InvalidLimits(
                         f"{ENV_VAR}: unknown class {cls_id!r} in max_base")
                 limits.max_base[cls_id] = _positive(f"max_base.{cls_id}", v)
-        elif key in ("subgroup_order", "table_order", "tree_nodes"):
+        elif key in ("subgroup_order", "table_order", "tree_nodes",
+                     "ball_words"):
             setattr(limits, key, _positive(key, value))
         else:
             raise InvalidLimits(f"{ENV_VAR}: unknown limit {key!r}")

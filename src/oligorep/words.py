@@ -1,7 +1,9 @@
 """Reduced words in the free group on two generators.
 
 A word is a tuple of nonzero ints: 1 = x, -1 = x^-1, 2 = y, -2 = y^-1,
-always freely reduced.  This module also hosts the Magnus power-series
+always freely reduced.  ``join`` multiplies two reduced words by cancelling
+only where they meet; ``mult`` also reduces a product of unreduced words,
+one letter at a time.  This module also hosts the Magnus power-series
 machinery used for the bi-invariant order: x maps to 1 + X, y to 1 + Y in
 noncommuting formal variables, inverses expand as geometric series, and
 words are compared by the first differing coefficient in graded
@@ -23,7 +25,8 @@ LETTERS = (1, -1, 2, -2)
 
 
 def mult(u: tuple, v: tuple) -> tuple:
-    """Concatenate and freely reduce.  Inputs need not be reduced."""
+    """Concatenate and freely reduce.  Inputs need not be reduced; for
+    reduced inputs ``join`` gives the same word faster."""
     out: list = []
     for letter in (*u, *v):
         if out and out[-1] == -letter:
@@ -31,6 +34,16 @@ def mult(u: tuple, v: tuple) -> tuple:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def join(u: tuple, v: tuple) -> tuple:
+    """The product of reduced words: u's tail cancels against v's head."""
+    if u and v and u[-1] == -v[0]:
+        k, n = 1, min(len(u), len(v))
+        while k < n and u[-1 - k] == -v[k]:
+            k += 1
+        return u[:-k] + v[k:]
+    return u + v
 
 
 def inv(u: tuple) -> tuple:

@@ -276,6 +276,28 @@ def test_a_tree_past_the_node_budget_exits_two(capsys, monkeypatch):
                             "nodes at level 8; lower the depth\n")
 
 
+@pytest.mark.parametrize("cls", ["pure_set", "vector_space"])
+def test_a_word_ball_past_the_budget_exits_two(capsys, monkeypatch, cls):
+    # ball(5) holds 485 words and ball(4) 161: the count is refused before
+    # any word is built, on the shared sweep and on the per-point loop
+    monkeypatch.setenv("OLIGOREP_LIMITS", '{"ball_words": 200}')
+
+    def refuse(*args):
+        raise AssertionError("built words before counting them")
+
+    refuse.__wrapped__ = refuse
+    with monkeypatch.context() as patch:
+        patch.setattr(kazhdan, "ball", refuse)
+        assert cli.main(["kazhdan", "--class", cls, "--words", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "oligorep: size limit: ball(5) would hold 2*3^5 - 1 words, beyond "
+        "the 200 word budget; lower the word length\n")
+    code, _ = run(capsys, ["kazhdan", "--class", cls, "--words", "4"])
+    assert code == 0
+
+
 def test_out_of_memory_exits_two(capsys, monkeypatch):
     # a profile too large for the process is a size limit, reported in one
     # line, not a traceback under the usage code

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import sys
@@ -6,6 +7,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1209,7 +1211,7 @@ def test_a_wrong_mult_fails_the_shared_translation_sweep(monkeypatch):
     def broken(u, v):
         return v if u == commutator else mult(u, v)
 
-    monkeypatch.setattr(kazhdan, "mult", broken)
+    monkeypatch.setattr(kazhdan, "join", broken)
     kazhdan._translation_sweep.cache_clear()
     for cls in ("pure_set", "linear_order"):
         with pytest.raises(FreenessViolation) as info:
@@ -1219,6 +1221,24 @@ def test_a_wrong_mult_fails_the_shared_translation_sweep(monkeypatch):
             "word (1, 2, -1, -2) fixes point () in pure_set")
     # a failed sweep is not cached, so it fails again on the next call
     assert kazhdan._translation_sweep.cache_info().currsize == 0
+
+
+def test_only_words_calls_mult():
+    # the sweep and the actions multiply through ``kazhdan.join``, the
+    # product the mutant above patches; ``mult`` reduces letter by letter
+    # and stays in ``words``, so no caller can route around that product
+    callers = []
+    for path in sorted(Path(kazhdan.__file__).parent.glob("*.py")):
+        if path.stem == "words":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "mult" for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "mult"
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "mult"):
+                callers.append(f"{path.stem}:{node.lineno}")
+    assert callers == []
 
 
 def test_vector_action_is_linear():

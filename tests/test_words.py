@@ -10,6 +10,7 @@ from oligorep.words import (
     LETTERS,
     ball,
     inv,
+    join,
     magnus_compare,
     magnus_component,
     mult,
@@ -115,6 +116,32 @@ def test_mult_agrees_with_the_sanov_representation():
             v = tuple(-letter for letter in reversed(tail)) + v
         w = mult(u, v)
         assert all(a != -b for a, b in zip(w, w[1:])), (u, v, w)
+        assert sanov_matrix(w) == matmul(sanov_matrix(u), sanov_matrix(v))
+
+
+def reduced(w):
+    return all(a != -b for a, b in zip(w, w[1:]))
+
+
+def test_join_is_mult_on_products_of_balls():
+    # long by short is the shape of the translation sweep and of the
+    # actions on ball(2); short by long is its mirror
+    for us, vs in ((ball(4), ball(4)), (ball(6), ball(2)), (ball(2), ball(6))):
+        for u, v in itertools.product(us, vs):
+            assert join(u, v) == mult(u, v), (u, v)
+
+
+def test_join_cancels_a_random_tail_of_u():
+    rng = random.Random(13)
+    for _ in range(5000):
+        u = words.random_word(rng, 6)
+        undo = inv(u[rng.randrange(len(u) + 1):])
+        v = undo + words.random_word(rng, 6 - len(undo))
+        while not reduced(v):
+            v = undo + words.random_word(rng, 6 - len(undo))
+        w = join(u, v)
+        assert w == mult(u, v), (u, v)
+        assert reduced(w), (u, v, w)
         assert sanov_matrix(w) == matmul(sanov_matrix(u), sanov_matrix(v))
 
 
