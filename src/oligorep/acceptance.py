@@ -161,8 +161,8 @@ def _subgroup_sweep(class_id, max_size):
                 yield oligo.OpenSubgroup(class_id, base, sub, aut), False
             continue
         degree = len(base.points)
-        reps = oligo.base_table(class_id, base,
-                                cls._code_of_canonical(base)).class_reps[1:]
+        reps = oligo.base_table(class_id, base, cls._code_of_canonical(base),
+                                aut.generators).class_reps[1:]
         if cls.atomic:
             # the table lists atom permutations and the subgroup moves
             # masks: lift them, the other way from cell_group, so that the
@@ -196,7 +196,8 @@ def criterion_4():
         for v, is_probe in _subgroup_sweep(class_id, SWEEP_BASE[class_id]):
             decomposition = oligo.decompose_quasiregular(v)
             ok = ok and decomposition.total_degree() == v.index
-            table = oligo.base_table(class_id, v.base, v.base_code)
+            table = oligo.base_table(class_id, v.base, v.base_code,
+                                     v.aut.generators)
             if v.group.order == 1:
                 mults = sorted(m for _, m in decomposition.items())
                 ok = ok and mults == sorted(table.degrees)
@@ -335,7 +336,8 @@ def criterion_9():
         for base, aut in _nonempty_bases(class_id, SWEEP_BASE[class_id]):
             if aut.order <= 500:
                 tables.append((class_id, oligo.base_table(
-                    class_id, base, cls._code_of_canonical(base))))
+                    class_id, base, cls._code_of_canonical(base),
+                    aut.generators)))
     for class_id, table in tables:
         order, sizes = table.group_order, table.class_sizes
         k = table.num_classes

@@ -2,19 +2,20 @@
 
 Dixon's modular method (Dixon 1967): compute the table of a permutation
 group over a prime field F_p with p = 1 (mod group exponent), split the
-class algebra into common eigenvectors, read off degrees and character
-values mod p, then lift to exact cyclotomic integers through eigenvalue
-multiplicities.  The split reads class matrix r only in the rows at the
-pivots of the spaces it has not yet cut into lines, so only those rows are
-built (Schneider 1990, "Dixon's character table algorithm revisited"):
-row s costs |C_r| products, since counting the triples xy = z two ways
-gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.  Classes,
-rows and coset characters read the group's packed elements (``permgrp``),
-so each product is one ``translate`` of a packed element.  Each exact
-value of the lift and each row orthogonality sum (the column relations
-follow) is added up in one exponent dict by ``_mul_acc``, as in
-``Cyc.__mul__``, with no Cyc per term.  A table failing them is a bug,
-hence InvariantViolation.
+class algebra into common eigenvectors of class matrices 1, 2, ... (class 0
+is the identity, whose matrix is I), each characteristic polynomial from a
+Hessenberg form mod p, read off degrees and character values mod p, and
+lift to exact cyclotomic integers through eigenvalue multiplicities.  The
+split reads class matrix r only in the rows at the pivots of the spaces it
+has not yet cut into lines, so only those rows are built (Schneider 1990,
+"Dixon's character table algorithm revisited"): row s costs |C_r| products,
+since counting the triples xy = z two ways gives |C_t| a[r][s][t] = |C_s|
+#{x in C_r : x rep_s in C_t}.  Classes, rows and coset characters read the
+group's packed elements (``permgrp``), so each product is one ``translate``
+of a packed element.  Each exact value of the lift and each row
+orthogonality sum (the column relations follow) is added up in one exponent
+dict by ``_mul_acc``, as in ``Cyc.__mul__``, with no Cyc per term.  A table
+failing them is a bug, hence InvariantViolation.
 
 Symmetric groups additionally get an independent construction from
 partition combinatorics (hook lengths, Murnaghan-Nakayama border strips)
@@ -23,12 +24,13 @@ materializing group elements stops being reasonable.
 
 The number theory is exact and small: p is the least prime found by trial
 division on the progression 1 + e*n above the bounds, its least primitive
-root is checked against the prime factors of p - 1, and Phi_e is x^e - 1
-divided exactly by Phi_d for every proper divisor d of e.
+root is checked against the prime factors of p - 1, and Phi_e is the
+product of (x^d - 1)^mu(e/d) over the divisors d of e, divided exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,42 +50,55 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, increasing, by trial division."""
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return factors + [n] if n > 1 else factors
+
+
 def _primitive_root(p: int) -> int:
     """Least generator of the multiplicative group of the prime field F_p."""
-    factors, m, q = [], p - 1, 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
+    factors = _prime_factors(p - 1)
     return next(g for g in range(1, p)
                 if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _times_binomial(poly: list, d: int) -> list:
+    """poly * (x^d - 1), coefficients constant term first."""
+    return [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic(e: int) -> tuple:
     """Integer coefficients of Phi_e, constant term first.
 
-    x^e - 1 is the product of Phi_d over the divisors d of e, so dividing it
-    by Phi_d for each proper divisor d leaves Phi_e.  Each division is by a
-    monic polynomial and must leave no remainder.
+    Phi_e is the product of (x^d - 1)^mu(e/d) over d = e / (a product of
+    distinct primes of e), the divisors where mu is not 0: multiply by the
+    binomials of mu = +1, then divide exactly by those of mu = -1, in
+    O(tau(e) e) operations.
     """
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d:
-            continue
-        den = _cyclotomic(d)
-        m = len(den) - 1
-        quot = [0] * (len(num) - m)
-        for i in range(len(quot) - 1, -1, -1):
-            c = quot[i] = num[i + m]
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-        if any(num):
-            raise InvariantViolation(f"Phi_{d} does not divide x^{e} - 1")
+    primes = _prime_factors(e)
+    num, dens = [1], []
+    for r in range(len(primes) + 1):
+        for divisor in itertools.combinations(primes, r):
+            d = e // math.prod(divisor)
+            if r % 2:
+                dens.append(d)
+            else:
+                num = _times_binomial(num, d)
+    for d in dens:
+        # num = quot * (x^d - 1) reads num[i] = quot[i - d] - quot[i]
+        quot = []
+        for i in range(len(num) - d):
+            quot.append((quot[i - d] if i >= d else 0) - num[i])
+        if _times_binomial(quot, d) != num:
+            raise InvariantViolation(f"Phi_{e}: x^{d} - 1 leaves a remainder")
         num = quot
     return tuple(num)
 
@@ -252,40 +267,44 @@ def _serialize_value(v):
 # Mod-p linear algebra
 # ---------------------------------------------------------------------------
 
-def _mat_mul(a, b, p):
-    n, m, r = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(r):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(m):
-                    oi[j] = (oi[j] + c * bk[j]) % p
-    return out
-
-
 def _charpoly_modp(b, p):
-    """Monic characteristic polynomial of b over F_p (Faddeev-LeVerrier).
-
-    Needs p > dim, which the prime selection guarantees.
-    """
+    """Monic characteristic polynomial of b over F_p, highest coefficient
+    first, in O(d^3): b is brought to upper Hessenberg form h by
+    similarities, then the leading i x i blocks' polynomials follow from
+    the subdiagonal recurrence (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.2)."""
     d = len(b)
-    cs = [1]
-    mk = [[int(i == j) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        am = _mat_mul(b, mk, p)
-        tr = sum(am[i][i] for i in range(d)) % p
-        ck = (-tr) * pow(k, p - 2, p) % p
-        cs.append(ck)
-        if k < d:
-            mk = [
-                [(am[i][j] + (ck if i == j else 0)) % p for j in range(d)]
-                for i in range(d)
-            ]
-    return cs
+    h = [[x % p for x in row] for row in b]
+    for m in range(1, d - 1):
+        i = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        h[i], h[m] = h[m], h[i]
+        for row in h:
+            row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], p - 2, p)
+        for i in range(m + 1, d):
+            u = h[i][m - 1] * inv % p
+            if u:  # row i -= u row m, then column m += u column i
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[i]: the leading i x i block's polynomial, constant term first
+    polys = [[1]]
+    for m in range(d):
+        nxt = [0] + polys[m]
+        for j, c in enumerate(polys[m]):
+            nxt[j] -= h[m][m] * c
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % p
+            if not t:
+                break
+            coeff = h[m - i][m] * t
+            for j, c in enumerate(polys[m - i]):
+                nxt[j] -= coeff * c
+        polys.append([c % p for c in nxt])
+    return polys[d][::-1]
 
 
 def _poly_roots_modp(cs, p):
@@ -321,8 +340,9 @@ def _nullspace_modp(mat, p):
 
 def _choose_prime(order: int, exponent: int, num_classes: int) -> int:
     # p = 1 (mod e) so F_p contains the needed roots of unity; p > 2*sqrt(|G|)
-    # so degrees and multiplicities lift uniquely; p > k keeps the
-    # characteristic-polynomial divisions valid.
+    # so degrees and multiplicities lift uniquely.  The Hessenberg charpoly
+    # divides by no k, but the floor p > k stays: it chose the primes that
+    # tables report as ``prime``, and a lower one would change them.
     floor = max(math.isqrt(4 * order) + 1, num_classes + 1, 3)
     p = exponent + 1
     while p < floor or not _is_prime(p):
@@ -447,11 +467,12 @@ def character_table(group: PermGroup) -> CharacterTable:
     for g, t in class_index.items():
         members[t].append(g)
 
-    # split F_p^k into common eigenvectors of class matrices r = 0, 1, ...;
-    # a space's restriction is read off the rows of r at its pivots, which
-    # are the only rows built (Schneider 1990), each once per r
+    # split F_p^k into common eigenvectors of class matrices r = 1, 2, ...
+    # (class 0's is I and splits nothing); a space's restriction is read off
+    # the rows of r at its pivots, which are the only rows built (Schneider
+    # 1990), each once per r
     spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], p)]
-    for r in range(k):
+    for r in range(1, k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
         a_rows: dict = {}

@@ -231,13 +231,14 @@ def trivial_label(class_id):
     """The trivial representation: row 0 of the empty base's one-row table."""
     cls = get_class(class_id)
     empty = cls.empty()
-    return _labels_for_base(class_id, empty, cls._code_of_canonical(empty))[0]
+    return _labels_for_base(class_id, empty, cls._code_of_canonical(empty),
+                            [])[0]
 
 
 _TABLES = {}
 
 
-def base_table(class_id, base, code):
+def base_table(class_id, base, code, gens=None):
     """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, read from
@@ -246,14 +247,17 @@ def base_table(class_id, base, code):
     exact tables for everything else, built once per group: a new code
     finds its table by the degree and sorted packed elements of Aut(B).  A
     group beyond the ``table_order`` bound is refused on every lookup, a
-    new one before its elements are built.
+    new one before its elements are built.  A new code's Aut(B) is built
+    from ``gens`` when the caller holds its generators (the enumeration
+    that found B did), else searched: only ``decompose_power``'s hulls are.
     """
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
     key = (class_id, code)
     if key not in _TABLES:
-        group = cls.automorphisms(base)
+        group = (cls.automorphisms(base) if gens is None
+                 else PermGroup(len(base.points), gens))
         _check_table_order(group.order)
         packed = group.packed_elements()  # bytes, or str past 256 points
         elements = (group.degree, packed[0][:0].join(packed))
@@ -272,9 +276,9 @@ def _atom_table(m):
     return _TABLES[key]
 
 
-def _labels_for_base(class_id, base, code):
+def _labels_for_base(class_id, base, code, gens=None):
     """Labels over one normalized base, in table row order."""
-    table = base_table(class_id, base, code)
+    table = base_table(class_id, base, code, gens)
     size = get_class(class_id).size(base)
     return [IrrepLabel(class_id, code, size, i, table.degrees[i], table)
             for i in range(table.num_classes)]
@@ -285,9 +289,9 @@ def irrep_catalog(class_id, max_base=None):
     cls = get_class(class_id)
     labels = []
     # swept bases are canonical forms, whose codes need no search
-    for base, _ in sweep_bases(class_id, max_base):
+    for base, gens in sweep_bases(class_id, max_base):
         labels.extend(_labels_for_base(class_id, base,
-                                       cls._code_of_canonical(base)))
+                                       cls._code_of_canonical(base), gens))
     return labels
 
 
@@ -360,7 +364,7 @@ def decompose_quasiregular(v):
     """
     dec = Decomposition()
     sub = get_class(v.cls).cell_group(v.group, v.base)
-    labels = _labels_for_base(v.cls, v.base, v.base_code)
+    labels = _labels_for_base(v.cls, v.base, v.base_code, v.aut.generators)
     table = labels[0].table
     char = coset_character(table, sub)
     for label, mult in zip(labels, table.decompose(char)):

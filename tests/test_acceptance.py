@@ -196,8 +196,8 @@ def test_criterion_9_fails_on_one_wrong_table_value(monkeypatch):
     # relations, though the degrees still square up to the order
     lookup = oligo.base_table
 
-    def off(class_id, base, code):
-        table = lookup(class_id, base, code)
+    def off(class_id, base, code, gens=None):
+        table = lookup(class_id, base, code, gens)
         if class_id == "pure_set" and len(base.points) == 3:
             return OneValueOff(table)
         return table

@@ -1,14 +1,18 @@
 import copy
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from oligorep import chartab
+from oligorep import chartab, oligo
+from oligorep.acceptance import CLASS_IDS
 from oligorep.chartab import (
     Cyc,
     CharacterTable,
@@ -138,6 +142,46 @@ def test_number_theory_matches_sympy():
         assert _is_prime(n) == sympy.isprime(n), n
         if _is_prime(n):
             assert _primitive_root(n) == primitive_root(n), n
+
+
+@lru_cache(maxsize=None)
+def _reference_cyclotomic(e):
+    """Phi_e as x^e - 1 divided exactly by Phi_d for every proper divisor d
+    of e, recursively: an independent reference for ``_cyclotomic``."""
+    num = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d:
+            continue
+        den = _reference_cyclotomic(d)
+        m = len(den) - 1
+        terms = [(j, dj) for j, dj in enumerate(den) if dj]
+        quot = [0] * (len(num) - m)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = num[i + m]
+            if c:
+                for j, dj in terms:
+                    num[i + j] -= c * dj
+        assert not any(num), (d, e)
+        num = quot
+    return tuple(num)
+
+
+def test_cyclotomic_matches_the_recursive_division():
+    for e in range(1, 1001):
+        assert _cyclotomic(e) == _reference_cyclotomic(e), e
+
+
+def test_a_cyclotomic_division_with_a_remainder_fails_loudly(monkeypatch):
+    # with 2 read as a double prime factor of 12 the binomials are
+    # (x^12 - 1)(x^3 - 1) over (x^6 - 1)^2, and x^6 - 1 does not divide
+    # (x^6 + 1)(x^3 - 1)
+    monkeypatch.setattr(chartab, "_prime_factors", lambda n: [2, 2])
+    chartab._cyclotomic.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            _cyclotomic(12)
+    finally:
+        chartab._cyclotomic.cache_clear()
 
 
 def test_a_wrong_primitive_root_fails_loudly(monkeypatch):
@@ -353,6 +397,65 @@ def test_table_bound_holds_once_classes_are_built(monkeypatch):
 
 # -- class matrices -----------------------------------------------------------
 
+def _reference_charpoly(b, p):
+    """Monic characteristic polynomial of b over F_p by Faddeev-LeVerrier,
+    highest coefficient first, a reference for ``_charpoly_modp``: c_k =
+    -tr(b M_k) / k, so it needs p > dim."""
+    d = len(b)
+    cs = [1]
+    mk = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        am = [[sum(b[i][r] * mk[r][j] for r in range(d)) % p
+               for j in range(d)] for i in range(d)]
+        ck = -sum(am[i][i] for i in range(d)) * pow(k, p - 2, p) % p
+        cs.append(ck)
+        mk = [[(am[i][j] + (ck if i == j else 0)) % p for j in range(d)]
+              for i in range(d)]
+    return cs
+
+
+def _random_matrix(rng, d, p):
+    # zeros are common, so the Hessenberg pivot search and swaps are met
+    return [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(d)]
+            for _ in range(d)]
+
+
+def test_charpoly_matches_faddeev_leverrier():
+    rng = random.Random(0)
+    primes = [p for p in range(3, 100) if _is_prime(p)]
+    for _ in range(1000):
+        d = rng.randint(1, 9)
+        p = rng.choice([p for p in primes if p > d])
+        b = _random_matrix(rng, d, p)
+        assert chartab._charpoly_modp(b, p) == _reference_charpoly(b, p), b
+
+
+def _det_modp(m, p):
+    """det m mod p by the Leibniz sum over all permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in
+                           itertools.combinations(range(len(m)), 2))
+        total += sign * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total % p
+
+
+def test_charpoly_roots_are_the_zeros_of_det_when_p_is_small():
+    # for p <= dim Faddeev-LeVerrier divides by zero; the Hessenberg
+    # polynomial still vanishes exactly where det(lam I - b) does
+    rng = random.Random(1)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        d = rng.randint(p, 6)
+        b = _random_matrix(rng, d, p)
+        cs = chartab._charpoly_modp(b, p)
+        assert len(cs) == d + 1 and cs[0] == 1
+        dets = [_det_modp([[(lam * (i == j) - x) % p for j, x in enumerate(row)]
+                           for i, row in enumerate(b)], p) for lam in range(p)]
+        assert chartab._poly_roots_modp(cs, p) == [
+            lam for lam in range(p) if dets[lam] == 0], (b, p)
+
+
 def _class_members(G):
     classes, class_index = G.class_data()
     members = [[] for _ in classes]
@@ -456,6 +559,34 @@ def test_a_partial_class_fails_the_divisibility_check():
     part = [rep, next(x for x in members[2] if x != rep)]
     with pytest.raises(InvariantViolation):
         chartab._class_matrix_row(part, rep, 3, class_index, sizes)
+
+
+def test_the_split_builds_no_row_of_the_identity_class(monkeypatch):
+    # class 0 is the identity, whose class matrix is I and splits nothing;
+    # every generic group of the six default catalogs, built once each
+    real = chartab._class_matrix_row
+    built = []
+
+    def recording(members, rep, size, class_index, sizes):
+        built.append(members)
+        return real(members, rep, size, class_index, sizes)
+
+    monkeypatch.setattr(chartab, "_class_matrix_row", recording)
+    groups = {}
+    for class_id in CLASS_IDS:
+        if get_class(class_id).atomic:
+            continue
+        for base, gens in oligo.sweep_bases(class_id):
+            if base.points:
+                G = PermGroup(len(base.points), gens)
+                groups.setdefault((G.degree, tuple(G.packed_elements())), G)
+    assert len(groups) == 95
+    for G in groups.values():
+        built.clear()
+        character_table(G)
+        assert all(pack(identity(G.degree)) not in members
+                   for members in built)
+        assert built or len(G.class_data()[0]) == 1
 
 
 def test_catalog_gl_tables_have_the_known_degrees():

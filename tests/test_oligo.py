@@ -149,9 +149,10 @@ def test_open_subgroup_bases_are_canonical_so_their_codes_need_no_search():
             assert v.base_code == cls.canonical_code(v.base), v
 
 
-def test_sweeps_search_a_base_again_only_for_a_new_table(monkeypatch):
-    # the sweeps take Aut(B) from the enumeration that found B; only a
-    # table lookup that misses the cache searches the base once more
+def test_no_sweep_searches_a_base_again(monkeypatch):
+    # the sweeps, the catalogs and their decompositions take Aut(B) from
+    # the enumeration that found B, and so does a table lookup that misses
+    # the cache: no base is searched once more
     callers = []
     searched = FraisseClass.automorphisms
 
@@ -162,12 +163,14 @@ def test_sweeps_search_a_base_again_only_for_a_new_table(monkeypatch):
     monkeypatch.setattr(FraisseClass, "automorphisms", recording)
     monkeypatch.setattr(oligo, "_TABLES", {})
     for class_id in CLASS_IDS:
-        enumerate_open_subgroups(class_id, PROFILE_BASE[class_id])
-        for _ in acceptance._subgroup_sweep(class_id,
-                                            acceptance.SWEEP_BASE[class_id]):
-            pass
+        irrep_catalog(class_id)
+        for v in enumerate_open_subgroups(class_id, PROFILE_BASE[class_id]):
+            decompose_quasiregular(v)
+        for v, _ in acceptance._subgroup_sweep(
+                class_id, acceptance.SWEEP_BASE[class_id]):
+            decompose_quasiregular(v)
     acceptance.criterion_9()
-    assert callers and set(callers) == {"base_table"}
+    assert callers == []
 
 
 @pytest.mark.parametrize("class_id", CLASS_IDS)
