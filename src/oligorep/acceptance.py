@@ -295,8 +295,9 @@ def criterion_7():
 
 def criterion_8():
     """Free-group certificates for all five embeddings, and the Cayley
-    extension check asserted: every prescription witnessed, each seed's
-    witnesses recounted and its masks sampled against the edge rule.  The
+    extension check asserted: every prescription witnessed (row covers),
+    each seed's witnesses (bit-sliced column degrees) recounted from its
+    masks as strings, and the masks sampled against the edge rule.  The
     extension check runs first.  A broken certificate raises, and this
     criterion catches nothing: ``run_criterion`` reports the message."""
     extension = kazhdan.cayley_extension_check(r=6, t=2, seeds=20)

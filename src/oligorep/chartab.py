@@ -628,13 +628,8 @@ def partitions_of(m: int) -> tuple:
 
 
 def _z_lambda(lam: tuple) -> int:
-    z = 1
-    mult: dict = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part**m * math.factorial(m)
-    return z
+    return math.prod(k ** lam.count(k) * math.factorial(lam.count(k))
+                     for k in set(lam))
 
 
 def _conjugate(lam: tuple) -> tuple:
@@ -692,28 +687,15 @@ class SymmetricCharacterTable(_Table):
         self.m = m
         self.group_order = math.factorial(m)
         parts = partitions_of(m)
-        classes = sorted(
-            parts,
-            key=lambda lam: (
-                self.group_order // _z_lambda(lam),
-                math.lcm(*lam) if lam else 1,
-                lam,
-            ),
-        )
-        self.class_partitions = tuple(classes)
-        self.class_sizes = tuple(
-            self.group_order // _z_lambda(lam) for lam in classes
-        )
-        self.class_orders = tuple(
-            math.lcm(*lam) if lam else 1 for lam in classes
-        )
+        # each partition's class size, order and degree, computed once
+        self.class_sizes, self.class_orders, classes = zip(*sorted(
+            (self.group_order // _z_lambda(lam), math.lcm(*lam), lam)
+            for lam in parts))
+        self.class_partitions = classes
         self.class_reps = tuple(_partition_rep(m, lam) for lam in classes)
         self._class_idx = {lam: i for i, lam in enumerate(classes)}
-        irreps = sorted(
-            parts, key=lambda lam: (hook_degree(lam), tuple(-p for p in lam))
-        )
-        self.irrep_partitions = tuple(irreps)
-        self.degrees = tuple(hook_degree(lam) for lam in irreps)
+        self.degrees, _, self.irrep_partitions = zip(*sorted(
+            (hook_degree(lam), tuple(-p for p in lam), lam) for lam in parts))
         self.num_classes = len(classes)
         # every class of S_m is closed under inversion
         self._tstar = tuple(range(self.num_classes))

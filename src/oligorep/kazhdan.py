@@ -1000,8 +1000,12 @@ def freeness_check(action, word_len=8, seed=0, points=None):
     multiplication is free by the group axioms (w p = p forces w = 1): on
     the default points the actions that inherit it share one cached sweep,
     which only a wrong ``join`` can fail, and fails on every call, as
-    exceptions are not cached.  A word length whose ball, 2*3^word_len - 1
-    words, exceeds ``ball_words`` is refused before any word is built.
+    exceptions are not cached.  The default vector and clopen points have
+    supports in ball(2), and supp(w p) = w supp(p), so a w fixing p permutes
+    supp(p): w = s s0^-1 for some s, s0 in it, and |w| <= 4.  At those
+    points a sweep of length 4 thus covers every word.  A word length whose
+    ball, 2*3^word_len - 1 words, exceeds ``ball_words`` is refused before
+    any word is built.
     """
     budget = get_limits().ball_words
     # past bit_length() letters the ball exceeds any budget: the cap keeps
@@ -1140,16 +1144,15 @@ def cayley_extension_check(r=6, t=2, seeds=20):
     asymptotic; the finite rate is reported, not asserted.  It is 1 from
     r = 3 on for the seeds tried, so each seed also reports ``witnesses``,
     the must-link prescriptions' witnesses summed: one flipped bit moves it.
-    Each seed's masks are audited by ``_audit_masks``, which raises
-    ``InvariantViolation`` on a miscount or on a bit off the edge rule.
+    They are counted by row covers and bit-sliced column degrees, and
+    ``_audit_masks`` recounts the witnesses and samples the mask bits.
     """
     if t not in (1, 2):
         raise MalformedStructure(f"t must be 1 or 2, not {t!r}")
     seeds = range(seeds) if isinstance(seeds, int) else list(seeds)
     if not seeds:
         raise MalformedStructure("the check needs at least one seed")
-    n_inner = len(ball(r - 1))
-    n_outer = len(ball(r))
+    n_inner, n_outer = len(ball(r - 1)), len(ball(r))
     total = 2 * n_inner + (2 * n_inner * (n_inner - 1) if t == 2 else 0)
     results = []
     for seed, masks in _cayley_masks(r, seeds):
@@ -1181,13 +1184,13 @@ def _audit_masks(r, t, seed, masks, witnesses):
     """Raise ``InvariantViolation`` unless ``witnesses`` equals its recount
     by columns and ``EDGE_SAMPLES`` bits of ``masks`` follow the edge rule.
 
-    A vertex k witnesses a must-link set of at most ``t`` inner vertices
-    iff the set lies among the d_k masks that hold bit k, so the witnesses
-    number sum_k C(d_k, 1) + ... + C(d_k, t), a total that reads no pair of
-    masks.  Each sampled bit, at inner index i then outer index k drawn
-    from ``random.Random(seed)``, must equal ``RadoF2Action(seed)``'s
-    adjacency of the two words.  A sample of 64 of the 706 645 bits at
-    r = 6 can miss a single wrong bit; the pinned ``witnesses`` cannot.
+    The witnesses number sum_k C(d_k, 1) + ... + C(d_k, t) over the column
+    degrees d_k, read here from the masks as strings, code apart from the
+    bit slices of ``_extension_witnessed``, so a fault in either raises.
+    Each sampled bit, at inner index i then outer index k drawn from
+    ``random.Random(seed)``, must equal ``RadoF2Action(seed)``'s adjacency
+    of the two words, as a wrong mask moves both counts alike.  A sample of
+    64 of the 706 645 bits at r = 6 can miss one; the pinned totals cannot.
     """
     outer, inner = ball(r), ball(r - 1)
     columns = zip(*(format(m, f"0{len(outer)}b") for m in masks))
@@ -1211,25 +1214,39 @@ def _extension_witnessed(masks, n_outer, t):
     vertices of a symmetric irreflexive graph on ``n_outer`` vertices, and
     the number of witnesses summed over the must-link prescriptions.
 
-    For i < j with neighbourhoods a, b, c = |a & b| and adj = [i ~ j]:
-    link {i, j} has c witnesses, avoid {i, j} n_outer - |a| - |b| + c -
-    2(1 - adj), and link i, avoid j |a| - c - adj.  The four add up to
-    n_outer - 2 whatever the graph, as link i and avoid i add up to
-    n_outer - 1, so the sum runs over the must-link terms |a| and c only.
+    With N(v) the neighbours of v and N'(v) the other vertices but v, i as
+    X and j > i as Y (each N or N') is witnessed iff some k is in X(i) &
+    Y(j): an OR over k in X(i) of columns {j : k in Y(j)}, which stops once
+    it covers every j > i and is exact otherwise.  An inner column is its
+    mask cut to the inner vertices, which come first; an outer one is
+    transposed.  Must-link pairs have sum_k C(d_k, 2) witnesses over column
+    degrees d_k, and sum_k d_k^2 = sum_{b,c} 2^(b+c) |s_b & s_c| by slices.
     """
     sizes = [m.bit_count() for m in masks]
     witnessed = sum((size > 0) + (size + 1 < n_outer) for size in sizes)
     witnesses = sum(sizes)
-    if t == 2:
-        for i, a in enumerate(masks):
-            size_a = sizes[i]
-            for j in range(i + 1, len(masks)):
-                common = (a & masks[j]).bit_count()
-                adj = a >> j & 1
-                witnesses += common
-                witnessed += (
-                    (common > 0)
-                    + (size_a + sizes[j] - common + 2 * (1 - adj) < n_outer)
-                    + (size_a - common - adj > 0)
-                    + (sizes[j] - common - adj > 0))
+    if t == 1:
+        return witnessed, witnesses
+    slices = []   # bit b of the degrees, one ripple adder for all columns
+    for carry in masks:
+        for b, s in enumerate(slices):
+            slices[b], carry = s ^ carry, s & carry
+        if carry:
+            slices.append(carry)
+    witnesses += (sum((s & u).bit_count() << b + c for b, s in enumerate(
+        slices) for c, u in enumerate(slices)) - witnesses) // 2
+    inner, everyone = (1 << len(masks)) - 1, (1 << n_outer) - 1
+    for i, row in enumerate(masks):
+        above = inner >> i + 1 << i + 1
+        for ks in (row, everyone & ~row & ~(1 << i)):   # N(i), then N'(i)
+            link = avoid = 0   # j linked to some k, or avoiding it
+            while ks and link & avoid & above != above:
+                k = (ks & -ks).bit_length() - 1
+                ks &= ks - 1
+                column = masks[k] & inner if k < len(masks) else sum(
+                    (m >> k & 1) << j for j, m in enumerate(masks))
+                link |= column
+                avoid |= inner & ~column & ~(1 << k)
+            witnessed += ((link & above).bit_count()
+                          + (avoid & above).bit_count())
     return witnessed, witnesses

@@ -620,6 +620,24 @@ def test_hook_degrees():
     assert hook_degree((4, 2)) == 9
 
 
+def test_symmetric_table_computes_each_degree_once(monkeypatch):
+    # the rows are sorted by degree and the degrees kept from one call per
+    # partition
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return hook_degree(lam)
+
+    monkeypatch.setattr(chartab, "hook_degree", counted)
+    for m in range(9):
+        calls.clear()
+        sym = SymmetricCharacterTable(m)
+        assert sorted(calls) == sorted(partitions_of(m))
+        assert sym.degrees == tuple(map(hook_degree, sym.irrep_partitions))
+        assert sum(sym.class_sizes) == sym.group_order
+
+
 def test_mn_values():
     # chi_(2,1): degree 2, vanishes on transpositions, -1 on 3-cycles
     assert mn_value((2, 1), (1, 1, 1)) == 2

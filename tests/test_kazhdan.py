@@ -1189,6 +1189,27 @@ def test_freeness_linear_actions():
         assert report["words_checked"] == 160
 
 
+@pytest.mark.parametrize("cls", ["vector_space", "vector_space_q3",
+                                 "boolean_algebra"])
+def test_sampled_supports_move_with_the_word(cls):
+    # the finite-support argument of ``freeness_check``: its default points
+    # have nonempty supports in ball(2) and supp(w p) = w supp(p), so a word
+    # that fixes p permutes supp(p) and has length at most 4
+    action = f2_embedding(cls)
+
+    def support(point):
+        if isinstance(action, VectorSpaceF2Action):
+            return {b for b, _ in point}
+        return set(point[0])
+
+    for seed in range(3):
+        for point in action.sample_points(random.Random(seed), 30):
+            assert support(point) and support(point) <= set(ball(2))
+            for w in ball(4):
+                assert support(action.act(w, point)) == {
+                    mult(w, b) for b in support(point)}
+
+
 def test_freeness_violation_is_detected():
     class Abelianized:
         class_id = "pure_set"
@@ -1427,6 +1448,60 @@ def brute_extension(r, t, seeds):
         "all_witnessed": all(
             row["witnessed"] == row["configs"] for row in results),
     }
+
+
+def pair_loop_witnessed(masks, n_outer, t):
+    """``kazhdan._extension_witnessed`` pair by pair: the reference for its
+    row covers and bit-sliced column degrees.
+
+    For i < j with neighbourhoods a, b, c = |a & b| and adj = [i ~ j]:
+    link {i, j} has c witnesses, avoid {i, j} n_outer - |a| - |b| + c -
+    2(1 - adj), and link i, avoid j |a| - c - adj.  The four add up to
+    n_outer - 2 whatever the graph, as link i and avoid i add up to
+    n_outer - 1, so the sum runs over the must-link terms |a| and c only.
+    """
+    sizes = [m.bit_count() for m in masks]
+    witnessed = sum((size > 0) + (size + 1 < n_outer) for size in sizes)
+    witnesses = sum(sizes)
+    if t == 2:
+        for i, a in enumerate(masks):
+            size_a = sizes[i]
+            for j in range(i + 1, len(masks)):
+                common = (a & masks[j]).bit_count()
+                adj = a >> j & 1
+                witnesses += common
+                witnessed += (
+                    (common > 0)
+                    + (size_a + sizes[j] - common + 2 * (1 - adj) < n_outer)
+                    + (size_a - common - adj > 0)
+                    + (sizes[j] - common - adj > 0))
+    return witnessed, witnesses
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_row_covers_and_column_degrees_match_the_pair_loop(r):
+    n_outer = len(ball(r))
+    for seed, masks in kazhdan._cayley_masks(r, range(20)):
+        for t in (1, 2):
+            assert _extension_witnessed(masks, n_outer, t) == (
+                pair_loop_witnessed(masks, n_outer, t)), (seed, t)
+
+
+@pytest.mark.parametrize("n_outer", range(2, 9))
+def test_extension_counts_where_no_row_covers(n_outer):
+    # no vertex links two of the empty graph or tells apart two of the
+    # complete one, so those rows run over every column, the outer ones too
+    for n_inner in range(1, n_outer):
+        pairs = n_inner * (n_inner - 1) // 2
+        empty = [0] * n_inner
+        complete = [(1 << n_outer) - 1 - (1 << i) for i in range(n_inner)]
+        assert _extension_witnessed(empty, n_outer, 1) == (n_inner, 0)
+        assert _extension_witnessed(empty, n_outer, 2) == (
+            n_inner + pairs, 0)
+        assert _extension_witnessed(complete, n_outer, 1) == (
+            n_inner, n_inner * (n_outer - 1))
+        assert _extension_witnessed(complete, n_outer, 2) == (
+            n_inner + pairs, n_inner * (n_outer - 1) + pairs * (n_outer - 2))
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
