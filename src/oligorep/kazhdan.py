@@ -1214,11 +1214,11 @@ def _extension_witnessed(masks, n_outer, t):
     vertices of a symmetric irreflexive graph on ``n_outer`` vertices, and
     the number of witnesses summed over the must-link prescriptions.
 
-    With N(v) the neighbours of v and N'(v) the other vertices but v, i as
-    X and j > i as Y (each N or N') is witnessed iff some k is in X(i) &
-    Y(j): an OR over k in X(i) of columns {j : k in Y(j)}, which stops once
-    it covers every j > i and is exact otherwise.  An inner column is its
-    mask cut to the inner vertices, which come first; an outer one is
+    With N(v) the neighbours of v and N'(v) its non-neighbours but v,
+    prescription (X, Y) on i < j, each N or N', is witnessed iff some k is
+    in X(i) & Y(j): row i's witnessed j are an OR over k in X(i) of the
+    columns {j : k in Y(j)}, stopped once it covers every j > i and exact
+    otherwise.  Inner columns are masks cut to the inner prefix, outer ones
     transposed.  Must-link pairs have sum_k C(d_k, 2) witnesses over column
     degrees d_k, and sum_k d_k^2 = sum_{b,c} 2^(b+c) |s_b & s_c| by slices.
     """
