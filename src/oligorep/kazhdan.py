@@ -6,12 +6,12 @@ Back-and-forth trees: leveled families of finite partial automorphisms of a
 relational limit structure (pure set, dense order, random graph) whose
 branches assemble into automorphisms moving every normalized nonnegative
 weight function by at least 1/2 in the l1 norm.  The tree can be
-materialized and its defining conditions checked, each node against its
-parent.  The greedy walk takes one child per level by the rule that builds
-the tree, ``_level``, tests each pair it adds, and certifies its
-displacement bound with exact rational arithmetic.  The dense order's
-points are ints, dyadic rationals at a scale fixed per tree or walk; they
-become ``Fraction``s only in the walk's certificates.
+materialized and its conditions checked, a parent's children together.
+The greedy walk takes one child per level by the tree's rule, ``_level``,
+tests each pair it adds, and certifies its bound exactly, on integer
+weights over one denominator.  The dense order's points are ints, dyadic
+rationals at a scale fixed per tree or walk, ``Fraction``s only in the
+walk's certificates; every random-graph edge is declared by its newer end.
 
 Norm inequalities: the marginal contraction for diagonal actions on tuple
 spaces and the l1/l2 transfer that converts displacement bounds into
@@ -31,6 +31,7 @@ import math
 import random
 import sys
 from array import array
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,11 +91,13 @@ class Distribution:
         self.weights = {}
         for point, value in dict(weights).items():
             value = Fraction(value)
-            if value < 0:
+            if value.numerator < 0:
                 raise MalformedStructure(f"negative weight at {point!r}")
-            if value:
+            if value.numerator:
                 self.weights[point] = value
-        if sum(self.weights.values()) != 1:
+        scale = math.lcm(*(v.denominator for v in self.weights.values()))
+        if sum(v.numerator * (scale // v.denominator)
+               for v in self.weights.values()) != scale:   # in integers
             raise MalformedStructure("weights must sum to exactly 1")
 
     def __getitem__(self, point):
@@ -123,10 +126,12 @@ def random_distribution(rng, points):
 def partial_displacement(f, mapping):
     """Sum of |f(x) - f(gx)| over the domain of a partial map.
 
-    Every total extension of the map displaces ``f`` by at least this much,
-    since the missing terms are nonnegative.
+    Every total extension of the map displaces ``f``, a ``Distribution``
+    or int weights that read 0 off their support, by at least this much (a
+    ``Fraction`` or an int), since the missing terms are nonnegative.
     """
-    return sum((abs(f[x] - f[y]) for x, y in mapping.items()), Fraction(0))
+    return sum((abs(f[x] - f[y]) for x, y in mapping.items()),
+               Fraction(0) if isinstance(f, Distribution) else 0)
 
 
 def _translate_pairs(f, perm):
@@ -368,44 +373,48 @@ class _RadoRealizer(_Realizer):
 
     Enumeration points are the small nonnegative integers with the bit
     graph adjacency (i < j are adjacent iff bit i of j is set).  Witness
-    points receive fresh ids above the spread base; each one declares its
-    adjacency to the vertices it is prescribed to touch when it is created,
-    and every pair not declared by then stays non-adjacent.  Since a fresh
-    id has never been queried before, the declarations never contradict an
-    earlier answer, so the union is a well-defined countable graph and the
-    maps built here are partial automorphisms of it.
+    points get fresh ids above the spread base, which only grow.  Each
+    point of an ``images`` stream is adjacent to its prescription
+    P = {m(u) : u ~ a}, one frozenset shared by the stream, and to no other
+    older point; as every edge is declared by its newer end, no answer is
+    ever contradicted, and the maps built here are partial automorphisms.
     """
 
     def __init__(self, interleave=False, stages=1):
         super().__init__(interleave, stages)
-        self._edges = set()
+        self._declared, self._last = {}, (None, None, None)
 
     def adjacent(self, i, j):
-        if i == j:
-            return False
         lo, hi = (i, j) if i < j else (j, i)
         if hi < _SPREAD_BASE:
-            return bool(hi >> lo & 1)
-        return (lo, hi) in self._edges
+            return bool(hi >> lo & 1)   # hi >> hi is 0
+        return lo in self._declared.get(hi, ())   # the newer end declares
+
+    def _prescription(self, mapping, a):
+        """P = {m(u) : u ~ a}, the last one kept for the walk's test of b."""
+        if self._last[:2] != (a, mapping):
+            self._last = a, dict(mapping), frozenset(
+                [v for u, v in mapping.items() if self.adjacent(u, a)])
+        return self._last[2]
 
     def images(self, mapping, a, banned):
-        adjacency_to = [mapping[x] for x in mapping if self.adjacent(a, x)]
+        prescribed = self._prescription(mapping, a)
         while True:
             point = self._next
             while point in banned:
                 point += 1
             self._next = point + 1
-            for u in adjacency_to:
-                self._edges.add((u, point) if u < point else (point, u))
+            self._declared[point] = prescribed
             yield point
 
     def _fits(self, mapping, a):
-        """b is new to the range and sees it as a sees the domain; a's
-        row of adjacencies is computed once for every b."""
-        adjacent, images = self.adjacent, list(mapping.values())
-        row = [adjacent(u, a) for u in mapping]
-        return lambda b: b not in images and [
-            adjacent(v, b) for v in images] == row
+        """b is off the range and its neighbours there are P: a point made
+        after the range declares them, so one AND reads them."""
+        ran, want = frozenset(mapping.values()), self._prescription(mapping, a)
+        declared, top = self._declared, max(ran, default=-1)
+        return lambda b: b not in ran and want == (
+            declared[b] & ran if b > top and b in declared
+            else {v for v in ran if self.adjacent(v, b)})
 
 
 _REALIZERS = {
@@ -454,17 +463,6 @@ class _TreeNode:
     def mapping(self, mapping):
         self._mapping = mapping
 
-    def new_pairs(self, above):
-        """The pairs added to ``above``, the parent's mapping, or None if
-        it is not held; a built node's pair is read, not searched for."""
-        pair = self.pair
-        if self._mapping is None and (pair is None or pair[0] not in above):
-            return [pair] if pair else []
-        items = self.mapping.items()
-        if above.items() <= items:
-            return [item for item in items if item not in above.items()]
-        return None
-
 
 class KazhdanTree:
     """Materialized levels of the back-and-forth family, plus the checker.
@@ -489,36 +487,35 @@ class KazhdanTree:
 
     def verify(self):
         """Check the six defining conditions and validity on every node,
-        each node against its parent, level by level; a parent's mapping
+        a parent's children together, level by level; a parent's mapping
         is built from its chain when its children are checked, then freed.
 
         A level is *separated* if no partial injection holds two of its
-        nodes with different pairs.  The root level of one node is, and a
-        built node is *sound* if the level above is separated and the node
-        equals its ``parent``, looked up by identity there, or adds one pair
-        at a_n, on the level's side, with other end b.  A level is separated
-        if its nodes are sound and each parent above has one child, equal to
-        it, or children whose ends b are new and distinct.  The conditions of
-        a sound node follow from its parent's and b:
+        nodes with different pairs.  The root level of one node is, and so
+        is a level whose built children are all *sound*: the level above is
+        separated, and either a_n is on the level's side of their parent
+        and its one child equals it, or each child adds one pair at a_n
+        whose far end b is new to its side.  The conditions of sound
+        children follow from their parent's and their b's, read once:
 
-        - validity: a valid parent plus the pair is a partial automorphism
+        - validity: a valid parent plus a pair is a partial automorphism
           iff the test ``extends_at(parent, a_n, even)``, made once per
-          parent, passes b; an invalid parent already fails validity;
+          parent and mapped over the b's, passes b; an invalid parent
+          already fails validity;
         - 3: the grandparent covers the first n - 1 enumeration points on
           the same side, and a sound child adds a_n or has a parent that
           holds it;
-        - 4: dom & ran gains at most a_n and b, so b must be outside
-          a_n's side of the parent or a head point;
-        - 5 and 6: a parent's children are counted and their new points
-          on the split side gathered in one set, where none may repeat;
+        - 4: dom & ran gains at most a_n and b, so a b on a_n's side of
+          the parent must be a head point;
+        - 5 and 6: the children are counted, and their b's must differ;
         - 2: if a valid node N held its parent P and another node Q of the
           level above, the partial injection N would hold both, so Q has
           P's pairs, the level above being separated.
 
-        Any other node is checked from scratch, each pair against the
-        pairs before it and its parent by the subsets of its pairs, so the
-        report is the one ``exhaustive_verify`` in ``tests/test_kazhdan.py``
-        gives, on malformed trees too.
+        The children of any other parent are checked from scratch, each
+        pair against the pairs before it and its parent by the subsets of
+        its pairs, so the report is the one ``exhaustive_verify`` in
+        ``tests/test_kazhdan.py`` gives, on malformed trees too.
         """
         realizer = self._realizer
         enum, levels = self.enumeration, self.levels
@@ -569,31 +566,29 @@ class KazhdanTree:
                 side, core = (pmap, ran) if even else (ran, pmap)
                 present = a in side
                 kids = children[id(parent)]
-                fits = realizer.extends_at(pmap, a, even)
                 split = len(kids) == (1 if present else 2 ** (n + 1))
-                seen = set()
-                for kid in kids:
-                    new = kid.new_pairs(pmap)
-                    sound = (trusted and kid._mapping is None
-                             and new is not None
-                             and (not new or new[0][not even] == a))
-                    if sound and new:
-                        b = new[0][even]
-                        valid &= fits(b)
-                        bounded &= b not in side or b in head
-                    elif sound:
-                        covers &= present
-                    else:
+                pairs = [kid.pair for kid in kids if kid._mapping is None]
+                ends = [p[even] for p in pairs
+                        if p and p[not even] == a and p[even] not in core]
+                sound = pairs == [None] if present else len(ends) == len(kids)
+                if trusted and len(pairs) == len(kids) and sound:
+                    new = set(ends)
+                    valid &= all(map(realizer.extends_at(pmap, a, even), ends))
+                    bounded &= new.intersection(side) <= head
+                    split &= len(new) == len(ends)
+                    if not valid:
+                        unique &= all(unique_parent(kid, i) for kid in kids)
+                else:
+                    separated = False
+                    maps = [kid.mapping for kid in kids]
+                    points = [set(m.values() if even else m).difference(
+                        core) for m in maps]
+                    split &= (maps == [pmap] if present else all(
+                        m.items() >= pmap.items() for m in maps) and len(
+                        set().union(*points)) == sum(map(len, points)))
+                    for kid in kids:
                         from_scratch(kid, head, even)
-                    if not (sound and valid):
                         unique &= unique_parent(kid, i)
-                    if new is None or present and new:
-                        split = separated = False
-                        continue
-                    points = {pair[even] for pair in new}.difference(core)
-                    split &= not points & seen
-                    seen |= points
-                    separated &= sound and (present or len(points) == 1)
                 splitting[even] &= split
         report.update({
             "partial_automorphisms": valid,
@@ -621,7 +616,7 @@ def _level(realizer, enum, reserved, mapping, number):
     if a in (mapping if even else ran):
         return a, even, None
     stream = (realizer.images if even else realizer.preimages)(
-        mapping, a, set(mapping) | ran | {a} | reserved)
+        mapping, a, ran.union(mapping, reserved, [a]))
     return a, even, itertools.islice(stream, 2 ** (n + 1))
 
 
@@ -653,11 +648,8 @@ def build_tree(class_id, depth, interleave=False):
         for parent in levels[-1]:
             a, even, points = _level(realizer, enum, reserved,
                                      parent.mapping, number)
-            if points is None:
-                new_level.append(_TreeNode(parent))
-            else:
-                new_level += [_TreeNode(parent, (a, c) if even else (c, a))
-                              for c in points]
+            new_level += [_TreeNode(parent)] if points is None else [
+                _TreeNode(parent, (a, c) if even else (c, a)) for c in points]
         levels.append(new_level)
     return KazhdanTree(class_id, enum, levels, realizer)
 
@@ -666,17 +658,22 @@ def build_tree(class_id, depth, interleave=False):
 # the greedy walk
 
 
+@lru_cache(maxsize=64)
+def _stage_bound(n):   # 2^-(n+1), most f weighs where stage n certifies
+    return Fraction(1, 2 ** (n + 1))
+
+
 def greedy_witness(class_id, f, interleave=False):
     """Walk one branch of the tree; certify displacement >= 1/2 for ``f``.
 
     Stage n takes one child on each of levels 2n and 2n+1, testing its
     pair with the realizer's ``extends_at``: if a_n has no image, the
     first candidate where ``f`` is small, then the first preimage; else
-    the first preimage where ``f`` is small.  The displacement of the
-    resulting partial automorphism bounds that of every automorphism
-    extending it.  A failed test, or a walk below ``required``, which
-    exceeds 1/2, raises ``InvariantViolation``, so the ``ok`` it returns
-    is always True; the key stays for the reports that read it.
+    the first preimage where ``f`` is small.  The walk's displacement,
+    exact on integer numerators of ``f`` over one denominator, bounds that
+    of every automorphism extending it.  A failed test, or a walk below
+    ``required``, which exceeds 1/2, raises ``InvariantViolation``, so the
+    ``ok`` it returns is always True; the key stays for the reports.
     """
     realizer = _realizer_for(class_id, interleave)
     if not isinstance(f, Distribution):
@@ -700,8 +697,9 @@ def greedy_witness(class_id, f, interleave=False):
     realizer = _realizer_for(class_id, interleave, stages)
     enum = realizer.enumeration(stages)
     reserved = set() if interleave else set(enum)
-    weight = Distribution({enum[i - 1]: f[p] for p, i in stage_of.items()})
-    bounds = [Fraction(1, 2 ** (n + 1)) for n in range(stages + 1)]
+    scale = math.lcm(*(v.denominator for v in f.weights.values()))
+    weight = defaultdict(int, {enum[i - 1]: f[p].numerator * (
+        scale // f[p].denominator) for p, i in stage_of.items()})
     mapping, certificates, certified = {}, [], set()
 
     def take(number, side=None):
@@ -712,8 +710,8 @@ def greedy_witness(class_id, f, interleave=False):
         if points is None:
             return False
         n = number // 2
-        bound = bounds[n]
-        b = next((c for c in points if not side or weight[c] <= bound), None)
+        b = next((c for c in points
+                  if not side or weight[c] << (n + 1) <= scale), None)
         if b is None:
             raise InvariantViolation(f"no small {side} among the branch "
                                      "candidates; mass accounting broken")
@@ -725,12 +723,14 @@ def greedy_witness(class_id, f, interleave=False):
         mapping[x] = y
         if side:
             point = realizer.point(x)
-            if point in certified:
+            if x in certified:
                 raise InvariantViolation(f"point {point!r} certified twice; "
                                          "bound accounting broken")
-            certified.add(point)
+            certified.add(x)
             certificates.append({"stage": n, "side": side, "point": point,
-                                 "value": weight[b], "bound": bound})
+                                 "value": Fraction(weight[b], scale)
+                                 if weight[b] else f._zero,
+                                 "bound": _stage_bound(n)})
         return True
 
     for n in range(1, stages + 1):
@@ -743,8 +743,8 @@ def greedy_witness(class_id, f, interleave=False):
         else:
             take(2 * n + 1, "preimage")
 
-    displacement = partial_displacement(weight, mapping)
-    required = 1 - sum(bounds[1:])
+    displacement = Fraction(partial_displacement(weight, mapping), scale)
+    required = _stage_bound(0) + _stage_bound(stages)   # 1 - 2^-2 - 2^-3 ...
     if displacement < required:
         raise InvariantViolation(
             f"certified displacement {displacement} below the guaranteed "
@@ -753,11 +753,11 @@ def greedy_witness(class_id, f, interleave=False):
         "class": class_id,
         "interleave": interleave,
         "stages": stages,
-        "support_size": len(f.support()),
+        "support_size": len(f.weights),
         "domain_size": len(mapping),
         "displacement": displacement,
         "required": required,
-        "ok": displacement >= Fraction(1, 2),
+        "ok": displacement >= _stage_bound(0),
         "certificates": certificates,
     }
 
@@ -1193,8 +1193,8 @@ def _audit_masks(r, t, seed, masks, witnesses):
     64 of the 706 645 bits at r = 6 can miss one; the pinned totals cannot.
     """
     outer, inner = ball(r), ball(r - 1)
-    columns = zip(*(format(m, f"0{len(outer)}b") for m in masks))
-    degrees = [column.count("1") for column in columns]
+    rows, n = "".join(format(m, f"0{len(outer)}b") for m in masks), len(outer)
+    degrees = [rows[j::n].count("1") for j in range(n)]   # column j, strided
     recount = sum(math.comb(d, j) for d in degrees for j in range(1, t + 1))
     if recount != witnesses:
         raise InvariantViolation(

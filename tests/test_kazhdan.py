@@ -1,11 +1,13 @@
 import ast
 import itertools
+import math
 import random
 import sys
 import time
 import tracemalloc
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -682,6 +684,45 @@ def test_tree_verify_matches_reference_on_random_mutations(cls, interleave):
     assert len(failed) >= 5, failed
 
 
+def _pair_mutation(tree, rng):
+    """Change one node's ``pair`` or parent and leave it unbuilt, so its
+    parent's children may still be taken together."""
+    levels = tree.levels
+    i = rng.randrange(1, len(levels))
+    node = rng.choice(levels[i])
+    points = sorted({p for level in levels for q in level
+                     for p in itertools.chain(*q.mapping.items())}) + [999]
+    kind = rng.randrange(5)
+    if kind == 0:
+        node.pair = None
+    elif kind == 1:
+        node.pair = (rng.choice(points), rng.choice(points))
+    elif kind == 2 and node.pair:
+        x, y = node.pair
+        node.pair = rng.choice([(y, x), (x, rng.choice(points)),
+                                (rng.choice(points), y)])
+    elif kind == 3:
+        node.pair = rng.choice(levels[i]).pair
+    else:
+        node.parent = rng.choice(levels[i - 1])
+
+
+@pytest.mark.parametrize("cls,interleave", [
+    ("pure_set", False), ("pure_set", True), ("linear_order", False),
+    ("graph", False)])
+def test_tree_verify_matches_reference_on_pair_mutations(cls, interleave):
+    rng = random.Random(cls)
+    failed = set()
+    for trial in range(150):
+        tree = build_tree(cls, 2 + trial % 3, interleave=interleave)
+        for _ in range(1 + trial % 3):
+            _pair_mutation(tree, rng)
+        report = tree.verify()
+        assert report == exhaustive_verify(tree), trial
+        failed |= {flag for flag, value in report.items() if value is False}
+    assert len(failed) >= 5, failed
+
+
 def reference_tree(cls, depth, interleave=False, realizer=None):
     """The tree built with a copy of its parent's dict in every child, on
     a fresh realizer unless one is given: the reference for
@@ -1074,6 +1115,136 @@ def test_walk_images_that_fail_the_extension_test_raise(monkeypatch, cls):
         with pytest.raises(InvariantViolation,
                            match=r"the pair 1 -> .* fails the extension"):
             greedy_witness(cls, f)
+
+
+def fraction_greedy_witness(class_id, f, interleave=False):
+    """The walk as it was before its weights became integer numerators
+    over one denominator: ``f`` moved onto the enumeration as a second
+    ``Distribution``, every bound and comparison a ``Fraction``.  The
+    reference for ``greedy_witness``."""
+    realizer = _realizer_for(class_id, interleave)
+    if not isinstance(f, Distribution):
+        f = Distribution(f)
+    stage_of = {}
+    for point in f.support():
+        index = realizer.enumeration_index(point)
+        if index is None:
+            raise SupportOutsideEnumeration(point)
+        stage_of[point] = index
+    stages = max(stage_of.values())
+    realizer = _realizer_for(class_id, interleave, stages)
+    enum = realizer.enumeration(stages)
+    reserved = set() if interleave else set(enum)
+    weight = Distribution({enum[i - 1]: f[p] for p, i in stage_of.items()})
+    bounds = [Fraction(1, 2 ** (n + 1)) for n in range(stages + 1)]
+    mapping, certificates, certified = {}, [], set()
+
+    def take(number, side=None):
+        a, even, points = kazhdan._level(realizer, enum, reserved, mapping,
+                                         number)
+        if points is None:
+            return False
+        n = number // 2
+        bound = bounds[n]
+        b = next((c for c in points if not side or weight[c] <= bound), None)
+        if b is None:
+            raise InvariantViolation(f"no small {side}")
+        x, y = (a, b) if even else (b, a)
+        if not realizer.extends_at(mapping, a, even)(b):
+            raise InvariantViolation("fails the extension test")
+        mapping[x] = y
+        if side:
+            point = realizer.point(x)
+            if point in certified:
+                raise InvariantViolation(f"point {point!r} certified twice")
+            certified.add(point)
+            certificates.append({"stage": n, "side": side, "point": point,
+                                 "value": weight[b], "bound": bound})
+        return True
+
+    for n in range(1, stages + 1):
+        if take(2 * n, "image"):
+            take(2 * n + 1)
+        elif enum[n - 1] in mapping.values():
+            raise InvariantViolation("in both domain and range")
+        else:
+            take(2 * n + 1, "preimage")
+
+    displacement = partial_displacement(weight, mapping)
+    required = 1 - sum(bounds[1:])
+    if displacement < required:
+        raise InvariantViolation(f"certified displacement {displacement}")
+    return {
+        "class": class_id,
+        "interleave": interleave,
+        "stages": stages,
+        "support_size": len(f.support()),
+        "domain_size": len(mapping),
+        "displacement": displacement,
+        "required": required,
+        "ok": displacement >= Fraction(1, 2),
+        "certificates": certificates,
+    }
+
+
+@pytest.mark.parametrize("cls,interleave", [
+    ("pure_set", False), ("linear_order", False), ("graph", False),
+    ("pure_set", True)])
+def test_walks_match_the_fraction_reference(cls, interleave):
+    # certificates included, types too: a value or bound that came back as
+    # an int, or a Fraction off by one numerator, shows in the repr
+    for seed in range(300):
+        f = random_distribution(random.Random(seed), range(6))
+        walk = greedy_witness(cls, f, interleave)
+        expected = fraction_greedy_witness(cls, f, interleave)
+        assert walk == expected, seed
+        assert repr(walk) == repr(expected), seed
+
+
+def test_walk_numerators_sum_to_d_times_the_distribution(monkeypatch):
+    # the walk sums integer numerators over D, the lcm of f's denominators;
+    # read as a Distribution the same weights sum to 1/D of that
+    seen = []
+
+    def keep(weight, mapping):
+        seen.append((weight, dict(mapping)))
+        return partial_displacement(weight, mapping)
+
+    monkeypatch.setattr(kazhdan, "partial_displacement", keep)
+    for cls in ("pure_set", "linear_order", "graph"):
+        for seed in range(100):
+            f = random_distribution(random.Random(seed), range(6))
+            report = greedy_witness(cls, f, cls == "pure_set")
+            weight, mapping = seen.pop()
+            scale = math.lcm(*(v.denominator for v in f.weights.values()))
+            moved = Distribution({x: Fraction(w, scale)
+                                  for x, w in weight.items()})
+            total = partial_displacement(weight, mapping)
+            assert type(total) is int
+            assert total == scale * partial_displacement(moved, mapping)
+            assert report["displacement"] == Fraction(total, scale)
+    empty = partial_displacement(Distribution({0: 1}), {})
+    assert type(empty) is Fraction and empty == 0
+    assert type(partial_displacement(defaultdict(int), {})) is int
+
+
+def test_graph_walks_read_each_prescription_once(monkeypatch):
+    # a's row against the domain is read once per level, for the stream's
+    # prescription P and the test of the b taken from it: 50 163 reads in
+    # 1000 walks, where reading it apart for the two gave 100 326
+    calls = 0
+    adjacent = kazhdan._RadoRealizer.adjacent
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return adjacent(self, i, j)
+
+    monkeypatch.setattr(kazhdan._RadoRealizer, "adjacent", counted)
+    for seed in range(1000):
+        greedy_witness("graph", random_distribution(random.Random(seed),
+                                                    range(6)))
+    assert 0 < calls <= 50163
 
 
 # --- norm inequalities ------------------------------------------------------
