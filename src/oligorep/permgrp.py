@@ -294,17 +294,21 @@ class PermGroup:
     def subgroups_up_to_conjugacy(self) -> tuple:
         """One representative per conjugacy class of subgroups.
 
-        BFS: extend each known subgroup by an element of prime power order
-        (every subgroup is generated by such elements, since each of its
-        elements' prime power parts lie in it), dedup by conjugate orbits of
-        the full element sets.  Each subgroup in the frontier keeps the
-        elements it was grown from, so an extension closes under left
-        multiplication by those generators only, in O(|result| * |gens|)
-        products, and is tried for one element g per left coset gH of the
-        subgroup H, since <H, g> = <H, gh> for h in H.  The number of
-        extensions still grows with the lattice; a group above
-        ``subgroup_order`` is refused first.  The ``sorted``-least member
-        represents its class.
+        Neubüser's cyclic extension method (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 2005).  A class enters
+        with one member H, the elements it was grown from and its
+        normalizer N (``_normalizer``); its conjugates, one x H x^-1 per
+        left coset xN, mark the class as seen.  H is extended by an element
+        g of prime power order, closing under left multiplication by H's
+        generators and g only, in O(|result| * |gens|) products, for one g
+        per orbit of N on the cosets gH by conjugation: <H, gh> = <H, g>
+        for h in H, and <H, n g n^-1> = n <H, g> n^-1 for n in N.  This is
+        complete: a subgroup K > 1 is generated by its prime power
+        elements, so K = <M, g> for a maximal subgroup M of K and some such
+        g outside M, and by induction on |K| a conjugate c M c^-1 entered
+        and an orbit of c g c^-1 H was tried.  The number of extensions
+        still grows with the lattice; a group above ``subgroup_order`` is
+        refused first.  The ``sorted``-least member represents its class.
         """
         bound = get_limits().subgroup_order
         if self.order > bound:
@@ -312,45 +316,63 @@ class PermGroup:
                 f"subgroup enumeration limited to order {bound}, "
                 f"group has order {self.order}"
             )
-        pp_elems = [g for g in self.packed_elements()
+        elems = self.packed_elements()
+        pp_elems = [g for g in elems
                     if _is_prime_power(perm_order(unpack(g)))]
+        one = pack(self._identity)
+        seen_sets: set = set()
+        found, frontier = [], []
 
-        conjugations = [_conjugation(*c) for c in self._conjugators()]
+        def enter(sub: frozenset, gens: tuple) -> None:
+            norm = self._normalizer(sub, gens)
+            orbit, covered = set(), set()
+            for x in filterfalse(covered.__contains__, elems):
+                covered.update(left_multiply(table(x), norm))
+                # maketrans(x, 1) is table(x^-1), as in ``_normalizer``
+                x_inv = one.translate(type(x).maketrans(x, one))
+                orbit.add(frozenset(_conjugation(x, x_inv)(sub)))
+            seen_sets.update(orbit)
+            found.append(min(orbit, key=sorted))
+            frontier.append((sub, gens, norm))
 
-        def conj_orbit(elem_set: frozenset) -> frozenset:
-            return frozenset(_orbit({elem_set}, lambda level: (
-                frozenset(conj(current))
-                for current in level for conj in conjugations)))
-
-        ident = pack(self._identity)
-        triv = frozenset({ident})
-        seen_sets = {triv}
-        frontier = [(triv, ())]
-        found = [triv]
-        while frontier:
-            nxt = []
-            for current, gens in frontier:
-                covered = set(current)  # one g per left coset gH
-                for g in pp_elems:
-                    if g in covered:
-                        continue
-                    covered.update(left_multiply(table(g), current))
-                    grown_gens = gens + (g,)
-                    grown = _closure(current, grown_gens)
-                    if grown in seen_sets:
-                        continue
-                    orbit = conj_orbit(grown)
-                    seen_sets |= orbit
-                    found.append(min(orbit, key=sorted))
-                    nxt.append((grown, grown_gens))
-            frontier = nxt
+        enter(frozenset({one}), ())
+        for current, gens, norm in frontier:  # enter appends: breadth first
+            # n^-1 g n in two translates
+            inv_tables = [type(n).maketrans(n, one) for n in norm]
+            covered = set(current)  # one g per N-orbit of cosets gH
+            for g in filterfalse(covered.__contains__, pp_elems):
+                for y in set(map(type(g).translate,
+                                 left_multiply(table(g), norm), inv_tables)):
+                    if y not in covered:
+                        covered.update(left_multiply(table(y), current))
+                grown_gens = gens + (g,)
+                grown = _closure(current, grown_gens)
+                if grown not in seen_sets:
+                    enter(grown, grown_gens)
         reps = [sorted(s) for s in found]
         reps.sort(key=lambda s: (len(s), s))
         return tuple(
-            PermGroup(self.degree, [unpack(g) for g in rep if g != ident]
+            PermGroup(self.degree, [unpack(g) for g in rep if g != one]
                       or [self._identity])
             for rep in reps
         )
+
+    def _normalizer(self, sub: frozenset, gens: tuple) -> list:
+        """N(H), packed, for the packed subgroup H = ``sub`` generated by
+        the packed ``gens``.  N(H) is a union of left cosets xH, and x lies
+        in it iff x^-1 s x lies in H for each generator s, so one x per
+        coset decides: x^-1 s x is x.translate(table(s)) translated by
+        maketrans(x, 1), which maps x[i] to i and so is table(x^-1)."""
+        one = pack(self._identity)
+        tables = [table(s) for s in gens]
+        norm, covered = [], set()
+        for x in filterfalse(covered.__contains__, self.packed_elements()):
+            coset = list(left_multiply(table(x), sub))
+            covered.update(coset)
+            x_inv = type(x).maketrans(x, one)
+            if all(x.translate(t).translate(x_inv) in sub for t in tables):
+                norm += coset
+        return norm
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"

@@ -1,5 +1,9 @@
 import ast
+import contextlib
+import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,6 +84,27 @@ def test_subgroups_listing(capsys):
     report = run_json(capsys, ["subgroups", "--class", "pure_set",
                                "--max-base", "2"])
     assert report["count"] == 4
+
+
+GOLDEN = Path(__file__).with_name("golden_outputs.txt")
+
+
+def golden_line(argv):
+    """``<argv> <exit> <stdout sha256>`` of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return f"{' '.join(argv)} {code} {digest}"
+
+
+def test_outputs_match_the_golden_manifest():
+    # one line per call; a report changed on purpose regenerates the
+    # manifest with `PYTHONPATH=src python tests/test_cli.py --write`
+    lines = GOLDEN.read_text().splitlines()
+    assert lines
+    assert [line for line in lines
+            if golden_line(line.split()[:-2]) != line] == []
 
 
 class TwoTagGraph(finstruct.GraphClass):
@@ -474,3 +499,9 @@ def test_selftest_stdout_is_the_json_report(capsys, monkeypatch):
     assert captured.err.startswith("criterion 1: PASS (")
     assert "s / budget 10.0s, " in captured.err
     assert "%) - stub" in captured.err
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.write_text("".join(
+        golden_line(line.split()[:-2]) + "\n"
+        for line in GOLDEN.read_text().splitlines()))

@@ -359,6 +359,46 @@ def test_subgroups_s5():
         1, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 8, 10, 12, 12, 20, 24, 60, 120]
 
 
+def test_subgroups_s6():
+    subs = symmetric_group(6).subgroups_up_to_conjugacy()
+    assert len(subs) == 56  # OEIS A000638
+    assert [H.order for H in subs] == [
+        1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 6, 6, 6, 6, 6, 6, 8, 8, 8,
+        8, 8, 8, 8, 9, 10, 12, 12, 12, 12, 16, 18, 18, 18, 20, 24, 24, 24, 24,
+        24, 24, 36, 36, 36, 48, 48, 60, 60, 72, 120, 120, 360, 720]
+
+
+def test_s5_lattice_extends_once_per_normalizer_orbit(monkeypatch):
+    # one closure per orbit of N(H) on the cosets gH of each class: 83,
+    # where one per coset gH took 472
+    calls = 0
+    closure = permgrp._closure
+
+    def counted(subgroup, gens):
+        nonlocal calls
+        calls += 1
+        return closure(subgroup, gens)
+
+    monkeypatch.setattr(permgrp, "_closure", counted)
+    assert len(symmetric_group(5).subgroups_up_to_conjugacy()) == 19
+    assert 0 < calls <= 83
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS) + ["S5"])
+def test_normalizers_match_brute_force(name):
+    G = SMALL_GROUPS[name]() if name in SMALL_GROUPS else symmetric_group(5)
+    elems = G.elements()
+    for H in G.subgroups_up_to_conjugacy():
+        sub = frozenset(H.elements())
+        norm = G._normalizer(frozenset(map(pack, sub)),
+                             tuple(map(pack, H.reduced_generators)))
+        assert len(norm) == len(set(norm))
+        assert set(map(unpack, norm)) == {
+            x for x in elems if conjugate_set(x, sub) == sub}
+        conjugates = {conjugate_set(x, sub) for x in elems}
+        assert G.order // len(norm) == len(conjugates)
+
+
 def test_subgroups_gl32():
     cls = get_class("vector_space")
     base = next(b for b in cls.enumerate_class(3) if cls.size(b) == 3)
