@@ -5,17 +5,20 @@ group over a prime field F_p with p = 1 (mod group exponent), split the
 class algebra into common eigenvectors of class matrices 1, 2, ... (class 0
 is the identity, whose matrix is I), each characteristic polynomial from a
 Hessenberg form mod p, read off degrees and character values mod p, and
-lift to exact cyclotomic integers through eigenvalue multiplicities.  The
-split reads class matrix r only in the rows at the pivots of the spaces it
-has not yet cut into lines, so only those rows are built (Schneider 1990,
-"Dixon's character table algorithm revisited"): row s costs |C_r| products,
-since counting the triples xy = z two ways gives |C_t| a[r][s][t] = |C_s|
-#{x in C_r : x rep_s in C_t}.  Classes, rows and coset characters read the
-group's packed elements (``permgrp``), so each product is one ``translate``
-of a packed element.  Each exact value of the lift and each row
-orthogonality sum (the column relations follow) is added up in one exponent
-dict by ``_mul_acc``, as in ``Cyc.__mul__``, with no Cyc per term.  A table
-failing them is a bug, hence InvariantViolation.
+lift them to exact cyclotomic integers: p > 2 sqrt(|G|) also bounds the
+integer values of a rational class, read off mod p, and each other Galois
+orbit of classes is lifted once (``_lift``).  A scalar restriction splits
+nothing and is kept.  The split reads class matrix r only in the rows at
+the pivots of the spaces it has not yet cut into lines, so only those rows
+are built (Schneider 1990, "Dixon's character table algorithm revisited"):
+row s costs |C_r| products, since counting the triples xy = z two ways
+gives |C_t| a[r][s][t] = |C_s| #{x in C_r : x rep_s in C_t}.  Classes, rows
+and coset characters read the group's packed elements (``permgrp``), so
+each product is one ``translate`` of a packed element.  A rational value
+must not exceed the degree, every other value must agree mod p, and every
+row orthogonality sum (the column relations follow) is checked exactly,
+reduced through Phi_e once per pair.  A table failing them is a bug, hence
+InvariantViolation.
 
 Symmetric groups additionally get an independent construction from
 partition combinatorics (hook lengths, Murnaghan-Nakayama border strips)
@@ -308,14 +311,13 @@ def _charpoly_modp(b, p):
 
 
 def _poly_roots_modp(cs, p):
-    roots = []
-    for lam in range(p):
-        acc = 0
-        for c in cs:
-            acc = (acc * lam + c) % p
-        if acc == 0:
-            roots.append(lam)
-    return roots
+    """Roots in F_p of the polynomial cs, highest coefficient first, in
+    increasing order: Horner's rule at every lambda at once, one list pass
+    per coefficient."""
+    acc = [0] * p
+    for c in cs:
+        acc = [(a * lam + c) % p for a, lam in zip(acc, range(p))]
+    return [lam for lam, a in enumerate(acc) if not a]
 
 
 def _nullspace_modp(mat, p):
@@ -340,7 +342,8 @@ def _nullspace_modp(mat, p):
 
 def _choose_prime(order: int, exponent: int, num_classes: int) -> int:
     # p = 1 (mod e) so F_p contains the needed roots of unity; p > 2*sqrt(|G|)
-    # so degrees and multiplicities lift uniquely.  The Hessenberg charpoly
+    # so degrees, multiplicities and the integer values of rational classes
+    # (|chi(g)| <= chi(1) <= sqrt(|G|)) lift uniquely.  The Hessenberg charpoly
     # divides by no k, but the floor p > k stays: it chose the primes that
     # tables report as ``prime``, and a lower one would change them.
     floor = max(math.isqrt(4 * order) + 1, num_classes + 1, 3)
@@ -488,6 +491,10 @@ def character_table(group: PermGroup) -> CharacterTable:
                         members[r], reps[s], sizes[s], class_index, sizes)]
             b = [[sum(map(int.__mul__, a_rows[s], w)) % p for w in rows]
                  for s in pivots]
+            if all(x == (b[0][0] if i == j else 0)
+                   for i, bi in enumerate(b) for j, x in enumerate(bi)):
+                nxt.append((rows, pivots))   # a scalar splits nothing
+                continue
             split_dim = 0
             for lam in _poly_roots_modp(_charpoly_modp(b, p), p):
                 shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(bi)]
@@ -495,9 +502,10 @@ def character_table(group: PermGroup) -> CharacterTable:
                 block = _nullspace_modp(shifted, p)
                 if not block:
                     continue
-                lifted = [[sum(cv * w[c] for cv, w in zip(coords, rows)) % p
-                           for c in range(k)] for coords in block]
-                nxt.append(_rref(lifted, p))
+                # coords' combination of the rows, as column sums of maps
+                nxt.append(_rref([[x % p for x in map(sum, zip(*(
+                    map(cv.__mul__, w) for cv, w in zip(coords, rows) if cv)))]
+                    for coords in block], p))
                 split_dim += len(block)
             if split_dim != d:
                 raise InvariantViolation(
@@ -530,35 +538,7 @@ def character_table(group: PermGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != order:
         raise InvariantViolation("degrees fail sum-of-squares identity")
 
-    # lift to Z[zeta_e]: chi(g) = sum_j m_j zeta_o^j with m_j the eigenvalue
-    # multiplicities, recovered by discrete Fourier inversion mod p
-    pow_classes = [[class_index[pack(power(c.rep, l))] for l in range(c.order)]
-                   for c in classes]
-    z_e = pow(z, (p - 1) // exponent, p)
-    # zeta_o^m mod p for 0 <= m < o, one list per element order o
-    z_pows = {o: [pow(z, (p - 1) // o * m, p) for m in range(o)]
-              for o in {c.order for c in classes}}
-
-    rows_exact = []
-    for i in range(k):
-        chi = chars_p[i]
-        row = []
-        for t, c in enumerate(classes):
-            o, zo_pow, inv_o = c.order, z_pows[c.order], pow(c.order, p - 2, p)
-            ms = [sum(chi[x] * zo_pow[-j * l % o]
-                      for l, x in enumerate(pow_classes[t])) * inv_o % p
-                  for j in range(o)]
-            if sum(ms) != degrees[i]:
-                raise InvariantViolation(
-                    "eigenvalue multiplicities do not sum to the degree")
-            # sum_j m_j zeta_e^(j e/o), added up in one exponent dict
-            terms = [(j * (exponent // o), m) for j, m in enumerate(ms) if m]
-            val = _make_cyc(exponent, _mul_acc({}, terms, ((0, 1),), 1,
-                                               *_phi_data(exponent)))
-            if sum(a * pow(z_e, exp, p) for exp, a in val.terms) % p != chi[t]:
-                raise InvariantViolation("cyclotomic lift disagrees mod p")
-            row.append(val)
-        rows_exact.append(row)
+    rows_exact = _lift(classes, class_index, chars_p, degrees, exponent, p, z)
 
     order_idx = sorted(
         range(k),
@@ -573,8 +553,84 @@ def character_table(group: PermGroup) -> CharacterTable:
     return table
 
 
+def _lift(classes, class_index, chars_p, degrees, exponent, p, z) -> list:
+    """Lift the characters mod p to Z[zeta_e], as rows of Cyc.
+
+    chi(g^l) = sigma_l(chi(g)) for l prime to o(g) (Isaacs 1976, 2.7 and
+    3.6), so the classes of those powers of g form its Galois orbit.  An
+    orbit of one class is rational: its values are integers with |chi(g)|
+    <= chi(1) < p/2, read off mod p.  Any other orbit is inverted once, at
+    its first class: chi(g) = sum_j m_j zeta_o^j, with m_j the eigenvalue
+    multiplicities, recovered by discrete Fourier inversion mod p.  Its
+    class of g^l takes sigma_j of that value, j = l (mod o) and prime to e.
+    Every non-rational value is checked mod p against zeta_e = z^((p-1)/e).
+    """
+    z_e = pow(z, (p - 1) // exponent, p)
+    if any(pow(z_e, exponent // q, p) == 1 for q in _prime_factors(exponent)):
+        raise InvariantViolation(f"z_e = {z_e} does not have order {exponent}"
+                                 f" mod {p}")
+    pow_classes = [[class_index[pack(power(c.rep, l))] for l in range(c.order)]
+                   for c in classes]
+    # source[t]: None for a rational class, else (first class of its
+    # orbit, j) with chi(t) = sigma_j(chi(first)); j = 1 at the first
+    source: dict = {}
+    for t, c in enumerate(classes):
+        if t in source:
+            continue
+        units = [l for l in range(1, c.order) if math.gcd(l, c.order) == 1]
+        if all(pow_classes[t][l] == t for l in units):
+            source[t] = None
+            continue
+        for l in units:
+            source.setdefault(pow_classes[t][l], (t, next(
+                j for j in range(l, exponent, c.order)
+                if math.gcd(j, exponent) == 1)))
+    # zeta_o^m mod p for 0 <= m < o, one list per element order o
+    z_pows = {o: [pow(z, (p - 1) // o * m, p) for m in range(o)]
+              for o in {c.order for c in classes}}
+    phi = _phi_data(exponent)
+
+    rows = []
+    for chi, degree in zip(chars_p, degrees):
+        row = []
+        for t in range(len(classes)):
+            if source[t] is None:
+                value = chi[t] - p if chi[t] > p // 2 else chi[t]
+                if abs(value) > degree:
+                    raise InvariantViolation(
+                        f"rational value {value} exceeds the degree {degree}")
+                row.append(Cyc.from_int(exponent, value))
+                continue
+            first, j = source[t]
+            if first == t:
+                o, zo_pow = classes[t].order, z_pows[classes[t].order]
+                ms = [sum(chi[x] * zo_pow[-i * l % o]
+                          for l, x in enumerate(pow_classes[t]))
+                      * pow(o, p - 2, p) % p for i in range(o)]
+                if sum(ms) != degree:
+                    raise InvariantViolation(
+                        "eigenvalue multiplicities do not sum to the degree")
+                # sum_i m_i zeta_e^(i e/o), added up in one exponent dict
+                terms = [(i * exponent // o, m) for i, m in enumerate(ms) if m]
+                val = _make_cyc(exponent, _mul_acc({}, terms, ((0, 1),), 1,
+                                                   *phi))
+            else:
+                val = row[first].galois(j)
+            if sum(a * pow(z_e, exp, p) for exp, a in val.terms) % p != chi[t]:
+                raise InvariantViolation("cyclotomic lift disagrees mod p")
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
 def _verify_orthogonality(table: CharacterTable) -> None:
     """Check the row orthogonality relations of a square table exactly.
+
+    Every pair i <= j is checked over every class: sum_t |C_t| X[i][t]
+    X[j][t*] must be |G| for i = j and 0 otherwise, as an element of
+    Z[zeta_e].  A product of two rational integers is added up as an int;
+    any other product's terms are added up by exponent mod e, and that sum
+    is reduced through Phi_e once per pair, not once per term.
 
     The column relations follow.  With D = diag(|C_t|) and Y[j][t] =
     X[j][t*], the row relations say X D Y^T = |G| I (pairs i <= j suffice:
@@ -584,22 +640,30 @@ def _verify_orthogonality(table: CharacterTable) -> None:
     since the values lie in a field.
     """
     k = table.num_classes
-    order = table.group_order
     rows = table.rows
-    sizes = table.class_sizes
-    tstar = table._tstar
     if len(rows) != k or any(len(row) != k for row in rows):
         raise InvariantViolation(
             f"character table is not square: {len(rows)} rows, {k} classes")
-    phi = _phi_data(table.exponent)
+    e = table.exponent
+    phi = _phi_data(e)
+    # each value as an int when it is one, else as its terms; Y's rows
+    values = [[v.as_int() if v.is_int() else v.terms for v in row]
+              for row in rows]
+    starred = [[row[s] for s in table._tstar] for row in values]
     for i in range(k):
         for j in range(i, k):
-            acc: dict = {}
-            for t in range(k):
-                _mul_acc(acc, rows[i][t].terms, rows[j][tstar[t]].terms,
-                         sizes[t], *phi)
-            value = _make_cyc(table.exponent, acc)
-            if value != (order if i == j else 0):
+            ints, powers = 0, {}
+            for x, y, size in zip(values[i], starred[j], table.class_sizes):
+                if isinstance(x, int) and isinstance(y, int):
+                    ints += size * x * y
+                    continue
+                for e1, c1 in ((0, x),) if isinstance(x, int) else x:
+                    for e2, c2 in ((0, y),) if isinstance(y, int) else y:
+                        s = (e1 + e2) % e
+                        powers[s] = powers.get(s, 0) + size * c1 * c2
+            value = _make_cyc(e, _mul_acc({0: ints}, powers.items(),
+                                          ((0, 1),), 1, *phi))
+            if value != (table.group_order if i == j else 0):
                 raise InvariantViolation(
                     f"row orthogonality fails at ({i}, {j}): {value!r}"
                 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -249,7 +250,10 @@ def cmd_selftest(args):
     return report
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, so every ``main`` call shares it."""
     parser = _Parser(prog="oligorep")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -39,6 +39,7 @@ from oligorep.permgrp import (
     identity,
     inverse,
     pack,
+    power,
     symmetric_group,
 )
 
@@ -599,6 +600,126 @@ def test_catalog_gl_tables_have_the_known_degrees():
     gl33 = character_table(cls.automorphisms(cls.canonical_space(3)))
     sl33 = (1, 12, 13, 16, 16, 16, 16, 26, 26, 26, 27, 39)
     assert gl33.degrees == tuple(sorted(sl33 * 2))
+
+
+# -- the lift and the row relations against per-value references ------------
+
+def _reference_lift(classes, class_index, chars_p, degrees, exponent, p, z):
+    """The lift with no Galois orbits: a discrete Fourier inversion for
+    every (row, class) pair, each value checked mod p."""
+    pow_classes = [[class_index[pack(power(c.rep, l))] for l in range(c.order)]
+                   for c in classes]
+    z_e = pow(z, (p - 1) // exponent, p)
+    z_pows = {o: [pow(z, (p - 1) // o * m, p) for m in range(o)]
+              for o in {c.order for c in classes}}
+    phi = chartab._phi_data(exponent)
+    rows = []
+    for chi, degree in zip(chars_p, degrees):
+        row = []
+        for t, c in enumerate(classes):
+            o = c.order
+            ms = [sum(chi[x] * z_pows[o][-j * l % o]
+                      for l, x in enumerate(pow_classes[t]))
+                  * pow(o, p - 2, p) % p for j in range(o)]
+            assert sum(ms) == degree
+            terms = [(j * (exponent // o), m) for j, m in enumerate(ms) if m]
+            val = chartab._make_cyc(exponent, chartab._mul_acc(
+                {}, terms, ((0, 1),), 1, *phi))
+            assert sum(a * pow(z_e, e, p) for e, a in val.terms) % p == chi[t]
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def _reference_row_relations_hold(table):
+    """Every row relation, each term reduced through Phi_e by ``_mul_acc``."""
+    phi = chartab._phi_data(table.exponent)
+    k = table.num_classes
+    for i in range(k):
+        for j in range(i, k):
+            acc = {}
+            for t in range(k):
+                chartab._mul_acc(acc, table.rows[i][t].terms,
+                                 table.rows[j][table._tstar[t]].terms,
+                                 table.class_sizes[t], *phi)
+            if chartab._make_cyc(table.exponent, acc) != (
+                    table.group_order if i == j else 0):
+                return False
+    return True
+
+
+def _gl42():
+    cls = get_class("vector_space")
+    return cls.automorphisms(cls.canonical_space(4))
+
+
+def _gl33():
+    cls = get_class("vector_space_q3")
+    return cls.automorphisms(cls.canonical_space(3))
+
+
+def _c6():
+    return PermGroup(6, [from_cycles(6, [tuple(range(6))])])
+
+
+@pytest.mark.parametrize("make_groups", [
+    lambda: [symmetric_group(4)], lambda: [_c6()], lambda: [_gl32()],
+    lambda: [_gl23()], _graph_groups, lambda: [_gl42()], lambda: [_gl33()],
+], ids=["S4", "C6", "GL32", "GL23", "graphs<=5", "GL42", "GL33"])
+def test_orbit_lift_matches_the_per_class_inversion(make_groups, monkeypatch):
+    for G in make_groups():
+        table = character_table(G)
+        assert _reference_row_relations_hold(table)
+        with monkeypatch.context() as m:
+            m.setattr(chartab, "_lift", _reference_lift)
+            reference = character_table(G)
+        assert (table.degrees, table.rows, table.class_reps) == (
+            reference.degrees, reference.rows, reference.class_reps)
+
+
+def test_corrupted_integer_and_irrational_entries_fail_the_row_relations():
+    # GL(3,2) has integer values and the irrational values on its classes
+    # of order 7; one mutant for each branch of the check
+    table = character_table(_gl32())
+    cells = [(i, t) for i in range(table.num_classes)
+             for t in range(table.num_classes)]
+    integer = next(c for c in cells if table.rows[c[0]][c[1]].is_int())
+    irrational = next(c for c in cells if not table.rows[c[0]][c[1]].is_int())
+    for (i, t), corrupt in ((integer, lambda v: v + 1),
+                            (irrational, lambda v: v.conj())):
+        bad = copy.copy(table)
+        bad.rows = tuple(
+            tuple(corrupt(v) if (r, c) == (i, t) else v
+                  for c, v in enumerate(row))
+            for r, row in enumerate(table.rows))
+        assert bad.rows[i][t] != table.rows[i][t]
+        assert not _reference_row_relations_hold(bad)
+        with pytest.raises(InvariantViolation):
+            chartab._verify_orthogonality(bad)
+
+
+def test_a_rational_value_past_the_degree_fails_loudly(monkeypatch):
+    # S4's classes are all rational, so no inversion reads the value that
+    # row 1 gets at class 1: its degree + 1
+    real = chartab._lift
+
+    def corrupted(classes, class_index, chars_p, degrees, exponent, p, z):
+        chars_p = [list(chi) for chi in chars_p]
+        chars_p[1][1] = degrees[1] + 1
+        return real(classes, class_index, chars_p, degrees, exponent, p, z)
+
+    monkeypatch.setattr(chartab, "_lift", corrupted)
+    with pytest.raises(InvariantViolation, match="exceeds the degree"):
+        character_table(symmetric_group(4))
+
+
+def test_a_wrong_galois_twist_fails_loudly(monkeypatch):
+    # C6's classes of order 3 and of order 6 are orbits of two; the second
+    # class of each takes its value as a twist of the first, and a twist
+    # that leaves the value as it was disagrees with the value mod p
+    monkeypatch.setattr(Cyc, "galois", lambda self, j: self)
+    with pytest.raises(InvariantViolation, match="disagrees mod p"):
+        character_table(_c6())
 
 
 # -- symmetric group tables ---------------------------------------------------

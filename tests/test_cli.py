@@ -107,6 +107,18 @@ def test_outputs_match_the_golden_manifest():
             if golden_line(line.split()[:-2]) != line] == []
 
 
+def test_main_builds_the_parser_once_per_process(capsys):
+    # calls share one argparse tree, and a usage error leaves it as it was
+    cli.build_parser.cache_clear()
+    argv = ["subgroups", "--class", "pure_set", "--max-base", "2"]
+    first = run(capsys, argv)
+    with pytest.raises(SystemExit):
+        cli.main(["catalog"])
+    assert run(capsys, argv) == first
+    assert first[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 class TwoTagGraph(finstruct.GraphClass):
     """Graphs with cells for the inherited orbit closure, as in
     ``tests/test_oligo.py``: tag 0 the matching, tag 1 the cross edges."""
