@@ -45,8 +45,9 @@ class also owns everything else that reads its payload:
   of whether the second copy lies in the hull of the first and back;
 * ``tuple_hulls(n, x0_only)``: canonical code -> (canonical closed hull,
   number of orbits of n-tuples whose hull it is), by a closed count per
-  class: Gaussian binomials for vector spaces, which list no relation
-  space;
+  class, wrapping ``_hull_orbits``, which also yields generators of each
+  hull's group for ``oligo.decompose_power``; a Boolean hull is held by
+  its atom count, its masks a ``range``, and comes with none;
 * ``_data_to_json``: the ``data`` object of a structure document.
 
 Boolean algebras set ``atomic``: Aut(base) is the symmetric group on its
@@ -70,7 +71,6 @@ import itertools
 import math
 import operator
 from array import array
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -245,14 +245,6 @@ def _lex_index(coords, q):
     return idx
 
 
-def _lex_vector(idx, q, dim):
-    coords = []
-    for _ in range(dim):
-        coords.append(idx % q)
-        idx //= q
-    return tuple(reversed(coords))
-
-
 # ---------------------------------------------------------------------------
 # set partitions
 
@@ -268,6 +260,14 @@ def set_partitions(n):
         for i in range(len(blocks)):
             yield blocks[:i] + (blocks[i] + (n - 1,),) + blocks[i + 1:]
         yield blocks + ((n - 1,),)
+
+
+def _stirling_row(n):
+    """S(n, k) for k <= n, by S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)."""
+    row = [1]
+    for _ in range(n):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
 
 
 _MAX_CONFIGS = 2_000_000
@@ -406,9 +406,12 @@ class FraisseClass:
         Returns a dict mapping canonical code to ``(hull, count)``: the
         canonical hull and the number of orbits whose hull it is.  Raises
         ``MalformedStructure`` for n < 0 and ``SizeLimitExceeded`` above
-        ``max_tuple_len``.
+        ``max_tuple_len``.  Each class's ``_hull_orbits`` yields ``(code,
+        hull, gens, count)``, ``gens`` generating Aut(hull), or None.
         """
-        raise NotImplementedError
+        self._check_tuple_len(n)
+        return {code: (hull, count)
+                for code, hull, _, count in self._hull_orbits(n, x0_only)}
 
     # -- hooks
 
@@ -552,21 +555,18 @@ class _RelationalClass(FraisseClass):
         # a set of n points, or the empty graph on them
         return math.factorial(n)
 
-    def tuple_hulls(self, n, x0_only=False):
+    def _hull_orbits(self, n, x0_only):
         # The hull of a tuple is the structure on its entries, and Aut(B)
         # acts freely on the S(n, k) k! maps of the coordinates onto the k
         # points of B, so B is the hull of S(n, k) k! / |Aut(B)| orbits.
         # No entry is a fixed element.
-        self._check_tuple_len(n)
-        stirling = Counter(len(blocks) for blocks in set_partitions(n))
-        hulls = {}
+        stirling = _stirling_row(n)
         for hull, gens in self._enumerate(n):
             k = len(hull)
-            if k in stirling:
+            if stirling[k]:
                 aut = PermGroup(k, gens).order
-                hulls[self._code_of_canonical(hull)] = (
-                    hull, stirling[k] * math.factorial(k) // aut)
-        return hulls
+                yield (self._code_of_canonical(hull), hull, gens,
+                       stirling[k] * math.factorial(k) // aut)
 
 
 class PureSetClass(_RelationalClass):
@@ -1034,7 +1034,8 @@ class VectorSpaceClass(FraisseClass):
         return self.canonical_space(dim), rel, self._space_gens(dim)
 
     def canonical_space(self, dim):
-        vectors = tuple(_lex_vector(i, self.q, dim) for i in range(self.q ** dim))
+        """GF(q)^dim, point i its i-th vector in lexicographic order."""
+        vectors = tuple(itertools.product(range(self.q), repeat=dim))
         return FinStructure(self.id, tuple(range(self.q ** dim)), (self.q, vectors))
 
     def _code_of_canonical(self, canon):
@@ -1068,13 +1069,10 @@ class VectorSpaceClass(FraisseClass):
         return [transvection, cycle]
 
     def _matrix_perm(self, m, dim):
-        images = []
-        for idx in range(self.q ** dim):
-            v = _lex_vector(idx, self.q, dim)
-            mv = tuple(sum(m[r][c] * v[c] for c in range(dim)) % self.q
-                       for r in range(dim))
-            images.append(_lex_index(mv, self.q))
-        return tuple(images)
+        q = self.q
+        return tuple(
+            _lex_index([sum(map(operator.mul, row, v)) % q for row in m], q)
+            for v in itertools.product(range(q), repeat=dim))
 
     def _enumerate_nonempty(self, k):
         return [(self.canonical_space(d), self._space_gens(d))
@@ -1084,7 +1082,7 @@ class VectorSpaceClass(FraisseClass):
         # |GL(n, q)|, the group of the space of dimension n
         return math.prod(self.q ** n - self.q ** i for i in range(n))
 
-    def tuple_hulls(self, n, x0_only=False):
+    def _hull_orbits(self, n, x0_only):
         # The entries of a tuple whose relation space has rank r span a
         # space of dimension d = n - r, so [n, d]_q orbits (Gaussian
         # binomials) have a hull of dimension d.  With x0_only,
@@ -1092,16 +1090,14 @@ class VectorSpaceClass(FraisseClass):
         # relation spaces holding s given unit vectors number [n - s, d]_q,
         # as subspaces of the quotient by them.  A d with no orbit is left
         # out.
-        self._check_tuple_len(n)
-        hulls = {}
         for d in range(n + 1):
             count = sum((-1) ** s * math.comb(n, s)
                         * _gaussian_binomial(n - s, d, self.q)
                         for s in range(n + 1 if x0_only else 1))
             if count:
                 hull = self.canonical_space(d)
-                hulls[self._code_of_canonical(hull)] = (hull, count)
-        return hulls
+                yield (self._code_of_canonical(hull), hull,
+                       self._space_gens(d), count)
 
     def _data_to_json(self, data):
         q, vectors = data
@@ -1253,7 +1249,9 @@ class BooleanAlgebraClass(FraisseClass):
         return self.canonical_algebra(m), rel, self._algebra_gens(m)
 
     def canonical_algebra(self, n_atoms):
-        masks = tuple(range(1 << n_atoms)) if n_atoms else ()
+        """The subsets of n_atoms atoms: point i is mask i, and both are held
+        as ``range(2**n_atoms)``, not listed (``()`` on no atoms)."""
+        masks = range(1 << n_atoms) if n_atoms else ()
         return FinStructure(self.id, masks, (n_atoms, masks))
 
     def _code_of_canonical(self, canon):
@@ -1267,16 +1265,16 @@ class BooleanAlgebraClass(FraisseClass):
         return [(self.canonical_algebra(m), self._algebra_gens(m))
                 for m in range(1, k + 1)]
 
-    def tuple_hulls(self, n, x0_only=False):
+    def _hull_orbits(self, n, x0_only):
         # An orbit is a set of realized cells among the 2**n sign patterns,
         # the atoms of its hull.  With x0_only, inclusion-exclusion runs over
         # the s entries that are bottom or top (2 ways) in every such cell.
-        self._check_tuple_len(n)
-        counts = {m: sum((-2) ** s * math.comb(n, s) * math.comb(1 << (n - s), m)
-                         for s in range(n + 1 if x0_only else 1))
-                  for m in range(1, (1 << n) + 1)}
-        return {self.code_for_atoms(m): (self.canonical_algebra(m), count)
-                for m, count in counts.items() if count}
+        for m in range(1, (1 << n) + 1):
+            count = sum((-2) ** s * math.comb(n, s) * math.comb(1 << (n - s), m)
+                        for s in range(n + 1 if x0_only else 1))
+            if count:
+                yield (self.code_for_atoms(m), self.canonical_algebra(m),
+                       None, count)
 
     def _data_to_json(self, data):
         n_atoms, masks = data

@@ -238,26 +238,24 @@ def trivial_label(class_id):
 _TABLES = {}
 
 
-def base_table(class_id, base, code, gens=None):
+def base_table(class_id, base, code, gens):
     """Character table used for labels over this base of canonical ``code``.
 
     Symmetric-group tables (on atoms) for Boolean algebras, read from
     partitions: tensor-power hulls reach 16 atoms, and S_16 is far beyond
-    Dixon's method, so the table is chosen here by ``atomic``.  Generic
-    exact tables for everything else, built once per group: a new code
-    finds its table by the degree and sorted packed elements of Aut(B).  A
-    group beyond the ``table_order`` bound is refused on every lookup, a
-    new one before its elements are built.  A new code's Aut(B) is built
-    from ``gens`` when the caller holds its generators (the enumeration
-    that found B did), else searched: only ``decompose_power``'s hulls are.
+    Dixon's method, so the table is chosen here by ``atomic``, and ``gens``
+    is not read.  Generic exact tables for everything else, built once per
+    group: a new code builds Aut(B) from ``gens``, its generators on the
+    positions of ``base``, and finds its table by the degree and sorted
+    packed elements.  A group beyond the ``table_order`` bound is refused
+    on every lookup, a new one before its elements are built.
     """
     cls = get_class(class_id)
     if cls.atomic:
         return _atom_table(cls.size(base))
     key = (class_id, code)
     if key not in _TABLES:
-        group = (cls.automorphisms(base) if gens is None
-                 else PermGroup(len(base.points), gens))
+        group = PermGroup(len(base.points), gens)
         _check_table_order(group.order)
         packed = group.packed_elements()  # bytes, or str past 256 points
         elements = (group.degree, packed[0][:0].join(packed))
@@ -276,7 +274,7 @@ def _atom_table(m):
     return _TABLES[key]
 
 
-def _labels_for_base(class_id, base, code, gens=None):
+def _labels_for_base(class_id, base, code, gens):
     """Labels over one normalized base, in table row order."""
     table = base_table(class_id, base, code, gens)
     size = get_class(class_id).size(base)
@@ -393,12 +391,10 @@ def decompose_power(class_id, n, x0_only=False):
     Every orbit of n-tuples contributes the full regular character of the
     automorphism group of its closed hull, because the tuple entries
     generate the hull and therefore have trivial stabilizer inside its
-    automorphism group.  The class counts the orbits per canonical hull
-    (``tuple_hulls``) by a closed rule.  Aut(B) acts freely on the tuples
-    generating B, so a relational hull B on k points is the hull of
-    S(n, k) k! / |Aut(B)| orbits (Cameron); a vector tuple whose relation
-    space has rank r spans a hull of dimension n - r; a Boolean orbit's
-    hull has its realized cells as atoms.  A hull of fixed elements is
+    automorphism group.  The class counts the orbits per canonical hull by
+    a closed rule (``_hull_orbits``; Cameron for the relational classes)
+    and hands over generators of Aut(B), so no hull is searched again for
+    its table.  A hull of fixed elements is
     replaced by the empty base, whose regular character is the trivial
     label.  A tuple length beyond desk scale, or a hull group beyond the
     table bound, is refused before any tuple is counted.
@@ -406,11 +402,11 @@ def decompose_power(class_id, n, x0_only=False):
     cls = get_class(class_id)
     check_power(class_id, n)
     dec = Decomposition()
-    for code, (hull, count) in cls.tuple_hulls(n, x0_only).items():
+    for code, hull, gens, count in cls._hull_orbits(n, x0_only):
         if cls.is_fixed_only(hull):
-            hull = cls.empty()
+            hull, gens = cls.empty(), []
             code = cls._code_of_canonical(hull)
-        for label in _labels_for_base(class_id, hull, code):
+        for label in _labels_for_base(class_id, hull, code, gens):
             dec.add(label, count * label.degree)
     return dec
 

@@ -86,7 +86,8 @@ def swapping_equal_degrees(v):
     """``oligo.decompose_quasiregular`` with the multiplicities of the first
     two rows of equal degree and different multiplicities swapped."""
     decomposition = decompose_quasiregular(v)
-    labels = oligo._labels_for_base(v.cls, v.base, v.base_code)
+    labels = oligo._labels_for_base(v.cls, v.base, v.base_code,
+                                    v.aut.generators)
     mults = [decomposition[label] for label in labels]
     for i, j in itertools.combinations(range(len(labels)), 2):
         if labels[i].degree == labels[j].degree and mults[i] != mults[j]:
@@ -107,7 +108,8 @@ def test_criterion_4_fails_on_swapped_multiplicities_of_equal_degree(
     # (0, 1, 1)
     v = next(v for v, _ in acceptance._subgroup_sweep("pure_set", 3)
              if len(v.base.points) == 3 and v.group.order == 2)
-    labels = oligo._labels_for_base("pure_set", v.base, v.base_code)
+    labels = oligo._labels_for_base("pure_set", v.base, v.base_code,
+                                    v.aut.generators)
     assert [decompose_quasiregular(v)[label] for label in labels] == [1, 0, 1]
     assert [swapping_equal_degrees(v)[label] for label in labels] == [0, 1, 1]
     monkeypatch.setattr(oligo, "decompose_quasiregular",
@@ -196,7 +198,7 @@ def test_criterion_9_fails_on_one_wrong_table_value(monkeypatch):
     # relations, though the degrees still square up to the order
     lookup = oligo.base_table
 
-    def off(class_id, base, code, gens=None):
+    def off(class_id, base, code, gens):
         table = lookup(class_id, base, code, gens)
         if class_id == "pure_set" and len(base.points) == 3:
             return OneValueOff(table)
@@ -338,17 +340,17 @@ def test_criterion_10_fails_on_doubled_boolean_counts(monkeypatch):
     # the recursion is linear in the counts, so doubling every count, full
     # and punctured, leaves its residuals at zero; the orbit totals see it
     boo = get_class("boolean_algebra")
-    hulls = boo.tuple_hulls
+    hulls = boo._hull_orbits
 
-    def doubled(n, x0_only=False):
-        return {code: (hull, 2 * count)
-                for code, (hull, count) in hulls(n, x0_only).items()}
+    def doubled(n, x0_only):
+        return ((code, hull, gens, 2 * count)
+                for code, hull, gens, count in hulls(n, x0_only))
 
     ok, details = acceptance.criterion_10()
     assert ok is True
     assert details["orbit_totals"] == {"vector_space": [2, 5, 16, 67],
                                        "boolean_algebra": [3, 15, 255, 65535]}
-    monkeypatch.setattr(boo, "tuple_hulls", doubled)
+    monkeypatch.setattr(boo, "_hull_orbits", doubled)
     ok, details = acceptance.criterion_10()
     assert ok is False
     assert details["boolean_algebra"] == [0, 0, 0]
@@ -360,23 +362,24 @@ def test_criterion_10_fails_without_the_second_inclusion_exclusion_term(
     # punctured vector counts without the s = 2 term of their
     # inclusion-exclusion must show in every recursion residual
     vs = get_class("vector_space")
-    hulls = vs.tuple_hulls
+    hulls = vs._hull_orbits
 
-    def without_s2(n, x0_only=False):
-        counted = hulls(n, x0_only)
+    def without_s2(n, x0_only):
         if not x0_only or n < 2:
-            return counted
-        by_dim = {vs.size(hull): count for hull, count in counted.values()}
-        mutant = {}
+            return hulls(n, x0_only)
+        by_dim = {vs.size(hull): count
+                  for _, hull, _, count in hulls(n, x0_only)}
+        mutant = []
         for d in range(n + 1):
             count = (by_dim.get(d, 0)
                      - math.comb(n, 2) * _gaussian_binomial(n - 2, d, 2))
             if count:
                 hull = vs.canonical_space(d)
-                mutant[vs.canonical_code(hull)] = (hull, count)
-        return mutant
+                mutant.append((vs.canonical_code(hull), hull,
+                               vs._space_gens(d), count))
+        return iter(mutant)
 
-    monkeypatch.setattr(vs, "tuple_hulls", without_s2)
+    monkeypatch.setattr(vs, "_hull_orbits", without_s2)
     for k in range(1, 4):
         assert oligo.tensor_recursion_check("vector_space", k)["ok"] is False
     ok, details = acceptance.criterion_10()

@@ -353,7 +353,7 @@ def refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated before checking the length")
 
-    monkeypatch.setattr(finstruct, "set_partitions", refuse)
+    monkeypatch.setattr(finstruct, "_stirling_row", refuse)
     monkeypatch.setattr(finstruct, "_relation_spaces", refuse)
     monkeypatch.setattr(finstruct.GraphClass, "_enumerate_nonempty", refuse)
 

@@ -24,7 +24,6 @@ from oligorep.finstruct import (
     FinStructure,
     _byte_tables,
     _lex_index,
-    _lex_vector,
     _read_mask,
     _read_masks,
     _rref,
@@ -394,6 +393,21 @@ def test_atoms_are_read_through_one_class_hook():
     assert atom_calls == {"BooleanAlgebraClass"}
 
 
+def test_nothing_in_the_package_searches_a_structure_again():
+    # every table's group is built from the generators that the
+    # enumeration, the canonical form or the hull count found; the search
+    # behind automorphisms is public API, called by tests and users only
+    callers = set()
+    for path in sorted(Path(finstruct.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for scope, node in scoped_nodes(ast.parse(text)):
+            if isinstance(node, ast.Call) and "automorphisms" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                callers.add(f"{path.stem}.{scope}")
+    assert callers == set()
+
+
 # ---------------------------------------------------------------------------
 # algebraic closure
 
@@ -527,7 +541,7 @@ def every_subset(cls, dim):
     if cls.id == "boolean_algebra":
         elements, tag = list(range(1 << dim)), dim
     else:
-        elements = [_lex_vector(i, cls.q, dim) for i in range(cls.q ** dim)]
+        elements = list(itertools.product(range(cls.q), repeat=dim))
         tag = cls.q
     rng = random.Random(dim)
     for bits in range(1 << len(elements)):
@@ -913,6 +927,14 @@ def test_partition_generator_matches_bell():
         assert set(got) == expected
 
 
+def test_block_counts_match_the_listed_partitions():
+    # the relational hull counts read S(n, k) from the recurrence, not
+    # from a listing of the Bell(n) partitions
+    for n in range(9):
+        listed = Counter(len(blocks) for blocks in set_partitions(n))
+        assert finstruct._stirling_row(n) == [listed[k] for k in range(n + 1)]
+
+
 # -- the test-side listing of vector and Boolean tuple types, which the
 # classes count per hull in closed form and do not list
 
@@ -1144,6 +1166,25 @@ def test_tuple_hulls_match_the_per_type_reference(cls_id):
                     assert cls.canonical(hull)[0] == hull
 
 
+@pytest.mark.parametrize("cls_id", sorted(HULL_RANGES))
+def test_hull_generators_generate_the_searched_automorphism_group(cls_id):
+    # decompose_power builds a new hull table from these generators; a
+    # Boolean hull's table is read by atom count, so it hands over none
+    cls = get_class(cls_id)
+    for n in range(min(HULL_RANGES[cls_id], 4) + 1):
+        for x0_only in (False, True):
+            hulls = cls.tuple_hulls(n, x0_only)
+            for code, hull, gens, count in cls._hull_orbits(n, x0_only):
+                assert hulls.pop(code) == (hull, count)
+                if cls.atomic:
+                    assert gens is None
+                    continue
+                group = PermGroup(len(hull.points), gens)
+                aut = cls.automorphisms(hull)
+                assert group.order == aut.order, (n, code)
+                assert all(g in aut for g in gens), (n, code)
+
+
 def test_boolean_tuple_hulls_visit_no_cell_masks():
     # the counts are closed: the class keeps no listing of cell masks
     boolean = get_class("boolean_algebra")
@@ -1336,6 +1377,25 @@ def test_canonical_algebras_carry_the_code_for_their_atoms():
         assert boolean.canonical_code(algebra) == boolean.code_for_atoms(m)
     assert (boolean.canonical_code(boolean.canonical_algebra(0))
             == boolean.canonical_code(boolean.empty()))
+
+
+def test_algebras_built_from_tuples_canonicalize_to_the_counted_ones():
+    # a canonical algebra holds its points and masks as a range, and
+    # positional equality sees no difference from one given as tuples,
+    # listed or shuffled; the structure document is the same list
+    boolean = get_class("boolean_algebra")
+    rng = random.Random(0)
+    for m in range(5):
+        masks = tuple(range(1 << m)) if m else ()
+        listed = boolean.make(masks, (m, masks))
+        shuffled = boolean.make(
+            masks, (m, tuple(rng.sample(masks, len(masks)))))
+        canon = boolean.canonical_algebra(m)
+        assert boolean.canonical(listed)[0] == canon
+        assert boolean.canonical(shuffled)[0] == canon
+        assert structure_to_json(canon) == structure_to_json(listed) == {
+            "class": "boolean_algebra", "points": list(masks),
+            "data": {"atoms": m, "masks": list(masks)}}
 
 
 def test_marked_cores_pure_set():

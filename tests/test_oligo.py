@@ -27,7 +27,6 @@ from oligorep.errors import (
 from oligorep.finstruct import (
     FinStructure,
     FraisseClass,
-    _lex_vector,
     _rref,
     get_class,
 )
@@ -224,7 +223,8 @@ def test_table_bound_holds_for_cached_tables(monkeypatch):
         irrep_catalog("pure_set", 5)
     assert len(irrep_catalog("pure_set", 4)) == 12
     algebra = get_class("boolean_algebra").canonical_algebra(5)
-    assert oligo.base_table("boolean_algebra", algebra, None).group_order == 120
+    assert oligo.base_table("boolean_algebra", algebra, None,
+                            None).group_order == 120
 
 
 def test_table_bound_holds_before_and_behind_the_group_key(monkeypatch):
@@ -237,8 +237,9 @@ def test_table_bound_holds_before_and_behind_the_group_key(monkeypatch):
     code = get_class("graph").canonical_code
     empty = graph_on([], 4)
     full = graph_on(itertools.combinations(range(4), 2), 4)
-    table = oligo.base_table("graph", empty, code(empty))
-    assert oligo.base_table("graph", full, code(full)) is table
+    s4 = get_class("graph").automorphisms(empty).generators
+    table = oligo.base_table("graph", empty, code(empty), s4)
+    assert oligo.base_table("graph", full, code(full), s4) is table
     cached = len(oligo._TABLES)
     real = PermGroup.packed_elements
 
@@ -254,11 +255,11 @@ def test_table_bound_holds_before_and_behind_the_group_key(monkeypatch):
                                       ("graph", full, code(full)),
                                       ("pure_set", pure_base(4), pure_code)):
         with pytest.raises(SizeLimitExceeded):
-            oligo.base_table(class_id, base, base_code)
+            oligo.base_table(class_id, base, base_code, s4)
     assert len(oligo._TABLES) == cached
     monkeypatch.setattr(PermGroup, "packed_elements", real)
     monkeypatch.setenv("OLIGOREP_LIMITS", '{"table_order": 24}')
-    assert oligo.base_table("pure_set", pure_base(4), pure_code) is table
+    assert oligo.base_table("pure_set", pure_base(4), pure_code, s4) is table
 
 
 def test_base_tables_are_shared_by_equal_groups_and_match_fresh_ones(
@@ -277,8 +278,8 @@ def test_base_tables_are_shared_by_equal_groups_and_match_fresh_ones(
             if not base.points or cls.is_fixed_only(base):
                 continue
             code = cls.canonical_code(base)
-            table = oligo.base_table(class_id, base, code)
             group = cls.automorphisms(base)
+            table = oligo.base_table(class_id, base, code, group.generators)
             fresh = character_table(group)
             assert fresh.classes == table.classes
             assert fresh.class_reps == table.class_reps
@@ -529,22 +530,38 @@ def test_tensor_recursion_fails_on_a_dropped_orbit(cls_id, monkeypatch,
                                                     capsys):
     # one orbit missing from a punctured power must show as a residual
     cls = get_class(cls_id)
-    hulls = cls.tuple_hulls
+    hulls = cls._hull_orbits
 
-    def dropping(n, x0_only=False):
-        counted = hulls(n, x0_only)
+    def dropping(n, x0_only):
+        counted = list(hulls(n, x0_only))
         if x0_only and counted:
-            code = max(counted, key=lambda c: counted[c][1])
-            hull, count = counted[code]
-            counted[code] = (hull, count - 1)
-        return counted
+            i = max(range(len(counted)), key=lambda i: counted[i][3])
+            code, hull, gens, count = counted[i]
+            counted[i] = (code, hull, gens, count - 1)
+        return iter(counted)
 
-    monkeypatch.setattr(cls, "tuple_hulls", dropping)
+    monkeypatch.setattr(cls, "_hull_orbits", dropping)
     report = tensor_recursion_check(cls_id, 2)
     assert report["max_abs_residual"] > 0
     assert report["ok"] is False
     assert cli.main(["decompose", "--class", cls_id, "--n", "2"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_boolean_powers_hold_no_masks():
+    # the 4th power's hulls reach 16 atoms; each is held by its atom count,
+    # so neither power lists the 2**16 masks of its largest hull (5.8 MB
+    # traced when each hull listed its masks)
+    tracemalloc.start()
+    try:
+        full = decompose_power("boolean_algebra", 4)
+        punctured = decompose_power("boolean_algebra", 4, x0_only=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(label.base_size for label in full.terms) == 16
+    assert max(label.base_size for label in punctured.terms) == 16
+    assert peak < 1_500_000, peak
 
 
 def test_power_labels_appear_in_catalog():
@@ -662,8 +679,8 @@ def payload_action(cls, base_b, base_c):
         if dim == 0:
             return {(): ()}
         g = inverse(g)
-        return {_lex_vector(i, q, dim): _lex_vector(g[i], q, dim)
-                for i in range(q ** dim)}
+        vectors = list(itertools.product(range(q), repeat=dim))
+        return {vectors[i]: vectors[g[i]] for i in range(q ** dim)}
 
     def act(config, g1, g2):
         m1, m2 = linear_map(g1, dB), linear_map(g2, dC)
